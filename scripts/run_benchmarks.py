@@ -347,6 +347,7 @@ def _measure_exploration() -> dict:
         ExplorationProblem,
         NeighborhoodSampler,
         default_worker_count,
+        evaluate_candidate,
     )
     from repro.generator import generate_system
 
@@ -366,9 +367,7 @@ def _measure_exploration() -> dict:
         stream.extend(replay)
 
     started = time.perf_counter()
-    naive = CachedEvaluator(problem, cache=False, stage_cache=False).evaluate_many(
-        stream
-    )
+    naive = [evaluate_candidate(problem, candidate) for candidate in stream]
     naive_seconds = time.perf_counter() - started
 
     workers = default_worker_count()

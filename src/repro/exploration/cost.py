@@ -44,7 +44,6 @@ from ..graph.communication import (
     ExpansionStructure,
     assign_buses,
     crossing_edges,
-    expand_communications,
     expansion_structure,
 )
 from ..graph.paths import AlternativePath, PathEnumerator
@@ -102,22 +101,23 @@ def expansion_entry_cost(expanded, paths) -> int:
 
 @contextmanager
 def _timed_stage(tracer, metrics, name: str, **attrs):
-    """Time one pipeline stage into a tracer span and/or a metrics histogram.
+    """Time one region into a ``name`` span and a ``name.seconds`` histogram.
 
-    Only entered on the instrumented path — callers keep the plain,
-    allocation-free call when both ``tracer`` and ``metrics`` are None, so
-    the disabled-path overhead the BENCH_core records gate stays ~zero.
+    Either sink may be None (both None costs ~2 µs: two clock reads).  The
+    yielded dict collects outcome attributes known only at the end
+    (``hit``, ``feasible``); they are added to the span when it closes.
     """
-    span = tracer.span(f"stage.{name}", **attrs) if tracer is not None else None
+    span = tracer.span(name, **attrs) if tracer is not None else None
+    outcome: Dict = {}
     started = time.perf_counter()
     try:
-        yield
+        yield outcome
     finally:
         elapsed = time.perf_counter() - started
         if span is not None:
-            span.close()
+            span.close(**outcome)
         if metrics is not None:
-            metrics.observe(f"stage.{name}.seconds", elapsed)
+            metrics.observe(f"{name}.seconds", elapsed)
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,12 @@ class StageCache:
     memoized, so occupancy never exceeds the byte budget.  Eviction is
     self-healing by construction: stages are pure, so a re-query after
     eviction recomputes a bit-identical value (the same property
-    :meth:`check_integrity` relies on).  The unbounded default skips all
-    LRU bookkeeping — the hot paths are unchanged.
+    :meth:`check_integrity` relies on).  The maps that hang off LRU-managed
+    entries follow them out: a path key's intern id and scheduler context go
+    with the last memoized schedule keyed on it, and an expansion structure
+    with the last memoized expansion built on it, so every map stays bounded
+    by the budget.  The unbounded default skips all LRU bookkeeping — the
+    hot paths are unchanged.
     """
 
     __slots__ = (
@@ -235,6 +239,10 @@ class StageCache:
         "_max_bytes",
         "_lru",
         "_occupancy_bytes",
+        "_key_fingerprints",
+        "_key_users",
+        "_expansion_patterns",
+        "_structure_users",
         "expansion_hits",
         "expansion_misses",
         "structure_hits",
@@ -282,6 +290,14 @@ class StageCache:
         # least recently used first.  Mutated only under _intern_lock.
         self._lru: "OrderedDict[Tuple[str, Tuple], int]" = OrderedDict()
         self._occupancy_bytes = 0
+        # Bounded mode only: the links that evict the unmanaged maps with
+        # the LRU-managed entries.  Intern id -> its fingerprint and -> the
+        # number of memoized schedules keyed on it; expansion key -> its
+        # crossing pattern, and pattern -> memoized expansions built on it.
+        self._key_fingerprints: Dict[int, Tuple] = {}
+        self._key_users: Dict[int, int] = {}
+        self._expansion_patterns: Dict[Tuple, Tuple] = {}
+        self._structure_users: Dict[Tuple, int] = {}
         self.expansion_hits = 0
         self.expansion_misses = 0
         self.structure_hits = 0
@@ -324,24 +340,31 @@ class StageCache:
             if (kind, key) in self._lru:
                 self._lru.move_to_end((kind, key))
 
-    def _admit(self, kind: str, key: Tuple, value, cost: int) -> None:
-        """Store one LRU-managed entry and evict back under budget.
+    def _record_locked(self, kind: str, key: Tuple, value, cost: int) -> bool:
+        """Store one LRU-managed entry as most recent; True if it is new.
 
-        An entry whose cost alone exceeds ``max_bytes`` is not memoized at
-        all — the caller keeps the computed value, occupancy never exceeds
-        the budget.  Store + bookkeeping share the lock so eviction can
-        never orphan a stored value outside the recency order.
+        The caller owns ``_intern_lock`` (store + bookkeeping share it, so
+        eviction can never orphan a stored value outside the recency order)
+        and evicts back under budget once the entry's links are recorded.
         """
+        previous = self._lru.pop((kind, key), None)
+        if previous is not None:
+            self._occupancy_bytes -= previous
+        (self._expansions if kind == "expansion" else self._schedules)[key] = value
+        self._lru[(kind, key)] = cost
+        self._occupancy_bytes += cost
+        return previous is None
+
+    def _store_expansion(self, key: Tuple, value, pattern: Tuple, record) -> None:
+        """Bounded-mode expansion store; links the entry to its structure."""
+        cost = expansion_entry_cost(*value)
         if self._max_bytes and cost > self._max_bytes:
-            return
-        store = self._expansions if kind == "expansion" else self._schedules
+            return  # computed but never memoized: see store_schedule
         with self._intern_lock:
-            previous = self._lru.pop((kind, key), None)
-            if previous is not None:
-                self._occupancy_bytes -= previous
-            store[key] = value
-            self._lru[(kind, key)] = cost
-            self._occupancy_bytes += cost
+            if self._record_locked("expansion", key, value, cost):
+                self._expansion_patterns[key] = pattern
+                _add_user(self._structure_users, pattern)
+                self._structures.setdefault(pattern, record)
             self._evict_to_budget_locked()
 
     def _evict_to_budget_locked(self) -> None:
@@ -356,15 +379,41 @@ class StageCache:
             self._forget_locked(kind, key)
             self.lru_evictions += 1
 
-    def _forget_locked(self, kind: str, key: Tuple) -> None:
-        """Drop one LRU-managed entry (caller owns ``_intern_lock``)."""
+    def _forget_locked(self, kind: str, key: Tuple, release: bool = True) -> None:
+        """Drop one memoized entry and what only it kept alive.
+
+        ``release=False`` keeps the key's intern id even when no schedule
+        uses it any more: an integrity eviction condemns the value, not the
+        key, and the key's next store must land under the same id.  The
+        caller owns ``_intern_lock``.
+        """
         cost = self._lru.pop((kind, key), None)
         if cost is not None:
             self._occupancy_bytes -= cost
         if kind == "expansion":
             self._expansions.pop(key, None)
-        else:
-            self._schedules.pop(key, None)
+            pattern = self._expansion_patterns.pop(key, None)
+            if pattern is not None and _drop_user(self._structure_users, pattern):
+                self._structures.pop(pattern, None)
+        elif self._schedules.pop(key, None) is not None:
+            key_id = key[0]
+            if (
+                key_id in self._key_users
+                and _drop_user(self._key_users, key_id)
+                and release
+            ):
+                self._release_key_locked(key_id)
+
+    def _release_key_locked(self, key_id: int) -> None:
+        """Forget an intern id no memoized schedule uses, and its context.
+
+        Ids are never reused, so a later intern of the same fingerprint
+        gets a fresh id and cannot alias anything still in flight.
+        """
+        self._contexts.pop(key_id, None)
+        fingerprint = self._key_fingerprints.pop(key_id, None)
+        if fingerprint is not None and self._key_ids.get(fingerprint) == key_id:
+            del self._key_ids[fingerprint]
 
     # -- stage probes (used by merge_candidate) ------------------------------
 
@@ -400,7 +449,8 @@ class StageCache:
             self.structure_misses += 1
             structure = expansion_structure(problem.graph, pattern)
             record = (structure, PathEnumerator(structure.graph).paths())
-            self._structures[pattern] = record
+            if not self._bounded:  # bounded: memoized with its expansion
+                self._structures[pattern] = record
         else:
             self.structure_hits += 1
         structure, paths = record
@@ -412,10 +462,7 @@ class StageCache:
             bus_policy=problem.bus_policy,
         )
         if self._bounded:
-            self._admit(
-                "expansion", key, (expanded, paths),
-                expansion_entry_cost(expanded, paths),
-            )
+            self._store_expansion(key, (expanded, paths), pattern, record)
         else:
             self._expansions[key] = (expanded, paths)
         return expanded, paths
@@ -437,6 +484,8 @@ class StageCache:
                     cached = self._next_key_id
                     self._next_key_id += 1
                     self._key_ids[key] = cached
+                    if self._bounded:
+                        self._key_fingerprints[cached] = key
         return cached
 
     def clear(self) -> None:
@@ -455,6 +504,10 @@ class StageCache:
             self._contexts.clear()
             self._lru.clear()
             self._occupancy_bytes = 0
+            self._key_fingerprints.clear()
+            self._key_users.clear()
+            self._expansion_patterns.clear()
+            self._structure_users.clear()
 
     def lookup_schedule(self, key: Tuple) -> Optional[PathSchedule]:
         """Probe the per-path schedule memo (counts the hit/miss)."""
@@ -467,12 +520,34 @@ class StageCache:
             self.schedule_misses += 1
         return cached
 
-    def store_schedule(self, key: Tuple, schedule: PathSchedule) -> None:
-        """Record a freshly computed per-path schedule."""
-        if self._bounded:
-            self._admit("schedule", key, schedule, schedule_entry_cost(schedule))
-        else:
+    def store_schedule(
+        self, key: Tuple, schedule: PathSchedule, context=None
+    ) -> None:
+        """Record a freshly computed per-path schedule.
+
+        ``context`` is the scheduler's per-path structure for the key's path
+        (:meth:`PathListScheduler.export_context`), kept for the next
+        scheduler that sees the same path key.  In bounded mode an entry
+        whose cost alone exceeds ``max_bytes`` is not memoized at all — the
+        caller keeps the computed value, occupancy never exceeds the budget.
+        """
+        key_id = key[0]
+        if not self._bounded:
             self._schedules[key] = schedule
+            if context is not None:
+                self._contexts[key_id] = context
+            return
+        cost = schedule_entry_cost(schedule)
+        with self._intern_lock:
+            if self._max_bytes and cost > self._max_bytes:
+                if key_id not in self._key_users:
+                    self._release_key_locked(key_id)
+                return
+            if self._record_locked("schedule", key, schedule, cost):
+                _add_user(self._key_users, key_id)
+            if context is not None:
+                self._contexts[key_id] = context
+            self._evict_to_budget_locked()
 
     def check_integrity(self) -> int:
         """Verify memoized stages against their keys; evict mismatches.
@@ -517,11 +592,25 @@ class StageCache:
                 key_id, _locks = key
                 label = labels.get(key_id)
                 if label is None or schedule.path.label != label:
-                    self._forget_locked("schedule", key)
+                    self._forget_locked("schedule", key, release=False)
                     self._contexts.pop(key_id, None)
                     evicted += 1
             self.integrity_evictions += evicted
         return evicted
+
+
+def _add_user(users: Dict, key) -> None:
+    users[key] = users.get(key, 0) + 1
+
+
+def _drop_user(users: Dict, key) -> bool:
+    """Decrement one use count; True when it reached zero (and was removed)."""
+    remaining = users[key] - 1
+    if remaining:
+        users[key] = remaining
+        return False
+    del users[key]
+    return True
 
 
 def _locks_key(
@@ -563,15 +652,12 @@ class _StagedScheduler:
     :class:`StageCache`.  The inner scheduler is pure, so a request repeated
     for a later candidate whose relevant slice is unchanged (the common case
     under move-local search: the early decision-tree branches lock the same
-    times) returns the memoized schedule without re-dispatching.  Requests
-    with caller-supplied ``priorities`` (none in the pipeline) bypass the
-    memo.
+    times) returns the memoized schedule without re-dispatching.
 
-    With a ``tracer``/``metrics`` pair, every memoized request is timed as a
-    ``path_schedule`` stage (the initial optimal schedules) or a
-    ``merge_readjust`` stage (the locked re-scheduling requests the merger
-    issues while walking its decision tree); the span records whether the
-    memo answered (``hit``).
+    Every request is timed as a ``path_schedule`` stage (the initial optimal
+    schedules) or a ``merge_readjust`` stage (the locked re-scheduling
+    requests the merger issues while walking its decision tree); the span
+    records whether the memo answered (``hit``).
     """
 
     __slots__ = ("_cache", "_inner", "_path_keys", "_tracer", "_metrics")
@@ -594,70 +680,40 @@ class _StagedScheduler:
         self,
         path: AlternativePath,
         *,
-        priorities: Optional[Dict[str, float]] = None,
         locked_starts: Optional[Dict[str, float]] = None,
         locked_broadcasts: Optional[Dict] = None,
         order_hint: Optional[Dict[str, float]] = None,
     ) -> PathSchedule:
-        if priorities is not None:
-            return self._inner.schedule(
-                path,
-                priorities=priorities,
-                locked_starts=locked_starts,
-                locked_broadcasts=locked_broadcasts,
-                order_hint=order_hint,
-            )
-        if self._tracer is None and self._metrics is None:
-            return self._memoized(
-                path, locked_starts, locked_broadcasts, order_hint
-            )[0]
         locked = bool(locked_starts or locked_broadcasts) or order_hint is not None
-        name = "merge_readjust" if locked else "path_schedule"
-        span = (
-            self._tracer.span(f"stage.{name}", path=str(path.label))
-            if self._tracer is not None
-            else None
-        )
-        started = time.perf_counter()
-        schedule, hit = self._memoized(
-            path, locked_starts, locked_broadcasts, order_hint
-        )
-        elapsed = time.perf_counter() - started
-        if span is not None:
-            span.close(hit=hit)
-        if self._metrics is not None:
-            self._metrics.observe(f"stage.{name}.seconds", elapsed)
+        with _timed_stage(
+            self._tracer,
+            self._metrics,
+            "stage.merge_readjust" if locked else "stage.path_schedule",
+            **({"path": str(path.label)} if self._tracer is not None else {}),
+        ) as outcome:
+            path_key = self._path_keys[path.label]
+            key = (
+                path_key,
+                _locks_key(locked_starts, locked_broadcasts, order_hint is not None),
+            )
+            schedule = self._cache.lookup_schedule(key)
+            outcome["hit"] = schedule is not None
+            if schedule is None:
+                context = self._cache._contexts.get(path_key)
+                if context is not None:
+                    self._inner.adopt_context(path, context)
+                schedule = self._inner.schedule(
+                    path,
+                    locked_starts=locked_starts,
+                    locked_broadcasts=locked_broadcasts,
+                    order_hint=order_hint,
+                )
+                self._cache.store_schedule(
+                    key,
+                    schedule,
+                    self._inner.export_context(path) if context is None else None,
+                )
         return schedule
-
-    def _memoized(
-        self,
-        path: AlternativePath,
-        locked_starts: Optional[Dict[str, float]],
-        locked_broadcasts: Optional[Dict],
-        order_hint: Optional[Dict[str, float]],
-    ) -> Tuple[PathSchedule, bool]:
-        """The memo probe + compute path; returns (schedule, served-from-memo)."""
-        path_key = self._path_keys[path.label]
-        key = (
-            path_key,
-            _locks_key(locked_starts, locked_broadcasts, order_hint is not None),
-        )
-        cached = self._cache.lookup_schedule(key)
-        if cached is not None:
-            return cached, True
-        context = self._cache._contexts.get(path_key)
-        if context is not None:
-            self._inner.adopt_context(path, context)
-        schedule = self._inner.schedule(
-            path,
-            locked_starts=locked_starts,
-            locked_broadcasts=locked_broadcasts,
-            order_hint=order_hint,
-        )
-        if context is None:
-            self._cache._contexts[path_key] = self._inner.export_context(path)
-        self._cache.store_schedule(key, schedule)
-        return schedule, False
 
 
 @dataclass(frozen=True)
@@ -791,30 +847,29 @@ def merge_candidate(
     metrics=None,
     slice_memo: Optional[Dict] = None,
 ) -> Tuple[ExpandedGraph, MergeResult]:
-    """Run the merge pipeline for one candidate, optionally staged.
+    """Run the merge pipeline for one candidate through a stage cache.
 
-    Without a ``stage_cache`` this is the monolithic pipeline the repository
-    has always run: expand communications, schedule every alternative path,
-    merge.  With one, the expansion and the per-path schedules are looked up
-    by sub-fingerprint first, so a move-local candidate recomputes only the
+    Expand communications, schedule every alternative path, merge: the
+    expansion and the per-path schedules are looked up by sub-fingerprint
+    in ``stage_cache`` first, so a move-local candidate recomputes only the
     paths its move can actually affect; the merge itself always runs (its
     output is the whole point of the evaluation, and revisited *candidates*
-    are already absorbed by the whole-candidate cache upstream).
+    are already absorbed by the whole-candidate cache upstream).  Without a
+    ``stage_cache`` the pipeline runs over a private one for this call.
 
-    Both forms produce bit-identical results — the staged pipeline feeds the
-    merger the same paths (enumeration is part of the memoized expansion
-    stage, preserving order) and the same per-path schedules (the scheduler
-    is deterministic and the sub-fingerprints cover everything it observes).
-    Raises the pipeline's errors (``MappingError`` etc.); callers wanting
-    infinite-cost semantics use :func:`evaluate_candidate`.
+    The result is bit-identical to the plain pipeline (expand, then
+    :meth:`ScheduleMerger.merge` with a :class:`PathListScheduler`): the
+    merger gets the same paths (enumeration is part of the memoized
+    expansion stage, preserving order) and the same per-path schedules (the
+    scheduler is deterministic and the sub-fingerprints cover everything it
+    observes).  Raises the pipeline's errors (``MappingError`` etc.);
+    callers wanting infinite-cost semantics use :func:`evaluate_candidate`.
 
     ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
-    ``expansion``, ``flat_pack`` (sub-fingerprint slicing + key packing,
-    staged arm only), ``path_schedule`` per alternative path (staged arm
-    only), ``merge`` (wall time including re-adjustments) and
-    ``merge_readjust`` (the locked re-scheduling share within the merge).
-    Timing never changes the result; with both None (the default), the
-    pipeline runs exactly the uninstrumented code path.
+    ``expansion``, ``path_keys`` (sub-fingerprint slicing + key interning),
+    ``path_schedule`` per alternative path, ``merge`` (wall time including
+    re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
+    within the merge).  Timing never changes the result.
 
     ``slice_memo`` (supplied by :func:`evaluate_neighbourhood`) shares the
     candidate-independent half of the path sub-fingerprints — the active-set
@@ -822,57 +877,17 @@ def merge_candidate(
     across every candidate of a batch that reuses the same expansion; it is
     a pure-value cache, so passing one never changes any result.
     """
-    dispatch_priorities = priority_function(candidate.priority_function)
-    architecture = problem.architecture_for(candidate)
-    timed = tracer is not None or metrics is not None
     if stage_cache is None:
-        if timed:
-            with _timed_stage(tracer, metrics, "expansion"):
-                expanded = expand_communications(
-                    problem.graph,
-                    problem.mapping_for(candidate),
-                    architecture,
-                    bus_assignment=problem.bus_assignment_for(candidate),
-                    bus_policy=problem.bus_policy,
-                )
-        else:
-            expanded = expand_communications(
-                problem.graph,
-                problem.mapping_for(candidate),
-                architecture,
-                bus_assignment=problem.bus_assignment_for(candidate),
-                bus_policy=problem.bus_policy,
-            )
-        scheduler = PathListScheduler(
-            expanded.graph,
-            expanded.mapping,
-            architecture,
-            priority_function=dispatch_priorities,
-            priority_bias=candidate.bias_dict,
-        )
-        merger = ScheduleMerger(
-            expanded.graph, expanded.mapping, architecture, scheduler
-        )
-        if timed:
-            # The monolithic merge schedules paths internally, so its span
-            # covers path scheduling too (no separate path_schedule stage).
-            with _timed_stage(tracer, metrics, "merge"):
-                result = merger.merge()
-        else:
-            result = merger.merge()
-        return expanded, result
-
+        stage_cache = StageCache()
+    architecture = problem.architecture_for(candidate)
     pins = problem.bus_assignment_for(candidate) or {}
-    if timed:
-        with _timed_stage(tracer, metrics, "expansion"):
-            expanded, paths = stage_cache.expansion(problem, candidate, pins=pins)
-    else:
+    with _timed_stage(tracer, metrics, "stage.expansion"):
         expanded, paths = stage_cache.expansion(problem, candidate, pins=pins)
     inner = PathListScheduler(
         expanded.graph,
         expanded.mapping,
         architecture,
-        priority_function=dispatch_priorities,
+        priority_function=priority_function(candidate.priority_function),
         priority_bias=candidate.bias_dict,
     )
     # Non-path-local priority functions key every path on the full expansion;
@@ -882,42 +897,33 @@ def merge_candidate(
     if candidate.priority_function not in PATH_LOCAL_PRIORITY_FUNCTIONS:
         expansion_key = problem.expansion_key(candidate, pins=pins)
 
-    def pack_path_keys() -> Dict:
+    with _timed_stage(tracer, metrics, "stage.path_keys", paths=len(paths)):
         # The candidate-independent slices are keyed on the paths tuple's
         # identity (the memoized expansion returns the same tuple object for
         # every candidate that shares the expansion); holding the tuple in
         # the entry pins the id against reuse.
-        slices = None
-        if slice_memo is not None:
-            entry = slice_memo.get(id(paths))
-            if entry is None or entry[0] is not paths:
-                entry = (
-                    paths,
-                    {
-                        path.label: problem.path_slices(path, expanded)
-                        for path in paths
-                    },
-                )
-                slice_memo[id(paths)] = entry
-            slices = entry[1]
-        return {
+        if slice_memo is None:
+            slice_memo = {}
+        entry = slice_memo.get(id(paths))
+        if entry is None or entry[0] is not paths:
+            entry = (
+                paths,
+                {path.label: problem.path_slices(path, expanded) for path in paths},
+            )
+            slice_memo[id(paths)] = entry
+        slices = entry[1]
+        path_keys = {
             path.label: stage_cache.intern_key(
                 problem.path_schedule_key(
                     candidate,
                     path,
                     expanded,
                     expansion_key=expansion_key,
-                    slices=slices[path.label] if slices is not None else None,
+                    slices=slices[path.label],
                 )
             )
             for path in paths
         }
-
-    if timed:
-        with _timed_stage(tracer, metrics, "flat_pack", paths=len(paths)):
-            path_keys = pack_path_keys()
-    else:
-        path_keys = pack_path_keys()
     scheduler = _StagedScheduler(
         stage_cache, inner, path_keys, tracer=tracer, metrics=metrics
     )
@@ -925,10 +931,7 @@ def merge_candidate(
     merger = ScheduleMerger(
         expanded.graph, expanded.mapping, architecture, scheduler
     )
-    if timed:
-        with _timed_stage(tracer, metrics, "merge"):
-            result = merger.merge(paths=list(paths), path_schedules=path_schedules)
-    else:
+    with _timed_stage(tracer, metrics, "stage.merge"):
         result = merger.merge(paths=list(paths), path_schedules=path_schedules)
     return expanded, result
 
@@ -946,54 +949,43 @@ def evaluate_candidate(
 
     Infeasible candidates (unconnectable communications, unschedulable paths,
     unresolvable merge conflicts, malformed sized platforms) get infinite
-    cost instead of raising, so a search can step over them.  With a
-    ``stage_cache`` the pipeline runs incrementally (see
+    cost instead of raising, so a search can step over them.  A
+    ``stage_cache`` shared across calls makes the pipeline incremental (see
     :func:`merge_candidate`); the evaluation is bit-identical either way.
 
     ``tracer``/``metrics`` wrap the whole evaluation in an ``evaluate`` span
     / latency histogram and time the pipeline stages inside (see
-    :func:`merge_candidate`); both default to None, which keeps the exact
-    uninstrumented code path.
+    :func:`merge_candidate`).
     """
-    timed = tracer is not None or metrics is not None
-    span = tracer.span("evaluate") if tracer is not None else None
-    started = time.perf_counter() if timed else 0.0
-    try:
-        expanded, result = merge_candidate(
-            problem, candidate, stage_cache=stage_cache,
-            tracer=tracer, metrics=metrics, slice_memo=slice_memo,
+    with _timed_stage(tracer, metrics, "evaluate") as outcome:
+        try:
+            expanded, result = merge_candidate(
+                problem, candidate, stage_cache=stage_cache,
+                tracer=tracer, metrics=metrics, slice_memo=slice_memo,
+            )
+        except (
+            ArchitectureError, MappingError, SchedulingError, MergeConflictError
+        ) as error:
+            outcome["feasible"] = False
+            return CandidateEvaluation(
+                fingerprint=candidate.fingerprint,
+                cost=_INFEASIBLE_COST,
+                feasible=False,
+                error=str(error),
+            )
+        outcome["feasible"] = True
+        path_delays = [result.table_path_delays[path.label] for path in result.paths]
+        mean_path_delay = sum(path_delays) / len(path_delays)
+        imbalance = load_imbalance_of(problem, candidate)
+        platform_cost = architecture_cost_of(problem, candidate, weights)
+        contention = bus_imbalance_of(problem.architecture_for(candidate), expanded)
+        cost = (
+            weights.delta_max * result.delta_max
+            + weights.mean_path_delay * mean_path_delay
+            + weights.load_imbalance * imbalance
+            + weights.architecture_cost * platform_cost
+            + weights.bus_imbalance * contention
         )
-        architecture = problem.architecture_for(candidate)
-    except (ArchitectureError, MappingError, SchedulingError, MergeConflictError) as error:
-        if timed:
-            if metrics is not None:
-                metrics.observe("evaluate.seconds", time.perf_counter() - started)
-            if span is not None:
-                span.close(feasible=False)
-        return CandidateEvaluation(
-            fingerprint=candidate.fingerprint,
-            cost=_INFEASIBLE_COST,
-            feasible=False,
-            error=str(error),
-        )
-
-    path_delays = [result.table_path_delays[path.label] for path in result.paths]
-    mean_path_delay = sum(path_delays) / len(path_delays)
-    imbalance = load_imbalance_of(problem, candidate)
-    platform_cost = architecture_cost_of(problem, candidate, weights)
-    contention = bus_imbalance_of(architecture, expanded)
-    cost = (
-        weights.delta_max * result.delta_max
-        + weights.mean_path_delay * mean_path_delay
-        + weights.load_imbalance * imbalance
-        + weights.architecture_cost * platform_cost
-        + weights.bus_imbalance * contention
-    )
-    if timed:
-        if metrics is not None:
-            metrics.observe("evaluate.seconds", time.perf_counter() - started)
-        if span is not None:
-            span.close(feasible=True)
     return CandidateEvaluation(
         fingerprint=candidate.fingerprint,
         cost=cost,
@@ -1073,7 +1065,7 @@ def evaluate_neighbourhood(
         metrics.observe("batch.size", len(batch))
     if batch_stats is not None:
         batch_stats.record_batch(len(batch))
-    slice_memo: Optional[Dict] = {} if stage_cache is not None else None
+    slice_memo: Dict = {}
     return [
         evaluate_candidate(
             problem,

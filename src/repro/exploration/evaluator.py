@@ -15,7 +15,7 @@ evaluated once; across batches, the cache answers directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from .candidate import Candidate
 from .cost import (
@@ -24,7 +24,6 @@ from .cost import (
     CostWeights,
     StageCache,
     StageStats,
-    evaluate_candidate,
     evaluate_neighbourhood,
 )
 from .pareto import ParetoFront
@@ -61,24 +60,18 @@ class CachedEvaluator:
         processes score with the pool's weights, so a mismatch would silently
         optimise the wrong objective); without a pool, misses are evaluated
         serially in-process.
-    cache:
-        Set to False to disable caching (used by benchmarks to measure the
-        naive re-evaluation baseline; every request then runs the merger).
     front:
         Optional :class:`~repro.exploration.ParetoFront`.  When given, every
         *fresh* feasible evaluation is offered to the front, so the front ends
         up covering every distinct design point the evaluator ever scored
         (cache hits were already offered when they were first computed).
     stage_cache:
-        Controls the *incremental* evaluation of whole-candidate cache
-        misses (see :class:`~repro.exploration.StageCache`): ``True`` (the
-        default) creates a private stage cache, ``False`` disables staged
-        evaluation (every miss re-runs the full pipeline — the benchmark
-        baseline), and an explicit :class:`StageCache` instance is used as
-        given (sharing across evaluators of the *same problem*).  With a
-        pool, every miss is scored by the pool's own stage caches
-        (configure them via ``EvaluationPool(stage_caching=...)``), so this
-        setting is ignored and no evaluator-side cache is created.
+        The :class:`~repro.exploration.StageCache` that makes whole-candidate
+        cache misses *incremental*.  None (the default) creates a private
+        one; pass an instance to share it across evaluators of the *same
+        problem*.  With a pool, every miss is scored by the pool's own stage
+        caches, so this setting is ignored and no evaluator-side cache is
+        created.
     tracer:
         Optional :class:`~repro.observability.Tracer`.  Serial fresh
         evaluations run inside ``evaluate``/``stage.*`` spans; with a pool
@@ -96,9 +89,8 @@ class CachedEvaluator:
         problem: ExplorationProblem,
         weights: CostWeights = CostWeights(),
         pool: Optional[EvaluationPool] = None,
-        cache: bool = True,
         front: Optional[ParetoFront] = None,
-        stage_cache: Union[bool, StageCache] = True,
+        stage_cache: Optional[StageCache] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -110,7 +102,6 @@ class CachedEvaluator:
         self._problem = problem
         self._weights = weights
         self._pool = pool
-        self._enabled = cache
         self._front = front
         self._tracer = tracer
         self._metrics = metrics
@@ -122,10 +113,8 @@ class CachedEvaluator:
             # Misses never run in-process: the pool's stage caches score
             # them (see the stage_cache parameter doc).
             self._stage_cache: Optional[StageCache] = None
-        elif isinstance(stage_cache, StageCache):
-            self._stage_cache = stage_cache
         else:
-            self._stage_cache = StageCache() if stage_cache else None
+            self._stage_cache = stage_cache if stage_cache is not None else StageCache()
 
     @property
     def problem(self) -> ExplorationProblem:
@@ -156,7 +145,7 @@ class CachedEvaluator:
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
-        """The serial-path stage cache, or None when staged evaluation is off."""
+        """The serial-path stage cache, or None when a pool scores misses."""
         return self._stage_cache
 
     @property
@@ -182,12 +171,11 @@ class CachedEvaluator:
         With a pool, misses run on the pool's stage caches
         (:meth:`EvaluationPool.stage_stats` — None in process mode, where the
         caches live in the workers and are not aggregated); without one, the
-        evaluator's own serial stage cache.  None when staged evaluation is
-        disabled everywhere.
+        evaluator's own serial stage cache.
         """
         if self._pool is not None:
             return self._pool.stage_stats
-        return self._stage_cache.stats if self._stage_cache is not None else None
+        return self._stage_cache.stats
 
     # -- scoring -------------------------------------------------------------
 
@@ -203,15 +191,6 @@ class CachedEvaluator:
         Cache misses are deduplicated by fingerprint and sent to the pool as
         one batch (or evaluated serially without a pool).
         """
-        if not self._enabled:
-            self._misses += len(candidates)
-            if self._metrics is not None:
-                self._metrics.count("cache.misses", len(candidates))
-            evaluations = self._evaluate_fresh(list(candidates))
-            if self._front is not None:
-                self._front.offer_many(candidates, evaluations)
-            return evaluations
-
         fresh: List[Candidate] = []
         fresh_keys: Dict[str, int] = {}
         batch_hits = 0

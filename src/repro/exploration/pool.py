@@ -88,7 +88,6 @@ _WORKER_INJECTOR: Optional[FaultInjector] = None
 def _initialise_worker(
     payload: Any,
     weights: CostWeights,
-    stage_caching: bool = True,
     injector: Optional[FaultInjector] = None,
 ) -> None:
     global _WORKER_PROBLEM, _WORKER_WEIGHTS, _WORKER_STAGE_CACHE, _WORKER_INJECTOR
@@ -103,7 +102,7 @@ def _initialise_worker(
         )
     _WORKER_PROBLEM = ExplorationProblem.from_payload(payload)
     _WORKER_WEIGHTS = weights
-    _WORKER_STAGE_CACHE = StageCache() if stage_caching else None
+    _WORKER_STAGE_CACHE = StageCache()
     _WORKER_INJECTOR = injector
 
 
@@ -196,7 +195,6 @@ class EvaluationPool:
         weights: CostWeights = CostWeights(),
         workers: Optional[int] = None,
         mode: str = "auto",
-        stage_caching: bool = True,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
         tracer=None,
@@ -216,29 +214,22 @@ class EvaluationPool:
         self._executor: Optional[Executor] = None
         # Incremental evaluation (cost.StageCache).  Serial and thread modes
         # share this in-process cache (stages are pure, so thread races at
-        # worst recompute a stage); process mode ships the flag to the worker
-        # initialiser instead, giving each worker its own cache — and keeps
-        # no in-process cache until the pool degrades to in-process
-        # evaluation, so ``stage_stats`` never hides real caching activity.
-        self._stage_caching = bool(stage_caching)
-        # An *injected* cache (repro-cpg serve's shared cross-request cache,
-        # possibly bounded) replaces the pool-private one.  Process mode
-        # cannot honour it — worker caches live in other processes — so the
-        # mismatch is an error rather than a silent private cache.
-        if stage_cache is not None:
-            if self._mode == "process":
-                raise ValueError(
-                    "an injected stage_cache requires serial or thread mode; "
-                    "process workers keep per-process caches"
-                )
-            self._stage_caching = True
-            self._stage_cache: Optional[StageCache] = stage_cache
-        else:
-            self._stage_cache = (
-                StageCache()
-                if self._stage_caching and self._mode != "process"
-                else None
+        # worst recompute a stage); process mode gives each worker its own
+        # cache instead — and keeps no in-process cache until the pool
+        # degrades to in-process evaluation, so ``stage_stats`` never hides
+        # real caching activity.  An *injected* cache (repro-cpg serve's
+        # shared cross-request cache, possibly bounded) replaces the
+        # pool-private one.  Process mode cannot honour it — worker caches
+        # live in other processes — so the mismatch is an error rather than
+        # a silent private cache.
+        if stage_cache is not None and self._mode == "process":
+            raise ValueError(
+                "an injected stage_cache requires serial or thread mode; "
+                "process workers keep per-process caches"
             )
+        if stage_cache is None and self._mode != "process":
+            stage_cache = StageCache()
+        self._stage_cache: Optional[StageCache] = stage_cache
         self._armed = retry is not None or fault_injector is not None
         self._retry = retry if retry is not None else RetryPolicy()
         self._injector = fault_injector
@@ -352,12 +343,7 @@ class EvaluationPool:
                 executor: Executor = ProcessPoolExecutor(
                     max_workers=self._workers,
                     initializer=_initialise_worker,
-                    initargs=(
-                        blob,
-                        self._weights,
-                        self._stage_caching,
-                        self._injector,
-                    ),
+                    initargs=(blob, self._weights, self._injector),
                 )
                 # Each spawned worker receives its own copy of the initargs
                 # blob across the process boundary.
@@ -408,7 +394,7 @@ class EvaluationPool:
         self._resilience("resilience.degrade", "pool.degraded", mode=self._mode)
         if self._stage_cache is not None:
             self._counters.integrity_evictions += self._stage_cache.check_integrity()
-        elif self._stage_caching:
+        else:
             self._stage_cache = StageCache()
 
     def close(self) -> None:

@@ -98,7 +98,7 @@ class ExpandedGraph:
     #: order, built once at construction.  This is the canonical snapshot
     #: behind :attr:`bus_assignment` — accessors hand out values derived from
     #: this tuple, never live views of the instance's dicts, so downstream
-    #: caches (the flat scheduling kernel's slice memos) can hold onto the
+    #: caches (the explorer's path-slice memos) can hold onto the
     #: results without defensive copying.
     _bus_assignment_items: Tuple[Tuple[str, str], ...] = field(
         init=False, repr=False, compare=False, default=()

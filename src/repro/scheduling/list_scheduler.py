@@ -22,8 +22,8 @@ The dispatch engine is incremental: ready processes live in priority heaps
 (so each dispatch decision is O(log n) instead of a rescan of every remaining
 process), resource timelines keep their busy intervals sorted with
 ``bisect.insort`` and binary-search the first interval that can interfere
-with a slot query, and the per-path dependency structure (active set,
-durations, predecessor/successor maps, critical-path priorities) is computed
+with a slot query, and the per-path dependency structure (active processes,
+durations, predecessor/successor indices, critical-path priorities) is computed
 once and reused across the many re-adjustment calls the schedule merger
 makes for the same path.
 """
@@ -99,56 +99,43 @@ class _ResourceTimeline:
 class _PathContext:
     """Per-path scheduling structure, computed once and reused across calls.
 
-    Besides the name-keyed dicts (kept for locked-interval pre-reservation
-    and for external consumers via ``export_context``), the context carries
-    index-parallel flat mirrors: position ``i`` in every ``*_flat`` list
-    describes ``active[i]``.  The dispatch loop runs entirely on the flat
-    columns — integer indices into plain lists instead of string-keyed dict
-    probes and dataclass attribute loads per decision.
+    Index-parallel columns: position ``i`` in every list describes
+    ``active[i]``, and ``index_of`` maps a process name back to its position.
+    The dispatch loop runs entirely on the columns — integer indices into
+    plain lists instead of string-keyed dict probes and dataclass attribute
+    loads per decision.
     """
 
     __slots__ = (
         "active",
-        "active_set",
+        "index_of",
+        "default_priorities",
         "durations",
         "pes",
-        "predecessors",
-        "successors",
-        "base_indegree",
-        "default_priorities",
-        "index_of",
-        "durations_flat",
-        "pes_flat",
         "pred_indices",
         "succ_indices",
-        "base_indegree_flat",
+        "base_indegree",
         "guard_conditions",
-        "disjunction_flat",
+        "disjunctions",
         "seq_pe_names",
         "seq_unique",
-        "neg_priorities_flat",
+        "neg_priorities",
     )
 
     def __init__(self) -> None:
         self.active: Tuple[str, ...] = ()
-        self.active_set: frozenset = frozenset()
-        self.durations: Dict[str, float] = {}
-        self.pes: Dict[str, Optional[ProcessingElement]] = {}
-        self.predecessors: Dict[str, Tuple[str, ...]] = {}
-        self.successors: Dict[str, Tuple[str, ...]] = {}
-        self.base_indegree: Dict[str, int] = {}
-        self.default_priorities: Optional[Dict[str, float]] = None
         self.index_of: Dict[str, int] = {}
-        self.durations_flat: List[float] = []
-        self.pes_flat: List[Optional[ProcessingElement]] = []
+        self.default_priorities: Optional[Dict[str, float]] = None
+        self.durations: List[float] = []
+        self.pes: List[Optional[ProcessingElement]] = []
         self.pred_indices: List[Tuple[int, ...]] = []
         self.succ_indices: List[Tuple[int, ...]] = []
-        self.base_indegree_flat: List[int] = []
+        self.base_indegree: List[int] = []
         #: Per process: the guard's condition tuple, or None when the guard is
         #: trivially true (no requirement-4 wait needed).
         self.guard_conditions: List[Optional[Tuple[Condition, ...]]] = []
         #: Per process: the condition its disjunction determines, or None.
-        self.disjunction_flat: List[Optional[Condition]] = []
+        self.disjunctions: List[Optional[Condition]] = []
         #: Per process: its PE's name when that PE executes sequentially
         #: (the dispatch loop keys resource timelines by it), else None.
         self.seq_pe_names: List[Optional[str]] = []
@@ -157,7 +144,7 @@ class _PathContext:
         self.seq_unique: Tuple[str, ...] = ()
         #: Negated default priorities in index order (heap keys), built
         #: lazily the first time the default priorities are used.
-        self.neg_priorities_flat: Optional[List[float]] = None
+        self.neg_priorities: Optional[List[float]] = None
 
 
 class PathListScheduler:
@@ -258,20 +245,16 @@ class PathListScheduler:
     def _build_context(self, path: AlternativePath) -> _PathContext:
         context = _PathContext()
         context.active = tuple(path.active_processes)
-        context.active_set = frozenset(context.active)
         index_of = {name: i for i, name in enumerate(context.active)}
         context.index_of = index_of
 
-        # Path-independent columns come straight from the shared skeleton;
-        # the dict views are kept index-parallel with the flat mirrors.
+        # Path-independent columns come straight from the shared skeleton.
         static_info = self._static_info
         static_info_for = self._static_info_for
-        pes = context.pes
-        durations = context.durations
-        durations_flat_append = context.durations_flat.append
-        pes_flat_append = context.pes_flat.append
+        durations_append = context.durations.append
+        pes_append = context.pes.append
         guard_conditions_append = context.guard_conditions.append
-        disjunction_flat_append = context.disjunction_flat.append
+        disjunctions_append = context.disjunctions.append
         seq_pe_names_append = context.seq_pe_names.append
         seq_seen: Dict[str, None] = {}
         for name in context.active:
@@ -279,27 +262,22 @@ class PathListScheduler:
             if info is None:
                 info = static_info_for(name)
             pe, duration, guard_conditions, disjunction, seq_name = info
-            pes[name] = pe
-            durations[name] = duration
-            durations_flat_append(duration)
-            pes_flat_append(pe)
+            durations_append(duration)
+            pes_append(pe)
             guard_conditions_append(guard_conditions)
-            disjunction_flat_append(disjunction)
+            disjunctions_append(disjunction)
             seq_pe_names_append(seq_name)
             if seq_name is not None:
                 seq_seen[seq_name] = None
         context.seq_unique = tuple(seq_seen)
 
-        successors: Dict[str, List[str]] = {name: [] for name in context.active}
+        successors: List[List[int]] = [[] for _ in context.active]
         assignment = path.assignment
-        active_set = context.active_set
         edge_cache = self._edge_cache
         in_edge_map = self._graph.in_edge_map()
-        predecessors = context.predecessors
-        base_indegree = context.base_indegree
         pred_indices_append = context.pred_indices.append
-        base_indegree_flat_append = context.base_indegree_flat.append
-        for name in context.active:
+        base_indegree_append = context.base_indegree.append
+        for index, name in enumerate(context.active):
             edges = edge_cache.get(name)
             if edges is None:
                 edges = tuple(
@@ -308,22 +286,16 @@ class PathListScheduler:
                 )
                 edge_cache[name] = edges
             preds = tuple(
-                src
+                index_of[src]
                 for src, condition in edges
-                if src in active_set
+                if src in index_of
                 and (condition is None or condition.evaluate(assignment))
             )
-            predecessors[name] = preds
-            base_indegree[name] = len(preds)
-            pred_indices_append(tuple(index_of[pred] for pred in preds))
-            base_indegree_flat_append(len(preds))
+            pred_indices_append(preds)
+            base_indegree_append(len(preds))
             for pred in preds:
-                successors[pred].append(name)
-        context.successors = {name: tuple(succ) for name, succ in successors.items()}
-        context.succ_indices = [
-            tuple(index_of[succ] for succ in successors[name])
-            for name in context.active
-        ]
+                successors[pred].append(index)
+        context.succ_indices = [tuple(succ) for succ in successors]
         return context
 
     def export_context(self, path: AlternativePath) -> Optional[_PathContext]:
@@ -385,15 +357,13 @@ class PathListScheduler:
             priorities = context.default_priorities
 
         active = context.active
-        active_set = context.active_set
+        index_of = context.index_of
         durations = context.durations
         pes = context.pes
-        durations_flat = context.durations_flat
-        pes_flat = context.pes_flat
         pred_indices = context.pred_indices
         succ_indices = context.succ_indices
         guard_conditions = context.guard_conditions
-        disjunction_flat = context.disjunction_flat
+        disjunctions = context.disjunctions
         seq_pe_names = context.seq_pe_names
         count = len(active)
 
@@ -410,11 +380,9 @@ class PathListScheduler:
         # Pre-reserve the intervals of locked processes and broadcasts so that
         # unlocked activities are placed around them.
         for name, start in locked_starts.items():
-            if name not in active_set:
-                continue
-            pe = pes[name]
-            if pe is not None and pe.executes_sequentially:
-                timeline(pe).reserve(start, start + durations[name])
+            index = index_of.get(name)
+            if index is not None and seq_pe_names[index] is not None:
+                timelines[seq_pe_names[index]].reserve(start, start + durations[index])
         for task in locked_broadcasts.values():
             if task.pe is not None and task.pe.executes_sequentially:
                 timeline(task.pe).reserve(task.start, task.end)
@@ -478,10 +446,10 @@ class PathListScheduler:
         # of the ready set would have chosen.  (Names are unique, so the
         # trailing index never participates in a comparison.)
         #
-        # The loop itself runs on the flat columns: start/end per process
+        # The loop itself runs on the context columns: start/end per process
         # index, with ScheduledTask objects materialised only once, after the
         # last dispatch, in dispatch order.
-        indegree = list(context.base_indegree_flat)
+        indegree = list(context.base_indegree)
         ready_locked: List[Tuple[float, str, int]] = []
         ready_free: List[Tuple[float, float, str, int]] = []
         heappush = heapq.heappush
@@ -505,13 +473,13 @@ class PathListScheduler:
         else:
             # No locks and no order hint: every entry would carry the same
             # infinite hint, so ordering reduces to the negated priority.
-            # Cache the negated default priorities as a flat column; a
+            # Cache the negated default priorities as a column; a
             # caller-supplied priority dict gets a per-call column instead.
-            neg_priorities = context.neg_priorities_flat
+            neg_priorities = context.neg_priorities
             if neg_priorities is None or priorities is not context.default_priorities:
                 neg_priorities = [-priorities.get(name, 0.0) for name in active]
                 if priorities is context.default_priorities:
-                    context.neg_priorities_flat = neg_priorities
+                    context.neg_priorities = neg_priorities
 
             def push_ready(index: int) -> None:
                 heappush(
@@ -542,7 +510,7 @@ class PathListScheduler:
                     end = ends[pred]
                     if end > data_ready:
                         data_ready = end
-                pe = pes_flat[index]
+                pe = pes[index]
                 # Requirement 4 of the paper: the run-time scheduler may only
                 # activate a process once the conditions its guard depends on
                 # are known on the executing processing element.  Delay the
@@ -562,7 +530,7 @@ class PathListScheduler:
                             data_ready = known
                 seq_name = seq_pe_names[index]
                 if seq_name is not None:
-                    duration = durations_flat[index]
+                    duration = durations[index]
                     pe_timeline = timelines[seq_name]
                     start = pe_timeline.earliest_slot(data_ready, duration)
                     pe_timeline.reserve(start, start + duration)
@@ -574,7 +542,7 @@ class PathListScheduler:
                     f"no dispatchable process on path {path.label}; "
                     "the subgraph has a dependency cycle or missing processes"
                 )
-            end = start + durations_flat[index]
+            end = start + durations[index]
             starts[index] = start
             ends[index] = end
             dispatch_order.append(index)
@@ -584,9 +552,9 @@ class PathListScheduler:
                 if indegree[successor] == 0:
                     push_ready(successor)
 
-            condition = disjunction_flat[index]
+            condition = disjunctions[index]
             if condition is not None:
-                pe = pes_flat[index]
+                pe = pes[index]
                 determination[condition] = end
                 disjunction_pes[condition] = pe
                 heappush(pending_broadcasts, (end, condition, pe))
@@ -599,7 +567,7 @@ class PathListScheduler:
         for index in dispatch_order:
             name = active[index]
             scheduled[name] = ScheduledTask(
-                name, starts[index], durations_flat[index], pes_flat[index]
+                name, starts[index], durations[index], pes[index]
             )
         return PathSchedule(path, scheduled, broadcasts, determination, disjunction_pes)
 
@@ -620,44 +588,20 @@ class PathListScheduler:
         visits the same full-graph adjacency — without re-probing the graph
         and the mapping per process.
         """
-        active_set = context.active_set
+        index_of = context.index_of
         durations = context.durations
         successor_map = self._graph.successor_map()
         priorities: Dict[str, float] = {}
         priorities_get = priorities.get
         for name in reversed(self._graph.topological_order()):
-            if name not in active_set:
+            index = index_of.get(name)
+            if index is None:
                 continue
             longest_successor = 0.0
             for successor in successor_map[name]:
-                if successor in active_set:
+                if successor in index_of:
                     value = priorities_get(successor)
                     if value is not None and value > longest_successor:
                         longest_successor = value
-            priorities[name] = durations[name] + longest_successor
+            priorities[name] = durations[index] + longest_successor
         return priorities
-
-    def _guard_knowledge_time(
-        self,
-        name: str,
-        pe: Optional[ProcessingElement],
-        determination: Dict[Condition, float],
-        disjunction_pes: Dict[Condition, Optional[ProcessingElement]],
-        broadcasts: Dict[Condition, ScheduledTask],
-    ) -> float:
-        """Earliest time the guard-relevant condition values are known on ``pe``."""
-        guard = self._guards.get(name)
-        if guard is None or guard.is_true():
-            return 0.0
-        ready = 0.0
-        for condition in guard.conditions:
-            if condition not in determination:
-                continue
-            origin = disjunction_pes.get(condition)
-            if pe is not None and origin is not None and pe == origin:
-                known = determination[condition]
-            else:
-                broadcast = broadcasts.get(condition)
-                known = broadcast.end if broadcast is not None else determination[condition]
-            ready = max(ready, known)
-        return ready

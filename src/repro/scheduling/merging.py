@@ -200,20 +200,10 @@ class ScheduleMerger:
         self._trace.root = root
 
         delta_m = max(self._optimal_delays.values())
-        table_path_delays = {}
-        # Duck-typed: injected scheduler wrappers (e.g. the explorer's staged
-        # scheduler) may not expose per-path contexts; fall back to the graph
-        # probes inside ``delay_of_path`` then.
-        export_context = getattr(self._scheduler, "export_context", None)
-        for path in self._paths:
-            context = None if export_context is None else export_context(path)
-            table_path_delays[path.label] = self._table.delay_of_path(
-                self._graph,
-                self._mapping,
-                path,
-                durations=None if context is None else context.durations,
-                dummies=self._dummy_names,
-            )
+        table_path_delays = {
+            path.label: self._table.delay_of_path(self._graph, self._mapping, path)
+            for path in self._paths
+        }
         delta_max = max(table_path_delays.values())
         return MergeResult(
             table=self._table,

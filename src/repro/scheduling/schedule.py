@@ -207,9 +207,8 @@ class PathSchedule:
     def __eq__(self, other: object) -> bool:
         """Value equality including iteration order of the task/broadcast dicts.
 
-        The dicts' insertion order is observable (the flat converters pack in
-        it), so two schedules with the same mappings in different orders do
-        not compare equal.
+        The dicts keep the scheduler's dispatch order, so two schedules with
+        the same mappings in different orders do not compare equal.
         """
         if not isinstance(other, PathSchedule):
             return NotImplemented

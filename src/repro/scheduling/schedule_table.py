@@ -42,13 +42,13 @@ class TableEntry:
         return f"{self.start:g} [{self.column}]"
 
 
-class _PackedRow:
-    """The packed (flat-int) columns of one table row.
+class _Row:
+    """One table row as parallel columns, one position per entry.
 
-    Parallel lists, one position per entry: the column's ``pos``/``neg``
-    bitmasks, the start time as a plain float, and the entry object itself.
-    The merger's hot scans walk these integer columns directly instead of
-    loading ``entry.column`` and calling mask methods per entry.
+    The column's ``pos``/``neg`` bitmasks, the start time as a plain float,
+    and the entry object itself, in insertion order.  The merger's hot scans
+    walk the integer columns directly instead of loading ``entry.column`` and
+    calling mask methods per entry.
     """
 
     __slots__ = ("pos", "neg", "starts", "entries")
@@ -70,28 +70,26 @@ class _PackedRow:
 class ScheduleTable:
     """Rows of activation times indexed by column expressions.
 
-    Besides the per-row entry lists, the table maintains a mask index: every
+    Each row is kept once, as parallel integer/float columns
+    (:class:`_Row`) the row scans (applicability, conflicts, row starts) walk
+    directly.  Besides the rows, the table maintains a mask index: every
     distinct column (a bitmask pair over the condition universe) maps to the
     entries filed under it, each tagged with a global insertion sequence
     number.  The merger's hot queries — "which previously fixed activation
     times apply under this partial knowledge?" — then probe the few distinct
     columns with two integer operations each instead of scanning every row.
-    Row scans (applicability, conflicts, row starts) run on packed parallel
-    int columns (:class:`_PackedRow`) maintained alongside the entry lists.
     """
 
     def __init__(self, name: str = "schedule-table") -> None:
         self.name = name
-        self._process_rows: Dict[str, List[TableEntry]] = {}
-        self._condition_rows: Dict[Condition, List[TableEntry]] = {}
+        self._process_rows: Dict[str, _Row] = {}
+        self._condition_rows: Dict[Condition, _Row] = {}
         # column masks -> [(sequence, is_condition_row, row_key, entry), ...]
+        # (an entry's sequence number is its position in the insertion log)
         self._column_index: Dict[Tuple[int, int], List[tuple]] = {}
-        self._sequence = 0
-        # Packed mirrors of the rows, plus the global insertion log the flat
-        # converters replay (lock queries tie-break on insertion order, so
-        # the log is part of the table's observable behaviour).
-        self._packed_process: Dict[str, _PackedRow] = {}
-        self._packed_condition: Dict[Condition, _PackedRow] = {}
+        # The global insertion log: lock queries tie-break on insertion
+        # order, so the log is part of the table's observable behaviour and
+        # is what ``__eq__`` compares.
         self._entry_log: List[tuple] = []
 
     # -- construction ------------------------------------------------------------
@@ -99,9 +97,8 @@ class ScheduleTable:
     def _index_entry(self, is_condition: bool, key, entry: TableEntry) -> None:
         masks = (entry.column.pos_mask, entry.column.neg_mask)
         self._column_index.setdefault(masks, []).append(
-            (self._sequence, is_condition, key, entry)
+            (len(self._entry_log), is_condition, key, entry)
         )
-        self._sequence += 1
         self._entry_log.append((is_condition, key, entry))
 
     def add_process_entry(
@@ -113,11 +110,10 @@ class ScheduleTable:
     ) -> TableEntry:
         """Record an activation time for a process under a column expression."""
         entry = TableEntry(column, start, pe)
-        self._process_rows.setdefault(process_name, []).append(entry)
-        packed = self._packed_process.get(process_name)
-        if packed is None:
-            packed = self._packed_process[process_name] = _PackedRow()
-        packed.append(entry)
+        row = self._process_rows.get(process_name)
+        if row is None:
+            row = self._process_rows[process_name] = _Row()
+        row.append(entry)
         self._index_entry(False, process_name, entry)
         return entry
 
@@ -130,23 +126,12 @@ class ScheduleTable:
     ) -> TableEntry:
         """Record the start of a condition broadcast under a column expression."""
         entry = TableEntry(column, start, pe)
-        self._condition_rows.setdefault(condition, []).append(entry)
-        packed = self._packed_condition.get(condition)
-        if packed is None:
-            packed = self._packed_condition[condition] = _PackedRow()
-        packed.append(entry)
+        row = self._condition_rows.get(condition)
+        if row is None:
+            row = self._condition_rows[condition] = _Row()
+        row.append(entry)
         self._index_entry(True, condition, entry)
         return entry
-
-    def entries_in_order(self) -> Tuple[tuple, ...]:
-        """Every entry in global insertion order, as ``(is_condition, key, entry)``.
-
-        This is the replay order the flat converters
-        (:func:`repro.scheduling.flat.table_to_flat` /
-        :func:`~repro.scheduling.flat.table_from_flat`) use to rebuild a table
-        with identical row lists, mask index and sequence numbering.
-        """
-        return tuple(self._entry_log)
 
     # -- access ---------------------------------------------------------------------
 
@@ -159,28 +144,21 @@ class ScheduleTable:
         return tuple(self._condition_rows)
 
     def process_entries(self, process_name: str) -> Tuple[TableEntry, ...]:
-        return tuple(self._process_rows.get(process_name, ()))
+        row = self._process_rows.get(process_name)
+        return tuple(row.entries) if row is not None else ()
 
     def condition_entries(self, condition: Condition) -> Tuple[TableEntry, ...]:
-        return tuple(self._condition_rows.get(condition, ()))
+        row = self._condition_rows.get(condition)
+        return tuple(row.entries) if row is not None else ()
 
     def columns(self) -> Tuple[Conjunction, ...]:
         """All distinct column expressions, sorted by generality then text."""
-        seen = {
-            entry.column
-            for entries in self._process_rows.values()
-            for entry in entries
-        }
-        seen.update(
-            entry.column
-            for entries in self._condition_rows.values()
-            for entry in entries
-        )
+        seen = {entry.column for _, _, entry in self._entry_log}
         return tuple(sorted(seen, key=lambda c: (len(c), str(c))))
 
     def __iter__(self) -> Iterator[Tuple[str, Tuple[TableEntry, ...]]]:
-        for name, entries in self._process_rows.items():
-            yield name, tuple(entries)
+        for name, row in self._process_rows.items():
+            yield name, tuple(row.entries)
 
     def __len__(self) -> int:
         return len(self._process_rows)
@@ -189,37 +167,37 @@ class ScheduleTable:
 
     @staticmethod
     def _first_applicable(
-        packed: Optional[_PackedRow], pos_mask: int, neg_mask: int
+        row: Optional[_Row], pos_mask: int, neg_mask: int
     ) -> Optional[TableEntry]:
-        """First entry of a packed row whose column the masks satisfy."""
-        if packed is None:
+        """First entry of a row whose column the masks satisfy."""
+        if row is None:
             return None
-        row_pos = packed.pos
-        row_neg = packed.neg
+        row_pos = row.pos
+        row_neg = row.neg
         for index in range(len(row_pos)):
             if not ((row_pos[index] & ~pos_mask) or (row_neg[index] & ~neg_mask)):
-                return packed.entries[index]
+                return row.entries[index]
         return None
 
     @staticmethod
-    def _packed_conflicts(
-        packed: Optional[_PackedRow], column: Conjunction, start: float
+    def _row_conflicts(
+        row: Optional[_Row], column: Conjunction, start: float
     ) -> List[TableEntry]:
         """Entries at a different start whose column is not exclusive with ``column``."""
-        if packed is None:
+        if row is None:
             return []
         conflicts: List[TableEntry] = []
         pos_mask = column.pos_mask
         neg_mask = column.neg_mask
-        row_pos = packed.pos
-        row_neg = packed.neg
-        row_starts = packed.starts
+        row_pos = row.pos
+        row_neg = row.neg
+        row_starts = row.starts
         for index in range(len(row_pos)):
             delta = row_starts[index] - start
             if -_EPSILON <= delta <= _EPSILON:
                 continue
             if not ((row_pos[index] & neg_mask) | (row_neg[index] & pos_mask)):
-                conflicts.append(packed.entries[index])
+                conflicts.append(row.entries[index])
         return conflicts
 
     def applicable_process_entry(
@@ -227,7 +205,7 @@ class ScheduleTable:
     ) -> Optional[TableEntry]:
         """First entry of a process row whose column is satisfied by the masks."""
         return self._first_applicable(
-            self._packed_process.get(process_name), pos_mask, neg_mask
+            self._process_rows.get(process_name), pos_mask, neg_mask
         )
 
     def applicable_condition_entry(
@@ -235,23 +213,23 @@ class ScheduleTable:
     ) -> Optional[TableEntry]:
         """First entry of a condition row whose column is satisfied by the masks."""
         return self._first_applicable(
-            self._packed_condition.get(condition), pos_mask, neg_mask
+            self._condition_rows.get(condition), pos_mask, neg_mask
         )
 
     def conflicting_process_entries(
         self, process_name: str, column: Conjunction, start: float
     ) -> List[TableEntry]:
         """Entries of a process row violating requirement 2 against a new entry."""
-        return self._packed_conflicts(
-            self._packed_process.get(process_name), column, start
+        return self._row_conflicts(
+            self._process_rows.get(process_name), column, start
         )
 
     def conflicting_condition_entries(
         self, condition: Condition, column: Conjunction, start: float
     ) -> List[TableEntry]:
         """Entries of a condition row violating requirement 2 against a new entry."""
-        return self._packed_conflicts(
-            self._packed_condition.get(condition), column, start
+        return self._row_conflicts(
+            self._condition_rows.get(condition), column, start
         )
 
     def applicable_locks(
@@ -283,18 +261,18 @@ class ScheduleTable:
 
     @staticmethod
     def _row_start(
-        packed: Optional[_PackedRow], pos_mask: int, neg_mask: int, label: str
+        row: Optional[_Row], pos_mask: int, neg_mask: int, label: str
     ) -> Optional[float]:
         """The single start time a row yields under the given masks, or None.
 
         Raises when several applicable columns give different times (a
         requirement-2 violation).
         """
-        if packed is None:
+        if row is None:
             return None
-        row_pos = packed.pos
-        row_neg = packed.neg
-        row_starts = packed.starts
+        row_pos = row.pos
+        row_neg = row.neg
+        row_starts = row.starts
         first: Optional[float] = None
         for index in range(len(row_pos)):
             if (row_pos[index] & ~pos_mask) or (row_neg[index] & ~neg_mask):
@@ -326,7 +304,7 @@ class ScheduleTable:
         """
         pos, neg = masks_from_assignment(assignment)
         return self._row_start(
-            self._packed_process.get(process_name),
+            self._process_rows.get(process_name),
             pos,
             neg,
             f"activation time for {process_name!r}",
@@ -338,7 +316,7 @@ class ScheduleTable:
         """Broadcast start time of a condition under a complete assignment."""
         pos, neg = masks_from_assignment(assignment)
         return self._row_start(
-            self._packed_condition.get(condition),
+            self._condition_rows.get(condition),
             pos,
             neg,
             f"broadcast time for condition {condition}",
@@ -349,38 +327,19 @@ class ScheduleTable:
         graph: ConditionalProcessGraph,
         mapping: PEMapping,
         path: AlternativePath,
-        *,
-        durations: Optional[Mapping[str, float]] = None,
-        dummies: Optional[frozenset] = None,
     ) -> float:
-        """Completion time of one alternative path executed from this table.
-
-        ``durations`` (name -> execution time on the mapped element) and
-        ``dummies`` (the graph's dummy-process names) are optional memo
-        arguments, typically exported from a scheduler's path context; when
-        given they replace the per-process graph and mapping probes.  The
-        result is identical either way.
-        """
+        """Completion time of one alternative path executed from this table."""
         delay = 0.0
         pos, neg = masks_from_assignment(path.assignment)
-        packed = self._packed_process
+        rows = self._process_rows
         row_start = self._row_start
         for name in path.active_processes:
-            if dummies is not None:
-                if name in dummies:
-                    continue
-                duration = (
-                    durations[name]
-                    if durations is not None
-                    else graph[name].duration_on(mapping.get(name))
-                )
-            else:
-                process = graph[name]
-                if process.is_dummy:
-                    continue
-                duration = process.duration_on(mapping.get(name))
+            process = graph[name]
+            if process.is_dummy:
+                continue
+            duration = process.duration_on(mapping.get(name))
             start = row_start(
-                packed.get(name),
+                rows.get(name),
                 pos,
                 neg,
                 f"activation time for {name!r}",
@@ -409,11 +368,11 @@ class ScheduleTable:
     def check_requirement_1(self, graph: ConditionalProcessGraph) -> None:
         """Every column of a process row must imply the process guard."""
         guards = graph.guards()
-        for name, entries in self._process_rows.items():
+        for name, row in self._process_rows.items():
             guard = guards.get(name)
             if guard is None:
                 continue
-            for entry in entries:
+            for entry in row.entries:
                 if not BoolExpr.from_conjunction(entry.column).implies(guard):
                     raise ScheduleTableError(
                         f"requirement 1 violated for {name!r}: column "
@@ -422,10 +381,10 @@ class ScheduleTable:
 
     def check_requirement_2(self) -> None:
         """Different activation times of one process must be mutually exclusive."""
-        for name, entries in self._process_rows.items():
-            self._check_exclusive(str(name), entries)
-        for condition, entries in self._condition_rows.items():
-            self._check_exclusive(f"condition {condition}", entries)
+        for name, row in self._process_rows.items():
+            self._check_exclusive(str(name), row.entries)
+        for condition, row in self._condition_rows.items():
+            self._check_exclusive(f"condition {condition}", row.entries)
 
     @staticmethod
     def _check_exclusive(label: str, entries: List[TableEntry]) -> None:
@@ -466,9 +425,9 @@ class ScheduleTable:
     def __eq__(self, other: object) -> bool:
         """Value equality: same name and same entries in the same global order.
 
-        The insertion log determines every derived structure (row lists, mask
-        index, packed columns, lock tie-breaks), so comparing it compares the
-        table's complete observable behaviour.
+        The insertion log determines every derived structure (rows, mask
+        index, lock tie-breaks), so comparing it compares the table's
+        complete observable behaviour.
         """
         if not isinstance(other, ScheduleTable):
             return NotImplemented
@@ -482,14 +441,3 @@ class ScheduleTable:
             f"columns={len(self.columns())})"
         )
 
-
-def _conflicts(
-    entries: Iterable[TableEntry], column: Conjunction, start: float
-) -> List[TableEntry]:
-    """Entries at a different start whose column is not exclusive with ``column``."""
-    return [
-        entry
-        for entry in entries
-        if abs(entry.start - start) > _EPSILON
-        and not entry.column.is_mutually_exclusive_with(column)
-    ]

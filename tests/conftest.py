@@ -42,6 +42,43 @@ def fig1_merge_result(fig1):
     return ScheduleMerger(fig1.graph, fig1.expanded_mapping).merge()
 
 
+def plain_merge(problem, candidate):
+    """Merge one explorer candidate through the plain, cache-free pipeline.
+
+    ``expand_communications`` → ``PathListScheduler`` (the candidate's
+    priority function and bias) → ``ScheduleMerger.merge()``: the code
+    ``repro-cpg schedule`` runs and the golden tables pin.  The staged
+    evaluation is checked against this independent reference.
+    """
+    from repro import ScheduleMerger
+    from repro.scheduling import PathListScheduler, priority_function
+
+    architecture = problem.architecture_for(candidate)
+    expanded = expand_communications(
+        problem.graph,
+        problem.mapping_for(candidate),
+        architecture,
+        bus_assignment=problem.bus_assignment_for(candidate),
+        bus_policy=problem.bus_policy,
+    )
+    scheduler = PathListScheduler(
+        expanded.graph,
+        expanded.mapping,
+        architecture,
+        priority_function=priority_function(candidate.priority_function),
+        priority_bias=candidate.bias_dict,
+    )
+    return ScheduleMerger(
+        expanded.graph, expanded.mapping, architecture, scheduler
+    ).merge()
+
+
+@pytest.fixture(scope="session")
+def reference_merge():
+    """:func:`plain_merge`, as a fixture (test modules never import conftest)."""
+    return plain_merge
+
+
 @pytest.fixture()
 def two_processor_architecture():
     """Two programmable processors, one ASIC and one bus (tau0 = 1)."""

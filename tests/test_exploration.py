@@ -135,13 +135,6 @@ class TestEvaluation:
         assert evaluator.stats.misses == 2
         assert evaluator.stats.hits == 2
 
-    def test_disabled_cache_always_misses(self, problem, initial):
-        evaluator = CachedEvaluator(problem, cache=False)
-        evaluator.evaluate(initial)
-        evaluator.evaluate(initial)
-        assert evaluator.stats.misses == 2
-        assert evaluator.stats.hits == 0
-
 
 class TestEvaluationPool:
     @pytest.fixture(scope="class")

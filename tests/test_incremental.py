@@ -2,10 +2,11 @@
 
 The contract under test: evaluating a candidate through the sub-fingerprint
 stage caches (:class:`repro.exploration.StageCache`) is **bit-identical** to
-the monolithic expand-schedule-merge pipeline — scalar cost, the 5-component
-objective vector and the generated schedule table alike — for any sequence of
-neighbourhood moves, in-process and through every evaluation-pool mode.  On
-top of the equivalence property, the sub-fingerprint slicing helpers and the
+the plain expand-schedule-merge pipeline (the ``reference_merge`` fixture) —
+schedule table, per-path delays and ``delta_max`` alike — for any sequence
+of neighbourhood moves, and scoring is identical whether candidates go one
+by one, as one batch, or through every evaluation-pool mode.  On top of the
+equivalence property, the sub-fingerprint slicing helpers and the
 stage-level hit/miss accounting are covered directly.
 """
 
@@ -18,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import format_schedule_table
+from repro.architecture import ArchitectureError, MappingError
 from repro.data import load_fig1_example
 from repro.exploration import (
     ArchitectureBounds,
+    BatchStats,
     CachedEvaluator,
     EvaluationPool,
     ExplorationConfig,
@@ -29,6 +32,7 @@ from repro.exploration import (
     NeighborhoodSampler,
     StageCache,
     evaluate_candidate,
+    evaluate_neighbourhood,
     merge_candidate,
 )
 from repro.generator import generate_system
@@ -38,7 +42,11 @@ from repro.graph.communication import (
     expand_communications,
     expansion_structure,
 )
-from repro.scheduling import PATH_LOCAL_PRIORITY_FUNCTIONS
+from repro.scheduling import (
+    PATH_LOCAL_PRIORITY_FUNCTIONS,
+    MergeConflictError,
+    SchedulingError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +84,31 @@ def _walk(problem, seed, moves):
     return chain
 
 
+def assert_matches_reference(problem, candidate, cache, reference_merge):
+    """Staged evaluation through ``cache`` == the plain pipeline, bit for bit."""
+    try:
+        reference = reference_merge(problem, candidate)
+    except (ArchitectureError, MappingError, SchedulingError, MergeConflictError):
+        assert not evaluate_candidate(problem, candidate, stage_cache=cache).feasible
+        return
+    _, staged = merge_candidate(problem, candidate, stage_cache=cache)
+    assert format_schedule_table(staged.table) == format_schedule_table(
+        reference.table
+    )
+    assert staged.table_path_delays == reference.table_path_delays
+    assert staged.delta_max == reference.delta_max
+    evaluation = evaluate_candidate(problem, candidate, stage_cache=cache)
+    assert evaluation.delta_max == reference.delta_max
+    assert evaluation.delta_m == reference.delta_m
+
+
 class TestEquivalenceProperty:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), moves=st.integers(1, 8))
     def test_random_move_sequences_evaluate_identically(
-        self, problem, seed, moves
+        self, problem, reference_merge, seed, moves
     ):
-        """Replay a random move sequence; staged == fresh full pipeline.
+        """Replay a random move sequence; staged == the plain pipeline.
 
         The sampler draws every registered move kind (remap / swap / priority
         switch incl. the non-path-local ``static_order`` / bias / remap_comm
@@ -91,25 +117,25 @@ class TestEquivalenceProperty:
         """
         cache = StageCache()
         for candidate in _walk(problem, seed, moves):
-            staged = evaluate_candidate(problem, candidate, stage_cache=cache)
-            fresh = evaluate_candidate(problem, candidate)
-            assert staged == fresh
-            assert staged.objectives == fresh.objectives
+            assert_matches_reference(problem, candidate, cache, reference_merge)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_schedule_tables_are_identical(self, problem, seed):
+    def test_schedule_tables_are_identical(self, problem, reference_merge, seed):
+        """Without a cache, each call runs over a private one: same tables."""
         cache = StageCache()
         for candidate in _walk(problem, seed, 4):
             _, staged = merge_candidate(problem, candidate, stage_cache=cache)
-            _, fresh = merge_candidate(problem, candidate)
-            assert format_schedule_table(staged.table) == format_schedule_table(
-                fresh.table
-            )
-            assert staged.table_path_delays == fresh.table_path_delays
-            assert staged.delta_max == fresh.delta_max
+            _, private = merge_candidate(problem, candidate)
+            reference = reference_merge(problem, candidate)
+            for result in (staged, private):
+                assert format_schedule_table(result.table) == format_schedule_table(
+                    reference.table
+                )
+                assert result.table_path_delays == reference.table_path_delays
+                assert result.delta_max == reference.delta_max
 
-    def test_sizing_moves_evaluate_identically(self):
+    def test_sizing_moves_evaluate_identically(self, reference_merge):
         """Platform changes (add/remove PE/bus) must re-key every stage.
 
         ``platform`` is a load-bearing component of both sub-fingerprints;
@@ -125,17 +151,17 @@ class TestEquivalenceProperty:
         for seed in (1, 2, 3):
             for candidate in _walk(problem, seed, 10):
                 platforms.add(candidate.platform)
-                assert evaluate_candidate(
-                    problem, candidate, stage_cache=cache
-                ) == evaluate_candidate(problem, candidate)
+                assert_matches_reference(problem, candidate, cache, reference_merge)
         assert len(platforms) > 1, "the walks never resized the platform"
 
-    def test_generated_system_walk_is_identical(self, generated_problem):
+    def test_generated_system_walk_is_identical(
+        self, generated_problem, reference_merge
+    ):
         cache = StageCache()
         for candidate in _walk(generated_problem, 11, 20):
-            assert evaluate_candidate(
-                generated_problem, candidate, stage_cache=cache
-            ) == evaluate_candidate(generated_problem, candidate)
+            assert_matches_reference(
+                generated_problem, candidate, cache, reference_merge
+            )
         stats = cache.stats
         assert stats.schedule_hits > 0  # locality actually paid off
 
@@ -255,9 +281,7 @@ class TestStageAccounting:
         evaluator.evaluate(problem.initial_candidate())
         stats = evaluator.stage_stats
         assert stats is not None and stats.expansion_misses == 1
-        disabled = CachedEvaluator(problem, stage_cache=False)
-        disabled.evaluate(problem.initial_candidate())
-        assert disabled.stage_stats is None
+        assert evaluator.stage_stats == evaluator.stage_cache.stats
 
     def test_shared_stage_cache_instance(self, problem):
         shared = StageCache()
@@ -300,11 +324,6 @@ class TestPoolEquivalence:
         with EvaluationPool(problem, workers=2, mode="thread") as pool:
             assert pool.evaluate(batch) == serial
             assert pool.stage_stats is not None
-        with EvaluationPool(
-            problem, workers=2, mode="thread", stage_caching=False
-        ) as pool:
-            assert pool.evaluate(batch) == serial
-            assert pool.stage_stats is None
 
     def test_process_pool_with_stage_caches_matches_serial(self, problem):
         batch = _walk(problem, 13, 7)
@@ -320,10 +339,102 @@ class TestPoolEquivalence:
         plain = Explorer(
             problem,
             config=config,
-            evaluator=CachedEvaluator(problem, config.weights, stage_cache=False),
+            evaluator=_CachelessEvaluator(problem, config.weights),
         ).explore("tabu")
         assert staged.best_candidate == plain.best_candidate
         assert staged.best == plain.best
         assert staged.trajectory == plain.trajectory
-        assert staged.stages is not None
-        assert plain.stages is None
+        assert staged.stages.schedule_hits > 0
+        assert plain.stages.schedule_hits == plain.stages.schedule_misses == 0
+
+
+class _CachelessEvaluator(CachedEvaluator):
+    """Scores every miss without stage reuse (a private cache per call)."""
+
+    def _evaluate_fresh(self, candidates):
+        return [
+            evaluate_candidate(self.problem, candidate, self.weights)
+            for candidate in candidates
+        ]
+
+
+# -- batch-vs-serial evaluation equivalence ----------------------------------
+
+
+def neighbourhood(problem, count=8, seed=7):
+    base = problem.initial_candidate()
+    sampler = NeighborhoodSampler(problem)
+    rng = random.Random(seed)
+    return [base] + [candidate for _, candidate in sampler.sample(base, rng, count)]
+
+
+@pytest.fixture(scope="module")
+def fig1_problem():
+    return ExplorationProblem.from_system(load_fig1_example())
+
+
+def test_batch_matches_serial_evaluation(fig1_problem):
+    candidates = neighbourhood(fig1_problem)
+    serial_cache = StageCache()
+    serial = [
+        evaluate_candidate(fig1_problem, candidate, stage_cache=serial_cache)
+        for candidate in candidates
+    ]
+    batch_cache = StageCache()
+    stats = BatchStats()
+    batched = evaluate_neighbourhood(
+        fig1_problem, candidates, stage_cache=batch_cache, batch_stats=stats
+    )
+    assert batched == serial
+    # Batched scoring probes the stage cache in the same order as the serial
+    # loop, so the hit/miss accounting must be identical, not just similar.
+    assert batch_cache.stats == serial_cache.stats
+    assert stats.batches == 1
+    assert stats.candidates == len(candidates)
+    assert stats.mean_batch_size == pytest.approx(len(candidates))
+    assert stats.payload_bytes == 0
+
+
+def test_batch_stats_snapshot_accumulates():
+    stats = BatchStats()
+    assert stats.snapshot() == {
+        "batches": 0,
+        "candidates": 0,
+        "mean_batch_size": 0.0,
+        "payload_bytes": 0,
+    }
+    stats.record_batch(4)
+    stats.record_batch(6, payload_bytes=120)
+    snapshot = stats.snapshot()
+    assert snapshot["batches"] == 2
+    assert snapshot["candidates"] == 10
+    assert snapshot["mean_batch_size"] == pytest.approx(5.0)
+    assert snapshot["payload_bytes"] == 120
+
+
+@pytest.mark.parametrize(
+    "mode,workers",
+    [("serial", 1), ("thread", 2), ("process", 2)],
+)
+def test_pool_modes_score_identically(fig1_problem, mode, workers):
+    candidates = neighbourhood(fig1_problem)
+    unique = len({candidate.fingerprint for candidate in candidates})
+    expected = [
+        evaluate_candidate(fig1_problem, candidate) for candidate in candidates
+    ]
+    with EvaluationPool(fig1_problem, mode=mode, workers=workers) as pool:
+        evaluator = CachedEvaluator(fig1_problem, pool=pool)
+        got = evaluator.evaluate_many(candidates)
+        assert got == expected
+        stats = evaluator.batch_stats
+        assert stats.batches == 1
+        assert stats.candidates == unique
+        if mode == "process":
+            # The pickled-once problem blob plus the pre-pickled units all
+            # crossed the process boundary and were counted.
+            assert pool.payload_bytes_shipped > 0
+            assert stats.payload_bytes == pool.payload_bytes_shipped
+        else:
+            # Nothing is serialised in-process.
+            assert pool.payload_bytes_shipped == 0
+            assert stats.payload_bytes == 0

@@ -5,14 +5,18 @@ its entry/byte budget, (2) evict cheapest-to-recompute entries first within
 the recency window, and (3) stay semantically invisible: a post-eviction
 re-query recomputes a bit-identical stage result.  (1) and (2) are checked
 with hypothesis against an executable model of the documented policy; (3)
-against real evaluations on a small problem, including the
-``check_integrity`` self-healing path.
+against the plain pipeline on a small problem, including the
+``check_integrity`` self-healing path.  A long walk on a small budget also
+checks that the maps hanging off memoized entries (intern ids, scheduler
+contexts, expansion structures) are evicted with them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import random
+import sys
+import threading
 
 from repro.exploration import (
     CostWeights,
@@ -20,6 +24,7 @@ from repro.exploration import (
     NeighborhoodSampler,
     StageCache,
     evaluate_candidate,
+    merge_candidate,
 )
 from repro.exploration.cost import (
     _EVICTION_WINDOW,
@@ -195,21 +200,22 @@ def _evaluation_key(evaluation):
     )
 
 
-def test_post_eviction_requery_recomputes_bit_identical_results():
+def test_post_eviction_requery_recomputes_bit_identical_results(reference_merge):
     # A budget this tight evicts constantly; results must not notice.
     bounded = StageCache(max_entries=3, max_bytes=2048)
     unbounded = StageCache()
     for sweep in range(2):  # second sweep re-queries evicted stages
         for candidate in _CANDIDATES:
+            reference = reference_merge(_PROBLEM, candidate)
             with_bound = evaluate_candidate(
                 _PROBLEM, candidate, _WEIGHTS, stage_cache=bounded
             )
             without = evaluate_candidate(
                 _PROBLEM, candidate, _WEIGHTS, stage_cache=unbounded
             )
-            monolithic = evaluate_candidate(_PROBLEM, candidate, _WEIGHTS)
-            assert _evaluation_key(with_bound) == _evaluation_key(monolithic)
-            assert _evaluation_key(without) == _evaluation_key(monolithic)
+            assert _evaluation_key(with_bound) == _evaluation_key(without)
+            assert with_bound.delta_max == reference.delta_max
+            assert with_bound.delta_m == reference.delta_m
     assert bounded.lru_evictions > 0
     assert bounded.stats.schedules <= 3
     assert bounded.occupancy_bytes <= 2048
@@ -241,3 +247,88 @@ def test_integrity_eviction_keeps_bounded_accounting_consistent():
     cache.store_schedule((liar_id, ()), healed)
     assert cache.lookup_schedule((liar_id, ())) is healed
     assert cache.check_integrity() == 0
+
+
+def _assert_maps_follow_the_memo(cache):
+    """Every unmanaged map is bounded by the LRU-managed entries it serves."""
+    stats = cache.stats
+    assert stats.expansions + stats.schedules <= stats.max_entries
+    assert sum(cache._key_users.values()) == stats.schedules
+    assert len(cache._key_ids) <= len(cache._key_users) <= stats.schedules
+    assert len(cache._key_fingerprints) <= len(cache._key_users)
+    assert set(cache._contexts) <= set(cache._key_users)
+    assert set(cache._expansion_patterns) == set(cache._expansions)
+    assert sum(cache._structure_users.values()) == stats.expansions
+    assert set(cache._structures) == set(cache._structure_users)
+
+
+def test_long_walk_keeps_every_map_bounded(reference_merge):
+    problem = ExplorationProblem.from_system(
+        generate_system(16, 3, seed=2), map_communications=True
+    )
+    sampler = NeighborhoodSampler(problem)
+    rng = random.Random(3)
+    bounded = StageCache(max_entries=24)
+    unbounded = StageCache()
+    current = problem.initial_candidate()
+    for step in range(60):
+        with_bound = evaluate_candidate(problem, current, stage_cache=bounded)
+        assert with_bound == evaluate_candidate(
+            problem, current, stage_cache=unbounded
+        )
+        if step % 10 == 0:
+            _, merged = merge_candidate(problem, current, stage_cache=bounded)
+            assert merged.table_path_delays == (
+                reference_merge(problem, current).table_path_delays
+            )
+        _assert_maps_follow_the_memo(bounded)
+        current = sampler.sample(current, rng, 1)[0][1]
+    assert bounded.lru_evictions > 0
+    # The unbounded cache kept what the bounded one let go.
+    assert len(unbounded._contexts) > len(bounded._contexts)
+    assert len(unbounded._key_ids) > len(bounded._key_ids)
+
+
+def test_shared_bounded_cache_survives_concurrent_walks():
+    """More threads than cores on one small budget: no lost link updates."""
+    problem = ExplorationProblem.from_system(generate_system(12, 3, seed=4))
+    sampler = NeighborhoodSampler(problem)
+    walks = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        current = problem.initial_candidate()
+        walk = [current]
+        for _ in range(10):
+            current = sampler.sample(current, rng, 1)[0][1]
+            walk.append(current)
+        walks.append(walk)
+    expected = [
+        [evaluate_candidate(problem, candidate) for candidate in walk]
+        for walk in walks
+    ]
+    shared = StageCache(max_entries=16)
+    results = [None] * len(walks)
+
+    def run(index):
+        results[index] = [
+            evaluate_candidate(problem, candidate, stage_cache=shared)
+            for candidate in walks[index]
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(len(walks))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert shared.lru_evictions > 0
+    _assert_maps_follow_the_memo(shared)
