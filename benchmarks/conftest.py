@@ -35,16 +35,6 @@ def bench_scale() -> int:
     return max(1, int(os.environ.get("REPRO_BENCH_GRAPHS", "2")))
 
 
-def full_sweep() -> bool:
-    """Whether extra-expensive sweeps were requested explicitly (REPRO_BENCH_FULL=1).
-
-    The Fig. 5 / Fig. 6 benchmarks always run the paper's full parameter grid;
-    this switch is kept so future benchmarks can guard genuinely expensive
-    extras behind it.
-    """
-    return bool(os.environ.get("REPRO_BENCH_FULL"))
-
-
 @pytest.fixture(scope="session")
 def fig1_example():
     from repro.data import load_fig1_example

@@ -1,48 +1,86 @@
-"""Perf-core benchmark harness: merge wall-time vs. process count.
+"""Benchmark harness: one registry of records, frozen in ``BENCH_core.json``.
 
-Measures ``ScheduleMerger.merge`` on the :data:`LARGE_SCALE_PRESETS` random
-systems (60 to 480 generated nodes, i.e. up to ~840 expanded processes) and
-writes ``BENCH_core.json`` at the repository root.  Every record carries both
-the frozen seed-implementation timing (measured once at the pre-optimisation
-commit, on the same grid) and the current timing, so the file is a perf
-trajectory every later PR can extend and regress against.
+A record is a workload, a measure function and the names of the fields it
+gates, grouped by kind:
+
+* **anchors** must reproduce exactly.  Every workload is seeded pure
+  Python, so drift is a behaviour change, never timer noise.
+* **timings** (seconds, lower is better) may grow by a tolerance, scaled
+  by the host speed.
+* **rates** (per second, higher is better) may shrink by a tolerance,
+  scaled by the host speed.
+* **ratios** of two measurements taken on the same host keep a floor or a
+  ceiling, unscaled.
+
+The host scale is ``max(1, now / captured)`` for a fixed pure-Python
+calibration loop: ``captured`` is timed when a record is frozen and kept in
+that record's ``captured`` stamp, ``now`` is timed when checking, each
+right around the record's own measurement.  A host
+slower than the one that froze a record is allowed proportionally more
+time; a faster host keeps the unscaled limit, so a regression cannot hide
+behind fast hardware.
 
 Modes::
 
-    PYTHONPATH=src python scripts/run_benchmarks.py            # measure + rewrite BENCH_core.json
-    PYTHONPATH=src python scripts/run_benchmarks.py --check    # exit 1 on >25% regression
-    PYTHONPATH=src python scripts/run_benchmarks.py --record resilience
-                                                # re-measure one record in place
+    PYTHONPATH=src python scripts/run_benchmarks.py                   # freeze every record
+    PYTHONPATH=src python scripts/run_benchmarks.py --record genetic  # re-freeze one record
+    PYTHONPATH=src python scripts/run_benchmarks.py --check           # exit 1 on any failure
 
-``run`` ends with a one-line-per-record summary table of the whole committed
-trajectory (merge grid, exploration, genetic, comm_mapping, incremental,
-resilience) so CI logs show it at a glance.
-
-``--check`` re-measures the reference workload only and fails (exit 1) when
-its merge time regresses more than ``--tolerance`` (default 0.25) against the
-committed baseline.  It then replays the genetic, communication-mapping,
-incremental-evaluation and resilience records (determinism anchors exactly;
-timings within tolerance; the incremental speedup against its floor; the
-fault-free resilience overhead under its ceiling).  The limit is scaled by a host-speed calibration (a fixed
-pure-Python workload timed both at baseline capture and at check time), so a
-machine slower than the baseline host is not flagged as a regression.  The
-check is also wired into tier-1 as a pytest smoke test
-(``tests/test_perf_regression.py``) with a relaxed factor, so a catastrophic
-slowdown fails the ordinary test run while timer noise on a busy machine does
-not.
+Freezing refuses a record that would fail its own gates.  ``--check``
+re-measures every record, prints one row per gated field and reports every
+failing field of every record.  ``tests/test_perf_regression.py`` replays
+the merge-grid records in tier-1 with a relaxed host scale.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import operator
 import platform
+import random
 import sys
+import tempfile
 import time
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Dict, Tuple
+
+from repro.data import load_fig1_example
+from repro.exploration import (
+    ArchitectureBounds,
+    CachedEvaluator,
+    Checkpointer,
+    EvaluationPool,
+    ExplorationConfig,
+    ExplorationProblem,
+    Explorer,
+    NeighborhoodSampler,
+    RetryPolicy,
+    StageCache,
+    default_worker_count,
+    evaluate_candidate,
+)
+from repro.exploration.engines import SearchState, TrajectoryPoint
+from repro.exploration.resilience import snapshot_document
+from repro.generator import LARGE_SCALE_PRESETS, generate_system, large_scale_system
+from repro.io import system_to_dict
+from repro.scheduling import ScheduleMerger
+from repro.service import ServiceClient, start_in_thread
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = ROOT / "BENCH_core.json"
+DEFAULT_BASELINE = ROOT / "BENCH_core.json"
+
+DESCRIPTION = (
+    "Benchmark records frozen by scripts/run_benchmarks.py, one per entry of "
+    "its registry. A record holds its workload parameters, measured values "
+    "and a 'captured' stamp whose calibration_seconds is the host-speed loop "
+    "time its timing and rate gates scale against. The gated fields and "
+    "their bounds live only in the registry: --check prints them next to "
+    "fresh measurements, --record NAME re-freezes one record."
+)
 
 #: Merge wall-time of the seed implementation (best of 3, measured on the
 #: same presets/host at the commit immediately before the bitmask +
@@ -54,13 +92,12 @@ SEED_MERGE_SECONDS = {
     "xlarge": 4.106,
 }
 
-DEFAULT_REFERENCE = "medium"
-DEFAULT_TOLERANCE = 0.25
-
 #: Exploration-evaluator benchmark workload: a seeded 40-node/8-path system,
 #: one neighbourhood of distinct candidates, replayed for several passes the
 #: way local search revisits design points (undone moves, a second engine
-#: re-walking the same region, annealing bouncing around a basin).
+#: re-walking the same region, annealing bouncing around a basin).  It is
+#: scored naively (the whole pipeline per request) and through the
+#: content-hash cache backed by the ``concurrent.futures`` pool.
 EXPLORATION_WORKLOAD = {
     "nodes": 40,
     "alternative_paths": 8,
@@ -72,9 +109,8 @@ EXPLORATION_WORKLOAD = {
 #: Genetic-engine benchmark workload: a seeded system explored with the
 #: NSGA-style engine, architecture sizing enabled.  Besides the timing, the
 #: record freezes the final Pareto-front objective vectors — the engine is
-#: deterministic per seed and pure Python, so ``--check`` can verify the
-#: front reproduces bit-exactly on any host (a non-flaky determinism gate on
-#: top of the host-calibrated timing gate).
+#: deterministic per seed and pure Python, so the front must reproduce
+#: bit-exactly on any host.
 GENETIC_WORKLOAD = {
     "nodes": 24,
     "alternative_paths": 4,
@@ -82,10 +118,6 @@ GENETIC_WORKLOAD = {
     "generations": 6,
     "population": 10,
 }
-
-#: The genetic timing gate is more tolerant than the merge gate: one run
-#: covers population-dynamics overhead on top of ~70 merges, so it is noisier.
-GENETIC_TOLERANCE = 0.5
 
 #: Communication-mapping benchmark workload: the paper's Fig. 1 graph on a
 #: *two-bus* variant of its platform, explored twice with the same
@@ -102,8 +134,6 @@ COMM_MAPPING_WORKLOAD = {
     "neighbors": 6,
 }
 
-COMM_MAPPING_TOLERANCE = 0.5
-
 #: Incremental-evaluation benchmark workload: a *move-local* candidate
 #: stream — a seeded walk where every candidate differs from the previous
 #: design point by one local move (one process remapped, or one message
@@ -112,10 +142,7 @@ COMM_MAPPING_TOLERANCE = 0.5
 #: full expand-schedule-merge pipeline per candidate, once through the
 #: sub-fingerprint stage caches (`repro.exploration.StageCache`).  The
 #: platform (6 programmable processors, 2 buses) sits inside the paper's
-#: experimental range of 1-11 processors and 1-8 buses.  Both arms are pure,
-#: so every per-candidate evaluation must agree bit-exactly; the frozen best
-#: cost doubles as the determinism anchor.  The speedup is a ratio of two
-#: measurements on the same host, so ``--check`` gates it unscaled.
+#: experimental range of 1-11 processors and 1-8 buses.
 INCREMENTAL_WORKLOAD = {
     "nodes": 80,
     "alternative_paths": 8,
@@ -127,61 +154,18 @@ INCREMENTAL_WORKLOAD = {
     "repeats": 2,
 }
 
-#: ``--check`` floor on the re-measured incremental speedup.  Recalibrated
-#: after the flat schedule kernel landed: the full-pipeline arm is
-#: merge-dominated, so roughly halving the merge kernel compressed the
-#: staged-vs-full ratio from ~2.1x to ~1.7x.  The floor is deliberately
-#: looser than the capture so a busy CI host does not flag phantom
-#: regressions, while a genuinely broken stage cache (speedup ~1x) fails.
-INCREMENTAL_MIN_SPEEDUP = 1.4
-
-#: Flat-kernel benchmark workload: the xlarge merge-grid preset re-merged
-#: with the packed-column schedule kernel (int-packed condition masks and
-#: times, index-parallel dispatch loops).  ``pre_flat`` freezes the committed
-#: xlarge grid timing — and the host calibration it was captured with — at
-#: the commit immediately *before* the flat kernel landed, so the record
-#: keeps measuring the kernel's win even after the grid records themselves
-#: are regenerated on top of it.  ``delta_max`` is the frozen determinism
-#: anchor: the flat kernel is a representation change, so the merged
-#: worst-case delay must reproduce bit-exactly on any host.
-MERGE_FLAT_WORKLOAD = {
-    "preset": "xlarge",
-    "repeats": 6,
-    "pre_flat_merge_seconds": 0.2453,
-    "pre_flat_calibration_seconds": 0.0237,
-}
-
-#: ``--check`` floor on the host-normalised flat-kernel speedup over the
-#: frozen pre-flat grid timing.  Capture measured ~1.9x; the floor is looser
-#: so timer noise on a busy host does not flag phantom regressions, while
-#: actually losing the flat kernel (speedup ~1x) fails.
-MERGE_FLAT_MIN_SPEEDUP = 1.7
-
 #: Resilience benchmark workload: the fault-free cost of arming the resilient
 #: evaluation runtime.  A prefix of the :data:`INCREMENTAL_WORKLOAD`
 #: move-local candidate stream is scored twice — once through the bare staged
 #: loop, once through an armed serial :class:`EvaluationPool` (retry policy,
-#: per-candidate fault bookkeeping) that also writes a genuine checkpoint
-#: document every ``checkpoint_every`` evaluations.  Both arms are pure and
-#: fault-free, so the evaluations must be bit-identical; the record freezes
-#: the relative overhead of the resilience layer.
-#: ``max_overhead_percent`` was recalibrated (5% -> 12%) when the flat
-#: schedule kernel landed: the per-candidate bookkeeping and checkpoint
-#: writes cost the same absolute time as before, but the evaluations they
-#: wrap got ~2x faster, so the *relative* overhead roughly doubled.
+#: per-candidate fault bookkeeping, quarantine accounting — everything but
+#: actual faults) that also writes a genuine checkpoint document every
+#: ``checkpoint_every`` evaluations.
 RESILIENCE_WORKLOAD = {
     "stream_length": 60,
     "checkpoint_every": 10,
     "repeats": 5,
-    "max_overhead_percent": 12.0,
 }
-
-#: ``--check`` ceiling on the re-measured resilience overhead.  ``run``
-#: refuses to freeze a record above ``max_overhead_percent``; the gate
-#: ceiling is looser because the overhead is a small delta between two
-#: same-host timings and scheduler noise can triple it on a busy machine,
-#: while a genuinely heavy resilience layer (tens of percent) still fails.
-RESILIENCE_GATE_OVERHEAD = 25.0
 
 #: Service benchmark workload: the exploration service under a replayed load.
 #: One generated system is submitted as two near-duplicate tenants (same
@@ -189,9 +173,6 @@ RESILIENCE_GATE_OVERHEAD = 25.0
 #: ~200-candidate search stream over a **real** localhost HTTP socket; the
 #: second tenant answers from the first's shared stage cache.  After the jobs,
 #: a burst of status requests measures the HTTP front-end's requests/sec.
-#: Both jobs are seeded pure Python, so the best cost and evaluation count are
-#: frozen determinism anchors, and the cross-request hit rate must clear
-#: ``min_hit_rate`` (the multi-tenant win the service exists for).
 SERVICE_WORKLOAD = {
     "nodes": 20,
     "alternative_paths": 4,
@@ -202,47 +183,15 @@ SERVICE_WORKLOAD = {
     "neighbors": 8,
     "status_requests": 200,
     "status_bursts": 3,
-    "min_hit_rate": 0.5,
 }
 
-#: The service requests/sec gate is very tolerant: sequential
-#: one-connection-per-request round-trips on a loopback interface swing by
-#: 2x with kernel socket churn alone, so the gate only catches collapses,
-#: not jitter.  The determinism anchors and the hit-rate floor do the
-#: precise gating.
-SERVICE_TOLERANCE = 1.5
-
-
-def _capture_metadata(timestamp: str | None) -> dict:
-    """Provenance stamped on (re-)measured records: interpreter, host, when.
-
-    The timestamp is *passed in* (``--timestamp``), never read from the
-    clock: regenerating a record with a pinned timestamp stays byte-for-byte
-    reproducible, and an unstamped regeneration is honestly ``null`` instead
-    of silently dating itself.
-    """
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "timestamp": timestamp,
-    }
-
-
-def _capture_text(captured: dict | None) -> str:
-    """One-cell rendering of a capture stamp (``-`` when absent)."""
-    if not captured:
-        return "-"
-    when = captured.get("timestamp") or "undated"
-    return f"py{captured.get('python', '?')} {when}"
+#: The stage-cache counters the incremental record freezes as anchors.
+STAGE_COUNTERS = ("expansion_hits", "expansion_misses", "structure_hits",
+                  "structure_misses", "schedule_hits", "schedule_misses")
 
 
 def _calibrate(repeats: int = 3) -> float:
-    """Wall-time of a fixed pure-Python workload, proxying host speed.
-
-    Recorded next to the baseline timings so ``check`` can scale its limit on
-    hosts slower than the one that produced the baseline, instead of flagging
-    a phantom regression.
-    """
+    """Wall-time of a fixed pure-Python workload, proxying host speed."""
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
@@ -253,105 +202,96 @@ def _calibrate(repeats: int = 3) -> float:
     return best
 
 
-def _measure(preset: str, repeats: int) -> dict:
-    from repro.generator import LARGE_SCALE_PRESETS, large_scale_system
-    from repro.scheduling import ScheduleMerger
+def _run(name: str):
+    """Measure one record and calibrate right after it.
 
-    system = large_scale_system(preset)  # raises a named KeyError on bad presets
+    Returns the workload parameters followed by the measured fields, and
+    the calibration: load from other processes comes and goes within
+    seconds on a shared host, so a calibration taken next to the
+    measurement tracks it far better than one taken once per invocation.
+    """
+    record = RECORDS[name]
+    measured = {**record.workload, **record.measure(record.workload)}
+    return measured, _calibrate()
+
+
+def _capture_metadata(timestamp: str | None, calibration: float) -> dict:
+    """Provenance stamped on frozen records: interpreter, host, when, speed.
+
+    The timestamp is *passed in* (``--timestamp``), never read from the
+    clock: regenerating a record with a pinned timestamp stays byte-for-byte
+    reproducible, and an unstamped regeneration is honestly ``null`` instead
+    of silently dating itself.
+    """
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "timestamp": timestamp,
+        "calibration_seconds": round(calibration, 4),
+    }
+
+
+def _race(arms: Dict[str, Callable], repeats: int = 1, diverged: str = ""):
+    """Best-of-``repeats`` wall time per arm, and the arms' common result.
+
+    The arms run interleaved in alternating order, each after a full garbage
+    collection, so neither always runs first on a warmer or quieter machine
+    nor pays for the other's garbage.  Every repeat requires bit-identical
+    results from all arms (an exception, not an assert: it must also hold
+    under ``python -O``).
+    """
+    names = list(arms)
+    best = dict.fromkeys(names, float("inf"))
+    for repeat in range(repeats):
+        results = []
+        for name in names if repeat % 2 == 0 else names[::-1]:
+            gc.collect()
+            started = time.perf_counter()
+            results.append(arms[name]())
+            best[name] = min(best[name], time.perf_counter() - started)
+        if any(result != results[0] for result in results[1:]):
+            raise SystemExit(diverged)
+    return best, results[0]
+
+
+def _measure_merge(spec: dict) -> dict:
+    """Best-of-``repeats`` ``ScheduleMerger.merge`` wall-time on one preset.
+
+    Every repeat must produce the identical ``delta_max``: the merge is
+    pure, so the frozen value anchors its semantics on any host.
+    """
+    preset = spec["preset"]
+    system = large_scale_system(preset)
     config = LARGE_SCALE_PRESETS[preset]
     best = float("inf")
-    for _ in range(repeats):
-        merger = ScheduleMerger(
-            system.graph, system.expanded_mapping, system.architecture
-        )
-        started = time.perf_counter()
-        merger.merge()
-        best = min(best, time.perf_counter() - started)
-    record = {
-        "nodes": config.nodes,
-        "alternative_paths": config.alternative_paths,
-        "seed": config.seed,
-        "expanded_processes": len(system.graph),
-        "merge_seconds": round(best, 4),
-    }
-    seed_time = SEED_MERGE_SECONDS.get(preset)
-    if seed_time is not None:
-        record["seed_merge_seconds"] = seed_time
-        record["speedup_vs_seed"] = round(seed_time / best, 2)
-    return record
-
-
-def _measure_merge_flat() -> dict:
-    """Merge the xlarge preset on the flat kernel, normalised to the frozen
-    pre-flat grid timing (see :data:`MERGE_FLAT_WORKLOAD`).
-
-    The speedup compares two different hosts (the pre-flat capture host and
-    this one), so both timings are put on the same footing via the
-    calibration workload — the same normalisation the merge-grid gate uses.
-    Every repeat must produce the identical ``delta_max``; the frozen value
-    doubles as the cross-host determinism anchor.
-    """
-    from repro.generator import LARGE_SCALE_PRESETS, large_scale_system
-    from repro.scheduling import ScheduleMerger
-
-    spec = MERGE_FLAT_WORKLOAD
-    system = large_scale_system(spec["preset"])
-    config = LARGE_SCALE_PRESETS[spec["preset"]]
-    best = float("inf")
-    delta_max = None
+    delta_max = set()
+    gc.collect()
     for _ in range(spec["repeats"]):
         merger = ScheduleMerger(
             system.graph, system.expanded_mapping, system.architecture
         )
         started = time.perf_counter()
-        result = merger.merge()
+        delta_max.add(merger.merge().delta_max)
         best = min(best, time.perf_counter() - started)
-        if delta_max is None:
-            delta_max = result.delta_max
-        elif result.delta_max != delta_max:
-            raise SystemExit(
-                "flat-kernel merge is not deterministic across repeats: "
-                f"{result.delta_max!r} vs {delta_max!r}"
-            )
-    host_scale = max(
-        1.0, _calibrate() / spec["pre_flat_calibration_seconds"]
-    )
-    speedup = spec["pre_flat_merge_seconds"] * host_scale / best
+    if len(delta_max) != 1:
+        raise SystemExit(
+            f"merge of {preset!r} is not deterministic across repeats: "
+            f"{sorted(delta_max)}"
+        )
     return {
-        **spec,
         "nodes": config.nodes,
         "alternative_paths": config.alternative_paths,
         "seed": config.seed,
         "expanded_processes": len(system.graph),
+        "delta_max": delta_max.pop(),
         "merge_seconds": round(best, 4),
-        "delta_max": delta_max,
-        "speedup_vs_pre_flat": round(speedup, 2),
-        "min_speedup": MERGE_FLAT_MIN_SPEEDUP,
+        "seed_merge_seconds": SEED_MERGE_SECONDS[preset],
+        "speedup_vs_seed": round(SEED_MERGE_SECONDS[preset] / best, 2),
     }
 
 
-def _measure_exploration() -> dict:
-    """Time the exploration evaluator: cache + parallel pool vs naive serial.
-
-    Builds the :data:`EXPLORATION_WORKLOAD` candidate stream (a neighbourhood
-    of distinct design points replayed over several passes) and scores it
-    twice — once re-running the schedule merger for every request (the naive
-    baseline a search without the evaluator layer would pay) and once through
-    the content-hash cache backed by the ``concurrent.futures`` pool.
-    """
-    import random
-
-    from repro.exploration import (
-        CachedEvaluator,
-        EvaluationPool,
-        ExplorationProblem,
-        NeighborhoodSampler,
-        default_worker_count,
-        evaluate_candidate,
-    )
-    from repro.generator import generate_system
-
-    spec = EXPLORATION_WORKLOAD
+def _measure_exploration(spec: dict) -> dict:
+    """Time the exploration evaluator: cache + parallel pool vs naive serial."""
     system = generate_system(spec["nodes"], spec["alternative_paths"], seed=spec["seed"])
     problem = ExplorationProblem.from_system(system)
     rng = random.Random(spec["seed"])
@@ -366,48 +306,28 @@ def _measure_exploration() -> dict:
         rng.shuffle(replay)
         stream.extend(replay)
 
-    started = time.perf_counter()
-    naive = [evaluate_candidate(problem, candidate) for candidate in stream]
-    naive_seconds = time.perf_counter() - started
-
     workers = default_worker_count()
     with EvaluationPool(problem, workers=workers) as pool:
-        evaluator = CachedEvaluator(problem, pool=pool)
-        started = time.perf_counter()
-        optimised = evaluator.evaluate_many(stream)
-        optimised_seconds = time.perf_counter() - started
-    assert naive == optimised, "cache/pool evaluation diverged from naive"
-
+        seconds, _ = _race(
+            {
+                "naive": lambda: [evaluate_candidate(problem, c) for c in stream],
+                "cached": lambda: CachedEvaluator(problem, pool=pool).evaluate_many(stream),
+            },
+            1,
+            "cache/pool evaluation diverged from naive",
+        )
     return {
-        **spec,
         "stream_length": len(stream),
         "workers": workers,
         "pool_mode": pool.mode,
-        "naive_seconds": round(naive_seconds, 4),
-        "optimised_seconds": round(optimised_seconds, 4),
-        "speedup": round(naive_seconds / optimised_seconds, 2),
+        "naive_seconds": round(seconds["naive"], 4),
+        "optimised_seconds": round(seconds["cached"], 4),
+        "speedup": round(seconds["naive"] / seconds["cached"], 2),
     }
 
 
-def _measure_genetic() -> dict:
-    """Time one seeded genetic (NSGA-style) search and record its front.
-
-    Runs :data:`GENETIC_WORKLOAD` — architecture sizing enabled, front
-    tracked over every evaluation — and returns the wall-time next to the
-    final front's objective vectors.  The vectors are the determinism anchor:
-    ``--check`` re-runs the workload and fails when they differ from the
-    committed record, which would mean the engine's per-seed reproducibility
-    broke.
-    """
-    from repro.exploration import (
-        ArchitectureBounds,
-        ExplorationConfig,
-        ExplorationProblem,
-        Explorer,
-    )
-    from repro.generator import generate_system
-
-    spec = GENETIC_WORKLOAD
+def _measure_genetic(spec: dict) -> dict:
+    """Time one seeded genetic search and record its final front's vectors."""
     system = generate_system(spec["nodes"], spec["alternative_paths"], seed=spec["seed"])
     problem = ExplorationProblem.from_system(system, bounds=ArchitectureBounds())
     config = ExplorationConfig(
@@ -416,91 +336,66 @@ def _measure_genetic() -> dict:
         population_size=spec["population"],
         track_front=True,
     )
-    explorer = Explorer(problem, config=config)
-    started = time.perf_counter()
-    result = explorer.explore("genetic")
-    genetic_seconds = time.perf_counter() - started
-
+    seconds, result = _race(
+        {"genetic": lambda: Explorer(problem, config=config).explore("genetic")}
+    )
     return {
-        **spec,
-        "engine_seconds": round(genetic_seconds, 4),
+        "engine_seconds": round(seconds["genetic"], 4),
         "evaluations": result.evaluations,
         "cache_hits": result.cache.hits,
         "best_delta_max": result.best.delta_max,
         "front_size": len(result.front),
         "front_vectors": [list(vector) for vector in result.front.vectors()],
-        "tolerance": GENETIC_TOLERANCE,
     }
 
 
-def _comm_mapping_problem(mapped: bool):
-    from repro.data import load_fig1_example
-    from repro.exploration import ExplorationProblem
+def _measure_comm_mapping(spec: dict) -> dict:
+    """Explore the two-bus Fig. 1 system without, then with, communication mapping.
 
-    spec = COMM_MAPPING_WORKLOAD
-    example = load_fig1_example(num_buses=spec["fig1_buses"])
-    return ExplorationProblem(
-        example.process_graph,
-        example.mapping,
-        example.architecture,
-        name="fig1-two-bus",
-        map_communications=mapped,
-    )
-
-
-def _measure_comm_mapping() -> dict:
-    """Explore the two-bus Fig. 1 system with and without communication mapping.
-
-    Runs :data:`COMM_MAPPING_WORKLOAD` twice under identical engine, seed and
-    cycle budget.  The derived run accepts the least-index bus pick for every
-    message (the pre-mapping behaviour: the second bus stays idle); the
-    mapped run may pin messages to buses.  Records both best costs — frozen
-    as the determinism/quality anchor ``--check`` replays — plus the realised
-    bus distribution of the mapped winner.
+    The derived run accepts the least-index bus pick for every message (the
+    pre-mapping behaviour: the second bus stays idle); the mapped run, which
+    is timed, may pin messages to buses and must strictly beat it.
     """
-    from collections import Counter
-
-    from repro.exploration import ExplorationConfig, Explorer
-
-    spec = COMM_MAPPING_WORKLOAD
+    example = load_fig1_example(num_buses=spec["fig1_buses"])
     config = ExplorationConfig(
         seed=spec["seed"],
         max_cycles=spec["cycles"],
         neighbors_per_cycle=spec["neighbors"],
     )
+    for mapped in (False, True):
+        problem = ExplorationProblem(
+            example.process_graph,
+            example.mapping,
+            example.architecture,
+            name="fig1-two-bus",
+            map_communications=mapped,
+        )
+        seconds, result = _race(
+            {"engine": lambda: Explorer(problem, config=config).explore(spec["engine"])}
+        )
+        if not mapped:
+            derived = result
+    if not result.best.cost < derived.best.cost:
+        raise SystemExit(
+            "exploring communication mapping no longer beats the derived "
+            f"assignment: mapped {result.best.cost!r} vs derived "
+            f"{derived.best.cost!r}; retune COMM_MAPPING_WORKLOAD"
+        )
 
-    derived = Explorer(_comm_mapping_problem(False), config=config).explore(
-        spec["engine"]
-    )
-
-    mapped_problem = _comm_mapping_problem(True)
-    started = time.perf_counter()
-    mapped = Explorer(mapped_problem, config=config).explore(spec["engine"])
-    mapped_seconds = time.perf_counter() - started
-
-    bus_counts = Counter(
-        mapped_problem.communications_for(mapped.best_candidate).values()
-    )
+    bus_counts = Counter(problem.communications_for(result.best_candidate).values())
     return {
-        **spec,
-        "engine_seconds": round(mapped_seconds, 4),
-        "evaluations": mapped.evaluations,
+        "engine_seconds": round(seconds["engine"], 4),
+        "evaluations": result.evaluations,
         "derived_best_cost": derived.best.cost,
-        "mapped_best_cost": mapped.best.cost,
-        "mapped_pins": len(mapped.best_candidate.communication_assignment),
+        "mapped_best_cost": result.best.cost,
+        "mapped_pins": len(result.best_candidate.communication_assignment),
         "mapped_bus_distribution": dict(sorted(bus_counts.items())),
-        "mapped_bus_imbalance": mapped.best.bus_imbalance,
-        "tolerance": COMM_MAPPING_TOLERANCE,
+        "mapped_bus_imbalance": result.best.bus_imbalance,
     }
 
 
 def _incremental_problem_and_stream():
     """Build the :data:`INCREMENTAL_WORKLOAD` problem and candidate stream."""
-    import random
-
-    from repro.exploration import ExplorationProblem
-    from repro.generator import generate_system
-
     spec = INCREMENTAL_WORKLOAD
     system = generate_system(
         spec["nodes"],
@@ -539,205 +434,133 @@ def _incremental_problem_and_stream():
     return problem, stream
 
 
-def _measure_incremental() -> dict:
+def _best_feasible_cost(evaluations, workload: str) -> float:
+    costs = [evaluation.cost for evaluation in evaluations if evaluation.feasible]
+    if not costs:
+        raise SystemExit(f"{workload} produced no feasible candidates; retune it")
+    return min(costs)
+
+
+def _measure_incremental(spec: dict) -> dict:
     """Time full-pipeline vs staged (incremental) evaluation, interleaved.
 
-    Each arm is measured ``repeats`` times and the best (minimum) time is
-    kept, filtering scheduler/thermal noise out of the ratio.  Every repeat
-    asserts the two arms produced bit-identical evaluations — the
-    correctness half of the record; the frozen ``best_cost`` anchors
-    determinism across hosts.
+    Both arms are pure, so every per-candidate evaluation must agree
+    bit-exactly; the stage hit/miss counters of one staged pass are
+    deterministic too.
     """
-    import time as _time
-
-    from repro.exploration import StageCache, evaluate_candidate
-
-    spec = INCREMENTAL_WORKLOAD
     problem, stream = _incremental_problem_and_stream()
-    full_times, staged_times = [], []
-    stage_stats = None
-    for _ in range(spec["repeats"]):
-        started = _time.perf_counter()
-        full = [evaluate_candidate(problem, candidate) for candidate in stream]
-        full_times.append(_time.perf_counter() - started)
+    caches = []
 
-        cache = StageCache()
-        started = _time.perf_counter()
-        staged = [
-            evaluate_candidate(problem, candidate, stage_cache=cache)
+    def staged():
+        caches.append(StageCache())
+        return [
+            evaluate_candidate(problem, candidate, stage_cache=caches[-1])
             for candidate in stream
         ]
-        staged_times.append(_time.perf_counter() - started)
-        if full != staged:  # not an assert: must also hold under python -O
-            raise SystemExit(
-                "incremental evaluation diverged from the full pipeline"
-            )
-        stage_stats = cache.stats
 
-    full_best = min(full_times)
-    staged_best = min(staged_times)
-    feasible_costs = [evaluation.cost for evaluation in staged if evaluation.feasible]
-    if not feasible_costs:
-        raise SystemExit(
-            "INCREMENTAL_WORKLOAD produced no feasible candidates; retune it"
-        )
+    seconds, evaluations = _race(
+        {"full": lambda: [evaluate_candidate(problem, c) for c in stream], "staged": staged},
+        spec["repeats"],
+        "incremental evaluation diverged from the full pipeline",
+    )
+    stats = caches[-1].stats
     return {
-        **spec,
         "distinct_candidates": len(stream),
-        "full_seconds": round(full_best, 4),
-        "incremental_seconds": round(staged_best, 4),
-        "speedup": round(full_best / staged_best, 2),
-        "best_cost": min(feasible_costs),
-        "expansion_hits": stage_stats.expansion_hits,
-        "expansion_misses": stage_stats.expansion_misses,
-        "structure_hits": stage_stats.structure_hits,
-        "structure_misses": stage_stats.structure_misses,
-        "schedule_hits": stage_stats.schedule_hits,
-        "schedule_misses": stage_stats.schedule_misses,
-        "min_speedup": INCREMENTAL_MIN_SPEEDUP,
+        "full_seconds": round(seconds["full"], 4),
+        "incremental_seconds": round(seconds["staged"], 4),
+        "speedup": round(seconds["full"] / seconds["staged"], 2),
+        "best_cost": _best_feasible_cost(evaluations, "INCREMENTAL_WORKLOAD"),
+        **{name: getattr(stats, name) for name in STAGE_COUNTERS},
     }
 
 
-def _measure_resilience() -> dict:
-    """Time bare staged evaluation vs the armed resilient runtime, fault-free.
-
-    Arm A scores the stream through a plain staged loop (the pre-resilience
-    fast path).  Arm B scores the identical stream through a serial
-    :class:`EvaluationPool` armed with a :class:`RetryPolicy` (attempt
-    bookkeeping, quarantine accounting — everything but actual faults) and
-    checkpoints a genuine versioned snapshot document every
-    ``checkpoint_every`` evaluations.  Best-of-``repeats`` per arm; every
-    repeat asserts bit-identical evaluations, and the headline is the
-    relative overhead of arm B.
-    """
-    import random
-    import tempfile
-    from pathlib import Path as _Path
-
-    from repro.exploration import (
-        Checkpointer,
-        EvaluationPool,
-        RetryPolicy,
-        StageCache,
-        evaluate_candidate,
-    )
-    from repro.exploration.engines import SearchState, TrajectoryPoint
-    from repro.exploration.resilience import snapshot_document
-
-    spec = RESILIENCE_WORKLOAD
+def _measure_resilience(spec: dict) -> dict:
+    """Time the bare staged loop vs the armed resilient runtime, fault-free."""
+    every = spec["checkpoint_every"]
     problem, stream = _incremental_problem_and_stream()
     stream = stream[: spec["stream_length"]]
     rng_state = random.Random(0).getstate()
 
-    bare_times, armed_times = [], []
-    bare = armed = None
-    with tempfile.TemporaryDirectory() as scratch:
-        checkpoint_path = _Path(scratch) / "bench.ckpt.json"
-        for repeat in range(spec["repeats"]):
-            cache = StageCache()
-            started = time.perf_counter()
-            bare = [
-                evaluate_candidate(problem, candidate, stage_cache=cache)
-                for candidate in stream
-            ]
-            bare_times.append(time.perf_counter() - started)
+    def bare():
+        cache = StageCache()
+        return [
+            evaluate_candidate(problem, candidate, stage_cache=cache)
+            for candidate in stream
+        ]
 
-            pool = EvaluationPool(
-                problem, mode="serial", retry=RetryPolicy(backoff_base=0.0)
-            )
-            checkpointer = Checkpointer(
-                checkpoint_path, every=spec["checkpoint_every"]
-            )
-            armed = []
-            trajectory = []
-            started = time.perf_counter()
-            for index, candidate in enumerate(stream):
-                armed.extend(pool.evaluate([candidate]))
-                if (index + 1) % spec["checkpoint_every"] == 0:
-                    best_index = min(
-                        range(len(armed)), key=lambda i: armed[i].cost
-                    )
-                    cycle = (index + 1) // spec["checkpoint_every"]
-                    trajectory.append(
-                        TrajectoryPoint(
-                            cycle=cycle,
-                            move="bench",
-                            cost=armed[index].cost,
-                            best_cost=armed[best_index].cost,
-                            accepted=index + 1,
-                        )
-                    )
-                    checkpointer.save(
-                        snapshot_document(
-                            engine="bench-resilience",
-                            seed=0,
-                            problem_key=problem.content_key,
-                            state=SearchState(
-                                cycle=cycle,
-                                evaluations=index + 1,
-                                best_cost=armed[best_index].cost,
-                            ),
-                            rng_state=rng_state,
-                            initial=(stream[0], armed[0]),
-                            best=(stream[best_index], armed[best_index]),
-                            trajectory=trajectory,
-                            engine_state={"index": index},
-                        )
-                    )
-            armed_times.append(time.perf_counter() - started)
-            if armed != bare:  # not an assert: must also hold under python -O
-                raise SystemExit(
-                    "armed resilient evaluation diverged from the bare loop"
-                )
-
-    bare_best = min(bare_times)
-    armed_best = min(armed_times)
-    overhead = 100.0 * (armed_best - bare_best) / bare_best
-    feasible_costs = [evaluation.cost for evaluation in bare if evaluation.feasible]
-    if not feasible_costs:
-        raise SystemExit(
-            "RESILIENCE_WORKLOAD produced no feasible candidates; retune it"
+    def armed():
+        pool = EvaluationPool(
+            problem, mode="serial", retry=RetryPolicy(backoff_base=0.0)
         )
+        checkpointer = Checkpointer(checkpoint_path, every=every)
+        evaluations = []
+        trajectory = []
+        for index, candidate in enumerate(stream):
+            evaluations.extend(pool.evaluate([candidate]))
+            if (index + 1) % every:
+                continue
+            best = min(range(len(evaluations)), key=lambda i: evaluations[i].cost)
+            cycle = (index + 1) // every
+            trajectory.append(
+                TrajectoryPoint(
+                    cycle=cycle,
+                    move="bench",
+                    cost=evaluations[index].cost,
+                    best_cost=evaluations[best].cost,
+                    accepted=index + 1,
+                )
+            )
+            checkpointer.save(
+                snapshot_document(
+                    engine="bench-resilience",
+                    seed=0,
+                    problem_key=problem.content_key,
+                    state=SearchState(
+                        cycle=cycle,
+                        evaluations=index + 1,
+                        best_cost=evaluations[best].cost,
+                    ),
+                    rng_state=rng_state,
+                    initial=(stream[0], evaluations[0]),
+                    best=(stream[best], evaluations[best]),
+                    trajectory=trajectory,
+                    engine_state={"index": index},
+                )
+            )
+        return evaluations
+
+    with tempfile.TemporaryDirectory() as scratch:
+        checkpoint_path = Path(scratch) / "bench.ckpt.json"
+        seconds, evaluations = _race(
+            {"bare": bare, "armed": armed},
+            spec["repeats"],
+            "armed resilient evaluation diverged from the bare loop",
+        )
+    overhead = 100.0 * (seconds["armed"] - seconds["bare"]) / seconds["bare"]
     return {
-        **spec,
-        "bare_seconds": round(bare_best, 4),
-        "armed_seconds": round(armed_best, 4),
+        "bare_seconds": round(seconds["bare"], 4),
+        "armed_seconds": round(seconds["armed"], 4),
         "overhead_percent": round(overhead, 2),
-        "checkpoint_saves": spec["stream_length"] // spec["checkpoint_every"],
-        "best_cost": min(feasible_costs),
-        "gate_overhead_percent": RESILIENCE_GATE_OVERHEAD,
+        "checkpoint_saves": spec["stream_length"] // every,
+        "best_cost": _best_feasible_cost(evaluations, "RESILIENCE_WORKLOAD"),
     }
 
 
-def _measure_service() -> dict:
-    """Replay a candidate stream through the exploration service over HTTP.
+def _measure_service(spec: dict) -> dict:
+    """Drive an in-process exploration service over HTTP like a client would.
 
-    Starts the asyncio job server in-process on an ephemeral port and drives
-    it exactly like an external client would: submit tenant A's job, poll it
-    to completion, fetch the result; repeat for tenant B — the same system
-    under a different name — which must answer partly from tenant A's shared
-    stage cache.  A burst of status requests then measures the HTTP
-    front-end's requests/sec.  Both jobs are seeded pure Python, so the best
-    cost and the evaluation count are frozen determinism anchors; the
-    cross-request hit rate must clear ``min_hit_rate``.
+    Each tenant submits its job, polls it to completion and fetches the
+    result; tenant B must start from tenant A's shared stage cache.
     """
-    from repro.generator import generate_system
-    from repro.io import system_to_dict
-    from repro.service import ServiceClient, start_in_thread
-
-    spec = SERVICE_WORKLOAD
     system = generate_system(
         spec["nodes"], spec["alternative_paths"], seed=spec["system_seed"]
     )
 
-    def _tenant_payload(name):
-        return system_to_dict(
-            system.process_graph, system.architecture, system.mapping, name
-        )
-
     def _run_tenant(client, name):
         request = {
-            "system": _tenant_payload(name),
+            "system": system_to_dict(
+                system.process_graph, system.architecture, system.mapping, name
+            ),
             "engine": spec["engine"],
             "seed": spec["seed"],
             "cycles": spec["cycles"],
@@ -766,26 +589,24 @@ def _measure_service() -> dict:
     best_b = document_b["results"][0]["best"]["cost"]
     if best_a != best_b:  # the system name must never steer the search
         raise SystemExit(
-            "refusing to freeze a service baseline whose near-duplicate "
-            f"tenants disagree on the best cost: {best_a!r} vs {best_b!r}"
+            "near-duplicate service tenants disagree on the best cost: "
+            f"{best_a!r} vs {best_b!r}"
         )
     shared = status_b["shared_cache"]
-    queries = shared["stage_hits"] + shared["stage_misses"]
-    hit_rate = shared["stage_hits"] / queries if queries else 0.0
-    if shared["entries_at_start"] == 0 or hit_rate < spec["min_hit_rate"]:
+    if shared["entries_at_start"] == 0:
         raise SystemExit(
-            "refusing to freeze a service baseline without cross-request "
-            f"reuse: tenant B started with {shared['entries_at_start']} "
-            f"shared entries and hit {hit_rate:.0%} (< "
-            f"{spec['min_hit_rate']:.0%}); retune SERVICE_WORKLOAD"
+            "the warm service tenant started without shared cache entries; "
+            "cross-request reuse is broken or SERVICE_WORKLOAD needs retuning"
         )
+    queries = shared["stage_hits"] + shared["stage_misses"]
     return {
-        **spec,
         "evaluations": document_a["results"][0]["evaluations"],
         "best_cost": best_a,
         "cold_job_seconds": round(a_seconds, 4),
         "warm_job_seconds": round(b_seconds, 4),
-        "cross_request_hit_rate": round(hit_rate, 4),
+        "cross_request_hit_rate": round(
+            shared["stage_hits"] / queries if queries else 0.0, 4
+        ),
         "entries_at_start": shared["entries_at_start"],
         "stage_hits": shared["stage_hits"],
         "stage_misses": shared["stage_misses"],
@@ -793,660 +614,228 @@ def _measure_service() -> dict:
         "status_requests_per_second": round(
             spec["status_requests"] / status_seconds, 1
         ),
-        "tolerance": SERVICE_TOLERANCE,
     }
 
 
-def _summary_rows(payload: dict) -> list:
-    """``(record, headline, seconds, captured)`` per committed benchmark record.
+@dataclass(frozen=True)
+class Record:
+    """A workload, the function measuring it, and the gated result fields.
 
-    The ``captured`` cell renders each record's capture stamp (interpreter,
-    caller-supplied timestamp); records measured before stamping existed —
-    and the preset grid, which is only rewritten wholesale — fall back to the
-    payload-level stamp, or ``-``.
+    ``timings`` and ``rates`` map a field to its tolerance, a fraction of
+    the committed value before host scaling; ``ratios`` map a field to an
+    ``(op, bound)`` pair, ``op`` being ``">="`` (a floor) or ``"<="`` (a
+    ceiling).
     """
-    fallback = payload.get("captured")
-    rows = []
-    for preset, record in payload["workloads"].items():
-        speedup = record.get("speedup_vs_seed")
-        headline = f"merge x{speedup} vs seed" if speedup else "merge"
-        rows.append([
-            preset, headline, record["merge_seconds"],
-            _capture_text(record.get("captured") or fallback),
-        ])
-    exploration = payload["exploration"]
-    rows.append([
-        "exploration",
-        f"cache+pool x{exploration['speedup']} vs naive",
-        exploration["optimised_seconds"],
-        _capture_text(exploration.get("captured") or fallback),
-    ])
-    genetic = payload["genetic"]
-    rows.append([
-        "genetic",
-        f"front of {genetic['front_size']} frozen (determinism)",
-        genetic["engine_seconds"],
-        _capture_text(genetic.get("captured") or fallback),
-    ])
-    comm = payload["comm_mapping"]
-    rows.append([
-        "comm_mapping",
-        f"mapped {comm['mapped_best_cost']:g} < derived {comm['derived_best_cost']:g}",
-        comm["engine_seconds"],
-        _capture_text(comm.get("captured") or fallback),
-    ])
-    incremental = payload["incremental"]
-    rows.append([
-        "incremental",
-        f"staged x{incremental['speedup']} vs full pipeline",
-        incremental["incremental_seconds"],
-        _capture_text(incremental.get("captured") or fallback),
-    ])
-    merge_flat = payload.get("merge_flat")
-    if merge_flat:  # baselines may predate the flat-kernel record
-        rows.append([
-            "merge_flat",
-            f"flat kernel x{merge_flat['speedup_vs_pre_flat']} vs pre-flat grid",
-            merge_flat["merge_seconds"],
-            _capture_text(merge_flat.get("captured") or fallback),
-        ])
-    resilience = payload.get("resilience")
-    if resilience:  # baselines may predate the resilience record
-        rows.append([
-            "resilience",
-            f"armed runtime {resilience['overhead_percent']:+g}% fault-free",
-            resilience["armed_seconds"],
-            _capture_text(resilience.get("captured") or fallback),
-        ])
-    service = payload.get("service")
-    if service:  # baselines may predate the service record
-        rows.append([
-            "service",
-            f"2 tenants over HTTP, warm hit rate "
-            f"{service['cross_request_hit_rate']:.0%}",
-            service["warm_job_seconds"],
-            _capture_text(service.get("captured") or fallback),
-        ])
-    return rows
+
+    measure: Callable[[dict], dict]
+    workload: dict
+    anchors: Tuple[str, ...] = ()
+    timings: Dict[str, float] = field(default_factory=dict)
+    rates: Dict[str, float] = field(default_factory=dict)
+    ratios: Dict[str, Tuple[str, float]] = field(default_factory=dict)
 
 
-def print_summary(payload: dict) -> None:
-    """Print the one-line-per-record trajectory table (for CI logs)."""
-    rows = _summary_rows(payload)
-    width = max(len(str(row[0])) for row in rows)
-    head = max(len(str(row[1])) for row in rows)
-    print("benchmark trajectory:")
-    for name, headline, seconds, captured in rows:
-        print(f"  {str(name):<{width}}  {str(headline):<{head}}  "
-              f"{seconds:.4f}s  {captured}")
-
-
-def run(output: Path, presets, repeats: int, timestamp: str | None = None) -> dict:
-    workloads = {}
-    for preset in presets:
-        workloads[preset] = _measure(preset, repeats)
-        rec = workloads[preset]
-        speedup = rec.get("speedup_vs_seed")
-        extra = f"  ({speedup}x vs seed)" if speedup else ""
-        print(
-            f"{preset:>8}: {rec['expanded_processes']:>4} processes, "
-            f"merge {rec['merge_seconds']:.4f}s{extra}"
+#: Every benchmark record, in the order they are frozen, checked and printed.
+#: One bound per gated field, kept here only.
+RECORDS: Dict[str, Record] = {
+    # Smaller presets get more repeats, so each best-of spans a window long
+    # enough (~0.1 s or more) to outlast a burst of load from other processes.
+    **{
+        f"merge_{preset}": Record(
+            _measure_merge,
+            {"preset": preset, "repeats": repeats},
+            anchors=("expanded_processes", "delta_max"),
+            timings={"merge_seconds": 0.25},
         )
-    exploration = _measure_exploration()
-    print(
-        f"explore : {exploration['stream_length']} candidate requests "
-        f"({exploration['distinct_candidates']} distinct), naive "
-        f"{exploration['naive_seconds']:.4f}s vs cache+pool "
-        f"{exploration['optimised_seconds']:.4f}s "
-        f"({exploration['speedup']}x, {exploration['workers']} worker(s))"
-    )
-    genetic = _measure_genetic()
-    print(
-        f"genetic : {genetic['generations']} generations x "
-        f"{genetic['population']} population in "
-        f"{genetic['engine_seconds']:.4f}s "
-        f"({genetic['evaluations']} evaluations, front of "
-        f"{genetic['front_size']})"
-    )
-    comm_mapping = _measure_comm_mapping()
-    if not comm_mapping["mapped_best_cost"] < comm_mapping["derived_best_cost"]:
-        # --check hard-fails on this invariant; refusing to freeze a baseline
-        # that violates it beats committing a permanently red gate.
-        raise SystemExit(
-            "refusing to freeze a comm_mapping baseline whose mapped run does "
-            f"not beat the derived run: mapped "
-            f"{comm_mapping['mapped_best_cost']!r} vs derived "
-            f"{comm_mapping['derived_best_cost']!r}; retune "
-            "COMM_MAPPING_WORKLOAD before regenerating"
-        )
-    print(
-        f"comm-map: two-bus Fig. 1, {comm_mapping['engine']} x "
-        f"{comm_mapping['cycles']} cycles: derived "
-        f"{comm_mapping['derived_best_cost']:g} vs mapped "
-        f"{comm_mapping['mapped_best_cost']:g} "
-        f"({comm_mapping['mapped_pins']} pins, buses "
-        f"{comm_mapping['mapped_bus_distribution']}) in "
-        f"{comm_mapping['engine_seconds']:.4f}s"
-    )
-    incremental = _measure_incremental()
-    if incremental["speedup"] < 1.6:
-        # --check gates a speedup floor; refusing to freeze a baseline that
-        # does not clear it with margin beats committing a red gate.  (The
-        # pre-flat-kernel headline was 2x; the flat kernel halved the
-        # merge-dominated full-pipeline arm, so ~1.7x is now the honest
-        # same-host ratio.)
-        raise SystemExit(
-            "refusing to freeze an incremental baseline below 1.6x: "
-            f"measured {incremental['speedup']}x; rerun on a quiet "
-            "host or retune INCREMENTAL_WORKLOAD"
-        )
-    print(
-        f"increm. : {incremental['distinct_candidates']} move-local candidates, "
-        f"full {incremental['full_seconds']:.4f}s vs staged "
-        f"{incremental['incremental_seconds']:.4f}s "
-        f"({incremental['speedup']}x; structure hits "
-        f"{incremental['structure_hits']}/"
-        f"{incremental['structure_hits'] + incremental['structure_misses']}, "
-        f"schedule hits {incremental['schedule_hits']}/"
-        f"{incremental['schedule_hits'] + incremental['schedule_misses']})"
-    )
-    merge_flat = _measure_merge_flat()
-    if merge_flat["speedup_vs_pre_flat"] < merge_flat["min_speedup"]:
-        # --check gates a speedup floor; refusing to freeze a baseline that
-        # does not meet it beats committing a permanently red gate.
-        raise SystemExit(
-            "refusing to freeze a merge_flat baseline below the "
-            f"{merge_flat['min_speedup']}x floor: measured "
-            f"{merge_flat['speedup_vs_pre_flat']}x; rerun on a quiet host"
-        )
-    print(
-        f"mergeflt: {merge_flat['expanded_processes']} processes, flat "
-        f"{merge_flat['merge_seconds']:.4f}s vs frozen pre-flat "
-        f"{merge_flat['pre_flat_merge_seconds']:.4f}s "
-        f"({merge_flat['speedup_vs_pre_flat']}x host-normalised)"
-    )
-    resilience = _measure_resilience()
-    if resilience["overhead_percent"] > resilience["max_overhead_percent"]:
-        raise SystemExit(
-            "refusing to freeze a resilience baseline above the "
-            f"{resilience['max_overhead_percent']}% overhead ceiling: measured "
-            f"{resilience['overhead_percent']}%; rerun on a quiet host or "
-            "retune RESILIENCE_WORKLOAD"
-        )
-    print(
-        f"resil.  : {resilience['stream_length']} fault-free candidates, bare "
-        f"{resilience['bare_seconds']:.4f}s vs armed "
-        f"{resilience['armed_seconds']:.4f}s "
-        f"({resilience['overhead_percent']:+g}%, "
-        f"{resilience['checkpoint_saves']} checkpoint saves)"
-    )
-    service = _measure_service()  # refuses to freeze without cross-tenant reuse
-    print(
-        f"service : 2 tenants x {service['evaluations']} evaluations over "
-        f"HTTP, cold {service['cold_job_seconds']:.4f}s vs warm "
-        f"{service['warm_job_seconds']:.4f}s (hit rate "
-        f"{service['cross_request_hit_rate']:.0%}, "
-        f"{service['status_requests_per_second']:g} status req/s)"
-    )
-    payload = {
-        "description": (
-            "ScheduleMerger.merge wall-time on the LARGE_SCALE_PRESETS random "
-            "systems; seed_merge_seconds is the frozen pre-optimisation "
-            "baseline. 'exploration' times the design-space explorer's "
-            "evaluator layer (content-hash cache + parallel pool) against "
-            "naive sequential re-evaluation on a revisit-heavy candidate "
-            "stream. 'genetic' times one seeded NSGA-style search with "
-            "architecture sizing and freezes its Pareto front as a "
-            "determinism anchor. 'comm_mapping' explores the two-bus Fig. 1 "
-            "system with and without communication-to-bus mapping under an "
-            "identical engine/seed/cycle budget and freezes both best costs "
-            "(the mapped run must beat the derived run). 'incremental' "
-            "scores a move-local candidate stream through the staged "
-            "sub-fingerprint caches versus the full pipeline per candidate "
-            "(bit-identical evaluations, frozen best cost, >= 1.6x at "
-            "capture). 'merge_flat' re-merges the xlarge grid preset on the "
-            "packed-column flat schedule kernel against the frozen pre-flat "
-            "grid timing (host-normalised >= 1.7x, delta_max frozen as the "
-            "determinism anchor). 'resilience' scores a fault-free prefix of the same "
-            "stream through the armed resilient runtime (retry policy + "
-            "periodic checkpoint writes) versus the bare staged loop and "
-            "freezes the relative overhead (< 5% at capture, bit-identical "
-            "evaluations). 'service' replays the same system as two "
-            "near-duplicate tenants through the exploration service over a "
-            "real localhost HTTP socket and freezes the best cost plus the "
-            "cross-request stage-cache hit rate floor (the second tenant "
-            "must answer partly from the first's shared cache). Regenerate "
-            "with scripts/run_benchmarks.py "
-            "(--record NAME remeasures one record into the committed "
-            "baseline); check with --check."
-        ),
-        "reference": DEFAULT_REFERENCE,
-        "tolerance": DEFAULT_TOLERANCE,
-        "captured": _capture_metadata(timestamp),
-        "calibration_seconds": round(_calibrate(), 4),
-        "workloads": workloads,
-        "exploration": exploration,
-        "genetic": genetic,
-        "comm_mapping": comm_mapping,
-        "incremental": incremental,
-        "merge_flat": merge_flat,
-        "resilience": resilience,
-        "service": service,
-    }
-    output.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {output}")
-    print_summary(payload)
-    return payload
-
-
-def check(
-    baseline_path: Path,
-    reference: str | None = None,
-    tolerance: float | None = None,
-    repeats: int = 3,
-) -> str | None:
-    """Compare the reference workload against the committed baseline.
-
-    Returns None when within tolerance, an explanatory message otherwise.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    print_summary(baseline)  # the committed trajectory, with capture stamps
-    reference = reference or baseline.get("reference", DEFAULT_REFERENCE)
-    tolerance = tolerance if tolerance is not None else baseline.get(
-        "tolerance", DEFAULT_TOLERANCE
-    )
-    committed = baseline["workloads"][reference]["merge_seconds"]
-    measured = _measure(reference, repeats)["merge_seconds"]
-    # Normalise for host speed: a machine 2x slower than the baseline host is
-    # allowed 2x the time.  Faster hosts keep the unscaled limit (scale >= 1)
-    # so a regression cannot hide behind fast hardware.
-    scale = 1.0
-    baseline_calibration = baseline.get("calibration_seconds")
-    if baseline_calibration:
-        scale = max(1.0, _calibrate() / baseline_calibration)
-    limit = committed * (1.0 + tolerance) * scale
-    verdict = "ok" if measured <= limit else "REGRESSION"
-    scale_text = f", host scale x{scale:.2f}" if scale > 1.0 else ""
-    print(
-        f"{reference}: measured {measured:.4f}s vs baseline {committed:.4f}s "
-        f"(limit {limit:.4f}s at +{tolerance:.0%}{scale_text}) -> {verdict}"
-    )
-    if measured > limit:
-        return (
-            f"merge time on {reference!r} regressed: {measured:.4f}s > "
-            f"{committed:.4f}s * {1.0 + tolerance:.2f} * host scale {scale:.2f}"
-        )
-    failure = _check_genetic(baseline, scale)
-    if failure:
-        return failure
-    failure = _check_comm_mapping(baseline, scale)
-    if failure:
-        return failure
-    failure = _check_incremental(baseline)
-    if failure:
-        return failure
-    failure = _check_merge_flat(baseline)
-    if failure:
-        return failure
-    failure = _check_resilience(baseline)
-    if failure:
-        return failure
-    return _check_service(baseline, scale)
-
-
-def _check_genetic(baseline: dict, scale: float) -> str | None:
-    """Gate the genetic benchmark: front determinism first, then timing.
-
-    The committed front vectors must reproduce bit-exactly (the engine is
-    seeded pure Python — any drift is a real reproducibility regression, not
-    noise), and the wall-time must stay within the genetic tolerance scaled
-    by the same host calibration as the merge gate.
-    """
-    committed = baseline.get("genetic")
-    if not committed:  # baseline predates the genetic benchmark
-        return None
-    measured = _measure_genetic()
-    if measured["front_vectors"] != committed["front_vectors"]:
-        print("genetic : front vectors diverged from baseline -> REGRESSION")
-        return (
-            "genetic front is no longer deterministic per seed: measured "
-            f"{measured['front_vectors']} vs committed "
-            f"{committed['front_vectors']}"
-        )
-    tolerance = committed.get("tolerance", GENETIC_TOLERANCE)
-    limit = committed["engine_seconds"] * (1.0 + tolerance) * scale
-    verdict = "ok" if measured["engine_seconds"] <= limit else "REGRESSION"
-    print(
-        f"genetic : measured {measured['engine_seconds']:.4f}s vs baseline "
-        f"{committed['engine_seconds']:.4f}s (limit {limit:.4f}s at "
-        f"+{tolerance:.0%}), front of {measured['front_size']} reproduced "
-        f"-> {verdict}"
-    )
-    if measured["engine_seconds"] > limit:
-        return (
-            f"genetic engine time regressed: {measured['engine_seconds']:.4f}s "
-            f"> {committed['engine_seconds']:.4f}s * {1.0 + tolerance:.2f} "
-            f"* host scale {scale:.2f}"
-        )
-    return None
-
-
-def _check_comm_mapping(baseline: dict, scale: float) -> str | None:
-    """Gate the communication-mapping benchmark: determinism + quality first.
-
-    The frozen best costs of both the derived and the mapped run must
-    reproduce bit-exactly (seeded pure Python), the mapped run must still
-    strictly beat the derived run on the same engine/seed/cycle budget, and
-    the wall-time must stay within tolerance, host-calibrated like the other
-    gates.
-    """
-    committed = baseline.get("comm_mapping")
-    if not committed:  # baseline predates the communication-mapping benchmark
-        return None
-    measured = _measure_comm_mapping()
-    for key in ("derived_best_cost", "mapped_best_cost"):
-        if measured[key] != committed[key]:
-            print(f"comm-map: {key} diverged from baseline -> REGRESSION")
-            return (
-                f"communication-mapping search is no longer deterministic per "
-                f"seed: {key} measured {measured[key]!r} vs committed "
-                f"{committed[key]!r}"
-            )
-    if not measured["mapped_best_cost"] < measured["derived_best_cost"]:
-        print("comm-map: mapped run no longer beats derived run -> REGRESSION")
-        return (
-            "exploring communication mapping no longer beats the derived "
-            f"assignment: mapped {measured['mapped_best_cost']!r} vs derived "
-            f"{measured['derived_best_cost']!r}"
-        )
-    tolerance = committed.get("tolerance", COMM_MAPPING_TOLERANCE)
-    limit = committed["engine_seconds"] * (1.0 + tolerance) * scale
-    verdict = "ok" if measured["engine_seconds"] <= limit else "REGRESSION"
-    print(
-        f"comm-map: derived {measured['derived_best_cost']:g} vs mapped "
-        f"{measured['mapped_best_cost']:g} reproduced; "
-        f"{measured['engine_seconds']:.4f}s vs baseline "
-        f"{committed['engine_seconds']:.4f}s (limit {limit:.4f}s at "
-        f"+{tolerance:.0%}) -> {verdict}"
-    )
-    if measured["engine_seconds"] > limit:
-        return (
-            f"communication-mapping search time regressed: "
-            f"{measured['engine_seconds']:.4f}s > "
-            f"{committed['engine_seconds']:.4f}s * {1.0 + tolerance:.2f} "
-            f"* host scale {scale:.2f}"
-        )
-    return None
-
-
-def _check_incremental(baseline: dict) -> str | None:
-    """Gate the incremental-evaluation benchmark: determinism, then speedup.
-
-    The measurement itself asserts that staged and full-pipeline evaluations
-    are bit-identical per candidate; this gate additionally requires the
-    frozen best cost to reproduce exactly (seeded pure Python) and the
-    re-measured speedup to stay above the committed floor.  The speedup is a
-    same-host ratio, so no calibration scaling applies.
-    """
-    committed = baseline.get("incremental")
-    if not committed:  # baseline predates the incremental benchmark
-        return None
-    measured = _measure_incremental()
-    if measured["best_cost"] != committed["best_cost"]:
-        print("increm. : best cost diverged from baseline -> REGRESSION")
-        return (
-            "incremental evaluation is no longer deterministic per seed: "
-            f"best cost measured {measured['best_cost']!r} vs committed "
-            f"{committed['best_cost']!r}"
-        )
-    floor = committed.get("min_speedup", INCREMENTAL_MIN_SPEEDUP)
-    verdict = "ok" if measured["speedup"] >= floor else "REGRESSION"
-    print(
-        f"increm. : staged {measured['incremental_seconds']:.4f}s vs full "
-        f"{measured['full_seconds']:.4f}s = {measured['speedup']}x "
-        f"(floor {floor}x, committed {committed['speedup']}x) -> {verdict}"
-    )
-    if measured["speedup"] < floor:
-        return (
-            f"incremental evaluator speedup regressed: {measured['speedup']}x "
-            f"< the committed floor {floor}x (baseline {committed['speedup']}x)"
-        )
-    return None
-
-
-def _check_merge_flat(baseline: dict) -> str | None:
-    """Gate the flat-kernel benchmark: determinism, then speedup floor.
-
-    The frozen ``delta_max`` must reproduce bit-exactly (the flat kernel is
-    a pure representation change — any drift is a semantics regression, not
-    noise), and the host-normalised speedup over the frozen pre-flat grid
-    timing must stay above the committed floor.  The measurement already
-    embeds the host calibration, so no extra scaling applies here.
-    """
-    committed = baseline.get("merge_flat")
-    if not committed:  # baseline predates the flat-kernel benchmark
-        return None
-    measured = _measure_merge_flat()
-    if measured["delta_max"] != committed["delta_max"]:
-        print("mergeflt: delta_max diverged from baseline -> REGRESSION")
-        return (
-            "flat-kernel merge is no longer deterministic: delta_max "
-            f"measured {measured['delta_max']!r} vs committed "
-            f"{committed['delta_max']!r}"
-        )
-    floor = committed.get("min_speedup", MERGE_FLAT_MIN_SPEEDUP)
-    verdict = "ok" if measured["speedup_vs_pre_flat"] >= floor else "REGRESSION"
-    print(
-        f"mergeflt: flat {measured['merge_seconds']:.4f}s vs frozen pre-flat "
-        f"{committed['pre_flat_merge_seconds']:.4f}s = "
-        f"{measured['speedup_vs_pre_flat']}x host-normalised (floor {floor}x, "
-        f"committed {committed['speedup_vs_pre_flat']}x) -> {verdict}"
-    )
-    if measured["speedup_vs_pre_flat"] < floor:
-        return (
-            "flat-kernel merge speedup regressed: "
-            f"{measured['speedup_vs_pre_flat']}x < the committed floor "
-            f"{floor}x (baseline {committed['speedup_vs_pre_flat']}x)"
-        )
-    return None
-
-
-def _check_resilience(baseline: dict) -> str | None:
-    """Gate the resilience benchmark: determinism, then fault-free overhead.
-
-    The measurement itself asserts that armed and bare evaluations are
-    bit-identical; this gate additionally requires the frozen best cost to
-    reproduce exactly (seeded pure Python) and the re-measured overhead to
-    stay under the committed ceiling.  The overhead is a same-host ratio, so
-    no calibration scaling applies — but the gate ceiling is looser than the
-    freeze ceiling because the delta between the two arms is small enough
-    for scheduler noise to double it.
-    """
-    committed = baseline.get("resilience")
-    if not committed:  # baseline predates the resilience benchmark
-        return None
-    measured = _measure_resilience()
-    if measured["best_cost"] != committed["best_cost"]:
-        print("resil.  : best cost diverged from baseline -> REGRESSION")
-        return (
-            "resilient evaluation is no longer deterministic per seed: best "
-            f"cost measured {measured['best_cost']!r} vs committed "
-            f"{committed['best_cost']!r}"
-        )
-    ceiling = committed.get("gate_overhead_percent", RESILIENCE_GATE_OVERHEAD)
-    verdict = "ok" if measured["overhead_percent"] <= ceiling else "REGRESSION"
-    print(
-        f"resil.  : armed {measured['armed_seconds']:.4f}s vs bare "
-        f"{measured['bare_seconds']:.4f}s = {measured['overhead_percent']:+g}% "
-        f"(ceiling {ceiling}%, committed {committed['overhead_percent']:+g}%) "
-        f"-> {verdict}"
-    )
-    if measured["overhead_percent"] > ceiling:
-        return (
-            "resilience layer overhead regressed: "
-            f"{measured['overhead_percent']:+g}% > the committed ceiling "
-            f"{ceiling}% (baseline {committed['overhead_percent']:+g}%)"
-        )
-    return None
-
-
-def _check_service(baseline: dict, scale: float) -> str | None:
-    """Gate the service benchmark: determinism, then reuse, then throughput.
-
-    The frozen best cost and evaluation count must reproduce bit-exactly
-    (the served jobs are the same seeded pure-Python search as the one-shot
-    CLI — drift here means the service layer changed results), the second
-    tenant's cross-request hit rate must clear the committed floor, and the
-    HTTP front-end's status requests/sec must stay within tolerance of the
-    committed throughput, host-calibrated like the timing gates.
-    """
-    committed = baseline.get("service")
-    if not committed:  # baseline predates the service benchmark
-        return None
-    measured = _measure_service()
-    for key in ("best_cost", "evaluations"):
-        if measured[key] != committed[key]:
-            print(f"service : {key} diverged from baseline -> REGRESSION")
-            return (
-                "served exploration is no longer deterministic per seed: "
-                f"{key} measured {measured[key]!r} vs committed "
-                f"{committed[key]!r}"
-            )
-    floor = committed.get("min_hit_rate", SERVICE_WORKLOAD["min_hit_rate"])
-    if measured["cross_request_hit_rate"] < floor:
-        print("service : cross-request reuse below floor -> REGRESSION")
-        return (
-            "cross-request stage-cache reuse regressed: hit rate "
-            f"{measured['cross_request_hit_rate']:.0%} < the committed floor "
-            f"{floor:.0%} (baseline {committed['cross_request_hit_rate']:.0%})"
-        )
-    tolerance = committed.get("tolerance", SERVICE_TOLERANCE)
-    limit = committed["status_requests_per_second"] / ((1.0 + tolerance) * scale)
-    verdict = (
-        "ok" if measured["status_requests_per_second"] >= limit else "REGRESSION"
-    )
-    print(
-        f"service : best cost reproduced, hit rate "
-        f"{measured['cross_request_hit_rate']:.0%}; "
-        f"{measured['status_requests_per_second']:g} status req/s vs baseline "
-        f"{committed['status_requests_per_second']:g} (floor {limit:.1f} at "
-        f"-{tolerance:.0%}) -> {verdict}"
-    )
-    if measured["status_requests_per_second"] < limit:
-        return (
-            "service request throughput regressed: "
-            f"{measured['status_requests_per_second']:g} req/s < "
-            f"{committed['status_requests_per_second']:g} / "
-            f"{1.0 + tolerance:.2f} / host scale {scale:.2f}"
-        )
-    return None
-
-
-#: Records ``--record`` can re-measure individually into an existing baseline.
-RECORD_MEASURERS = {
-    "exploration": lambda: _measure_exploration(),
-    "genetic": lambda: _measure_genetic(),
-    "comm_mapping": lambda: _measure_comm_mapping(),
-    "incremental": lambda: _measure_incremental(),
-    "merge_flat": lambda: _measure_merge_flat(),
-    "resilience": lambda: _measure_resilience(),
-    "service": lambda: _measure_service(),
+        for preset, repeats in zip(SEED_MERGE_SECONDS, (15, 7, 3, 3))
+    },
+    # The cache alone removes the revisit passes (~3x); any parallel
+    # headroom is on top.  The floor is conservative so busy hosts do not
+    # flake, while a broken cache (~1x) fails.
+    "exploration": Record(
+        _measure_exploration, EXPLORATION_WORKLOAD, ratios={"speedup": (">=", 1.5)}
+    ),
+    # More tolerant than the merge gate: one run covers population-dynamics
+    # overhead on top of ~70 merges, so it is noisier.
+    "genetic": Record(
+        _measure_genetic,
+        GENETIC_WORKLOAD,
+        anchors=("front_vectors", "evaluations", "best_delta_max"),
+        timings={"engine_seconds": 0.5},
+    ),
+    # A whole seeded search, like genetic, so the same tolerance.
+    "comm_mapping": Record(
+        _measure_comm_mapping,
+        COMM_MAPPING_WORKLOAD,
+        anchors=("derived_best_cost", "mapped_best_cost", "evaluations"),
+        timings={"engine_seconds": 0.5},
+    ),
+    # The speedup floor was recalibrated after the flat schedule kernel
+    # landed: the full-pipeline arm is merge-dominated, so roughly halving
+    # the merge kernel compressed the staged-vs-full ratio from ~2.1x to
+    # ~1.7x.  The floor stays below the capture so a busy host does not flag
+    # phantom regressions, while a broken stage cache (~1x) fails.
+    "incremental": Record(
+        _measure_incremental,
+        INCREMENTAL_WORKLOAD,
+        anchors=("best_cost", *STAGE_COUNTERS),
+        ratios={"speedup": (">=", 1.4)},
+    ),
+    # The overhead is a small delta between two same-host timings that
+    # scheduler noise can triple on a busy machine, while a genuinely heavy
+    # resilience layer (tens of percent) still fails.  The ceiling was
+    # recalibrated (12% -> 25%) when the flat kernel landed: the bookkeeping
+    # and checkpoint writes cost the same absolute time as before, but the
+    # evaluations they wrap got ~2x faster.
+    "resilience": Record(
+        _measure_resilience,
+        RESILIENCE_WORKLOAD,
+        anchors=("best_cost",),
+        ratios={"overhead_percent": ("<=", 25.0)},
+    ),
+    # Status requests/sec is very tolerant: sequential one-connection-per-
+    # request round-trips on a loopback interface swing by 2x with kernel
+    # socket churn alone, so the gate only catches collapses; the anchors and
+    # the hit-rate floor (the multi-tenant win the service exists for) do the
+    # precise gating.
+    "service": Record(
+        _measure_service,
+        SERVICE_WORKLOAD,
+        anchors=("best_cost", "evaluations"),
+        rates={"status_requests_per_second": 1.5},
+        ratios={"cross_request_hit_rate": (">=", 0.5)},
+    ),
 }
 
+_OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
 
-def update_records(
-    baseline_path: Path, names: list, timestamp: str | None = None
-) -> int:
-    """Re-measure only the named records and merge them into the baseline.
 
-    Avoids re-freezing every timing (and every determinism anchor) just to
-    add or refresh one record — the rest of the committed trajectory stays
-    byte-identical.  Each re-measured record is stamped with capture
-    metadata (interpreter, host platform, the caller-supplied ``timestamp``).
-    """
-    payload = json.loads(baseline_path.read_text())
-    for name in names:
-        measurer = RECORD_MEASURERS.get(name)
-        if measurer is None:
-            print(
-                f"error: unknown record {name!r}; choose from "
-                f"{', '.join(sorted(RECORD_MEASURERS))}",
-                file=sys.stderr,
+def _gates(record: Record, committed: dict, scale: float):
+    """``(field, kind, bound, op, limit)`` for every gated field of a record."""
+    for name in record.anchors:
+        yield name, "anchor", "exact", "==", committed[name]
+    for name, tolerance in record.timings.items():
+        limit = committed[name] * (1 + tolerance) * scale
+        yield name, "timing", f"x{1 + tolerance:g} (host x{scale:.2f})", "<=", limit
+    for name, tolerance in record.rates.items():
+        limit = committed[name] / ((1 + tolerance) * scale)
+        yield name, "rate", f"/{1 + tolerance:g} (host x{scale:.2f})", ">=", limit
+    for name, (op, bound) in record.ratios.items():
+        yield name, "ratio", f"{op} {bound:g}", op, bound
+
+
+def _compare(name: str, committed: dict, measured: dict, scale: float, rows: list) -> list:
+    """Gate one record's measurement; append table rows, return failures."""
+    failures = []
+    for field_name, kind, bound, op, limit in _gates(RECORDS[name], committed, scale):
+        value = measured[field_name]
+        ok = _OPS[op](value, limit)
+        rows.append([
+            name, field_name, kind, bound, _cell(committed[field_name]),
+            _cell(value), _cell(limit), "ok" if ok else "FAIL",
+        ])
+        if not ok:
+            failures.append(
+                f"{name}.{field_name} ({kind}, {bound}): measured {value!r}, "
+                f"committed {committed[field_name]!r}, limit {op} {limit!r}"
             )
-            return 2
-        record = measurer()
-        record["captured"] = _capture_metadata(timestamp)
-        payload[name] = record
-        print(f"re-measured {name!r} ({_capture_text(record['captured'])})")
+    return failures
+
+
+def _cell(value) -> str:
+    if isinstance(value, list):
+        return f"[{len(value)} items]"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def _print_table(rows: list) -> None:
+    header = ["record", "field", "kind", "bound", "committed", "measured", "limit", ""]
+    widths = [max(len(row[i]) for row in [header, *rows]) for i in range(len(header))]
+    for row in [header, *rows]:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+
+
+def freeze(baseline_path: Path, names=None, timestamp: str | None = None) -> None:
+    """Measure records and write them into the baseline file.
+
+    Without ``names`` every record is measured and the file is rewritten
+    from scratch; with ``names`` only those records are replaced and the
+    rest stay byte-identical.  A record that fails its own gates — a ratio
+    outside its floor or ceiling — is refused and nothing is written.
+    """
+    payload = json.loads(baseline_path.read_text()) if names else {}
+    rows = []
+    for name in names or RECORDS:
+        measured, calibration = _run(name)
+        failures = _compare(name, measured, measured, 1.0, rows)
+        if failures:
+            _print_table(rows)
+            raise SystemExit(
+                f"refusing to freeze {name!r}, it fails its own gates: "
+                + "; ".join(failures)
+                + ". Rerun on a quiet host or retune its workload."
+            )
+        payload[name] = {**measured, "captured": _capture_metadata(timestamp, calibration)}
+    payload.pop("description", None)
+    payload = {"description": DESCRIPTION, **payload}
     baseline_path.write_text(json.dumps(payload, indent=1) + "\n")
+    _print_table(rows)
     print(f"wrote {baseline_path}")
-    print_summary(payload)
-    return 0
+
+
+def check(baseline_path: Path = DEFAULT_BASELINE, names=None, relax: float = 1.0) -> list:
+    """Re-measure records against the committed baseline; return every failure.
+
+    ``names`` selects records (default: all of them).  ``relax`` multiplies
+    the host scale of timing and rate gates, for smoke runs on busy
+    machines; anchors and same-host ratios are never relaxed.
+    """
+    baseline = json.loads(baseline_path.read_text())
+    rows, failures = [], []
+    for name in names or RECORDS:
+        committed = baseline.get(name)
+        if committed is None:
+            failures.append(f"{name}: no committed record; freeze it with --record {name}")
+            continue
+        captured = committed["captured"]
+        print(
+            f"{name}: captured py{captured['python']} "
+            f"{captured['timestamp'] or 'undated'} on {captured['platform']}"
+        )
+        measured, calibration = _run(name)
+        scale = max(1.0, calibration / captured["calibration_seconds"]) * relax
+        failures += _compare(name, committed, measured, scale, rows)
+    _print_table(rows)
+    return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed BENCH_core.json instead of rewriting it",
-    )
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_OUTPUT)
-    parser.add_argument(
-        "--presets",
-        default="small,medium,large,xlarge",
-        help="comma-separated preset names (see repro.generator.LARGE_SCALE_PRESETS)",
-    )
-    parser.add_argument(
-        "--reference", default=None, help="preset used by --check (default: from baseline)"
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional regression for --check (default: from baseline, 0.25)",
-    )
-    parser.add_argument("--repeats", type=int, default=3, help="best-of repetitions")
-    parser.add_argument(
-        "--timestamp",
-        default=None,
-        metavar="ISO8601",
-        help="capture timestamp stamped on (re-)measured records; passed in "
-        "explicitly (e.g. from CI) so regeneration never reads the clock",
+        "--check", action="store_true", help="re-measure and gate instead of freezing"
     )
     parser.add_argument(
         "--record",
         action="append",
-        default=None,
+        choices=list(RECORDS),
         metavar="NAME",
-        help=(
-            "re-measure only this record (repeatable; one of "
-            f"{', '.join(sorted(RECORD_MEASURERS))}) and merge it into the "
-            "committed baseline instead of rewriting everything"
-        ),
+        help="only this record (repeatable): re-freeze it into the existing "
+        "baseline, or with --check check only it; one of " + ", ".join(RECORDS),
+    )
+    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
+    parser.add_argument(
+        "--timestamp", metavar="ISO8601", help="capture time stamped on frozen records"
     )
     args = parser.parse_args(argv)
-
-    try:
-        if args.record:
-            return update_records(args.baseline, args.record, args.timestamp)
-        if args.check:
-            failure = check(args.baseline, args.reference, args.tolerance, args.repeats)
-            if failure:
-                print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            return 0
-        run(
-            args.output,
-            [p for p in args.presets.split(",") if p],
-            args.repeats,
-            args.timestamp,
-        )
-        return 0
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+    if args.check:
+        failures = check(args.baseline, args.record)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1 if failures else 0
+    freeze(args.baseline, args.record, args.timestamp)
+    return 0
 
 
 if __name__ == "__main__":

@@ -372,6 +372,22 @@ class TestProblemCommunicationLayer:
                 bus_policy="fastest",
             )
 
+    def test_least_loaded_policy_reduces_contention(self, two_bus_fig1):
+        """The derivation policy alone already spreads load: on the seed
+        mapping, least_loaded yields a lower bus imbalance than least_index."""
+        imbalance = {}
+        for policy in ("least_index", "least_loaded"):
+            problem = ExplorationProblem(
+                two_bus_fig1.process_graph,
+                two_bus_fig1.mapping,
+                two_bus_fig1.architecture,
+                bus_policy=policy,
+            )
+            imbalance[policy] = evaluate_candidate(
+                problem, problem.initial_candidate()
+            ).bus_imbalance
+        assert imbalance["least_loaded"] < imbalance["least_index"]
+
 
 class TestCommunicationMoves:
     def test_comm_moves_only_sampled_when_enabled(self, two_bus_fig1, mapped_problem):
