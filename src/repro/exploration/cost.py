@@ -198,13 +198,13 @@ class StageCache:
     that could alias two fingerprints to one id — takes a lock.  The
     counters may undercount under contention.
 
-    By default stage memos grow for the lifetime of the cache (per-path
-    schedules are the bulky part — one ``PathSchedule`` per distinct
-    sub-fingerprint + lock set); call :meth:`clear` between independent long
-    searches if memory matters more than cross-search hits.
+    Without a budget, stage memos grow for the lifetime of the cache
+    (per-path schedules are the bulky part — one ``PathSchedule`` per
+    distinct sub-fingerprint + lock set); call :meth:`clear` between
+    independent long searches if memory matters more than cross-search hits.
 
-    **Bounded mode** (``max_entries`` and/or ``max_bytes``) caps the
-    LRU-managed memos — expansions and per-path schedules — for long-running
+    **Budgets** (``max_entries`` and/or ``max_bytes``) cap the LRU-managed
+    memos — expansions and per-path schedules — for long-running
     deployments such as ``repro-cpg serve``, where one shared cache answers
     an unbounded request stream.  Entry sizes are the deterministic
     structural estimates of :func:`schedule_entry_cost` /
@@ -222,8 +222,9 @@ class StageCache:
     entries follow them out: a path key's intern id and scheduler context go
     with the last memoized schedule keyed on it, and an expansion structure
     with the last memoized expansion built on it, so every map stays bounded
-    by the budget.  The unbounded default skips all LRU bookkeeping — the
-    hot paths are unchanged.
+    by the budget.  Every cache keeps this bookkeeping; one without a budget
+    simply never evicts (the bookkeeping costs no measurable time, see
+    PERFORMANCE.md).
     """
 
     __slots__ = (
@@ -234,7 +235,6 @@ class StageCache:
         "_next_key_id",
         "_intern_lock",
         "_contexts",
-        "_bounded",
         "_max_entries",
         "_max_bytes",
         "_lru",
@@ -285,15 +285,14 @@ class StageCache:
             raise ValueError("max_bytes must be >= 1")
         self._max_entries = max_entries or 0
         self._max_bytes = max_bytes or 0
-        self._bounded = bool(self._max_entries or self._max_bytes)
         # Recency order of the LRU-managed entries: (kind, key) -> byte cost,
         # least recently used first.  Mutated only under _intern_lock.
         self._lru: "OrderedDict[Tuple[str, Tuple], int]" = OrderedDict()
         self._occupancy_bytes = 0
-        # Bounded mode only: the links that evict the unmanaged maps with
-        # the LRU-managed entries.  Intern id -> its fingerprint and -> the
-        # number of memoized schedules keyed on it; expansion key -> its
-        # crossing pattern, and pattern -> memoized expansions built on it.
+        # The links that evict the unmanaged maps with the LRU-managed
+        # entries: intern id -> its fingerprint and -> the number of memoized
+        # schedules keyed on it; expansion key -> its crossing pattern, and
+        # pattern -> memoized expansions built on it.
         self._key_fingerprints: Dict[int, Tuple] = {}
         self._key_users: Dict[int, int] = {}
         self._expansion_patterns: Dict[Tuple, Tuple] = {}
@@ -327,11 +326,11 @@ class StageCache:
             max_bytes=self._max_bytes,
         )
 
-    # -- bounded-LRU bookkeeping (no-ops on unbounded caches) ----------------
+    # -- LRU bookkeeping (a cache without a budget never evicts) -------------
 
     @property
     def occupancy_bytes(self) -> int:
-        """Estimated bytes held by the LRU-managed memos (0 when unbounded)."""
+        """Estimated bytes held by the LRU-managed memos."""
         return self._occupancy_bytes
 
     def _touch(self, kind: str, key: Tuple) -> None:
@@ -354,18 +353,6 @@ class StageCache:
         self._lru[(kind, key)] = cost
         self._occupancy_bytes += cost
         return previous is None
-
-    def _store_expansion(self, key: Tuple, value, pattern: Tuple, record) -> None:
-        """Bounded-mode expansion store; links the entry to its structure."""
-        cost = expansion_entry_cost(*value)
-        if self._max_bytes and cost > self._max_bytes:
-            return  # computed but never memoized: see store_schedule
-        with self._intern_lock:
-            if self._record_locked("expansion", key, value, cost):
-                self._expansion_patterns[key] = pattern
-                _add_user(self._structure_users, pattern)
-                self._structures.setdefault(pattern, record)
-            self._evict_to_budget_locked()
 
     def _evict_to_budget_locked(self) -> None:
         """Evict until both budgets hold (caller owns ``_intern_lock``)."""
@@ -438,8 +425,7 @@ class StageCache:
         cached = self._expansions.get(key)
         if cached is not None:
             self.expansion_hits += 1
-            if self._bounded:
-                self._touch("expansion", key)
+            self._touch("expansion", key)
             return cached
         self.expansion_misses += 1
         mapping = problem.mapping_for(candidate)
@@ -449,8 +435,6 @@ class StageCache:
             self.structure_misses += 1
             structure = expansion_structure(problem.graph, pattern)
             record = (structure, PathEnumerator(structure.graph).paths())
-            if not self._bounded:  # bounded: memoized with its expansion
-                self._structures[pattern] = record
         else:
             self.structure_hits += 1
         structure, paths = record
@@ -461,10 +445,16 @@ class StageCache:
             bus_assignment=pins or None,
             bus_policy=problem.bus_policy,
         )
-        if self._bounded:
-            self._store_expansion(key, (expanded, paths), pattern, record)
-        else:
-            self._expansions[key] = (expanded, paths)
+        cost = expansion_entry_cost(expanded, paths)
+        if self._max_bytes and cost > self._max_bytes:
+            return expanded, paths  # computed but never memoized: see store_schedule
+        with self._intern_lock:
+            if self._record_locked("expansion", key, (expanded, paths), cost):
+                # Link the entry to its structure (evicted with the last one).
+                self._expansion_patterns[key] = pattern
+                _add_user(self._structure_users, pattern)
+                self._structures.setdefault(pattern, record)
+            self._evict_to_budget_locked()
         return expanded, paths
 
     def intern_key(self, key: Tuple) -> int:
@@ -484,8 +474,7 @@ class StageCache:
                     cached = self._next_key_id
                     self._next_key_id += 1
                     self._key_ids[key] = cached
-                    if self._bounded:
-                        self._key_fingerprints[cached] = key
+                    self._key_fingerprints[cached] = key
         return cached
 
     def clear(self) -> None:
@@ -514,8 +503,7 @@ class StageCache:
         cached = self._schedules.get(key)
         if cached is not None:
             self.schedule_hits += 1
-            if self._bounded:
-                self._touch("schedule", key)
+            self._touch("schedule", key)
         else:
             self.schedule_misses += 1
         return cached
@@ -527,16 +515,11 @@ class StageCache:
 
         ``context`` is the scheduler's per-path structure for the key's path
         (:meth:`PathListScheduler.export_context`), kept for the next
-        scheduler that sees the same path key.  In bounded mode an entry
-        whose cost alone exceeds ``max_bytes`` is not memoized at all — the
-        caller keeps the computed value, occupancy never exceeds the budget.
+        scheduler that sees the same path key.  An entry whose cost alone
+        exceeds ``max_bytes`` is not memoized at all — the caller keeps the
+        computed value, occupancy never exceeds the budget.
         """
         key_id = key[0]
-        if not self._bounded:
-            self._schedules[key] = schedule
-            if context is not None:
-                self._contexts[key_id] = context
-            return
         cost = schedule_entry_cost(schedule)
         with self._intern_lock:
             if self._max_bytes and cost > self._max_bytes:
@@ -1003,10 +986,11 @@ def evaluate_candidate(
 class BatchStats:
     """Running totals of batched neighbourhood evaluation.
 
-    ``batches``/``candidates`` count :func:`evaluate_neighbourhood` calls and
-    the candidates they scored; ``payload_bytes`` accumulates the serialized
-    bytes shipped to evaluation-pool workers (pickled-once shared problem
-    buffers plus per-batch task payloads — zero for in-process evaluation).
+    ``batches``/``candidates`` count the fresh batches a
+    :class:`~repro.exploration.CachedEvaluator` sent to its pool and the
+    candidates they held; ``payload_bytes`` accumulates the serialized bytes
+    shipped to evaluation-pool workers (pickled-once shared problem buffers
+    plus per-batch task payloads — zero for in-process evaluation).
     All counters are deterministic, so snapshots are safe to surface in
     byte-compared JSON documents.
     """
@@ -1045,7 +1029,6 @@ def evaluate_neighbourhood(
     stage_cache: Optional[StageCache] = None,
     tracer=None,
     metrics=None,
-    batch_stats: Optional[BatchStats] = None,
 ) -> "list[CandidateEvaluation]":
     """Score a whole move batch against one shared expansion state.
 
@@ -1054,17 +1037,9 @@ def evaluate_neighbourhood(
     same spans — but the candidate-independent half of every path
     sub-fingerprint (:meth:`ExplorationProblem.path_slices`) is sliced once
     per batch and shared by every candidate that reuses the same memoized
-    expansion, instead of being recomputed per candidate.
-
-    ``batch_stats`` (see :class:`BatchStats`) accumulates batch counters for
-    the ``batch`` block of ``explore --json``; ``metrics`` additionally gets
-    a ``batch.size`` observation per call.
+    expansion, instead of being recomputed per candidate.  This is the one
+    in-process scoring call of :class:`~repro.exploration.EvaluationPool`.
     """
-    batch = list(candidates)
-    if metrics is not None:
-        metrics.observe("batch.size", len(batch))
-    if batch_stats is not None:
-        batch_stats.record_batch(len(batch))
     slice_memo: Dict = {}
     return [
         evaluate_candidate(
@@ -1076,5 +1051,5 @@ def evaluate_neighbourhood(
             metrics=metrics,
             slice_memo=slice_memo,
         )
-        for candidate in batch
+        for candidate in candidates
     ]

@@ -177,12 +177,12 @@ class ExplorationResult:
     front: Optional[ParetoFront] = None
     #: Stage-level (expansion / per-path schedule) cache counters of the
     #: incremental evaluator, cumulative like ``cache`` when engines share an
-    #: explorer.  None when staged evaluation is disabled, or when a
-    #: process-mode pool scores the misses (per-worker caches are not
-    #: aggregated).
+    #: explorer.  None when a process-mode pool scores the misses
+    #: (per-worker caches are not aggregated).
     stages: Optional[StageStats] = None
     #: Fault/retry counters of the evaluation pool (see
-    #: :class:`~repro.exploration.ResilienceStats`); None without a pool.
+    #: :class:`~repro.exploration.ResilienceStats`); None for an unarmed
+    #: serial pool, the default.
     resilience: Optional[ResilienceStats] = None
     #: The cycle this run was restored at when it resumed from a checkpoint
     #: (None for a run started from scratch).

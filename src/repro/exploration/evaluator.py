@@ -7,9 +7,11 @@ evaluation on the candidate's content hash (:attr:`Candidate.fingerprint`), so
 a revisited mapping/priority configuration never re-runs communication
 expansion, per-path scheduling or schedule merging.
 
-Batches are deduplicated *before* they reach the (possibly parallel)
-evaluation pool: within one neighbourhood batch, duplicated candidates are
-evaluated once; across batches, the cache answers directly.
+Batches are deduplicated *before* they reach the evaluation pool: within
+one neighbourhood batch, duplicated candidates are evaluated once; across
+batches, the cache answers directly.  Every *fresh batch* (the misses of one
+engine step) goes to the evaluator's :class:`EvaluationPool` — a serial one
+over its own stage cache unless a pool is given.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .cost import (
     CostWeights,
     StageCache,
     StageStats,
-    evaluate_neighbourhood,
 )
 from .pareto import ParetoFront
 from .pool import EvaluationPool
@@ -55,11 +56,11 @@ class CachedEvaluator:
     weights:
         Cost weights (must match the pool's weights when one is given).
     pool:
-        Optional :class:`EvaluationPool` scoring cache misses in parallel.
-        Its weights must equal ``weights`` (checked at construction — worker
+        Optional :class:`EvaluationPool` scoring the cache misses.  Its
+        weights must equal ``weights`` (checked at construction — worker
         processes score with the pool's weights, so a mismatch would silently
-        optimise the wrong objective); without a pool, misses are evaluated
-        serially in-process.
+        optimise the wrong objective).  Without one, the evaluator builds a
+        serial pool over ``stage_cache``, ``tracer`` and ``metrics``.
     front:
         Optional :class:`~repro.exploration.ParetoFront`.  When given, every
         *fresh* feasible evaluation is offered to the front, so the front ends
@@ -67,20 +68,20 @@ class CachedEvaluator:
         (cache hits were already offered when they were first computed).
     stage_cache:
         The :class:`~repro.exploration.StageCache` that makes whole-candidate
-        cache misses *incremental*.  None (the default) creates a private
-        one; pass an instance to share it across evaluators of the *same
-        problem*.  With a pool, every miss is scored by the pool's own stage
-        caches, so this setting is ignored and no evaluator-side cache is
-        created.
+        cache misses *incremental*, for the serial pool the evaluator builds.
+        None (the default) creates a private one; pass an instance to share
+        it across evaluators of the *same problem*.  A given ``pool`` scores
+        misses on its own stage caches, so passing both is an error.
     tracer:
-        Optional :class:`~repro.observability.Tracer`.  Serial fresh
-        evaluations run inside ``evaluate``/``stage.*`` spans; with a pool
-        the pool's own tracer takes over (pass it the same tracer).  None
-        (the default) keeps the uninstrumented code path.
+        Optional :class:`~repro.observability.Tracer`.  In-process fresh
+        evaluations run inside ``evaluate``/``stage.*`` spans; a given pool
+        traces with its own tracer (pass it the same one).  None (the
+        default) keeps the uninstrumented code path.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` receiving
-        ``cache.hits``/``cache.misses`` counters and — on the serial path —
-        the stage/evaluate latency histograms.  None disables, with ~zero
+        ``cache.hits``/``cache.misses`` counters and one ``batch.size``
+        observation per fresh batch; the pool adds the stage/evaluate latency
+        histograms of in-process evaluations.  None disables, with ~zero
         overhead.
     """
 
@@ -94,7 +95,22 @@ class CachedEvaluator:
         tracer=None,
         metrics=None,
     ) -> None:
-        if pool is not None and pool.weights != weights:
+        if pool is None:
+            pool = EvaluationPool(
+                problem,
+                weights,
+                workers=1,
+                mode="serial",
+                stage_cache=stage_cache,
+                tracer=tracer,
+                metrics=metrics,
+            )
+        elif stage_cache is not None:
+            raise ValueError(
+                "pass a stage_cache or a pool, not both: the pool scores "
+                "misses on its own stage caches"
+            )
+        elif pool.weights != weights:
             raise ValueError(
                 f"pool weights {pool.weights} differ from evaluator weights "
                 f"{weights}; the search would optimise the wrong objective"
@@ -109,12 +125,6 @@ class CachedEvaluator:
         self._hits = 0
         self._misses = 0
         self._batch_stats = BatchStats()
-        if pool is not None:
-            # Misses never run in-process: the pool's stage caches score
-            # them (see the stage_cache parameter doc).
-            self._stage_cache: Optional[StageCache] = None
-        else:
-            self._stage_cache = stage_cache if stage_cache is not None else StageCache()
 
     @property
     def problem(self) -> ExplorationProblem:
@@ -145,8 +155,8 @@ class CachedEvaluator:
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
-        """The serial-path stage cache, or None when a pool scores misses."""
-        return self._stage_cache
+        """The pool's in-process stage cache (None in process mode)."""
+        return self._pool.stage_cache
 
     @property
     def batch_stats(self) -> BatchStats:
@@ -155,27 +165,21 @@ class CachedEvaluator:
 
     @property
     def resilience_stats(self):
-        """The pool's fault/retry counters, or None without a pool.
+        """The pool's fault/retry counters (None for an unarmed serial pool).
 
         (Typed loosely to avoid importing the resilience module here; the
         value is a :class:`repro.exploration.ResilienceStats`.)
         """
-        if self._pool is None:
-            return None
         return self._pool.resilience_stats
 
     @property
     def stage_stats(self) -> Optional[StageStats]:
-        """Stage-level hit/miss counters of whatever scores the misses.
+        """Stage-level hit/miss counters of the pool's stage caches.
 
-        With a pool, misses run on the pool's stage caches
-        (:meth:`EvaluationPool.stage_stats` — None in process mode, where the
-        caches live in the workers and are not aggregated); without one, the
-        evaluator's own serial stage cache.
+        None in process mode, where the caches live in the workers and are
+        not aggregated (see :meth:`EvaluationPool.stage_stats`).
         """
-        if self._pool is not None:
-            return self._pool.stage_stats
-        return self._stage_cache.stats
+        return self._pool.stage_stats
 
     # -- scoring -------------------------------------------------------------
 
@@ -189,7 +193,7 @@ class CachedEvaluator:
         """Score a batch, returning evaluations in input order.
 
         Cache misses are deduplicated by fingerprint and sent to the pool as
-        one batch (or evaluated serially without a pool).
+        one fresh batch.
         """
         fresh: List[Candidate] = []
         fresh_keys: Dict[str, int] = {}
@@ -222,20 +226,12 @@ class CachedEvaluator:
     def _evaluate_fresh(
         self, candidates: List[Candidate]
     ) -> List[CandidateEvaluation]:
-        if self._pool is not None:
-            shipped_before = self._pool.payload_bytes_shipped
-            evaluations = self._pool.evaluate(candidates)
-            self._batch_stats.record_batch(
-                len(candidates),
-                self._pool.payload_bytes_shipped - shipped_before,
-            )
-            return evaluations
-        return evaluate_neighbourhood(
-            self._problem,
-            candidates,
-            self._weights,
-            stage_cache=self._stage_cache,
-            tracer=self._tracer,
-            metrics=self._metrics,
-            batch_stats=self._batch_stats,
+        """Score one fresh batch on the pool and record it (see BatchStats)."""
+        if self._metrics is not None:
+            self._metrics.observe("batch.size", len(candidates))
+        shipped_before = self._pool.payload_bytes_shipped
+        evaluations = self._pool.evaluate(candidates)
+        self._batch_stats.record_batch(
+            len(candidates), self._pool.payload_bytes_shipped - shipped_before
         )
+        return evaluations

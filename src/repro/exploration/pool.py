@@ -23,8 +23,14 @@ Modes
     scale, but the mode is useful to exercise the batching machinery without
     process start-up cost (tests, small batches).
 ``serial``
-    In-process loop (default on single-core hosts; also the fallback when a
-    batch is smaller than two candidates).
+    In-process evaluation (default on single-core hosts; also the fallback
+    when a batch is smaller than two candidates).
+
+Every in-process route — serial mode, single-candidate batches, thread
+units and a degraded pool — scores through one
+:func:`~repro.exploration.evaluate_neighbourhood` call over the in-process
+stage cache.  An armed serial pool scores singleton units, retried under the
+pooled path's bookkeeping.
 
 Resilience
 ----------
@@ -63,11 +69,11 @@ from .cost import (
     StageCache,
     StageStats,
     evaluate_candidate,
+    evaluate_neighbourhood,
 )
 from .problem import ExplorationProblem
 from .resilience import (
     FaultInjector,
-    InjectedFault,
     ResilienceStats,
     RetryPolicy,
     WorkerInitializationError,
@@ -185,8 +191,9 @@ class EvaluationPool:
     docstring).  Pooled (process/thread) execution always detects broken
     executors and respawns them; an explicit retry policy additionally bounds
     per-unit evaluation time, and a fault injector exercises the whole
-    machinery deterministically.  Serial mode stays a plain zero-overhead
-    loop unless armed.
+    machinery deterministically.  Unarmed, serial mode scores each batch in
+    one in-process call and has no resilience layer at all
+    (:attr:`resilience_stats` is None).
     """
 
     def __init__(
@@ -282,8 +289,14 @@ class EvaluationPool:
         return self._payload_bytes_shipped
 
     @property
-    def resilience_stats(self) -> ResilienceStats:
-        """Fault/retry counters accumulated over the pool's lifetime."""
+    def resilience_stats(self) -> Optional[ResilienceStats]:
+        """Fault/retry counters accumulated over the pool's lifetime.
+
+        None for an unarmed serial pool, which has no resilience layer:
+        nothing it runs is ever retried, injected, timed out or respawned.
+        """
+        if self._mode == "serial" and not self._armed:
+            return None
         return self._counters.snapshot()
 
     def _resilience(self, event: str, counter: str, **attrs) -> None:
@@ -292,6 +305,11 @@ class EvaluationPool:
             self._tracer.event(event, **attrs)
         if self._metrics is not None:
             self._metrics.count(counter)
+
+    @property
+    def stage_cache(self) -> Optional[StageCache]:
+        """The in-process stage cache; None in process mode until a degrade."""
+        return self._stage_cache
 
     @property
     def stage_stats(self) -> Optional[StageStats]:
@@ -412,98 +430,58 @@ class EvaluationPool:
 
     def evaluate(self, candidates: Sequence[Candidate]) -> List[CandidateEvaluation]:
         """Score a batch, in submission order."""
-        if self._degraded:
-            # Trusted in-process evaluation: the injector simulates *worker*
-            # faults, and the workers are gone for good.
-            return [self._evaluate_one(candidate) for candidate in candidates]
-        if self._mode == "serial" or (len(candidates) < 2 and not self._armed):
-            return self._evaluate_serial(candidates)
-        return self._evaluate_pooled(list(candidates))
+        candidates = list(candidates)
+        if self._mode == "serial" and self._armed:
+            return self._evaluate_armed_in_process(candidates)
+        if (
+            self._degraded
+            or self._mode == "serial"
+            or (len(candidates) < 2 and not self._armed)
+        ):
+            # Trusted in-process evaluation.  A degraded pool's workers are
+            # gone for good, and the injector simulates *worker* faults.
+            return self._evaluate_in_process(candidates)
+        return self._evaluate_pooled(candidates)
 
-    def evaluate_batches(
-        self, batches: Sequence[Sequence[Candidate]]
-    ) -> List[List[CandidateEvaluation]]:
-        """Score several requests' batches as one submission round.
-
-        The service front-end coalesces whatever requests are waiting into
-        one call, so small concurrent submissions amortise executor overhead
-        the way one big neighbourhood batch does.  Evaluation is pure and
-        :meth:`evaluate` returns submission order, so flattening the batches,
-        scoring once and splitting the results back is exactly equivalent to
-        evaluating each batch alone — batching is a throughput knob, never a
-        semantics change.
-        """
-        flat: List[Candidate] = []
-        for batch in batches:
-            flat.extend(batch)
-        evaluations = self.evaluate(flat)
-        split: List[List[CandidateEvaluation]] = []
-        cursor = 0
-        for batch in batches:
-            split.append(evaluations[cursor:cursor + len(batch)])
-            cursor += len(batch)
-        return split
-
-    def _evaluate_one(self, candidate: Candidate) -> CandidateEvaluation:
-        return evaluate_candidate(
+    def _evaluate_in_process(
+        self, candidates: List[Candidate]
+    ) -> List[CandidateEvaluation]:
+        """The pool's one in-process scoring call (see the module docstring)."""
+        return evaluate_neighbourhood(
             self._problem,
-            candidate,
+            candidates,
             self._weights,
             stage_cache=self._stage_cache,
             tracer=self._tracer,
             metrics=self._metrics,
         )
 
-    def _evaluate_serial(
-        self, candidates: Sequence[Candidate]
+    def _evaluate_armed_in_process(
+        self, candidates: List[Candidate]
     ) -> List[CandidateEvaluation]:
-        if not self._armed:
-            return [self._evaluate_one(candidate) for candidate in candidates]
-        results: List[CandidateEvaluation] = []
-        for candidate in candidates:
-            attempt, failures = 0, 0
-            error = ""
-            while True:
+        """Armed serial evaluation: every candidate is a singleton unit.
+
+        A failed attempt is attributed like a failed pooled unit (retry or
+        quarantine, see :meth:`_attribute_failure`) and retried after the
+        same deterministic backoff, before the next candidate starts.
+        """
+        total = len(candidates)
+        results: List[Optional[CandidateEvaluation]] = [None] * total
+        attempts = [0] * total
+        failures = [0] * total
+        for index, candidate in enumerate(candidates):
+            while results[index] is None:
                 try:
-                    if self._injector is not None:
-                        # In-process, 'hang' and 'exit' degrade to a raised
-                        # fault (see FaultInjector.inject): the coordinator
-                        # must survive its own evaluations.
-                        self._injector.inject(
-                            candidate.fingerprint, attempt, in_worker=False
-                        )
-                    results.append(self._evaluate_one(candidate))
-                    break
-                except Exception as exc:
-                    if isinstance(exc, InjectedFault):
-                        self._counters.injected += 1
-                        self._resilience(
-                            "resilience.fault_injected", "pool.injected",
-                            fingerprint=candidate.fingerprint, attempt=attempt,
-                        )
-                    attempt += 1
-                    failures += 1
-                    error = str(exc)
-                    if failures >= self._retry.max_attempts:
-                        results.append(
-                            quarantined_evaluation(
-                                candidate.fingerprint, failures, error
-                            )
-                        )
-                        self._counters.quarantined += 1
-                        self._resilience(
-                            "resilience.quarantine", "pool.quarantined",
-                            fingerprint=candidate.fingerprint, failures=failures,
-                        )
-                        break
-                    self._counters.retries += 1
-                    self._resilience(
-                        "resilience.retry", "pool.retries",
-                        fingerprint=candidate.fingerprint, attempt=attempt,
+                    results[index] = self._evaluate_unit_in_process(
+                        [(candidate, attempts[index])], sleep_hangs=False
+                    )[0]
+                except Exception as error:
+                    retry: List[Tuple[int, ...]] = []
+                    self._attribute_failure(
+                        (index,), attempts, failures, results, candidates,
+                        retry, str(error),
                     )
-                    delay = self._retry.delay_for(failures, candidate.fingerprint)
-                    if delay > 0:
-                        time.sleep(delay)
+                    self._back_off(retry, failures, candidates)
         return results
 
     def _evaluate_pooled(
@@ -538,14 +516,7 @@ class EvaluationPool:
         ]
         restarts_without_progress = 0
 
-        while pending:
-            if self._degraded:
-                for unit in pending:
-                    for index in unit:
-                        if results[index] is None:
-                            results[index] = self._evaluate_one(candidates[index])
-                break
-
+        while pending and not self._degraded:
             executor = self._ensure_executor()
             if self._metrics is not None:
                 # High-water gauges (merges keep the max across snapshots).
@@ -633,20 +604,18 @@ class EvaluationPool:
                 )
                 if restarts_without_progress > self._retry.max_pool_restarts:
                     self._degrade()
-            elif retry_round:
-                # Plain retries with a healthy pool: deterministic backoff
-                # before the next round (the longest delay of the round).
-                delay = max(
-                    self._retry.delay_for(
-                        max(1, failures[unit[0]]),
-                        candidates[unit[0]].fingerprint,
-                    )
-                    for unit in retry_round
-                )
-                if delay > 0:
-                    time.sleep(delay)
+            else:
+                # Plain retries with a healthy pool.
+                self._back_off(retry_round, failures, candidates)
 
-        return [evaluation for evaluation in results if evaluation is not None]
+        # A degraded pool scores whatever is still outstanding in-process.
+        remaining = [index for unit in pending for index in unit]
+        self._record(
+            results,
+            remaining,
+            self._evaluate_in_process([candidates[index] for index in remaining]),
+        )
+        return results
 
     def _unit_task(
         self,
@@ -664,29 +633,38 @@ class EvaluationPool:
             if self._metrics is not None:
                 self._metrics.count("pool.payload_bytes", len(blob))
             return (_evaluate_unit_blob, blob)
-        return (self._evaluate_unit_in_thread, payload)
+        return (self._evaluate_unit_in_process, payload)
 
-    def _evaluate_unit_in_thread(
-        self, unit: Sequence[Tuple[Candidate, int]]
+    def _evaluate_unit_in_process(
+        self, unit: Sequence[Tuple[Candidate, int]], sleep_hangs: bool = True
     ) -> List[CandidateEvaluation]:
+        """Score one unit of (candidate, attempt) pairs in this process.
+
+        An injected 'crash' or 'exit' — and a 'hang' unless ``sleep_hangs`` —
+        raises (see :meth:`FaultInjector.inject`): the coordinator must
+        survive its own evaluations.  A thread worker sleeps through a 'hang'
+        instead, so the per-unit timeout sees it.
+        """
         results: List[CandidateEvaluation] = []
         for candidate, attempt in unit:
-            if self._injector is not None:
-                fault = self._injector.fault_for(candidate.fingerprint, attempt)
-                if fault is not None:
-                    self._counters.injected += 1
-                    self._resilience(
-                        "resilience.fault_injected", "pool.injected",
-                        fingerprint=candidate.fingerprint,
-                        attempt=attempt, fault=fault,
-                    )
-                if fault == "hang":
+            fault = (
+                self._injector.fault_for(candidate.fingerprint, attempt)
+                if self._injector is not None
+                else None
+            )
+            if fault is not None:
+                self._counters.injected += 1
+                self._resilience(
+                    "resilience.fault_injected", "pool.injected",
+                    fingerprint=candidate.fingerprint, attempt=attempt, fault=fault,
+                )
+                if fault == "hang" and sleep_hangs:
                     time.sleep(self._injector.hang_seconds)
-                elif fault is not None:
+                else:
                     self._injector.inject(
                         candidate.fingerprint, attempt, in_worker=False
                     )
-            results.append(self._evaluate_one(candidate))
+            results.extend(self._evaluate_in_process([candidate]))
         return results
 
     def _unit_timeout(self, unit: Tuple[int, ...]) -> Optional[float]:
@@ -697,11 +675,30 @@ class EvaluationPool:
     @staticmethod
     def _record(
         results: List[Optional[CandidateEvaluation]],
-        unit: Tuple[int, ...],
+        unit: Sequence[int],
         values: Sequence[CandidateEvaluation],
     ) -> None:
         for index, evaluation in zip(unit, values):
             results[index] = evaluation
+
+    def _back_off(
+        self,
+        units: List[Tuple[int, ...]],
+        failures: List[int],
+        candidates: List[Candidate],
+    ) -> None:
+        """Sleep before retrying ``units``: their longest deterministic backoff."""
+        delay = max(
+            (
+                self._retry.delay_for(
+                    max(1, failures[unit[0]]), candidates[unit[0]].fingerprint
+                )
+                for unit in units
+            ),
+            default=0.0,
+        )
+        if delay > 0:
+            time.sleep(delay)
 
     def _attribute_failure(
         self,

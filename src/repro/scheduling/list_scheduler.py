@@ -160,10 +160,10 @@ class PathListScheduler:
     architecture:
         The target architecture (provides buses and ``tau0``).
     priority_function:
-        The priority function used when :meth:`schedule` is called without
-        explicit ``priorities`` (default: partial critical path).  Injectable
-        so the design-space explorer can switch among the registered
-        functions without touching the dispatch engine.
+        The priority function that orders free processes in :meth:`schedule`
+        (default: partial critical path).  Injectable so the design-space
+        explorer can switch among the registered functions without touching
+        the dispatch engine.
     priority_bias:
         Optional per-process additive perturbation applied on top of the
         computed default priorities (an explorer move; absent processes get
@@ -324,7 +324,6 @@ class PathListScheduler:
         self,
         path: AlternativePath,
         *,
-        priorities: Optional[Dict[str, float]] = None,
         locked_starts: Optional[Dict[str, float]] = None,
         locked_broadcasts: Optional[Dict[Condition, ScheduledTask]] = None,
         order_hint: Optional[Dict[str, float]] = None,
@@ -335,26 +334,23 @@ class PathListScheduler:
         (schedule adjustment during merging); ``locked_broadcasts`` does the
         same for condition broadcasts.  ``order_hint`` gives the original start
         times used to preserve the relative order of unlocked processes; when
-        omitted, partial-critical-path priorities decide the dispatch order.
+        omitted, the priority function decides the dispatch order.
         """
         locked_starts = dict(locked_starts or {})
         locked_broadcasts = dict(locked_broadcasts or {})
         context = self._context_for(path)
-        if priorities is None:
-            if context.default_priorities is None:
-                if self._priority_function is critical_path_priorities:
-                    computed = self._critical_path_priorities(context)
-                else:
-                    computed = self._priority_function(
-                        self._graph, path, self._mapping
-                    )
-                if self._priority_bias:
-                    computed = {
-                        name: value + self._priority_bias.get(name, 0.0)
-                        for name, value in computed.items()
-                    }
-                context.default_priorities = computed
-            priorities = context.default_priorities
+        if context.default_priorities is None:
+            if self._priority_function is critical_path_priorities:
+                computed = self._critical_path_priorities(context)
+            else:
+                computed = self._priority_function(self._graph, path, self._mapping)
+            if self._priority_bias:
+                computed = {
+                    name: value + self._priority_bias.get(name, 0.0)
+                    for name, value in computed.items()
+                }
+            context.default_priorities = computed
+        priorities = context.default_priorities
 
         active = context.active
         index_of = context.index_of
@@ -472,14 +468,12 @@ class PathListScheduler:
 
         else:
             # No locks and no order hint: every entry would carry the same
-            # infinite hint, so ordering reduces to the negated priority.
-            # Cache the negated default priorities as a column; a
-            # caller-supplied priority dict gets a per-call column instead.
+            # infinite hint, so ordering reduces to the negated priority,
+            # cached per path as a column.
             neg_priorities = context.neg_priorities
-            if neg_priorities is None or priorities is not context.default_priorities:
+            if neg_priorities is None:
                 neg_priorities = [-priorities.get(name, 0.0) for name in active]
-                if priorities is context.default_priorities:
-                    context.neg_priorities = neg_priorities
+                context.neg_priorities = neg_priorities
 
             def push_ready(index: int) -> None:
                 heappush(

@@ -331,7 +331,7 @@ class ScheduleMerger:
                 break
             if item.is_broadcast:
                 modified, current, done = self._place_broadcast(
-                    item, known, known_pos, known_neg, current
+                    item, known, known_pos, known_neg, current, columns
                 )
             else:
                 modified, current, done = self._place_process(
@@ -368,7 +368,9 @@ class ScheduleMerger:
             return False, current, True
         node.conflicts_resolved += 1
         self._trace.conflicts_resolved += 1
-        new_current = self._resolve_process_conflict(name, conflicts, known, current)
+        new_current = self._resolve_process_conflict(
+            name, conflicts, known, current, columns
+        )
         return True, new_current, False
 
     def _place_broadcast(
@@ -378,6 +380,7 @@ class ScheduleMerger:
         known_pos: int,
         known_neg: int,
         current: PathSchedule,
+        columns: _SegmentColumns,
     ) -> Tuple[bool, PathSchedule, bool]:
         condition = task.condition
         assert condition is not None
@@ -391,9 +394,9 @@ class ScheduleMerger:
             is not None
         ):
             return False, current, True
-        column = self._column_for(
-            task.pe, task.start, known, current, exclude=condition
-        )
+        # The broadcast happens whatever value its condition takes, so that
+        # condition stays out of its column.
+        column = columns.column(task.pe, task.start).without((condition,))
         conflicts = self._table.conflicting_condition_entries(
             condition, column, task.start
         )
@@ -413,29 +416,6 @@ class ScheduleMerger:
         return True, new_current, False
 
     # -- columns, locks and conflicts --------------------------------------------------
-
-    def _column_for(
-        self,
-        pe: Optional[ProcessingElement],
-        start: float,
-        known: Dict[Condition, bool],
-        current: PathSchedule,
-        exclude: Optional[Condition] = None,
-    ) -> Conjunction:
-        """Conjunction of the condition values known on ``pe`` at ``start``."""
-        pos = neg = 0
-        bit_of = DEFAULT_UNIVERSE.bit_of
-        for condition, value in known.items():
-            if exclude is not None and condition == exclude:
-                continue
-            if condition not in current.determination_times:
-                continue
-            if current.condition_known_time(condition, pe) <= start + _EPSILON:
-                if value:
-                    pos |= bit_of(condition)
-                else:
-                    neg |= bit_of(condition)
-        return Conjunction.from_masks(pos, neg)
 
     def _locks_from_table(
         self, known: Dict[Condition, bool]
@@ -515,8 +495,13 @@ class ScheduleMerger:
         conflicts: List[TableEntry],
         known: Dict[Condition, bool],
         current: PathSchedule,
+        columns: _SegmentColumns,
     ) -> PathSchedule:
-        """Move the process to a conflict-free activation time (Theorem 2)."""
+        """Move the process to a conflict-free activation time (Theorem 2).
+
+        ``columns`` are the segment's columns over ``current``; a re-adjusted
+        schedule gets its own.
+        """
         pe = self._mapping.get(name)
         candidate_times = sorted({entry.start for entry in conflicts})
 
@@ -526,11 +511,11 @@ class ScheduleMerger:
         # schedule first and only pay for a full re-adjustment on the best one;
         # the per-candidate re-adjustment loop below remains as the fallback.
         for candidate in candidate_times:
-            column = self._column_for(pe, candidate, known, current)
+            column = columns.column(pe, candidate)
             if self._table.conflicting_process_entries(name, column, candidate):
                 continue
             adjusted = self._readjust(current, extra_locked={name: candidate})
-            column = self._column_for(pe, candidate, known, adjusted)
+            column = _SegmentColumns(known, adjusted).column(pe, candidate)
             if not self._table.conflicting_process_entries(name, column, candidate):
                 self._table.add_process_entry(name, column, candidate, pe)
                 return adjusted
@@ -538,7 +523,7 @@ class ScheduleMerger:
 
         for candidate in candidate_times:
             adjusted = self._readjust(current, extra_locked={name: candidate})
-            column = self._column_for(pe, candidate, known, adjusted)
+            column = _SegmentColumns(known, adjusted).column(pe, candidate)
             if not self._table.conflicting_process_entries(name, column, candidate):
                 self._table.add_process_entry(name, column, candidate, pe)
                 return adjusted
@@ -558,7 +543,7 @@ class ScheduleMerger:
             if candidate <= max(candidate_times) + _EPSILON:
                 continue
             adjusted = self._readjust(current, extra_locked={name: candidate})
-            column = self._column_for(pe, candidate, known, adjusted)
+            column = _SegmentColumns(known, adjusted).column(pe, candidate)
             if not self._table.conflicting_process_entries(name, column, candidate):
                 self._table.add_process_entry(name, column, candidate, pe)
                 return adjusted

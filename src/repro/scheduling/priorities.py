@@ -73,9 +73,10 @@ def static_order_priorities(
 ) -> Dict[str, float]:
     """Priorities that reproduce a given order (larger value = dispatched first).
 
-    Used by the schedule-adjustment step of the merging algorithm, which must
-    keep the relative order of unlocked processes as in the original per-path
-    schedule.
+    A helper for callers that want a fixed dispatch order.  The merger's
+    schedule-adjustment step does not use it: it keeps the relative order
+    of unlocked processes through :meth:`PathListScheduler.schedule`'s
+    ``order_hint``.
 
     Not what the ``"static_order"`` registry entry resolves to: this function
     needs a caller-supplied order, so the registry binds that name to

@@ -3,10 +3,9 @@
 ``repro-cpg serve`` turns the one-shot exploration CLI into a long-running
 HTTP/JSON service: clients POST explore requests (the pool JSON system
 serialisation, the Fig. 1 example or a seeded random system), jobs run on a
-small worker pool with request batching onto the
-:class:`~repro.exploration.EvaluationPool`, and every job in the same
-*stage scope* (same graph + architecture + bus policy, any name or seed
-mapping) answers from one shared, LRU-bounded
+small worker pool that evaluates one job's batch at a time, and every job in
+the same *stage scope* (same graph + architecture + bus policy, any name or
+seed mapping) answers from one shared, LRU-bounded
 :class:`~repro.exploration.StageCache` — so near-duplicate tenants reuse
 each other's expansion and per-path schedule work across requests.
 
@@ -36,8 +35,6 @@ from .documents import (
 from .jobs import (
     DEFAULT_CACHE_MAX_BYTES,
     DEFAULT_CACHE_MAX_ENTRIES,
-    BatchLane,
-    BatchingEvaluator,
     Job,
     JobManager,
     ScopedStageCaches,
@@ -57,8 +54,6 @@ from .server import (
 )
 
 __all__ = [
-    "BatchLane",
-    "BatchingEvaluator",
     "DEFAULT_CACHE_MAX_BYTES",
     "DEFAULT_CACHE_MAX_ENTRIES",
     "ENGINE_CHOICES",

@@ -1,4 +1,4 @@
-"""Job execution behind the service: scoped caches, batching, the job store.
+"""Job execution behind the service: scoped caches, one evaluation lock, jobs.
 
 Three pieces sit between a validated request document and its result:
 
@@ -10,15 +10,16 @@ Three pieces sit between a validated request document and its result:
   each other's expansion and per-path schedule stages.  That cross-request
   reuse is the whole multi-tenant win of serving exploration instead of
   shipping a CLI.
-* :class:`BatchLane` — coalesces the neighbourhood batches of concurrently
-  running jobs into single :meth:`~repro.exploration.EvaluationPool.\
-evaluate_batches` submission rounds.  Evaluation is pure and batch results
-  split back by position, so coalescing is a throughput knob, never a
-  semantics change.
+* :class:`EvaluationLock` — serialises the fresh batches of concurrently
+  running jobs.  Evaluation is CPU-bound pure Python, so job threads that
+  evaluated at the same time would only trade the GIL back and forth; taken
+  once per batch (not per job), the lock keeps a short job from waiting
+  behind a whole long one.
 * :class:`JobManager` — the submit→poll→fetch store.  Jobs run on a small
-  thread pool; each one explores through a :class:`BatchingEvaluator` whose
-  whole-candidate cache is job-private (fingerprints are problem-specific)
-  but whose stage cache is the scope's shared one.
+  thread pool; each one explores through a
+  :class:`~repro.exploration.CachedEvaluator` whose whole-candidate cache is
+  job-private (fingerprints are problem-specific) but whose stage cache is
+  the scope's shared one, and whose fresh batches hold the evaluation lock.
 
 Determinism: a job's result document depends only on its request (given a
 cold scope also byte-identically matching the one-shot CLI).  Stages are
@@ -31,16 +32,9 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..exploration import (
-    CachedEvaluator,
-    EvaluationPool,
-    Explorer,
-    ExplorationProblem,
-    ParetoFront,
-    StageCache,
-)
+from ..exploration import CachedEvaluator, Explorer, ParetoFront, StageCache
 from .documents import explore_document
 from .requests import config_from_request, engines_for, problem_and_origin
 
@@ -128,122 +122,46 @@ class ScopedStageCaches:
             }
 
 
-class _LaneEntry:
-    """One waiting batch: its pool, candidates, and the result hand-off."""
+class EvaluationLock:
+    """The one lock every job's fresh batch holds while it is evaluated.
 
-    __slots__ = ("pool", "candidates", "results", "error", "done")
-
-    def __init__(self, pool: EvaluationPool, candidates: List) -> None:
-        self.pool = pool
-        self.candidates = candidates
-        self.results: Optional[List] = None
-        self.error: Optional[BaseException] = None
-        self.done = threading.Event()
-
-
-class BatchLane:
-    """Coalesces concurrent evaluation batches into pool submission rounds.
-
-    Leader/follower: every caller appends its batch to the pending queue and
-    then contends for the drain lock.  The winner drains *everything*
-    pending — its own batch plus whatever other jobs queued while the
-    previous round ran — groups the batches by their owning pool (pools are
-    problem-specific; grouping keeps every candidate on the problem that
-    spawned it) and submits each group as one
-    :meth:`~repro.exploration.EvaluationPool.evaluate_batches` round.
-    Followers find their entry completed and return without submitting.
-
-    The counters (``rounds``, ``batches``, ``coalesced``) feed the service's
-    ``GET /stats`` document; they are bookkeeping only.
+    The counters feed ``GET /stats`` (bookkeeping only, updated under the
+    lock): ``batches`` counts the fresh batches jobs evaluated, and
+    ``coalesced`` the ones that found another job's batch running and
+    waited for it.
     """
 
     def __init__(self) -> None:
-        self._pending: List[_LaneEntry] = []
         self._lock = threading.Lock()
-        self._drain = threading.Lock()
-        self.rounds = 0
         self.batches = 0
         self.coalesced = 0
 
-    def evaluate(self, pool: EvaluationPool, candidates: List) -> List:
-        entry = _LaneEntry(pool, list(candidates))
-        with self._lock:
-            self._pending.append(entry)
-        with self._drain:
-            if not entry.done.is_set():
-                self._drain_pending()
-        if entry.error is not None:
-            raise entry.error
-        assert entry.results is not None
-        return entry.results
+    def __enter__(self) -> "EvaluationLock":
+        if not self._lock.acquire(blocking=False):
+            self._lock.acquire()
+            self.coalesced += 1
+        self.batches += 1
+        return self
 
-    def _drain_pending(self) -> None:
-        """Submit every pending batch (caller owns the drain lock)."""
-        with self._lock:
-            drained, self._pending = self._pending, []
-        if not drained:
-            return
-        self.rounds += 1
-        self.batches += len(drained)
-        if len(drained) > 1:
-            self.coalesced += len(drained) - 1
-        groups: Dict[int, Tuple[EvaluationPool, List[_LaneEntry]]] = {}
-        for entry in drained:
-            groups.setdefault(id(entry.pool), (entry.pool, []))[1].append(entry)
-        for pool, entries in groups.values():
-            try:
-                split = pool.evaluate_batches(
-                    [entry.candidates for entry in entries]
-                )
-            except BaseException as error:  # hand the failure to every waiter
-                for entry in entries:
-                    entry.error = error
-                    entry.done.set()
-                continue
-            for entry, results in zip(entries, split):
-                entry.results = results
-                entry.done.set()
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
 
 
-class BatchingEvaluator(CachedEvaluator):
-    """A :class:`CachedEvaluator` whose fresh batches ride the batch lane.
+class _JobEvaluator(CachedEvaluator):
+    """A :class:`CachedEvaluator` whose fresh batches hold the evaluation lock.
 
-    The whole-candidate fingerprint cache stays job-private (exactly the
-    CLI's serial shape, so ``resilience`` stays null and the result document
-    byte-identical); only the *fresh* evaluations detour through the lane to
-    the job's serial :class:`~repro.exploration.EvaluationPool`, which holds
-    the scope's shared stage cache.
+    Everything else is the CLI's serial shape — a serial pool over the
+    given stage cache, so ``resilience`` stays null and the result document
+    byte-identical.
     """
 
-    def __init__(
-        self,
-        problem: ExplorationProblem,
-        lane: BatchLane,
-        pool: EvaluationPool,
-        weights,
-        front: Optional[ParetoFront] = None,
-        stage_cache: Optional[StageCache] = None,
-    ) -> None:
-        super().__init__(
-            problem,
-            weights=weights,
-            front=front,
-            stage_cache=stage_cache,
-        )
-        self._lane = lane
-        self._batch_pool = pool
+    def __init__(self, problem, lock: EvaluationLock, **options) -> None:
+        super().__init__(problem, **options)
+        self._evaluation_lock = lock
 
     def _evaluate_fresh(self, candidates: List) -> List:
-        shipped_before = self._batch_pool.payload_bytes_shipped
-        evaluations = self._lane.evaluate(self._batch_pool, candidates)
-        # Keep the batch-stats contract of CachedEvaluator._evaluate_fresh:
-        # one fresh batch recorded per detour through the lane.  The job
-        # pool is serial, so the shipped-bytes delta is normally zero.
-        self.batch_stats.record_batch(
-            len(candidates),
-            self._batch_pool.payload_bytes_shipped - shipped_before,
-        )
-        return evaluations
+        with self._evaluation_lock:
+            return super()._evaluate_fresh(candidates)
 
 
 class Job:
@@ -296,7 +214,7 @@ class JobManager:
         tracer=None,
     ) -> None:
         self._caches = caches if caches is not None else ScopedStageCaches()
-        self._lane = BatchLane()
+        self._evaluation_lock = EvaluationLock()
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-job"
         )
@@ -312,8 +230,8 @@ class JobManager:
         return self._caches
 
     @property
-    def lane(self) -> BatchLane:
-        return self._lane
+    def evaluation_lock(self) -> EvaluationLock:
+        return self._evaluation_lock
 
     def submit(self, request: Dict[str, Any]) -> Job:
         """Enqueue one validated explore request; returns the queued job."""
@@ -381,29 +299,17 @@ class JobManager:
         cache = self._caches.cache_for(scope)
         before = cache.stats
         config = config_from_request(request)
-        pool = EvaluationPool(
+        evaluator = _JobEvaluator(
             problem,
-            config.weights,
-            workers=1,
-            mode="serial",
+            self._evaluation_lock,
+            weights=config.weights,
+            front=ParetoFront() if config.track_front else None,
             stage_cache=cache,
         )
-        try:
-            evaluator = BatchingEvaluator(
-                problem,
-                lane=self._lane,
-                pool=pool,
-                weights=config.weights,
-                front=ParetoFront() if config.track_front else None,
-                stage_cache=cache,
-            )
-            explorer = Explorer(problem, config=config, evaluator=evaluator)
-            results = [
-                explorer.explore(engine)
-                for engine in engines_for(request["engine"])
-            ]
-        finally:
-            pool.close()
+        explorer = Explorer(problem, config=config, evaluator=evaluator)
+        results = [
+            explorer.explore(engine) for engine in engines_for(request["engine"])
+        ]
         job.document = explore_document(
             origin,
             request["seed"],

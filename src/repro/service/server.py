@@ -13,7 +13,7 @@ Endpoints
 ==========================  ====================================================
 ``GET  /healthz``           liveness probe
 ``GET  /stats``             requests/sec, per-route counters, job states,
-                            batching rounds
+                            evaluation-lock batches
 ``GET  /cache``             the shared stage caches: per-scope occupancy,
                             budgets, hit/miss and eviction counters
 ``POST /jobs``              submit an exploration job (body: the
@@ -409,7 +409,7 @@ class ExplorationService:
         states: Dict[str, int] = {}
         for document in self._jobs.list_documents():
             states[document["state"]] = states.get(document["state"], 0) + 1
-        lane = self._jobs.lane
+        lock = self._jobs.evaluation_lock
         return {
             "uptime_seconds": uptime,
             "requests": {"total": total, "by_route": by_route},
@@ -418,11 +418,7 @@ class ExplorationService:
                 "queue_depth": self._jobs.queue_depth(),
                 "by_state": dict(sorted(states.items())),
             },
-            "batching": {
-                "rounds": lane.rounds,
-                "batches": lane.batches,
-                "coalesced": lane.coalesced,
-            },
+            "batching": {"batches": lock.batches, "coalesced": lock.coalesced},
         }
 
 

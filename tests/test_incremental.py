@@ -312,9 +312,12 @@ class TestStageAccounting:
     def test_pooled_evaluator_defers_stage_caching_to_the_pool(self, problem):
         with EvaluationPool(problem, workers=2, mode="thread") as pool:
             evaluator = CachedEvaluator(problem, pool=pool)
-            assert evaluator.stage_cache is None  # pool owns staged evaluation
+            assert evaluator.stage_cache is pool.stage_cache  # pool owns it
             evaluator.evaluate_many(_walk(problem, 21, 3))
-            assert evaluator.stage_stats is not None  # reported from the pool
+            assert evaluator.stage_stats == pool.stage_stats
+            # A second cache next to the pool's would be silently unused.
+            with pytest.raises(ValueError, match="not both"):
+                CachedEvaluator(problem, pool=pool, stage_cache=StageCache())
 
 
 class TestPoolEquivalence:
@@ -381,17 +384,19 @@ def test_batch_matches_serial_evaluation(fig1_problem):
         for candidate in candidates
     ]
     batch_cache = StageCache()
-    stats = BatchStats()
-    batched = evaluate_neighbourhood(
-        fig1_problem, candidates, stage_cache=batch_cache, batch_stats=stats
-    )
+    batched = evaluate_neighbourhood(fig1_problem, candidates, stage_cache=batch_cache)
     assert batched == serial
     # Batched scoring probes the stage cache in the same order as the serial
     # loop, so the hit/miss accounting must be identical, not just similar.
     assert batch_cache.stats == serial_cache.stats
+    # The evaluator records its fresh (deduplicated) batch, one per call.
+    evaluator = CachedEvaluator(fig1_problem)
+    assert evaluator.evaluate_many(candidates) == serial
+    unique = len({candidate.fingerprint for candidate in candidates})
+    stats = evaluator.batch_stats
     assert stats.batches == 1
-    assert stats.candidates == len(candidates)
-    assert stats.mean_batch_size == pytest.approx(len(candidates))
+    assert stats.candidates == unique
+    assert stats.mean_batch_size == pytest.approx(unique)
     assert stats.payload_bytes == 0
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exploration import cost as cost_module
 from repro.exploration import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -229,9 +230,14 @@ class TestPoolFaultMatrix:
             assert stats.worker_restarts >= 1
 
     def test_unarmed_pool_has_quiet_stats(self, problem, batch, reference):
+        # An unarmed serial pool has no resilience layer at all; an unarmed
+        # thread pool has one, and it stays quiet.
         pool = EvaluationPool(problem, mode="serial")
         assert pool.evaluate(batch) == reference
-        assert not pool.resilience_stats.eventful
+        assert pool.resilience_stats is None
+        with EvaluationPool(problem, workers=2, mode="thread") as pool:
+            assert pool.evaluate(batch) == reference
+            assert not pool.resilience_stats.eventful
 
 
 # -- quarantine, degrade, worker init ----------------------------------------------
@@ -253,6 +259,29 @@ class TestQuarantine:
             assert math.isinf(evaluation.cost)
             assert "quarantined" in evaluation.error
         assert pool.resilience_stats.quarantined == len(batch)
+
+    def test_serial_pool_quarantines_a_genuinely_failing_candidate(
+        self, problem, batch, reference, monkeypatch
+    ):
+        # Not an injected fault: the pipeline itself raises for one candidate,
+        # which the armed serial pool retries and then quarantines alone.
+        poison = batch[1].fingerprint
+        evaluate = cost_module.evaluate_candidate
+
+        def poisoned(problem, candidate, *args, **kwargs):
+            if candidate.fingerprint == poison:
+                raise RuntimeError("poisoned candidate")
+            return evaluate(problem, candidate, *args, **kwargs)
+
+        monkeypatch.setattr(cost_module, "evaluate_candidate", poisoned)
+        pool = EvaluationPool(
+            problem, mode="serial", retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+        )
+        evaluations = pool.evaluate(batch)
+        assert evaluations[1] == quarantined_evaluation(poison, 3, "poisoned candidate")
+        assert evaluations[:1] + evaluations[2:] == reference[:1] + reference[2:]
+        stats = pool.resilience_stats
+        assert (stats.retries, stats.quarantined, stats.injected) == (2, 1, 0)
 
     def test_thread_mode_quarantines_poison_without_killing_chunk_mates(
         self, problem, batch

@@ -9,13 +9,25 @@ registry so a hung test tears its server down instead of leaking it.
 """
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.cli import main
-from repro.io import system_to_dict
-from repro.service import ServiceClient, ServiceError, start_in_thread
+from repro.exploration import Explorer
+from repro.exploration import pool as pool_module
+from repro.generator import generate_system
+from repro.io import system_to_dict, validate_explore_request
+from repro.service import (
+    ServiceClient,
+    ServiceError,
+    config_from_request,
+    engines_for,
+    explore_document,
+    problem_and_origin,
+    start_in_thread,
+)
 
 
 @pytest.fixture()
@@ -252,8 +264,105 @@ def test_stats_track_requests_and_batching(client):
     assert stats["requests_per_second"] > 0
     assert stats["jobs"]["by_state"] == {"done": 1}
     assert stats["jobs"]["queue_depth"] == 0
-    assert stats["batching"]["rounds"] > 0
-    assert stats["batching"]["batches"] >= stats["batching"]["rounds"]
+    batching = stats["batching"]
+    assert set(batching) == {"batches", "coalesced"}
+    assert batching["batches"] > 0
+    # One job ran alone, so no batch ever waited for another job's batch.
+    assert batching["coalesced"] == 0
+
+
+def _one_shot_document(request):
+    """The in-process ``explore --json`` document of one request."""
+    validated = validate_explore_request(request)
+    problem, origin = problem_and_origin(validated)
+    explorer = Explorer(problem, config=config_from_request(validated))
+    results = [explorer.explore(engine) for engine in engines_for(validated["engine"])]
+    document = explore_document(
+        origin, validated["seed"], results,
+        include_front=validated["pareto"], problem=problem,
+    )
+    return json.loads(json.dumps(document))
+
+
+def _without_stages(document):
+    """A document minus its shared-cache-dependent ``stages`` counters."""
+    return dict(document, results=[
+        {key: value for key, value in result.items() if key != "stages"}
+        for result in document["results"]
+    ])
+
+
+def test_concurrent_jobs_evaluate_one_batch_at_a_time(monkeypatch, timeout_cleanup):
+    # Evaluation is CPU-bound pure Python, so job threads evaluating at once
+    # would only trade the GIL back and forth.  On a 40-node, 8-path system
+    # one batch spans many (shortened) GIL switch intervals, so overlap would
+    # show; three job workers on three concurrent clients outnumber the cores.
+    system = generate_system(40, 8, seed=1)
+    payload = system_to_dict(
+        system.process_graph, system.architecture, system.mapping, "lock-probe"
+    )
+    requests = [
+        {"system": payload, "seed": seed, "engine": "tabu",
+         "cycles": 2, "neighbors": 4}
+        for seed in (1, 2, 3)
+    ]
+    references = [_one_shot_document(request) for request in requests]
+
+    guard = threading.Lock()
+    calls, active, peak = 0, 0, 0
+    evaluate_neighbourhood = pool_module.evaluate_neighbourhood
+
+    def probe(*args, **kwargs):
+        nonlocal calls, active, peak
+        with guard:
+            calls += 1
+            active += 1
+            peak = max(peak, active)
+        try:
+            return evaluate_neighbourhood(*args, **kwargs)
+        finally:
+            with guard:
+                active -= 1
+
+    monkeypatch.setattr(pool_module, "evaluate_neighbourhood", probe)
+    running = start_in_thread(job_workers=3)
+    timeout_cleanup(running.close)
+    documents = [None] * len(requests)
+    errors = []
+
+    def _one_client(index):
+        try:
+            client = ServiceClient(running.url, timeout=60.0)
+            submitted = client.submit(requests[index])
+            client.wait(submitted["job"], timeout=120)
+            documents[index] = client.result(submitted["job"])
+        except Exception as error:  # surfaced below; threads must not die silently
+            errors.append(error)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [
+            threading.Thread(target=_one_client, args=(index,))
+            for index in range(len(requests))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        batching = ServiceClient(running.url, timeout=60.0).stats()["batching"]
+    finally:
+        sys.setswitchinterval(switch_interval)
+        running.close()
+    assert not errors
+    assert calls > 0 and peak == 1
+    for document, reference in zip(documents, references):
+        assert _without_stages(document) == _without_stages(reference)
+    # A job's fresh batch is one in-process call of its serial pool, and the
+    # lock counts it exactly once.
+    assert batching["batches"] == calls
+    assert batching["coalesced"] <= batching["batches"]
 
 
 def test_shutdown_endpoint_stops_the_server(timeout_cleanup):
