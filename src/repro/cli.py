@@ -63,7 +63,6 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .analysis import (
-    aggregate,
     format_pareto_front,
     format_schedule_table,
     format_series,
@@ -80,7 +79,6 @@ from .exploration import (
     RetryPolicy,
     WorkerInitializationError,
 )
-from .generator import RandomSystemGenerator, paper_experiment_configs
 from .graph import PathEnumerator
 from .graph.cpg import GraphStructureError
 from .io import SerializationError, load_system
@@ -105,8 +103,105 @@ from .service import (
     serve_forever,
     sweep_document,
 )
+from .service.requests import schedule_system, sweep_series
 from .service.jobs import DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES
 from .simulation import validate_merge_result
+
+
+def _add_request_arguments(parser: argparse.ArgumentParser) -> None:
+    """The explore-request flags ``explore`` and ``submit`` share.
+
+    Their dests are the keys :func:`_request_from_arguments` reads, so both
+    commands build identical request documents.
+    """
+    parser.add_argument(
+        "system",
+        nargs="?",
+        default=None,
+        help="optional JSON system description; omitted: a seeded random system",
+    )
+    parser.add_argument("--nodes", type=int, default=40, help="random-system size")
+    parser.add_argument(
+        "--paths", type=int, default=8, help="random-system alternative paths"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="search + system seed")
+    parser.add_argument(
+        "--fig1",
+        action="store_true",
+        help="explore the paper's Fig. 1 example instead of a random system",
+    )
+    parser.add_argument(
+        "--fig1-buses", type=int, default=1,
+        help="with --fig1: number of shared buses of the platform (the "
+        "paper's platform has 1; 2 makes communication mapping worthwhile)",
+    )
+    parser.add_argument(
+        "--engine",
+        choices=["tabu", "anneal", "genetic", "both", "all"],
+        default="tabu",
+        help="search engine ('both' runs tabu then annealing, 'all' adds the "
+        "genetic engine; engines share one evaluation cache)",
+    )
+    parser.add_argument(
+        "--cycles", type=int, default=40,
+        help="cycle budget (generations for the genetic engine)",
+    )
+    parser.add_argument(
+        "--neighbors", type=int, default=8, help="neighbours scored per cycle"
+    )
+    parser.add_argument(
+        "--population", type=int, default=16,
+        help="genetic-engine population size",
+    )
+    parser.add_argument(
+        "--pareto",
+        action="store_true",
+        help="track and report the non-dominated front over "
+        "(delta_max, mean path delay, load imbalance, architecture cost)",
+    )
+    parser.add_argument(
+        "--size-architecture",
+        action="store_true",
+        help="enable architecture sizing: the search may add/remove "
+        "programmable processors and buses within the declared bounds",
+    )
+    parser.add_argument(
+        "--map-communications",
+        action="store_true",
+        help="explore communication-to-bus mapping: the search may pin "
+        "individual messages to buses instead of accepting the derived "
+        "assignment (adds remap_comm/swap_bus moves)",
+    )
+    parser.add_argument(
+        "--bus-policy",
+        choices=["least_index", "least_loaded"],
+        default="least_index",
+        help="derivation policy for messages without an explicit bus pin "
+        "(default: least_index, the lexicographically least connecting bus)",
+    )
+    parser.add_argument(
+        "--min-processors", type=int, default=1,
+        help="sizing: lower bound on programmable processors",
+    )
+    parser.add_argument(
+        "--max-processors", type=int, default=None,
+        help="sizing: upper bound on programmable processors "
+        "(default: seed count + 2)",
+    )
+    parser.add_argument(
+        "--min-buses", type=int, default=1,
+        help="sizing: lower bound on buses",
+    )
+    parser.add_argument(
+        "--max-buses", type=int, default=None,
+        help="sizing: upper bound on buses (default: seed count + 1)",
+    )
+    parser.add_argument(
+        "--stall",
+        type=int,
+        default=0,
+        help="stop after N cycles without improvement (0: disabled)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,94 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search the mapping/priority design space with the merge "
         "scheduler as evaluator",
     )
-    explore.add_argument(
-        "system",
-        nargs="?",
-        default=None,
-        help="optional JSON system description; omitted: a seeded random system",
-    )
-    explore.add_argument("--nodes", type=int, default=40, help="random-system size")
-    explore.add_argument(
-        "--paths", type=int, default=8, help="random-system alternative paths"
-    )
-    explore.add_argument("--seed", type=int, default=0, help="search + system seed")
-    explore.add_argument(
-        "--fig1",
-        action="store_true",
-        help="explore the paper's Fig. 1 example instead of a random system",
-    )
-    explore.add_argument(
-        "--fig1-buses", type=int, default=1,
-        help="with --fig1: number of shared buses of the platform (the "
-        "paper's platform has 1; 2 makes communication mapping worthwhile)",
-    )
-    explore.add_argument(
-        "--engine",
-        choices=["tabu", "anneal", "genetic", "both", "all"],
-        default="tabu",
-        help="search engine ('both' runs tabu then annealing, 'all' adds the "
-        "genetic engine; engines share one evaluation cache)",
-    )
-    explore.add_argument(
-        "--cycles", type=int, default=40,
-        help="cycle budget (generations for the genetic engine)",
-    )
-    explore.add_argument(
-        "--neighbors", type=int, default=8, help="neighbours scored per cycle"
-    )
-    explore.add_argument(
-        "--population", type=int, default=16,
-        help="genetic-engine population size",
-    )
-    explore.add_argument(
-        "--pareto",
-        action="store_true",
-        help="track and report the non-dominated front over "
-        "(delta_max, mean path delay, load imbalance, architecture cost)",
-    )
-    explore.add_argument(
-        "--size-architecture",
-        action="store_true",
-        help="enable architecture sizing: the search may add/remove "
-        "programmable processors and buses within the declared bounds",
-    )
-    explore.add_argument(
-        "--map-communications",
-        action="store_true",
-        help="explore communication-to-bus mapping: the search may pin "
-        "individual messages to buses instead of accepting the derived "
-        "assignment (adds remap_comm/swap_bus moves)",
-    )
-    explore.add_argument(
-        "--bus-policy",
-        choices=["least_index", "least_loaded"],
-        default="least_index",
-        help="derivation policy for messages without an explicit bus pin "
-        "(default: least_index, the lexicographically least connecting bus)",
-    )
-    explore.add_argument(
-        "--min-processors", type=int, default=1,
-        help="sizing: lower bound on programmable processors",
-    )
-    explore.add_argument(
-        "--max-processors", type=int, default=None,
-        help="sizing: upper bound on programmable processors "
-        "(default: seed count + 2)",
-    )
-    explore.add_argument(
-        "--min-buses", type=int, default=1,
-        help="sizing: lower bound on buses",
-    )
-    explore.add_argument(
-        "--max-buses", type=int, default=None,
-        help="sizing: upper bound on buses (default: seed count + 1)",
-    )
-    explore.add_argument(
-        "--stall",
-        type=int,
-        default=0,
-        help="stop after N cycles without improvement (0: disabled)",
-    )
+    _add_request_arguments(explore)
     explore.add_argument(
         "--workers",
         type=int,
@@ -358,81 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8765",
         help="service base URL (default http://127.0.0.1:8765)",
     )
-    submit.add_argument(
-        "system",
-        nargs="?",
-        default=None,
-        help="optional JSON system description to embed in the request; "
-        "omitted: a seeded random system",
-    )
-    submit.add_argument("--nodes", type=int, default=40, help="random-system size")
-    submit.add_argument(
-        "--paths", type=int, default=8, help="random-system alternative paths"
-    )
-    submit.add_argument("--seed", type=int, default=0, help="search + system seed")
-    submit.add_argument(
-        "--fig1", action="store_true",
-        help="explore the paper's Fig. 1 example instead of a random system",
-    )
-    submit.add_argument(
-        "--fig1-buses", type=int, default=1,
-        help="with --fig1: number of shared buses of the platform",
-    )
-    submit.add_argument(
-        "--engine",
-        choices=["tabu", "anneal", "genetic", "both", "all"],
-        default="tabu",
-        help="search engine (aliases as in 'explore')",
-    )
-    submit.add_argument(
-        "--cycles", type=int, default=40,
-        help="cycle budget (generations for the genetic engine)",
-    )
-    submit.add_argument(
-        "--neighbors", type=int, default=8, help="neighbours scored per cycle"
-    )
-    submit.add_argument(
-        "--population", type=int, default=16,
-        help="genetic-engine population size",
-    )
-    submit.add_argument(
-        "--stall", type=int, default=0,
-        help="stop after N cycles without improvement (0: disabled)",
-    )
-    submit.add_argument(
-        "--pareto", action="store_true",
-        help="track and report the non-dominated front",
-    )
-    submit.add_argument(
-        "--size-architecture", action="store_true",
-        help="enable architecture sizing within the declared bounds",
-    )
-    submit.add_argument(
-        "--map-communications", action="store_true",
-        help="explore communication-to-bus mapping",
-    )
-    submit.add_argument(
-        "--bus-policy",
-        choices=["least_index", "least_loaded"],
-        default="least_index",
-        help="derivation policy for messages without an explicit bus pin",
-    )
-    submit.add_argument(
-        "--min-processors", type=int, default=1,
-        help="sizing: lower bound on programmable processors",
-    )
-    submit.add_argument(
-        "--max-processors", type=int, default=None,
-        help="sizing: upper bound on programmable processors",
-    )
-    submit.add_argument(
-        "--min-buses", type=int, default=1,
-        help="sizing: lower bound on buses",
-    )
-    submit.add_argument(
-        "--max-buses", type=int, default=None,
-        help="sizing: upper bound on buses",
-    )
+    _add_request_arguments(submit)
     submit.add_argument(
         "--no-wait", action="store_true",
         help="print the queued job id and return without polling",
@@ -473,16 +407,7 @@ def _command_schedule(
     path: str, show_table: bool, validate: bool, as_json: bool = False
 ) -> int:
     system = load_system(path)
-    system.graph.validate()
-    expanded = system.expand()
-    result = ScheduleMerger(
-        expanded.graph, expanded.mapping, system.architecture
-    ).merge()
-    report = None
-    if validate:
-        report = validate_merge_result(
-            expanded.graph, expanded.mapping, result, system.architecture
-        )
+    result, report = schedule_system(system, validate)
     if as_json:
         print(json.dumps(
             schedule_document(system.name, result, report),
@@ -528,22 +453,7 @@ def _command_fig1() -> int:
 def _command_sweep(
     nodes: List[int], paths: List[int], graphs: int, as_json: bool = False
 ) -> int:
-    series = {}
-    for size in nodes:
-        configs = paper_experiment_configs(
-            size, graphs, paths_options=paths, base_seed=size
-        )
-        by_paths = {}
-        for config in configs:
-            system = RandomSystemGenerator(config).generate()
-            result = ScheduleMerger(
-                system.graph, system.expanded_mapping, system.architecture
-            ).merge()
-            by_paths.setdefault(config.alternative_paths, []).append(result)
-        series[f"{size} nodes"] = {
-            count: aggregate(results).average_increase_percent
-            for count, results in sorted(by_paths.items())
-        }
+    series = sweep_series(nodes, paths, graphs)
     if as_json:
         print(json.dumps(
             sweep_document(series, graphs), indent=2, sort_keys=True
@@ -596,13 +506,6 @@ def _request_from_arguments(arguments, system=None) -> dict:
 
 
 def _command_explore(arguments) -> int:
-    if arguments.fig1 and arguments.system is not None:
-        print(
-            "error: --fig1 and a system description file are mutually "
-            "exclusive; pass one problem source",
-            file=sys.stderr,
-        )
-        return 2
     system = (
         load_system(arguments.system) if arguments.system is not None else None
     )
@@ -811,13 +714,6 @@ def _command_serve(arguments) -> int:
 
 def _command_submit(arguments) -> int:
     """Submit one job to a running service (the ``submit`` command)."""
-    if arguments.fig1 and arguments.system is not None:
-        print(
-            "error: --fig1 and a system description file are mutually "
-            "exclusive; pass one problem source",
-            file=sys.stderr,
-        )
-        return 2
     system_payload = None
     if arguments.system is not None:
         with open(arguments.system) as handle:
@@ -871,6 +767,15 @@ def _dispatch(arguments) -> int:
         return _command_sweep(
             arguments.nodes, arguments.paths, arguments.graphs, arguments.json
         )
+    if arguments.command in ("explore", "submit") and (
+        arguments.fig1 and arguments.system is not None
+    ):
+        print(
+            "error: --fig1 and a system description file are mutually "
+            "exclusive; pass one problem source",
+            file=sys.stderr,
+        )
+        return 2
     if arguments.command == "explore":
         return _command_explore(arguments)
     if arguments.command == "trace-report":

@@ -142,9 +142,6 @@ class StageStats:
     structure_hits: int = 0
     structure_misses: int = 0
     structures: int = 0
-    #: Entries evicted by :meth:`StageCache.check_integrity` because their
-    #: memoized value no longer matched its sub-fingerprint key.
-    integrity_evictions: int = 0
     #: Entries evicted by the bounded-LRU budget (cheapest-to-recompute
     #: first within the recency window; see the :class:`StageCache`
     #: docstring).  Zero on unbounded caches.
@@ -192,11 +189,11 @@ class StageCache:
     verbatim), a cache must serve a **single problem** (keys do not include
     problem identity), and every sub-fingerprint must be **complete** — it
     must cover everything that can change the stage's output (see
-    PERFORMANCE.md, "Incremental evaluation").  Sharing one instance across
-    threads is safe for correctness: stages are pure, so a store race at
-    worst recomputes a stage, and key interning — the one check-then-act
-    that could alias two fingerprints to one id — takes a lock.  The
-    counters may undercount under contention.
+    PERFORMANCE.md, "Incremental evaluation").  One instance may be shared
+    across threads — ``repro-cpg serve``'s job threads and its ``/cache``
+    readers share each scope's cache — so key interning (the one
+    check-then-act that could alias two fingerprints to one id) and the LRU
+    bookkeeping take a lock.  The counters may undercount under contention.
 
     Without a budget, stage memos grow for the lifetime of the cache
     (per-path schedules are the bulky part — one ``PathSchedule`` per
@@ -217,12 +214,11 @@ class StageCache:
     An entry larger than ``max_bytes`` on its own is computed but never
     memoized, so occupancy never exceeds the byte budget.  Eviction is
     self-healing by construction: stages are pure, so a re-query after
-    eviction recomputes a bit-identical value (the same property
-    :meth:`check_integrity` relies on).  The maps that hang off LRU-managed
-    entries follow them out: a path key's intern id and scheduler context go
-    with the last memoized schedule keyed on it, and an expansion structure
-    with the last memoized expansion built on it, so every map stays bounded
-    by the budget.  Every cache keeps this bookkeeping; one without a budget
+    eviction recomputes a bit-identical value.  The maps that hang off
+    LRU-managed entries follow them out: a path key's intern id and
+    scheduler context go with the last memoized schedule keyed on it, and an
+    expansion structure with the last memoized expansion built on it, so
+    every map stays bounded by the budget.  Every cache keeps this bookkeeping; one without a budget
     simply never evicts (the bookkeeping costs no measurable time, see
     PERFORMANCE.md).
     """
@@ -249,7 +245,6 @@ class StageCache:
         "structure_misses",
         "schedule_hits",
         "schedule_misses",
-        "integrity_evictions",
         "lru_evictions",
     )
 
@@ -303,7 +298,6 @@ class StageCache:
         self.structure_misses = 0
         self.schedule_hits = 0
         self.schedule_misses = 0
-        self.integrity_evictions = 0
         self.lru_evictions = 0
 
     @property
@@ -319,7 +313,6 @@ class StageCache:
             structure_hits=self.structure_hits,
             structure_misses=self.structure_misses,
             structures=len(self._structures),
-            integrity_evictions=self.integrity_evictions,
             lru_evictions=self.lru_evictions,
             occupancy_bytes=self._occupancy_bytes,
             max_entries=self._max_entries,
@@ -366,13 +359,10 @@ class StageCache:
             self._forget_locked(kind, key)
             self.lru_evictions += 1
 
-    def _forget_locked(self, kind: str, key: Tuple, release: bool = True) -> None:
+    def _forget_locked(self, kind: str, key: Tuple) -> None:
         """Drop one memoized entry and what only it kept alive.
 
-        ``release=False`` keeps the key's intern id even when no schedule
-        uses it any more: an integrity eviction condemns the value, not the
-        key, and the key's next store must land under the same id.  The
-        caller owns ``_intern_lock``.
+        The caller owns ``_intern_lock``.
         """
         cost = self._lru.pop((kind, key), None)
         if cost is not None:
@@ -384,11 +374,7 @@ class StageCache:
                 self._structures.pop(pattern, None)
         elif self._schedules.pop(key, None) is not None:
             key_id = key[0]
-            if (
-                key_id in self._key_users
-                and _drop_user(self._key_users, key_id)
-                and release
-            ):
+            if key_id in self._key_users and _drop_user(self._key_users, key_id):
                 self._release_key_locked(key_id)
 
     def _release_key_locked(self, key_id: int) -> None:
@@ -462,7 +448,7 @@ class StageCache:
 
         Ids must be unique per fingerprint — an aliased id would make the
         schedule memo serve another path's schedule — so the allocation is
-        locked against the shared-cache thread mode (double-checked: the
+        locked against the threads that share a cache (double-checked: the
         fast path is one GIL-atomic dict probe, the lock is only taken on
         first intern of a key).
         """
@@ -531,55 +517,6 @@ class StageCache:
             if context is not None:
                 self._contexts[key_id] = context
             self._evict_to_budget_locked()
-
-    def check_integrity(self) -> int:
-        """Verify memoized stages against their keys; evict mismatches.
-
-        A stage cache is trusted verbatim on every hit, so an entry whose
-        value drifted from its sub-fingerprint key (a torn write from an
-        abandoned thread, an in-place mutation by a buggy caller) would
-        silently poison every later evaluation that shares the stage.  This
-        re-derives the cheap half of each key from the memoized value itself:
-
-        * an expansion entry must map every assigned process to the key's
-          processing element and realise every pinned message on its pinned
-          bus;
-        * a schedule entry must belong to the alternative path its interned
-          sub-fingerprint names (the key's first element is the path label).
-
-        Mismatched entries are evicted (self-healing: the next probe simply
-        recomputes the stage) and counted in ``integrity_evictions``.
-        Called by the evaluation pool after worker respawns and on degrade;
-        cheap enough to invoke ad hoc, so it is not on any hot path.
-        """
-        evicted = 0
-        with self._intern_lock:
-            for key, (expanded, _paths) in list(self._expansions.items()):
-                assignment, _platform, pins = key
-                mapping = expanded.mapping
-                consistent = all(
-                    (pe := mapping.get(name)) is not None and pe.name == pe_name
-                    for name, pe_name in assignment
-                )
-                if consistent and pins:
-                    realised = expanded.bus_assignment
-                    consistent = all(
-                        realised.get(message) == bus_name
-                        for message, bus_name in pins
-                    )
-                if not consistent:
-                    self._forget_locked("expansion", key)
-                    evicted += 1
-            labels = {key_id: key[0] for key, key_id in self._key_ids.items()}
-            for key, schedule in list(self._schedules.items()):
-                key_id, _locks = key
-                label = labels.get(key_id)
-                if label is None or schedule.path.label != label:
-                    self._forget_locked("schedule", key, release=False)
-                    self._contexts.pop(key_id, None)
-                    evicted += 1
-            self.integrity_evictions += evicted
-        return evicted
 
 
 def _add_user(users: Dict, key) -> None:

@@ -217,6 +217,24 @@ class ExplorationResult:
 
 
 class _EngineBase:
+    """The one search loop; engines supply the search through five hooks.
+
+    :meth:`run` owns what every engine shares: the engine and cycle spans,
+    resuming from a checkpoint, the checkpoint snapshot, cycle bookkeeping,
+    the stopping criteria, the final checkpoint and the result.  An engine
+    supplies:
+
+    * ``_start(initial, rng)`` — score the start, set ``_initial`` and
+      ``_best`` (``(candidate, evaluation)`` pairs) and return the starting
+      :class:`SearchState`;
+    * ``_restore(engine_state)`` — restore what ``_engine_state`` saved;
+    * ``_cycle(rng, state)`` — run one cycle and return its
+      :class:`TrajectoryPoint` (see :meth:`_advance`), or a reason to stop;
+    * ``_engine_state()`` — the engine's part of a checkpoint;
+    * ``_front()`` — the front the run reports and checkpoints (by default
+      the evaluator's, which is None unless it tracks one).
+    """
+
     name = "base"
 
     def __init__(
@@ -250,9 +268,9 @@ class _EngineBase:
     def _finish_run(self, span, started: float, cycles: int) -> Dict[str, Any]:
         """Close the engine span; return ExplorationResult timing fields.
 
-        Closing the engine span also closes any cycle span a ``break`` left
-        open (span close pops open descendants), so engine loops may exit
-        mid-cycle without leaking records.
+        Closing the engine span also closes any cycle span an early stop
+        left open (span close pops open descendants), so a cycle may end the
+        search mid-cycle without leaking records.
         """
         if span is not None:
             span.close(cycles=cycles)
@@ -287,23 +305,34 @@ class _EngineBase:
                 return reason
         return None
 
-    # -- checkpoint plumbing -------------------------------------------------
+    def _advance(
+        self,
+        state: SearchState,
+        improved: bool,
+        move: str,
+        cost: float,
+        accepted: int,
+    ) -> TrajectoryPoint:
+        """Count one completed cycle; return its trajectory point."""
+        best_cost = self._best[1].cost
+        state.cycle += 1
+        if improved:
+            state.cycles_since_improvement = 0
+            state.best_cost = best_cost
+        else:
+            state.cycles_since_improvement += 1
+        return TrajectoryPoint(
+            cycle=state.cycle,
+            move=move,
+            cost=cost,
+            best_cost=best_cost,
+            accepted=accepted,
+        )
 
-    def _problem_key(self) -> str:
-        return self._evaluator.problem.content_key
+    def _front(self) -> Optional[ParetoFront]:
+        return self._evaluator.front
 
-    def _restore_front(self, documents: Optional[Sequence[Dict[str, Any]]]) -> None:
-        """Re-offer checkpointed front points into the evaluator's live front."""
-        front = self._evaluator.front
-        if front is None or not documents:
-            return
-        for entry in documents:
-            front.offer(*scored_from_json(entry))
-
-    @staticmethod
-    def _maybe_checkpoint(checkpointer: Optional[Checkpointer], cycle, snapshot) -> None:
-        if checkpointer is not None and checkpointer.due(cycle):
-            checkpointer.save(snapshot())
+    # -- the search loop -----------------------------------------------------
 
     def run(
         self,
@@ -311,63 +340,40 @@ class _EngineBase:
         resume: Optional[Dict[str, Any]] = None,
         checkpointer: Optional[Checkpointer] = None,
     ) -> ExplorationResult:
-        raise NotImplementedError
-
-
-class TabuSearchEngine(_EngineBase):
-    """Best-admissible-neighbour descent with a fingerprint tabu list."""
-
-    name = "tabu"
-
-    def run(
-        self,
-        initial: Candidate,
-        resume: Optional[Dict[str, Any]] = None,
-        checkpointer: Optional[Checkpointer] = None,
-    ) -> ExplorationResult:
+        """Search from ``initial``, or continue the run ``resume`` recorded."""
         config = self._config
         engine_span, run_started = self._begin_run()
         resumed_from: Optional[int] = None
         if resume is not None:
             rng = random.Random()
             rng.setstate(rng_state_from_json(resume["rng"]))
-            initial, initial_eval = scored_from_json(resume["initial"])
-            best, best_eval = scored_from_json(resume["best"])
-            current, current_eval = scored_from_json(
-                resume["engine_state"]["current"]
-            )
-            tabu: deque = deque(
-                resume["engine_state"]["tabu"], maxlen=max(1, config.tabu_tenure)
-            )
+            self._initial = scored_from_json(resume["initial"])
+            self._best = scored_from_json(resume["best"])
+            self._restore(resume["engine_state"])
             trajectory = trajectory_from_json(resume["trajectory"])
             state = search_state_from_json(resume["state"])
-            self._restore_front(resume.get("front"))
+            front = self._front()
+            if front is not None:
+                for entry in resume.get("front") or ():
+                    front.offer(*scored_from_json(entry))
             resumed_from = state.cycle
         else:
             rng = random.Random(config.seed)
-            current, current_eval = initial, self._evaluator.evaluate(initial)
-            initial_eval = current_eval
-            best, best_eval = current, current_eval
-            tabu = deque(maxlen=max(1, config.tabu_tenure))
-            tabu.append(current.fingerprint)
+            state = self._start(initial, rng)
             trajectory = []
-            state = SearchState(evaluations=1, best_cost=best_eval.cost)
 
         def snapshot(completed: bool = False, reason: Optional[str] = None):
             return snapshot_document(
                 engine=self.name,
                 seed=config.seed,
-                problem_key=self._problem_key(),
+                problem_key=self._evaluator.problem.content_key,
                 state=state,
                 rng_state=rng.getstate(),
-                initial=(initial, initial_eval),
-                best=(best, best_eval),
+                initial=self._initial,
+                best=self._best,
                 trajectory=trajectory,
-                engine_state={
-                    "current": scored_to_json(current, current_eval),
-                    "tabu": list(tabu),
-                },
-                front=self._evaluator.front,
+                engine_state=self._engine_state(),
+                front=self._front(),
                 completed=completed,
                 stop_reason=reason,
             )
@@ -375,62 +381,22 @@ class TabuSearchEngine(_EngineBase):
         reason = self._stop_reason(state)
         while reason is None:
             cycle_span, cycle_started = self._begin_cycle()
-            neighbors = self._sampler.sample(
-                current, rng, config.neighbors_per_cycle
-            )
-            if not neighbors:
-                reason = "no distinct neighbors"
+            point = self._cycle(rng, state)
+            if isinstance(point, str):
+                reason = point  # the engine span closes this cycle's span
                 break
-            evaluations = self._evaluator.evaluate_many(
-                [candidate for _, candidate in neighbors]
-            )
-            state.evaluations += len(neighbors)
-
-            chosen: Optional[Tuple] = None  # (cost, fingerprint, move, cand, eval)
-            fallback: Optional[Tuple] = None
-            for (move, candidate), evaluation in zip(neighbors, evaluations):
-                if not evaluation.feasible:
-                    continue
-                key = (evaluation.cost, candidate.fingerprint)
-                admissible = (
-                    candidate.fingerprint not in tabu
-                    or evaluation.cost < best_eval.cost  # aspiration
-                )
-                entry = key + (move, candidate, evaluation)
-                if admissible and (chosen is None or key < chosen[:2]):
-                    chosen = entry
-                if fallback is None or key < fallback[:2]:
-                    fallback = entry
-            if chosen is None:
-                chosen = fallback  # every neighbour tabu: take the best anyway
-            if chosen is None:
-                reason = "no feasible neighbors"
-                break
-
-            _, _, move, current, current_eval = chosen
-            tabu.append(current.fingerprint)
-            state.cycle += 1
-            if current_eval.cost < best_eval.cost - 1e-9:
-                best, best_eval = current, current_eval
-                state.cycles_since_improvement = 0
-                state.best_cost = best_eval.cost
-            else:
-                state.cycles_since_improvement += 1
-            trajectory.append(
-                TrajectoryPoint(
-                    cycle=state.cycle,
-                    move=move.describe(),
-                    cost=current_eval.cost,
-                    best_cost=best_eval.cost,
-                    accepted=1,
-                )
-            )
+            trajectory.append(point)
             self._end_cycle(cycle_span, cycle_started, state.cycle)
-            self._maybe_checkpoint(checkpointer, state.cycle, snapshot)
+            if checkpointer is not None and checkpointer.due(state.cycle):
+                checkpointer.save(snapshot())
             reason = self._stop_reason(state)
 
+        reason = reason or "stopped"
         if checkpointer is not None:
-            checkpointer.save(snapshot(completed=True, reason=reason or "stopped"))
+            checkpointer.save(snapshot(completed=True, reason=reason))
+        initial, initial_eval = self._initial
+        best, best_eval = self._best
+        front = self._front()
         return ExplorationResult(
             engine=self.name,
             initial_candidate=initial,
@@ -440,158 +406,161 @@ class TabuSearchEngine(_EngineBase):
             trajectory=trajectory,
             cycles=state.cycle,
             evaluations=state.evaluations,
-            stop_reason=reason or "stopped",
+            stop_reason=reason,
             cache=self._evaluator.stats,
             stages=self._evaluator.stage_stats,
             resilience=self._evaluator.resilience_stats,
             resumed_from=resumed_from,
-            front=(
-                self._evaluator.front.snapshot()
-                if self._evaluator.front is not None
-                else None
-            ),
+            front=front.snapshot() if front is not None else None,
             **self._finish_run(engine_span, run_started, state.cycle),
         )
 
 
-class SimulatedAnnealingEngine(_EngineBase):
+class _SinglePointEngine(_EngineBase):
+    """The current-point parts tabu search and annealing share."""
+
+    def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
+        scored = (initial, self._evaluator.evaluate(initial))
+        self._initial = self._best = self._current = scored
+        return SearchState(evaluations=1, best_cost=scored[1].cost)
+
+    def _restore(self, engine_state: Dict[str, Any]) -> None:
+        self._current = scored_from_json(engine_state["current"])
+
+    def _engine_state(self) -> Dict[str, Any]:
+        return {"current": scored_to_json(*self._current)}
+
+
+class TabuSearchEngine(_SinglePointEngine):
+    """Best-admissible-neighbour descent with a fingerprint tabu list."""
+
+    name = "tabu"
+
+    def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
+        state = super()._start(initial, rng)
+        self._tabu = deque(
+            [initial.fingerprint], maxlen=max(1, self._config.tabu_tenure)
+        )
+        return state
+
+    def _restore(self, engine_state: Dict[str, Any]) -> None:
+        super()._restore(engine_state)
+        self._tabu = deque(
+            engine_state["tabu"], maxlen=max(1, self._config.tabu_tenure)
+        )
+
+    def _engine_state(self) -> Dict[str, Any]:
+        return {**super()._engine_state(), "tabu": list(self._tabu)}
+
+    def _cycle(
+        self, rng: random.Random, state: SearchState
+    ) -> Union[TrajectoryPoint, str]:
+        neighbors = self._sampler.sample(
+            self._current[0], rng, self._config.neighbors_per_cycle
+        )
+        if not neighbors:
+            return "no distinct neighbors"
+        evaluations = self._evaluator.evaluate_many(
+            [candidate for _, candidate in neighbors]
+        )
+        state.evaluations += len(neighbors)
+
+        best_cost = self._best[1].cost
+        chosen: Optional[Tuple] = None  # (cost, fingerprint, move, cand, eval)
+        fallback: Optional[Tuple] = None
+        for (move, candidate), evaluation in zip(neighbors, evaluations):
+            if not evaluation.feasible:
+                continue
+            key = (evaluation.cost, candidate.fingerprint)
+            admissible = (
+                candidate.fingerprint not in self._tabu
+                or evaluation.cost < best_cost  # aspiration
+            )
+            entry = key + (move, candidate, evaluation)
+            if admissible and (chosen is None or key < chosen[:2]):
+                chosen = entry
+            if fallback is None or key < fallback[:2]:
+                fallback = entry
+        if chosen is None:
+            chosen = fallback  # every neighbour tabu: take the best anyway
+        if chosen is None:
+            return "no feasible neighbors"
+
+        _, _, move, candidate, evaluation = chosen
+        self._current = (candidate, evaluation)
+        self._tabu.append(candidate.fingerprint)
+        improved = evaluation.cost < best_cost - 1e-9
+        if improved:
+            self._best = self._current
+        return self._advance(
+            state, improved, move.describe(), evaluation.cost, accepted=1
+        )
+
+
+class SimulatedAnnealingEngine(_SinglePointEngine):
     """Metropolis acceptance over batched neighbour proposals."""
 
     name = "anneal"
 
-    def run(
-        self,
-        initial: Candidate,
-        resume: Optional[Dict[str, Any]] = None,
-        checkpointer: Optional[Checkpointer] = None,
-    ) -> ExplorationResult:
-        config = self._config
-        engine_span, run_started = self._begin_run()
-        resumed_from: Optional[int] = None
-        if resume is not None:
-            rng = random.Random()
-            rng.setstate(rng_state_from_json(resume["rng"]))
-            initial, initial_eval = scored_from_json(resume["initial"])
-            best, best_eval = scored_from_json(resume["best"])
-            current, current_eval = scored_from_json(
-                resume["engine_state"]["current"]
-            )
-            temperature = float(resume["engine_state"]["temperature"])
-            trajectory = trajectory_from_json(resume["trajectory"])
-            state = search_state_from_json(resume["state"])
-            self._restore_front(resume.get("front"))
-            resumed_from = state.cycle
-        else:
-            rng = random.Random(config.seed)
-            current, current_eval = initial, self._evaluator.evaluate(initial)
-            best, best_eval = current, current_eval
-            initial_eval = current_eval
-            temperature = config.initial_temperature
-            if temperature is None:
-                scale = (
-                    initial_eval.cost if math.isfinite(initial_eval.cost) else 1.0
-                )
-                temperature = max(1e-9, 0.05 * scale)
-            trajectory = []
-            state = SearchState(evaluations=1, best_cost=best_eval.cost)
+    def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
+        state = super()._start(initial, rng)
+        temperature = self._config.initial_temperature
+        if temperature is None:
+            cost = self._initial[1].cost
+            temperature = max(1e-9, 0.05 * (cost if math.isfinite(cost) else 1.0))
+        self._temperature = temperature
+        return state
 
-        def snapshot(completed: bool = False, reason: Optional[str] = None):
-            return snapshot_document(
-                engine=self.name,
-                seed=config.seed,
-                problem_key=self._problem_key(),
-                state=state,
-                rng_state=rng.getstate(),
-                initial=(initial, initial_eval),
-                best=(best, best_eval),
-                trajectory=trajectory,
-                engine_state={
-                    "current": scored_to_json(current, current_eval),
-                    "temperature": temperature,
-                },
-                front=self._evaluator.front,
-                completed=completed,
-                stop_reason=reason,
-            )
+    def _restore(self, engine_state: Dict[str, Any]) -> None:
+        super()._restore(engine_state)
+        self._temperature = float(engine_state["temperature"])
 
-        reason = self._stop_reason(state)
-        while reason is None:
-            cycle_span, cycle_started = self._begin_cycle()
-            proposals = self._sampler.sample(
-                current, rng, config.neighbors_per_cycle
-            )
-            if not proposals:
-                reason = "no distinct neighbors"
-                break
-            evaluations = self._evaluator.evaluate_many(
-                [candidate for _, candidate in proposals]
-            )
-            state.evaluations += len(proposals)
+    def _engine_state(self) -> Dict[str, Any]:
+        return {**super()._engine_state(), "temperature": self._temperature}
 
-            accepted = 0
-            last_move = "-"
-            for (move, candidate), evaluation in zip(proposals, evaluations):
-                # Proposals were drawn around the cycle's entry point; the
-                # acceptance walk is still sequential, so a batch behaves
-                # like neighbors_per_cycle restarts of the same origin.
-                delta = evaluation.cost - current_eval.cost
-                accept = evaluation.feasible and (
-                    delta <= 0
-                    or (
-                        temperature > 0
-                        and rng.random() < math.exp(-delta / temperature)
-                    )
-                )
-                temperature *= config.cooling
-                if not accept:
-                    continue
-                accepted += 1
-                last_move = move.describe()
-                current, current_eval = candidate, evaluation
-                if current_eval.cost < best_eval.cost - 1e-9:
-                    best, best_eval = current, current_eval
-                    state.best_cost = best_eval.cost
-                    state.cycles_since_improvement = -1  # reset below
-            state.cycle += 1
-            if state.cycles_since_improvement < 0:
-                state.cycles_since_improvement = 0
-            else:
-                state.cycles_since_improvement += 1
-            trajectory.append(
-                TrajectoryPoint(
-                    cycle=state.cycle,
-                    move=last_move,
-                    cost=current_eval.cost,
-                    best_cost=best_eval.cost,
-                    accepted=accepted,
+    def _cycle(
+        self, rng: random.Random, state: SearchState
+    ) -> Union[TrajectoryPoint, str]:
+        current, current_eval = self._current
+        proposals = self._sampler.sample(
+            current, rng, self._config.neighbors_per_cycle
+        )
+        if not proposals:
+            return "no distinct neighbors"
+        evaluations = self._evaluator.evaluate_many(
+            [candidate for _, candidate in proposals]
+        )
+        state.evaluations += len(proposals)
+
+        temperature = self._temperature
+        accepted = 0
+        last_move = "-"
+        improved = False
+        for (move, candidate), evaluation in zip(proposals, evaluations):
+            # Proposals were drawn around the cycle's entry point; the
+            # acceptance walk is still sequential, so a batch behaves
+            # like neighbors_per_cycle restarts of the same origin.
+            delta = evaluation.cost - current_eval.cost
+            accept = evaluation.feasible and (
+                delta <= 0
+                or (
+                    temperature > 0
+                    and rng.random() < math.exp(-delta / temperature)
                 )
             )
-            self._end_cycle(cycle_span, cycle_started, state.cycle)
-            self._maybe_checkpoint(checkpointer, state.cycle, snapshot)
-            reason = self._stop_reason(state)
-
-        if checkpointer is not None:
-            checkpointer.save(snapshot(completed=True, reason=reason or "stopped"))
-        return ExplorationResult(
-            engine=self.name,
-            initial_candidate=initial,
-            initial=initial_eval,
-            best_candidate=best,
-            best=best_eval,
-            trajectory=trajectory,
-            cycles=state.cycle,
-            evaluations=state.evaluations,
-            stop_reason=reason or "stopped",
-            cache=self._evaluator.stats,
-            stages=self._evaluator.stage_stats,
-            resilience=self._evaluator.resilience_stats,
-            resumed_from=resumed_from,
-            front=(
-                self._evaluator.front.snapshot()
-                if self._evaluator.front is not None
-                else None
-            ),
-            **self._finish_run(engine_span, run_started, state.cycle),
+            temperature *= self._config.cooling
+            if not accept:
+                continue
+            accepted += 1
+            last_move = move.describe()
+            current, current_eval = candidate, evaluation
+            if current_eval.cost < self._best[1].cost - 1e-9:
+                self._best = (current, current_eval)
+                improved = True
+        self._temperature = temperature
+        self._current = (current, current_eval)
+        return self._advance(
+            state, improved, last_move, current_eval.cost, accepted
         )
 
 

@@ -36,28 +36,17 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .candidate import Candidate
 from .cost import CandidateEvaluation
-from .engines import (
-    ExplorationResult,
-    SearchState,
-    TrajectoryPoint,
-    _EngineBase,
-)
+from .engines import SearchState, TrajectoryPoint, _EngineBase
 from .pareto import ParetoFront, crowding_distances, non_dominated_sort
 from .resilience import (
-    Checkpointer,
     candidate_from_json,
     candidate_to_json,
     evaluation_from_json,
     evaluation_to_json,
-    rng_state_from_json,
-    scored_from_json,
-    search_state_from_json,
-    snapshot_document,
-    trajectory_from_json,
 )
 
 
@@ -65,6 +54,14 @@ class GeneticEngine(_EngineBase):
     """Population search with NSGA-II selection and Pareto-front reporting."""
 
     name = "genetic"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # The engine always reports a front: its own, unless the evaluator
+        # tracks one (and then also does the offering).
+        self._own_front = (
+            ParetoFront() if self._evaluator.front is None else None
+        )
 
     # -- population helpers --------------------------------------------------
 
@@ -221,181 +218,113 @@ class GeneticEngine(_EngineBase):
         keep = order[: self._config.population_size]
         return [pooled[i] for i in keep], [pooled_evals[i] for i in keep]
 
-    # -- the generation loop ---------------------------------------------------
+    # -- the search hooks ------------------------------------------------------
 
-    def run(
-        self,
-        initial: Candidate,
-        resume: Optional[Dict[str, Any]] = None,
-        checkpointer: Optional[Checkpointer] = None,
-    ) -> ExplorationResult:
-        """Evolve a population from the seed candidate; report best + front."""
+    def _front(self) -> ParetoFront:
+        if self._own_front is not None:
+            return self._own_front
+        return self._evaluator.front
+
+    def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
+        population = self._initial_population(initial, rng)
+        evaluations = self._evaluator.evaluate_many(population)
+        if self._own_front is not None:
+            self._own_front.offer_many(population, evaluations)
+        self._population, self._evaluations = population, evaluations
+        self._initial = (initial, evaluations[0])
+
+        def better(index: int) -> Tuple[float, str]:
+            return (evaluations[index].cost, population[index].fingerprint)
+
+        best_index = min(range(len(population)), key=better)
+        self._best = (population[best_index], evaluations[best_index])
+        if not self._best[1].feasible:
+            self._best = self._initial
+        best_eval = self._best[1]
+        return SearchState(
+            evaluations=len(population),
+            best_cost=best_eval.cost if best_eval.feasible else math.inf,
+        )
+
+    def _restore(self, engine_state: Dict[str, Any]) -> None:
+        self._population = [
+            candidate_from_json(entry) for entry in engine_state["population"]
+        ]
+        self._evaluations = [
+            evaluation_from_json(entry) for entry in engine_state["evaluations"]
+        ]
+
+    def _engine_state(self) -> Dict[str, Any]:
+        return {
+            "population": [
+                candidate_to_json(candidate) for candidate in self._population
+            ],
+            "evaluations": [
+                evaluation_to_json(evaluation) for evaluation in self._evaluations
+            ],
+        }
+
+    def _cycle(self, rng: random.Random, state: SearchState) -> TrajectoryPoint:
+        """One generation: breed, score, track the best, select survivors."""
         config = self._config
-        engine_span, run_started = self._begin_run()
-        front = self._evaluator.front
-        offers_frontwards = front is None  # otherwise the evaluator offers
-        resumed_from: Optional[int] = None
-        if resume is not None:
-            rng = random.Random()
-            rng.setstate(rng_state_from_json(resume["rng"]))
-            engine_state = resume["engine_state"]
-            population = [
-                candidate_from_json(entry) for entry in engine_state["population"]
-            ]
-            evaluations = [
-                evaluation_from_json(entry)
-                for entry in engine_state["evaluations"]
-            ]
-            initial, initial_eval = scored_from_json(resume["initial"])
-            best, best_eval = scored_from_json(resume["best"])
-            trajectory = trajectory_from_json(resume["trajectory"])
-            state = search_state_from_json(resume["state"])
-            if front is None:
-                front = ParetoFront()
-                for entry in resume.get("front") or []:
-                    front.offer(*scored_from_json(entry))
+        population, evaluations = self._population, self._evaluations
+        ranks, crowding = self._rank(evaluations)
+        children: List[Candidate] = []
+        for _ in range(config.population_size):
+            first = self._tournament(
+                population, evaluations, ranks, crowding, rng
+            )
+            second = self._tournament(
+                population, evaluations, ranks, crowding, rng
+            )
+            if rng.random() < config.crossover_rate:
+                child = self._crossover(
+                    population[first], population[second], rng
+                )
             else:
-                self._restore_front(resume.get("front"))
-            resumed_from = state.cycle
-        else:
-            rng = random.Random(config.seed)
-            if front is None:
-                front = ParetoFront()
-
-            population = self._initial_population(initial, rng)
-            evaluations = self._evaluator.evaluate_many(population)
-            if offers_frontwards:
-                front.offer_many(population, evaluations)
-            initial_eval = evaluations[0]
-
-            def better(index: int) -> Tuple[float, str]:
-                return (evaluations[index].cost, population[index].fingerprint)
-
-            best_index = min(range(len(population)), key=better)
-            best, best_eval = population[best_index], evaluations[best_index]
-            if not best_eval.feasible:
-                best, best_eval = initial, initial_eval
-
-            state = SearchState(
-                evaluations=len(population),
-                best_cost=best_eval.cost if best_eval.feasible else math.inf,
-            )
-            trajectory = []
-
-        def snapshot(completed: bool = False, reason: Optional[str] = None):
-            return snapshot_document(
-                engine=self.name,
-                seed=config.seed,
-                problem_key=self._problem_key(),
-                state=state,
-                rng_state=rng.getstate(),
-                initial=(initial, initial_eval),
-                best=(best, best_eval),
-                trajectory=trajectory,
-                engine_state={
-                    "population": [
-                        candidate_to_json(candidate) for candidate in population
-                    ],
-                    "evaluations": [
-                        evaluation_to_json(evaluation)
-                        for evaluation in evaluations
-                    ],
-                },
-                front=front,
-                completed=completed,
-                stop_reason=reason,
-            )
-
-        reason = self._stop_reason(state)
-        while reason is None:
-            cycle_span, cycle_started = self._begin_cycle()
-            ranks, crowding = self._rank(evaluations)
-            children: List[Candidate] = []
-            for _ in range(config.population_size):
-                first = self._tournament(
-                    population, evaluations, ranks, crowding, rng
+                winner = min(
+                    (first, second),
+                    key=lambda i: (ranks[i], -crowding[i], evaluations[i].cost),
                 )
-                second = self._tournament(
-                    population, evaluations, ranks, crowding, rng
-                )
-                if rng.random() < config.crossover_rate:
-                    child = self._crossover(
-                        population[first], population[second], rng
-                    )
-                else:
-                    winner = min(
-                        (first, second),
-                        key=lambda i: (ranks[i], -crowding[i], evaluations[i].cost),
-                    )
-                    child = population[winner]
-                children.append(self._mutate(child, rng))
+                child = population[winner]
+            children.append(self._mutate(child, rng))
 
-            child_evaluations = self._evaluator.evaluate_many(children)
-            if offers_frontwards:
-                front.offer_many(children, child_evaluations)
-            state.evaluations += len(children)
+        child_evaluations = self._evaluator.evaluate_many(children)
+        if self._own_front is not None:
+            self._own_front.offer_many(children, child_evaluations)
+        state.evaluations += len(children)
 
-            # Track the best against every *evaluated* child, before survivor
-            # selection: crowding truncation may drop the scalar-best child
-            # from the next population, but it was still found by this run.
-            improved = False
-            for candidate, evaluation in zip(children, child_evaluations):
-                if evaluation.feasible and (
-                    evaluation.cost < best_eval.cost - 1e-9
-                    or not best_eval.feasible
-                ):
-                    best, best_eval = candidate, evaluation
-                    improved = True
+        # Track the best against every *evaluated* child, before survivor
+        # selection: crowding truncation may drop the scalar-best child
+        # from the next population, but it was still found by this run.
+        best, best_eval = self._best
+        improved = False
+        for candidate, evaluation in zip(children, child_evaluations):
+            if evaluation.feasible and (
+                evaluation.cost < best_eval.cost - 1e-9
+                or not best_eval.feasible
+            ):
+                best, best_eval = candidate, evaluation
+                improved = True
+        self._best = (best, best_eval)
 
-            survivor_fingerprints = {c.fingerprint for c in population}
-            population, evaluations = self._select_survivors(
-                population + children, evaluations + child_evaluations
-            )
-            fresh_survivors = sum(
-                1
-                for candidate in population
-                if candidate.fingerprint not in survivor_fingerprints
-            )
-            state.cycle += 1
-            if improved:
-                state.cycles_since_improvement = 0
-                state.best_cost = best_eval.cost
-            else:
-                state.cycles_since_improvement += 1
-
-            generation_best = min(
-                (ev.cost for ev in evaluations if ev.feasible),
-                default=math.inf,
-            )
-            trajectory.append(
-                TrajectoryPoint(
-                    cycle=state.cycle,
-                    move=f"generation ({len(front)} front points)",
-                    cost=generation_best,
-                    best_cost=best_eval.cost,
-                    accepted=fresh_survivors,
-                )
-            )
-            self._end_cycle(cycle_span, cycle_started, state.cycle)
-            self._maybe_checkpoint(checkpointer, state.cycle, snapshot)
-            reason = self._stop_reason(state)
-
-        if checkpointer is not None:
-            checkpointer.save(snapshot(completed=True, reason=reason or "stopped"))
-        return ExplorationResult(
-            engine=self.name,
-            initial_candidate=initial,
-            initial=initial_eval,
-            best_candidate=best,
-            best=best_eval,
-            trajectory=trajectory,
-            cycles=state.cycle,
-            evaluations=state.evaluations,
-            stop_reason=reason or "stopped",
-            cache=self._evaluator.stats,
-            stages=self._evaluator.stage_stats,
-            resilience=self._evaluator.resilience_stats,
-            resumed_from=resumed_from,
-            front=front.snapshot(),
-            **self._finish_run(engine_span, run_started, state.cycle),
+        survivor_fingerprints = {c.fingerprint for c in population}
+        self._population, self._evaluations = self._select_survivors(
+            population + children, evaluations + child_evaluations
+        )
+        fresh_survivors = sum(
+            1
+            for candidate in self._population
+            if candidate.fingerprint not in survivor_fingerprints
+        )
+        generation_best = min(
+            (ev.cost for ev in self._evaluations if ev.feasible),
+            default=math.inf,
+        )
+        return self._advance(
+            state,
+            improved,
+            f"generation ({len(self._front())} front points)",
+            generation_best,
+            fresh_survivors,
         )

@@ -18,19 +18,16 @@ Modes
 ``process``
     One ``ProcessPoolExecutor`` worker per core (default on multi-core
     hosts).  Chunked submission amortises IPC per batch.
-``thread``
-    A ``ThreadPoolExecutor``; the evaluation is pure Python so threads do not
-    scale, but the mode is useful to exercise the batching machinery without
-    process start-up cost (tests, small batches).
 ``serial``
     In-process evaluation (default on single-core hosts; also the fallback
     when a batch is smaller than two candidates).
 
-Every in-process route — serial mode, single-candidate batches, thread
-units and a degraded pool — scores through one
+Every in-process route — serial mode, single-candidate batches and a
+degraded pool — scores through one
 :func:`~repro.exploration.evaluate_neighbourhood` call over the in-process
-stage cache.  An armed serial pool scores singleton units, retried under the
-pooled path's bookkeeping.
+stage cache.  An armed serial pool scores one candidate at a time, each
+attempt through the fault injector first, retried under the pooled path's
+bookkeeping.
 
 Resilience
 ----------
@@ -54,10 +51,8 @@ import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
-    Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
 )
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -164,7 +159,6 @@ class _ResilienceCounters:
     worker_restarts: int = 0
     quarantined: int = 0
     injected: int = 0
-    integrity_evictions: int = 0
     degraded: bool = False
 
     def snapshot(self) -> ResilienceStats:
@@ -174,7 +168,6 @@ class _ResilienceCounters:
             worker_restarts=self.worker_restarts,
             quarantined=self.quarantined,
             injected=self.injected,
-            integrity_evictions=self.integrity_evictions,
             degraded=self.degraded,
         )
 
@@ -188,8 +181,8 @@ class EvaluationPool:
     deterministic regardless of worker scheduling.
 
     ``retry`` and ``fault_injector`` arm the resilience layer (see the module
-    docstring).  Pooled (process/thread) execution always detects broken
-    executors and respawns them; an explicit retry policy additionally bounds
+    docstring).  Process-mode execution always detects broken executors and
+    respawns them; an explicit retry policy additionally bounds
     per-unit evaluation time, and a fault injector exercises the whole
     machinery deterministically.  Unarmed, serial mode scores each batch in
     one in-process call and has no resilience layer at all
@@ -208,9 +201,9 @@ class EvaluationPool:
         metrics=None,
         stage_cache: Optional[StageCache] = None,
     ) -> None:
-        if mode not in ("auto", "serial", "thread", "process"):
+        if mode not in ("auto", "serial", "process"):
             raise ValueError(
-                f"unknown pool mode {mode!r}; choose auto, serial, thread or process"
+                f"unknown pool mode {mode!r}; choose auto, serial or process"
             )
         self._problem = problem
         self._weights = weights
@@ -218,11 +211,10 @@ class EvaluationPool:
         if mode == "auto":
             mode = "process" if self._workers > 1 else "serial"
         self._mode = mode
-        self._executor: Optional[Executor] = None
-        # Incremental evaluation (cost.StageCache).  Serial and thread modes
-        # share this in-process cache (stages are pure, so thread races at
-        # worst recompute a stage); process mode gives each worker its own
-        # cache instead — and keeps no in-process cache until the pool
+        self._executor: Optional[ProcessPoolExecutor] = None
+        # Incremental evaluation (cost.StageCache).  Serial mode scores
+        # through this in-process cache; process mode gives each worker its
+        # own cache instead — and keeps no in-process cache until the pool
         # degrades to in-process evaluation, so ``stage_stats`` never hides
         # real caching activity.  An *injected* cache (repro-cpg serve's
         # shared cross-request cache, possibly bounded) replaces the
@@ -231,10 +223,10 @@ class EvaluationPool:
         # a silent private cache.
         if stage_cache is not None and self._mode == "process":
             raise ValueError(
-                "an injected stage_cache requires serial or thread mode; "
+                "an injected stage_cache requires serial mode; "
                 "process workers keep per-process caches"
             )
-        if stage_cache is None and self._mode != "process":
+        if stage_cache is None and self._mode == "serial":
             stage_cache = StageCache()
         self._stage_cache: Optional[StageCache] = stage_cache
         self._armed = retry is not None or fault_injector is not None
@@ -282,7 +274,7 @@ class EvaluationPool:
 
         Counts the pickled-once problem blob (once per worker, again after a
         restart respawns the pool) plus every pre-pickled candidate unit.
-        Serial and thread modes ship nothing, so the counter stays 0 — the
+        Serial mode ships nothing, so the counter stays 0 — the
         batch-stats block in ``explore --json`` reports payload traffic only
         where it actually exists.
         """
@@ -315,7 +307,7 @@ class EvaluationPool:
     def stage_stats(self) -> Optional[StageStats]:
         """Stage-cache counters of the in-process cache, when one exists.
 
-        Serial and thread modes report their shared cache.  Process mode
+        Serial mode reports its cache.  Process mode
         returns None until the pool degrades to in-process evaluation: each
         worker owns a private cache in its own process and the counters are
         deliberately not shipped back per batch.
@@ -354,41 +346,36 @@ class EvaluationPool:
             )
         return self._payload_blob
 
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            if self._mode == "process":
-                blob = self._validated_payload_blob()
-                executor: Executor = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    initializer=_initialise_worker,
-                    initargs=(blob, self._weights, self._injector),
-                )
-                # Each spawned worker receives its own copy of the initargs
-                # blob across the process boundary.
-                self._payload_bytes_shipped += len(blob) * self._workers
-                if self._metrics is not None:
-                    self._metrics.count(
-                        "pool.payload_bytes", len(blob) * self._workers
-                    )
-                probe = executor.submit(_worker_probe)
-                try:
-                    probe.result(timeout=self._retry.startup_timeout)
-                except BrokenExecutor as error:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    raise WorkerInitializationError(
-                        f"worker initialisation failed for problem "
-                        f"{self._problem.name!r} ({self._workers} process "
-                        f"worker(s)): {error}"
-                    ) from error
-                except TimeoutError as error:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    raise WorkerInitializationError(
-                        f"worker initialisation for problem {self._problem.name!r} "
-                        f"timed out after {self._retry.startup_timeout:g}s"
-                    ) from error
-                self._executor = executor
-            else:
-                self._executor = ThreadPoolExecutor(max_workers=self._workers)
+            blob = self._validated_payload_blob()
+            executor = ProcessPoolExecutor(
+                max_workers=self._workers,
+                initializer=_initialise_worker,
+                initargs=(blob, self._weights, self._injector),
+            )
+            # Each spawned worker receives its own copy of the initargs blob
+            # across the process boundary.
+            self._payload_bytes_shipped += len(blob) * self._workers
+            if self._metrics is not None:
+                self._metrics.count("pool.payload_bytes", len(blob) * self._workers)
+            probe = executor.submit(_worker_probe)
+            try:
+                probe.result(timeout=self._retry.startup_timeout)
+            except BrokenExecutor as error:
+                executor.shutdown(wait=False, cancel_futures=True)
+                raise WorkerInitializationError(
+                    f"worker initialisation failed for problem "
+                    f"{self._problem.name!r} ({self._workers} process "
+                    f"worker(s)): {error}"
+                ) from error
+            except TimeoutError as error:
+                executor.shutdown(wait=False, cancel_futures=True)
+                raise WorkerInitializationError(
+                    f"worker initialisation for problem {self._problem.name!r} "
+                    f"timed out after {self._retry.startup_timeout:g}s"
+                ) from error
+            self._executor = executor
         return self._executor
 
     def _restart_executor(self) -> None:
@@ -400,20 +387,13 @@ class EvaluationPool:
         self._resilience(
             "resilience.worker_restart", "pool.worker_restarts", mode=self._mode
         )
-        if self._stage_cache is not None:
-            # An abandoned hung thread may still be writing into the shared
-            # in-process cache; verify the survivors before reusing them.
-            self._counters.integrity_evictions += self._stage_cache.check_integrity()
 
     def _degrade(self) -> None:
         """Give up on pooled execution; evaluate in-process from now on."""
         self._degraded = True
         self._counters.degraded = True
         self._resilience("resilience.degrade", "pool.degraded", mode=self._mode)
-        if self._stage_cache is not None:
-            self._counters.integrity_evictions += self._stage_cache.check_integrity()
-        else:
-            self._stage_cache = StageCache()
+        self._stage_cache = StageCache()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -461,9 +441,12 @@ class EvaluationPool:
     ) -> List[CandidateEvaluation]:
         """Armed serial evaluation: every candidate is a singleton unit.
 
-        A failed attempt is attributed like a failed pooled unit (retry or
-        quarantine, see :meth:`_attribute_failure`) and retried after the
-        same deterministic backoff, before the next candidate starts.
+        Each attempt passes the fault injector first; an injected fault of
+        any kind raises here (see :meth:`FaultInjector.inject`), since the
+        coordinator must survive its own evaluations.  A failed attempt is
+        attributed like a failed pooled unit (retry or quarantine, see
+        :meth:`_attribute_failure`) and retried after the same deterministic
+        backoff, before the next candidate starts.
         """
         total = len(candidates)
         results: List[Optional[CandidateEvaluation]] = [None] * total
@@ -472,9 +455,8 @@ class EvaluationPool:
         for index, candidate in enumerate(candidates):
             while results[index] is None:
                 try:
-                    results[index] = self._evaluate_unit_in_process(
-                        [(candidate, attempts[index])], sleep_hangs=False
-                    )[0]
+                    self._inject(candidate, attempts[index])
+                    results[index] = self._evaluate_in_process([candidate])[0]
                 except Exception as error:
                     retry: List[Tuple[int, ...]] = []
                     self._attribute_failure(
@@ -487,7 +469,7 @@ class EvaluationPool:
     def _evaluate_pooled(
         self, candidates: List[Candidate]
     ) -> List[CandidateEvaluation]:
-        """The resilient unit-based submission path (process and thread modes).
+        """The resilient unit-based submission path (process mode).
 
         Candidates are grouped into *units* (index tuples).  Each round
         submits every outstanding unit, harvests results, and classifies
@@ -531,7 +513,8 @@ class EvaluationPool:
             for position, unit in enumerate(pending):
                 try:
                     future = executor.submit(
-                        *self._unit_task(candidates, attempts, unit)
+                        _evaluate_unit_blob,
+                        self._unit_blob(candidates, attempts, unit),
                     )
                 except BrokenExecutor:
                     # Workers died while the round was still being submitted;
@@ -617,55 +600,36 @@ class EvaluationPool:
         )
         return results
 
-    def _unit_task(
+    def _unit_blob(
         self,
         candidates: List[Candidate],
         attempts: List[int],
         unit: Tuple[int, ...],
-    ):
-        """The callable + argument submitted for one unit, mode-specific."""
-        payload = [(candidates[index], attempts[index]) for index in unit]
-        if self._mode == "process":
-            # Pickle the unit here, once, so the executor only ships bytes
-            # and the exact payload traffic is known for batch stats.
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            self._payload_bytes_shipped += len(blob)
-            if self._metrics is not None:
-                self._metrics.count("pool.payload_bytes", len(blob))
-            return (_evaluate_unit_blob, blob)
-        return (self._evaluate_unit_in_process, payload)
+    ) -> bytes:
+        """One unit's (candidate, attempt) pairs, pickled for a worker.
 
-    def _evaluate_unit_in_process(
-        self, unit: Sequence[Tuple[Candidate, int]], sleep_hangs: bool = True
-    ) -> List[CandidateEvaluation]:
-        """Score one unit of (candidate, attempt) pairs in this process.
-
-        An injected 'crash' or 'exit' — and a 'hang' unless ``sleep_hangs`` —
-        raises (see :meth:`FaultInjector.inject`): the coordinator must
-        survive its own evaluations.  A thread worker sleeps through a 'hang'
-        instead, so the per-unit timeout sees it.
+        Pickled here, once, so the executor only ships bytes and the exact
+        payload traffic is known for batch stats.
         """
-        results: List[CandidateEvaluation] = []
-        for candidate, attempt in unit:
-            fault = (
-                self._injector.fault_for(candidate.fingerprint, attempt)
-                if self._injector is not None
-                else None
+        payload = [(candidates[index], attempts[index]) for index in unit]
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        self._payload_bytes_shipped += len(blob)
+        if self._metrics is not None:
+            self._metrics.count("pool.payload_bytes", len(blob))
+        return blob
+
+    def _inject(self, candidate: Candidate, attempt: int) -> None:
+        """Fire (and count) this in-process attempt's injected fault, if any."""
+        if self._injector is None:
+            return
+        fault = self._injector.fault_for(candidate.fingerprint, attempt)
+        if fault is not None:
+            self._counters.injected += 1
+            self._resilience(
+                "resilience.fault_injected", "pool.injected",
+                fingerprint=candidate.fingerprint, attempt=attempt, fault=fault,
             )
-            if fault is not None:
-                self._counters.injected += 1
-                self._resilience(
-                    "resilience.fault_injected", "pool.injected",
-                    fingerprint=candidate.fingerprint, attempt=attempt, fault=fault,
-                )
-                if fault == "hang" and sleep_hangs:
-                    time.sleep(self._injector.hang_seconds)
-                else:
-                    self._injector.inject(
-                        candidate.fingerprint, attempt, in_worker=False
-                    )
-            results.extend(self._evaluate_in_process([candidate]))
-        return results
+            self._injector.inject(candidate.fingerprint, attempt, in_worker=False)
 
     def _unit_timeout(self, unit: Tuple[int, ...]) -> Optional[float]:
         if self._retry.timeout is None:

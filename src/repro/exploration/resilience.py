@@ -213,14 +213,19 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ResilienceStats:
-    """Fault/retry counters of one pool (reported in ExplorationResult)."""
+    """Fault/retry counters of one pool (reported in ExplorationResult).
+
+    ``injected`` counts the faults injected into in-process evaluation (an
+    armed serial pool); faults injected inside process workers are not
+    shipped back, so they show only through the retries, timeouts and
+    restarts they cause.
+    """
 
     retries: int = 0
     timeouts: int = 0
     worker_restarts: int = 0
     quarantined: int = 0
     injected: int = 0
-    integrity_evictions: int = 0
     degraded: bool = False
 
     @property

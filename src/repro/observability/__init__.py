@@ -8,8 +8,8 @@ source paper itself argues (measured schedule-table generation time):
 * :class:`Tracer` — structured span/event records with run ids, monotonic
   timestamps and parent-span nesting, emitted to a :class:`JsonlSink` (the
   ``repro-cpg explore --trace FILE`` format) or an in-memory
-  :class:`RingBufferSink`; the disabled default (:data:`NULL_TRACER`) costs
-  one attribute access and allocates nothing;
+  :class:`RingBufferSink`; tracing is off by default — instrumented layers
+  take ``tracer=None`` and skip their spans, allocating nothing;
 * :class:`MetricsRegistry` — named counters, gauges and histograms whose
   frozen :class:`MetricsSnapshot` views merge, so per-worker metrics fold
   into one run-level profile;
@@ -37,18 +37,14 @@ from .report import (
     format_trace_report,
 )
 from .trace import (
-    NULL_TRACER,
     RECORD_KEYS,
     TRACE_SCHEMA_VERSION,
     JsonlSink,
-    NullTracer,
     RingBufferSink,
     Span,
     TraceError,
     Tracer,
-    iter_spans,
     read_trace,
-    tracer_or_null,
     validate_record,
 )
 
@@ -57,8 +53,6 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_TRACER",
-    "NullTracer",
     "RECORD_KEYS",
     "RingBufferSink",
     "Span",
@@ -69,9 +63,7 @@ __all__ = [
     "Tracer",
     "aggregate_trace",
     "format_trace_report",
-    "iter_spans",
     "merge_snapshots",
     "read_trace",
-    "tracer_or_null",
     "validate_record",
 ]

@@ -40,18 +40,16 @@ Every record is a flat dict with exactly these keys:
 
 Disabled-path cost
 ------------------
-The default tracer is the module-level :data:`NULL_TRACER` singleton: its
-``span()`` returns one shared no-op context manager and ``event()`` returns
-immediately, so instrumented code paths pay one attribute call and no
-allocation when tracing is off (guarded by ``Tracer.enabled`` where even
-that matters).  Hot inner loops additionally take ``tracer=None`` and skip
-instrumentation entirely.
+Tracing is off by default: every instrumented layer (the pipeline stages,
+the engines, the evaluation pool, the service) takes ``tracer=None`` and
+checks for None before it opens a span or records an event, so a run
+without a tracer allocates nothing for tracing.
 
 Nesting uses a per-thread span stack (``threading.local``), so spans opened
-by thread-pool workers nest within their own thread and never corrupt the
-coordinator's stack.  Closing a span pops every span opened above it first
-(emitting them), so an early ``break`` out of an instrumented loop cannot
-leak open spans.
+on different threads (the service's job threads) nest within their own
+thread and never corrupt each other's stacks.  Closing a span pops every
+span opened above it first (emitting them), so an early ``break`` out of an
+instrumented loop cannot leak open spans.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 #: Version tag of the trace record schema documented in the module docstring.
 TRACE_SCHEMA_VERSION = 1
@@ -225,52 +223,6 @@ class Span:
         self.close()
 
 
-class _NullSpan:
-    """The shared no-op span of :data:`NULL_TRACER` (never allocated twice)."""
-
-    __slots__ = ()
-
-    def close(self, **attrs: Any) -> float:
-        """No-op; returns 0.0 (callers time independently when they care)."""
-        return 0.0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a constant-time no-op.
-
-    ``span()`` always returns the one module-level :data:`_NULL_SPAN`
-    instance — no allocation on the disabled path, which tests assert by
-    identity (``tracer.span("a") is tracer.span("b")``).
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        """Return the shared no-op span."""
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Discard the event."""
-
-    def close(self) -> None:
-        """No-op."""
-
-
-#: The process-wide disabled tracer; instrumented layers default to it.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Emits schema-valid span/event records to a sink.
 
@@ -286,11 +238,9 @@ class Tracer:
 
     Span nesting follows a per-thread stack: ``span()`` pushes, closing pops
     (including any spans left open above — see :meth:`Span.close`).  ``seq``
-    numbers are allocated under a lock, so records from thread-mode workers
+    numbers are allocated under a lock, so records from several threads
     interleave without ever colliding.
     """
-
-    enabled = True
 
     def __init__(self, sink, run_id: str = "run") -> None:
         self._sink = sink
@@ -408,19 +358,3 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:
             except TraceError as error:
                 raise TraceError(f"{path}:{line_number}: {error}") from None
     return records
-
-
-def iter_spans(records: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
-    """Yield the span records of a validated record list."""
-    for record in records:
-        if record["type"] == "span":
-            yield record
-
-
-#: Union of the enabled and disabled tracer types, for annotations.
-AnyTracer = Union[Tracer, NullTracer]
-
-
-def tracer_or_null(tracer: Optional[AnyTracer]) -> AnyTracer:
-    """Normalise an optional tracer to a guaranteed-callable one."""
-    return tracer if tracer is not None else NULL_TRACER

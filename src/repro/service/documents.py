@@ -100,7 +100,6 @@ def explore_result_dict(result, include_front: bool = False, problem=None) -> di
                 "worker_restarts": result.resilience.worker_restarts,
                 "quarantined": result.resilience.quarantined,
                 "injected": result.resilience.injected,
-                "integrity_evictions": result.resilience.integrity_evictions,
                 "degraded": result.resilience.degraded,
             }
             if result.resilience is not None

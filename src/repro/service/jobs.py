@@ -81,7 +81,6 @@ class ScopedStageCaches:
                 "entries": 0,
                 "occupancy_bytes": 0,
                 "lru_evictions": 0,
-                "integrity_evictions": 0,
                 "hits": 0,
                 "misses": 0,
             }
@@ -99,7 +98,6 @@ class ScopedStageCaches:
                     "max_entries": stats.max_entries,
                     "max_bytes": stats.max_bytes,
                     "lru_evictions": stats.lru_evictions,
-                    "integrity_evictions": stats.integrity_evictions,
                     "expansion_hits": stats.expansion_hits,
                     "expansion_misses": stats.expansion_misses,
                     "schedule_hits": stats.schedule_hits,
@@ -109,7 +107,6 @@ class ScopedStageCaches:
                 totals["entries"] += entries
                 totals["occupancy_bytes"] += stats.occupancy_bytes
                 totals["lru_evictions"] += stats.lru_evictions
-                totals["integrity_evictions"] += stats.integrity_evictions
                 totals["hits"] += hits
                 totals["misses"] += misses
             return {

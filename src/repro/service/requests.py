@@ -1,4 +1,4 @@
-"""From a validated request document to an exploration run's ingredients.
+"""From a validated request to what the command-line and the service run.
 
 The functions here are the single source of truth for how a request —
 whether it arrived as ``repro-cpg explore`` flags or as a ``POST /jobs``
@@ -6,7 +6,9 @@ body — turns into an :class:`~repro.exploration.ExplorationProblem`, its
 human-readable origin string, an :class:`~repro.exploration.ExplorationConfig`
 and the engine list.  Both front-ends build their runs through this module,
 which is what makes the service's byte-identity promise checkable: same
-request, same ingredients, same result document.
+request, same ingredients, same result document.  The ``schedule`` and
+``sweep`` queries likewise run one pipeline each, :func:`schedule_system`
+and :func:`sweep_series`, whichever front-end asked.
 
 Request documents are the normalised output of
 :func:`repro.io.serialization.validate_explore_request`.
@@ -14,16 +16,24 @@ Request documents are the normalised output of
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis import aggregate
 from ..data import load_fig1_example
 from ..exploration import (
     ArchitectureBounds,
     ExplorationConfig,
     ExplorationProblem,
 )
-from ..generator import generate_system
+from ..generator import (
+    RandomSystemGenerator,
+    generate_system,
+    paper_experiment_configs,
+)
 from ..io.serialization import SystemDescription, system_from_dict
+from ..scheduling import ScheduleMerger
+from ..scheduling.merging import MergeResult
+from ..simulation import ValidationReport, validate_merge_result
 
 #: Engine aliases that expand to several runs sharing one evaluation cache.
 ENGINE_CHOICES = {
@@ -119,3 +129,51 @@ def config_from_request(request: Dict[str, Any]) -> ExplorationConfig:
         population_size=request["population"],
         track_front=request["pareto"],
     )
+
+
+def schedule_system(
+    system: SystemDescription, validate: bool
+) -> Tuple[MergeResult, Optional[ValidationReport]]:
+    """Validate, expand and merge one system (``schedule``).
+
+    With ``validate``, every alternative path also runs on the run-time
+    simulator; the report is None otherwise.
+    """
+    system.graph.validate()
+    expanded = system.expand()
+    result = ScheduleMerger(
+        expanded.graph, expanded.mapping, system.architecture
+    ).merge()
+    report = None
+    if validate:
+        report = validate_merge_result(
+            expanded.graph, expanded.mapping, result, system.architecture
+        )
+    return result, report
+
+
+def sweep_series(
+    nodes: Sequence[int], paths: Sequence[int], graphs: int
+) -> Dict[str, Dict[int, float]]:
+    """The Fig. 5 series behind ``sweep``.
+
+    Per ``"<size> nodes"``: the average increase of delta_max over delta_M
+    (%) per alternative-path count, over ``graphs`` seeded systems each.
+    """
+    series = {}
+    for size in nodes:
+        configs = paper_experiment_configs(
+            size, graphs, paths_options=paths, base_seed=size
+        )
+        by_paths: Dict[int, list] = {}
+        for config in configs:
+            system = RandomSystemGenerator(config).generate()
+            result = ScheduleMerger(
+                system.graph, system.expanded_mapping, system.architecture
+            ).merge()
+            by_paths.setdefault(config.alternative_paths, []).append(result)
+        series[f"{size} nodes"] = {
+            count: aggregate(results).average_increase_percent
+            for count, results in sorted(by_paths.items())
+        }
+    return series

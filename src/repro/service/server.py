@@ -45,9 +45,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..architecture.architecture import ArchitectureError
 from ..architecture.mapping import MappingError
-from ..generator import RandomSystemGenerator, paper_experiment_configs
 from ..graph.cpg import GraphStructureError
-from ..analysis import aggregate
 from ..io.serialization import (
     SerializationError,
     system_from_dict,
@@ -56,10 +54,9 @@ from ..io.serialization import (
     validate_sweep_request,
 )
 from ..observability import MetricsRegistry
-from ..scheduling import ScheduleMerger
-from ..simulation import validate_merge_result
 from .documents import schedule_document, sweep_document
 from .jobs import JobManager, ScopedStageCaches
+from .requests import schedule_system, sweep_series
 
 #: Upper bound on request bodies; a system description this large is a
 #: client bug, not a workload.
@@ -366,39 +363,12 @@ class ExplorationService:
     def _schedule_query(self, document: Any) -> Tuple[int, Dict[str, Any]]:
         request = validate_schedule_request(document)
         system = system_from_dict(request["system"])
-        system.graph.validate()
-        expanded = system.expand()
-        result = ScheduleMerger(
-            expanded.graph, expanded.mapping, system.architecture
-        ).merge()
-        report = None
-        if request["validate"]:
-            report = validate_merge_result(
-                expanded.graph, expanded.mapping, result, system.architecture
-            )
+        result, report = schedule_system(system, request["validate"])
         return 200, schedule_document(system.name, result, report)
 
     def _sweep_query(self, document: Any) -> Tuple[int, Dict[str, Any]]:
         request = validate_sweep_request(document)
-        series = {}
-        for size in request["nodes"]:
-            configs = paper_experiment_configs(
-                size,
-                request["graphs"],
-                paths_options=request["paths"],
-                base_seed=size,
-            )
-            by_paths: Dict[int, list] = {}
-            for config in configs:
-                system = RandomSystemGenerator(config).generate()
-                result = ScheduleMerger(
-                    system.graph, system.expanded_mapping, system.architecture
-                ).merge()
-                by_paths.setdefault(config.alternative_paths, []).append(result)
-            series[f"{size} nodes"] = {
-                count: aggregate(results).average_increase_percent
-                for count, results in sorted(by_paths.items())
-            }
+        series = sweep_series(request["nodes"], request["paths"], request["graphs"])
         return 200, sweep_document(series, request["graphs"])
 
     def _stats_document(self) -> Dict[str, Any]:

@@ -145,8 +145,10 @@ def test_explore_engine_all_runs_three_engines(capsys):
 
 
 def test_explore_fig1_and_system_file_mutually_exclusive(system_file, capsys):
-    assert main(["explore", str(system_file), "--fig1"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+    # submit shares the check and fails before it contacts any service.
+    for command in ("explore", "submit"):
+        assert main([command, str(system_file), "--fig1"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
 
 
 def test_explore_command_on_system_file(system_file, capsys):

@@ -125,7 +125,7 @@ class TestGeneticEngine:
 
 
 class TestGeneticPoolEquivalence:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_pool_modes_match_serial(self, sized_problem, mode):
         serial = Explorer(sized_problem, config=_config()).explore("genetic")
         with EvaluationPool(sized_problem, workers=2, mode=mode) as pool:

@@ -310,7 +310,7 @@ class TestStageAccounting:
         assert cache.intern_key(("key", 7)) == ids[7]
 
     def test_pooled_evaluator_defers_stage_caching_to_the_pool(self, problem):
-        with EvaluationPool(problem, workers=2, mode="thread") as pool:
+        with EvaluationPool(problem, mode="serial") as pool:
             evaluator = CachedEvaluator(problem, pool=pool)
             assert evaluator.stage_cache is pool.stage_cache  # pool owns it
             evaluator.evaluate_many(_walk(problem, 21, 3))
@@ -321,13 +321,6 @@ class TestStageAccounting:
 
 
 class TestPoolEquivalence:
-    def test_thread_pool_with_stage_caches_matches_serial(self, problem):
-        batch = _walk(problem, 9, 11)
-        serial = [evaluate_candidate(problem, candidate) for candidate in batch]
-        with EvaluationPool(problem, workers=2, mode="thread") as pool:
-            assert pool.evaluate(batch) == serial
-            assert pool.stage_stats is not None
-
     def test_process_pool_with_stage_caches_matches_serial(self, problem):
         batch = _walk(problem, 13, 7)
         serial = [evaluate_candidate(problem, candidate) for candidate in batch]
@@ -419,7 +412,7 @@ def test_batch_stats_snapshot_accumulates():
 
 @pytest.mark.parametrize(
     "mode,workers",
-    [("serial", 1), ("thread", 2), ("process", 2)],
+    [("serial", 1), ("process", 2)],
 )
 def test_pool_modes_score_identically(fig1_problem, mode, workers):
     candidates = neighbourhood(fig1_problem)

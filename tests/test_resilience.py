@@ -4,9 +4,9 @@ Fault-injection matrix (crash / hang / exit at seeded rates, across pool
 modes and engines): because fault decisions are hashed from
 ``(seed, fingerprint, attempt)`` and evaluation is pure, every faulted run
 must report *bit-identical* results to the fault-free run with the same
-engine seed.  Plus: quarantine of poison candidates, graceful degrade to
-in-process evaluation, fail-fast worker initialisation, checkpoint/resume
-bit-identity (property-based), and stage-cache integrity self-healing.
+engine seed.  Plus: per-unit timeouts of hung workers, quarantine of
+poison candidates, graceful degrade to in-process evaluation, fail-fast
+worker initialisation and checkpoint/resume bit-identity (property-based).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.exploration import (
     CHECKPOINT_VERSION,
     CheckpointError,
     Checkpointer,
-    CostWeights,
     EvaluationPool,
     ExplorationConfig,
     ExplorationProblem,
@@ -32,9 +31,7 @@ from repro.exploration import (
     FaultInjector,
     InjectedFault,
     RetryPolicy,
-    StageCache,
     WorkerInitializationError,
-    evaluate_candidate,
     load_checkpoint,
     quarantined_evaluation,
     validate_checkpoint,
@@ -195,7 +192,7 @@ class TestPoolFaultMatrix:
 
     @pytest.mark.parametrize("crash,hang,exit_", FAULT_RATES)
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_thread_faults_do_not_change_results(
+    def test_pooled_faults_do_not_change_results(
         self, problem, batch, reference, crash, hang, exit_, workers
     ):
         injector = FaultInjector(
@@ -205,7 +202,7 @@ class TestPoolFaultMatrix:
         with EvaluationPool(
             problem,
             workers=workers,
-            mode="thread",
+            mode="process",
             retry=_retry(),
             fault_injector=injector,
         ) as pool:
@@ -229,13 +226,31 @@ class TestPoolFaultMatrix:
             # injected 'exit' kills a worker: the pool must have respawned.
             assert stats.worker_restarts >= 1
 
+    def test_hung_workers_time_out_and_restart(self, problem, batch, reference):
+        # Seed 1 draws a hang on the batch's first attempts; the hung unit
+        # outlives its timeout, so the pool tears the workers down, respawns
+        # them and resubmits.
+        injector = FaultInjector(seed=1, hang_rate=0.3, hang_seconds=2.0)
+        with EvaluationPool(
+            problem,
+            workers=2,
+            mode="process",
+            retry=RetryPolicy(timeout=0.5, max_attempts=10, backoff_base=0.0),
+            fault_injector=injector,
+        ) as pool:
+            assert pool.evaluate(batch) == reference
+            stats = pool.resilience_stats
+            assert stats.timeouts >= 1
+            assert stats.worker_restarts >= stats.timeouts
+            assert not stats.degraded
+
     def test_unarmed_pool_has_quiet_stats(self, problem, batch, reference):
         # An unarmed serial pool has no resilience layer at all; an unarmed
-        # thread pool has one, and it stays quiet.
+        # process pool has one, and it stays quiet.
         pool = EvaluationPool(problem, mode="serial")
         assert pool.evaluate(batch) == reference
         assert pool.resilience_stats is None
-        with EvaluationPool(problem, workers=2, mode="thread") as pool:
+        with EvaluationPool(problem, workers=2, mode="process") as pool:
             assert pool.evaluate(batch) == reference
             assert not pool.resilience_stats.eventful
 
@@ -283,13 +298,13 @@ class TestQuarantine:
         stats = pool.resilience_stats
         assert (stats.retries, stats.quarantined, stats.injected) == (2, 1, 0)
 
-    def test_thread_mode_quarantines_poison_without_killing_chunk_mates(
+    def test_process_mode_quarantines_poison_without_killing_chunk_mates(
         self, problem, batch
     ):
         with EvaluationPool(
             problem,
             workers=2,
-            mode="thread",
+            mode="process",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             fault_injector=FaultInjector(crash_rate=1.0),
         ) as pool:
@@ -413,26 +428,33 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("engine", ["tabu", "anneal", "genetic"])
     def test_kill_and_resume_matches_uninterrupted(self, problem, tmp_path, engine):
         total, split = 6, 3
-        config = _config(cycles=total)
-        reference = Explorer(problem, config=config).explore(engine)
 
-        path = tmp_path / f"{engine}.ckpt.json"
-        # "Kill" the run at the split point: the partial run stops there and
-        # only its checkpoint survives.
-        Explorer(problem, config=_config(cycles=split)).explore(
-            engine, checkpoint=path
-        )
-        resumed = Explorer(problem, config=config).explore(
-            engine, checkpoint=path, resume=True
-        )
-        assert resumed.resumed_from == split
-        assert resumed.best.cost == reference.best.cost
-        assert resumed.best_candidate == reference.best_candidate
-        assert resumed.trajectory == reference.trajectory
-        if reference.front is not None and resumed.front is not None:
-            assert [p.objectives for p in resumed.front] == [
-                p.objectives for p in reference.front
-            ]
+        def points(front):
+            return [(p.candidate.fingerprint, p.objectives) for p in front]
+
+        # With track_front the evaluator tracks the front, so resuming
+        # re-offers the checkpointed points into the evaluator's live front.
+        for track_front in (False, True):
+            config = replace(_config(cycles=total), track_front=track_front)
+            reference = Explorer(problem, config=config).explore(engine)
+
+            path = tmp_path / f"{engine}-{track_front}.ckpt.json"
+            # "Kill" the run at the split point: the partial run stops there
+            # and only its checkpoint survives.
+            Explorer(problem, config=replace(config, max_cycles=split)).explore(
+                engine, checkpoint=path
+            )
+            resumed = Explorer(problem, config=config).explore(
+                engine, checkpoint=path, resume=True
+            )
+            assert resumed.resumed_from == split
+            assert resumed.best.cost == reference.best.cost
+            assert resumed.best_candidate == reference.best_candidate
+            assert resumed.trajectory == reference.trajectory
+            if reference.front is None:
+                assert resumed.front is None
+            else:
+                assert points(resumed.front) == points(reference.front)
 
     def test_completed_checkpoint_records_final_state(self, problem, tmp_path):
         path = tmp_path / "done.json"
@@ -539,60 +561,3 @@ class TestCheckpointResume:
     def test_resume_without_checkpoint_path_is_an_error(self, problem):
         with pytest.raises(ValueError, match="resume"):
             Explorer(problem, config=_config(cycles=2)).explore("tabu", resume=True)
-
-
-# -- stage-cache integrity ---------------------------------------------------------
-
-
-class TestStageCacheIntegrity:
-    def test_clean_cache_passes(self, problem, batch):
-        cache = StageCache()
-        for candidate in batch:
-            evaluate_candidate(problem, candidate, CostWeights(), stage_cache=cache)
-        assert cache.check_integrity() == 0
-        assert cache.stats.integrity_evictions == 0
-
-    def test_poisoned_expansions_are_evicted_and_heal(self, problem, batch):
-        cache = StageCache()
-        weights = CostWeights()
-        reference = [
-            evaluate_candidate(problem, candidate, weights, stage_cache=cache)
-            for candidate in batch
-        ]
-        keys = list(cache._expansions)
-        assert len(keys) >= 2
-        # Simulate a torn write: two entries swap values, so each value no
-        # longer realises its key's assignment.
-        cache._expansions[keys[0]], cache._expansions[keys[1]] = (
-            cache._expansions[keys[1]],
-            cache._expansions[keys[0]],
-        )
-        evicted = cache.check_integrity()
-        assert evicted == 2
-        assert cache.stats.integrity_evictions == 2
-        # Self-healing: the next evaluations recompute the evicted stages and
-        # come out bit-identical.
-        healed = [
-            evaluate_candidate(problem, candidate, weights, stage_cache=cache)
-            for candidate in batch
-        ]
-        assert healed == reference
-
-    def test_poisoned_schedule_is_evicted(self, problem, batch):
-        cache = StageCache()
-        for candidate in batch:
-            evaluate_candidate(problem, candidate, CostWeights(), stage_cache=cache)
-        labels = {key_id: key[0] for key, key_id in cache._key_ids.items()}
-        entries = list(cache._schedules.items())
-        poisoned = None
-        for key, _schedule in entries:
-            for _other_key, other_schedule in entries:
-                if other_schedule.path.label != labels[key[0]]:
-                    poisoned = (key, other_schedule)
-                    break
-            if poisoned:
-                break
-        assert poisoned is not None, "problem must enumerate at least two paths"
-        cache._schedules[poisoned[0]] = poisoned[1]
-        assert cache.check_integrity() == 1
-        assert cache.stats.integrity_evictions == 1

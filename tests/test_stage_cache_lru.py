@@ -5,8 +5,7 @@ its entry/byte budget, (2) evict cheapest-to-recompute entries first within
 the recency window, and (3) stay semantically invisible: a post-eviction
 re-query recomputes a bit-identical stage result.  (1) and (2) are checked
 with hypothesis against an executable model of the documented policy; (3)
-against the plain pipeline on a small problem, including the
-``check_integrity`` self-healing path.  A long walk on a small budget also
+against the plain pipeline on a small problem.  A long walk on a small budget also
 checks that the maps hanging off memoized entries (intern ids, scheduler
 contexts, expansion structures) are evicted with them.
 """
@@ -35,16 +34,11 @@ from repro.generator import generate_system
 import pytest
 
 
-class _FakePath:
-    def __init__(self, label):
-        self.label = label
-
-
 class _FakeSchedule:
-    """Just enough of a PathSchedule for cost accounting and integrity."""
+    """Just enough of a PathSchedule for cost accounting."""
 
     def __init__(self, label, tasks, broadcasts=0):
-        self.path = _FakePath(label)
+        self.label = label
         self.tasks = [None] * tasks
         self.broadcasts = [None] * broadcasts
         self.delay = float(tasks)
@@ -219,34 +213,6 @@ def test_post_eviction_requery_recomputes_bit_identical_results(reference_merge)
     assert bounded.lru_evictions > 0
     assert bounded.stats.schedules <= 3
     assert bounded.occupancy_bytes <= 2048
-
-
-def test_integrity_eviction_keeps_bounded_accounting_consistent():
-    # The PR 6 self-healing path must stay coherent with LRU bookkeeping:
-    # an integrity eviction releases the entry's bytes and recency slot.
-    cache = StageCache(max_entries=8)
-    honest = _FakeSchedule(("path", 0), 2)
-    key_id = cache.intern_key((("path", 0), "locks"))
-    cache.store_schedule((key_id, ()), honest)
-
-    liar = _FakeSchedule(("path", "other"), 2)
-    liar_id = cache.intern_key((("path", 1), "locks"))
-    cache.store_schedule((liar_id, ()), liar)
-    occupancy_before = cache.occupancy_bytes
-
-    evicted = cache.check_integrity()
-    assert evicted == 1
-    assert cache.stats.integrity_evictions == 1
-    assert cache.lookup_schedule((liar_id, ())) is None
-    assert cache.lookup_schedule((key_id, ())) is honest
-    assert cache.occupancy_bytes == occupancy_before - schedule_entry_cost(liar)
-    assert ("schedule", (liar_id, ())) not in cache._lru
-
-    # Re-querying after the eviction stores a fresh, equal entry.
-    healed = _FakeSchedule(("path", 1), 2)
-    cache.store_schedule((liar_id, ()), healed)
-    assert cache.lookup_schedule((liar_id, ())) is healed
-    assert cache.check_integrity() == 0
 
 
 def _assert_maps_follow_the_memo(cache):
