@@ -670,16 +670,23 @@ RECORDS: Dict[str, Record] = {
         anchors=("derived_best_cost", "mapped_best_cost", "evaluations"),
         timings={"engine_seconds": 0.5},
     ),
-    # The speedup floor was recalibrated after the flat schedule kernel
-    # landed: the full-pipeline arm is merge-dominated, so roughly halving
-    # the merge kernel compressed the staged-vs-full ratio from ~2.1x to
-    # ~1.7x.  The floor stays below the capture so a busy host does not flag
-    # phantom regressions, while a broken stage cache (~1x) fails.
+    # The speedup floor stays below every same-host run of the code and
+    # above every run whose staged arm memoizes nothing, so a busy host
+    # does not flag phantom regressions while a broken stage cache (~1x)
+    # fails.  It has been recalibrated twice, each time because the
+    # full-pipeline arm got cheaper: the flat schedule kernel roughly
+    # halved the merge both arms run (~2.1x -> ~1.7x, floor 1.4), and
+    # inherited guards and paths removed the per-candidate structure
+    # rebuild that only the full arm paid (floor 1.4 -> 1.25).  When the
+    # floor was set, 10 runs read 1.28-1.63 (1.28, 1.46, 1.47, 1.42, 1.36,
+    # 1.62, 1.52, 1.63, 1.33, 1.33) and 5 runs with StageCache(max_bytes=1)
+    # as the staged arm read 0.74-1.22 (0.87, 1.22, 1.04, 0.91, 0.74), on
+    # one shared 2-vCPU host.
     "incremental": Record(
         _measure_incremental,
         INCREMENTAL_WORKLOAD,
         anchors=("best_cost", *STAGE_COUNTERS),
-        ratios={"speedup": (">=", 1.4)},
+        ratios={"speedup": (">=", 1.25)},
     ),
     # The overhead is a small delta between two same-host timings that
     # scheduler noise can triple on a busy machine, while a genuinely heavy

@@ -91,6 +91,7 @@ from .observability import (
     format_trace_report,
     read_trace,
 )
+from .observability.report import SUBSTAGES
 from .scheduling import ScheduleMerger
 from .service import (
     ServiceClient,
@@ -616,6 +617,7 @@ def _command_explore(arguments) -> int:
     if arguments.checkpoint is not None:
         print(f"  checkpoint {arguments.checkpoint} "
               f"(every {config.checkpoint_every} cycle(s))")
+    staged_before = 0.0
     for result in results:
         if not result.initial.feasible:
             seed_text = "infeasible"
@@ -656,8 +658,25 @@ def _command_explore(arguments) -> int:
                 if result.wall_seconds is not None
                 else "-"
             )
-            print(f"         timing: wall {wall}; stages (cumulative): "
-                  f"{breakdown}")
+            line = f"         timing: wall {wall}; stages (cumulative): {breakdown}"
+            # The stage totals are cumulative over the engines run so far,
+            # so this engine's share is the growth since the previous one.
+            # Process-mode workers time no stages, so only an in-process
+            # run's stages can be reconciled with its wall time.
+            staged = sum(
+                seconds
+                for stage, seconds in result.stage_seconds.items()
+                if stage not in SUBSTAGES
+            )
+            if (
+                (pool is None or pool.mode == "serial")
+                and result.stage_seconds
+                and result.wall_seconds is not None
+            ):
+                unattributed = result.wall_seconds - (staged - staged_before)
+                line += f"; unattributed {unattributed:.3f}s"
+            staged_before = staged
+            print(line)
         if result.resumed_from is not None:
             print(f"         resumed from checkpoint at cycle "
                   f"{result.resumed_from}")

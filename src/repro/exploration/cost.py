@@ -46,7 +46,7 @@ from ..graph.communication import (
     crossing_edges,
     expansion_structure,
 )
-from ..graph.paths import AlternativePath, PathEnumerator
+from ..graph.paths import AlternativePath, expanded_paths
 from ..scheduling.list_scheduler import PathListScheduler, SchedulingError
 from ..scheduling.merging import MergeConflictError, MergeResult, ScheduleMerger
 from ..scheduling.priorities import (
@@ -256,11 +256,11 @@ class StageCache:
         self._expansions: Dict[
             Tuple, Tuple[ExpandedGraph, Tuple[AlternativePath, ...]]
         ] = {}
-        # Mapping-independent expansion structures (graph + enumerated
+        # Mapping-independent expansion structures (graph + alternative
         # paths), keyed by the crossing-edge pattern: candidates that only
         # shuffle processes between processors without co-locating (or
         # splitting) any connected pair share one structure — and everything
-        # lazily cached on its graph object (guards, topological order).
+        # cached on its graph object (guards, topological order).
         self._structures: Dict[
             Tuple, Tuple[ExpansionStructure, Tuple[AlternativePath, ...]]
         ] = {}
@@ -400,10 +400,14 @@ class StageCache:
 
         Two layers: the full expansion is keyed by everything it can observe
         (:meth:`ExplorationProblem.expansion_key`); on a miss, the
-        mapping-independent *structure* (graph + path enumeration) is still
+        mapping-independent *structure* (graph + alternative paths) is still
         reused across co-location patterns and only the bus-assignment layer
-        is rebuilt.  ``pins`` takes the candidate's already-filtered bus
-        pins (empty dict = none) so callers holding them skip refiltering.
+        is rebuilt.  A structure miss derives no guard and enumerates no
+        path: the structure's graph inherits the base graph's guards and its
+        paths are built from :attr:`ExplorationProblem.base_paths` (both
+        derived once per problem, on the first miss).  ``pins`` takes the
+        candidate's already-filtered bus pins (empty dict = none) so callers
+        holding them skip refiltering.
         """
         if pins is None:
             pins = problem.bus_assignment_for(candidate) or {}
@@ -420,7 +424,12 @@ class StageCache:
         if record is None:
             self.structure_misses += 1
             structure = expansion_structure(problem.graph, pattern)
-            record = (structure, PathEnumerator(structure.graph).paths())
+            paths = expanded_paths(
+                problem.base_paths,
+                structure.graph,
+                [comm_name for comm_name, *_ in structure.comm_edges],
+            )
+            record = (structure, paths)
         else:
             self.structure_hits += 1
         structure, paths = record

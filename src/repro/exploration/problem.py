@@ -40,7 +40,7 @@ from ..graph.communication import (
 )
 from ..graph.communication import ExpandedGraph
 from ..graph.cpg import ConditionalProcessGraph
-from ..graph.paths import AlternativePath
+from ..graph.paths import AlternativePath, PathEnumerator
 from ..io.serialization import system_from_dict, system_to_dict
 from ..scheduling.priorities import PATH_LOCAL_PRIORITY_FUNCTIONS
 from .candidate import DEFAULT_PRIORITY_FUNCTION, Candidate
@@ -191,6 +191,7 @@ class ExplorationProblem:
         self._architecture_cache: Dict[Tuple[Tuple[str, str], ...], Architecture] = {}
         self._content_key: Optional[str] = None
         self._stage_scope_key: Optional[str] = None
+        self._base_paths: Optional[Tuple[AlternativePath, ...]] = None
         if bounds is not None:
             self._bounds = bounds.resolved_for(self._architecture)
             taken = {pe.name for pe in self._architecture.processing_elements}
@@ -242,6 +243,18 @@ class ExplorationProblem:
     @property
     def architecture(self) -> Architecture:
         return self._architecture
+
+    @property
+    def base_paths(self) -> Tuple[AlternativePath, ...]:
+        """The alternative paths of the process-level graph, enumerated once.
+
+        Every expansion structure builds its paths from these
+        (:func:`~repro.graph.paths.expanded_paths`).  Enumerated on first
+        use, so building a problem stays cheap.
+        """
+        if self._base_paths is None:
+            self._base_paths = PathEnumerator(self._graph).paths()
+        return self._base_paths
 
     @property
     def base_mapping(self) -> Mapping:

@@ -22,7 +22,13 @@ from .communication import (
 )
 from .cpg import ConditionalProcessGraph, GraphStructureError
 from .edges import Edge
-from .paths import AlternativePath, PathEnumerator, count_paths, enumerate_paths
+from .paths import (
+    AlternativePath,
+    PathEnumerator,
+    count_paths,
+    enumerate_paths,
+    expanded_paths,
+)
 from .process import (
     Process,
     ProcessKind,
@@ -52,6 +58,7 @@ __all__ = [
     "crossing_edges",
     "enumerate_paths",
     "expand_communications",
+    "expanded_paths",
     "expansion_structure",
     "is_expanded",
     "message_id",

@@ -172,10 +172,13 @@ class ExpansionStructure:
     process-level edges that cross processors, never on *which* processors
     (or buses) are involved.  :func:`expansion_structure` builds it from that
     crossing set alone, so the design-space explorer can reuse one structure
-    (and everything cached on its graph: guards, topological order, path
-    enumeration) across every candidate mapping with the same co-location
-    pattern, rebuilding only the cheap bus-assignment layer
-    (:func:`assign_buses`) per candidate.
+    (and everything cached on its graph: guards, topological order) across
+    every candidate mapping with the same co-location pattern, rebuilding
+    only the cheap bus-assignment layer (:func:`assign_buses`) per
+    candidate.  The graph's guards are inherited from the base graph; the
+    explorer's stage cache keeps the structure's alternative paths next to
+    it, built from the base graph's paths by
+    :func:`~repro.graph.paths.expanded_paths`.
     """
 
     #: The expanded conditional process graph (communication processes
@@ -214,7 +217,11 @@ def expansion_structure(
 
     The mapping-independent half of :func:`expand_communications`: builds the
     expanded graph and records the inserted communications, leaving the bus
-    choice (and hence the extended mapping) to :func:`assign_buses`.
+    choice (and hence the extended mapping) to :func:`assign_buses`.  The
+    expanded graph inherits its guards from ``graph``
+    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`):
+    inserting communication processes changes no existing guard, so guards
+    are derived once per base graph, not once per expansion.
     """
     expanded = ConditionalProcessGraph(f"{graph.name}-expanded")
     comm_edges = []
@@ -238,6 +245,9 @@ def expansion_structure(
         expanded.add_edge(Edge(edge.src, comm_name, edge.condition))
         expanded.add_edge(Edge(comm_name, edge.dst))
         comm_edges.append((comm_name, edge.src, edge.dst, edge.communication_time))
+    expanded.inherit_guards(
+        graph, {comm_name: (src, dst) for comm_name, src, dst, _ in comm_edges}
+    )
     return ExpansionStructure(expanded, tuple(comm_edges))
 
 

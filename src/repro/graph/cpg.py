@@ -29,6 +29,46 @@ class GraphStructureError(ValueError):
     """Raised when a conditional process graph violates the model's structural rules."""
 
 
+def _edge_guard(guards: Mapping[str, BoolExpr], edge: Edge) -> BoolExpr:
+    """The guard of an edge: ``guard(src) AND condition``, not simplified."""
+    guard = guards[edge.src]
+    if edge.is_conditional:
+        guard = guard.and_(BoolExpr.from_literal(edge.condition))
+    return guard
+
+
+def _any_exclusive_pair(edge_guards: List[BoolExpr]) -> bool:
+    """True when two of a node's input guards are mutually exclusive."""
+    return any(
+        edge_guards[i].is_mutually_exclusive_with(edge_guards[j])
+        for i in range(len(edge_guards))
+        for j in range(i + 1, len(edge_guards))
+    )
+
+
+def _node_guard(edge_guards: List[BoolExpr], explicit_conjunction: bool) -> BoolExpr:
+    """A node's guard from the guards of its incoming edges.
+
+    The source (no inputs) is ``true``.  A conjunction node — explicitly
+    flagged, or with two mutually exclusive input guards — takes the OR of
+    its input guards, any other node the AND.
+    """
+    if not edge_guards:
+        return BoolExpr.true()
+    if explicit_conjunction or _any_exclusive_pair(edge_guards):
+        combined = BoolExpr.false()
+        for guard in edge_guards:
+            combined = combined.or_(guard)
+    else:
+        combined = BoolExpr.true()
+        for guard in edge_guards:
+            combined = combined.and_(guard)
+    # Keep guards in their minimal form: reconvergence points would otherwise
+    # accumulate tautological terms (C | !C) and every later guard combination
+    # and query would grow multiplicatively.
+    return combined.simplified()
+
+
 class ConditionalProcessGraph:
     """A directed, acyclic, polar graph of processes with conditional edges."""
 
@@ -38,6 +78,12 @@ class ConditionalProcessGraph:
         self._processes: Dict[str, Process] = {}
         self._edges: Dict[Tuple[str, str], Edge] = {}
         self._guard_cache: Optional[Dict[str, BoolExpr]] = None
+        # (base graph, inserted process -> the edge it splits): where the
+        # guards come from when this graph was built by inserting processes.
+        self._guard_source: Optional[
+            Tuple["ConditionalProcessGraph", Mapping[str, Tuple[str, str]]]
+        ] = None
+        self._edge_guard_cache: Dict[Tuple[str, str], BoolExpr] = {}
         self._topo_cache: Optional[List[str]] = None
         self._successor_cache: Optional[Dict[str, Tuple[str, ...]]] = None
         self._in_edge_cache: Optional[Dict[str, Tuple[Edge, ...]]] = None
@@ -81,6 +127,8 @@ class ConditionalProcessGraph:
 
     def _invalidate_caches(self) -> None:
         self._guard_cache = None
+        self._guard_source = None
+        self._edge_guard_cache.clear()
         self._topo_cache = None
         self._successor_cache = None
         self._in_edge_cache = None
@@ -270,23 +318,15 @@ class ConditionalProcessGraph:
         A node is a conjunction process when it is explicitly flagged or when
         at least two of its incoming edge guards are mutually exclusive.
         """
-        guards = self._incoming_edge_guards()
-        result = []
-        for name, process in self._processes.items():
-            if process.is_conjunction:
-                result.append(name)
-                continue
-            edge_guards = guards.get(name, [])
-            if len(edge_guards) < 2:
-                continue
-            exclusive = any(
-                edge_guards[i].is_mutually_exclusive_with(edge_guards[j])
-                for i in range(len(edge_guards))
-                for j in range(i + 1, len(edge_guards))
+        guards = self._guards_internal()
+        return tuple(
+            name
+            for name, process in self._processes.items()
+            if process.is_conjunction
+            or _any_exclusive_pair(
+                [_edge_guard(guards, edge) for edge in self.in_edges(name)]
             )
-            if exclusive:
-                result.append(name)
-        return tuple(result)
+        )
 
     def is_conjunction_process(self, name: str) -> bool:
         return name in set(self.conjunction_processes())
@@ -307,57 +347,70 @@ class ConditionalProcessGraph:
         """The cached guard dict itself (callers must not mutate it)."""
         if self._guard_cache is not None:
             return self._guard_cache
+        if self._guard_source is not None:
+            base, inserted = self._guard_source
+            base_guards = base._guards_internal()
+            self._guard_cache = {
+                name: base.edge_guard(*inserted[name])
+                if name in inserted
+                else base_guards[name]
+                for name in self._topological_order_internal()
+            }
+            return self._guard_cache
         guards: Dict[str, BoolExpr] = {}
-        explicit_conjunctions = {
-            name for name, proc in self._processes.items() if proc.is_conjunction
-        }
         for name in self.topological_order():
-            in_edges = self.in_edges(name)
-            if not in_edges:
-                guards[name] = BoolExpr.true()
-                continue
-            edge_guards = []
-            for edge in in_edges:
-                guard = guards[edge.src]
-                if edge.is_conditional:
-                    guard = guard.and_(BoolExpr.from_literal(edge.condition))
-                edge_guards.append(guard)
-            is_conjunction = name in explicit_conjunctions or any(
-                edge_guards[i].is_mutually_exclusive_with(edge_guards[j])
-                for i in range(len(edge_guards))
-                for j in range(i + 1, len(edge_guards))
+            guards[name] = _node_guard(
+                [_edge_guard(guards, edge) for edge in self.in_edges(name)],
+                self._processes[name].is_conjunction,
             )
-            if is_conjunction:
-                combined = BoolExpr.false()
-                for guard in edge_guards:
-                    combined = combined.or_(guard)
-            else:
-                combined = BoolExpr.true()
-                for guard in edge_guards:
-                    combined = combined.and_(guard)
-            # Keep guards in their minimal form: reconvergence points would
-            # otherwise accumulate tautological terms (C | !C) and every later
-            # guard combination and query would grow multiplicatively.
-            guards[name] = combined.simplified()
         self._guard_cache = guards
         return guards
+
+    def edge_guard(self, src: str, dst: str) -> BoolExpr:
+        """The guard of a process inserted on edge ``src -> dst``.
+
+        Such a process has the edge as its only input, so its guard is the
+        edge's guard ``guard(src) AND condition(edge)`` in the minimal form
+        guard derivation gives it.  On a simple edge that is ``guard(src)``
+        itself (simplifying a derived guard again changes nothing), so only
+        conditional edges pay a truth table, once: the result is cached
+        until the graph changes.
+        """
+        guard = self._edge_guard_cache.get((src, dst))
+        if guard is None:
+            edge = self._edges[(src, dst)]
+            guards = self._guards_internal()
+            guard = (
+                _node_guard([_edge_guard(guards, edge)], False)
+                if edge.is_conditional
+                else guards[src]
+            )
+            self._edge_guard_cache[(src, dst)] = guard
+        return guard
+
+    def inherit_guards(
+        self, base: "ConditionalProcessGraph", inserted: Mapping[str, Tuple[str, str]]
+    ) -> None:
+        """Take this graph's guards from ``base`` instead of deriving them.
+
+        This graph must be ``base`` with one process inserted on each edge
+        of ``inserted`` (process name -> the ``(src, dst)`` edge it splits),
+        as communication expansion builds it, and ``base`` must not change
+        afterwards.  Every base process keeps its base guard object and
+        each inserted process gets its edge's guard (:meth:`edge_guard`),
+        keyed in this graph's topological order.  The map is built on the
+        first guard query, so an expansion whose guards nobody reads costs
+        nothing.  It equals a fresh derivation: an inserted process passes
+        its edge's guard on unchanged, and in a graph whose every condition
+        is computed by one process that guard is already in minimal form
+        (``guard(src)`` never mentions the condition ``src`` computes).
+        """
+        self._guard_cache = None
+        self._guard_source = (base, inserted)
 
     def guard_of(self, name: str) -> BoolExpr:
         """Return the guard of a single process."""
         return self.guards()[name]
-
-    def _incoming_edge_guards(self) -> Dict[str, List[BoolExpr]]:
-        guards = self.guards()
-        result: Dict[str, List[BoolExpr]] = {}
-        for name in self._processes:
-            edge_guards = []
-            for edge in self.in_edges(name):
-                guard = guards[edge.src]
-                if edge.is_conditional:
-                    guard = guard.and_(BoolExpr.from_literal(edge.condition))
-                edge_guards.append(guard)
-            result[name] = edge_guards
-        return result
 
     # -- activation semantics -----------------------------------------------------
 

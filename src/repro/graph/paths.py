@@ -11,10 +11,29 @@ associated subgraph ``G_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..conditions import Assignment, Condition, Conjunction, masks_from_assignment
+from ..conditions import (
+    Assignment,
+    BoolExpr,
+    Condition,
+    Conjunction,
+    masks_from_assignment,
+)
 from .cpg import ConditionalProcessGraph
+
+#: A guard as its terms' ``(pos, neg)`` masks; None when always true.
+_TermMasks = Optional[Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -67,9 +86,7 @@ class PathEnumerator:
         # Flattened guard table in topological order: ``None`` marks an
         # always-active process, otherwise the guard's term masks.  Built
         # lazily on the first activity query.
-        self._guard_table: Optional[
-            List[Tuple[str, Optional[Tuple[Tuple[int, int], ...]]]]
-        ] = None
+        self._guard_table: Optional[List[Tuple[str, _TermMasks]]] = None
 
     @property
     def graph(self) -> ConditionalProcessGraph:
@@ -159,28 +176,14 @@ class PathEnumerator:
         if cached is None:
             if self._guard_table is None:
                 self._guard_table = [
-                    (
-                        name,
-                        None
-                        if self._guards[name].is_true()
-                        else tuple(
-                            (term.pos_mask, term.neg_mask)
-                            for term in self._guards[name].terms
-                        ),
-                    )
+                    (name, _term_masks(self._guards[name]))
                     for name in self._topological_order
                 ]
             pos, neg = key
-            not_pos = ~pos
-            not_neg = ~neg
             cached = tuple(
                 name
                 for name, terms in self._guard_table
-                if terms is None
-                or any(
-                    not (term_pos & not_pos) and not (term_neg & not_neg)
-                    for term_pos, term_neg in terms
-                )
+                if _holds(terms, ~pos, ~neg)
             )
             self._active_cache[key] = cached
         return cached
@@ -209,6 +212,63 @@ class PathEnumerator:
                 yield from recurse(extended)
 
         yield from recurse({})
+
+
+def _term_masks(guard: BoolExpr) -> _TermMasks:
+    """Flatten a guard for :func:`_holds`."""
+    if guard.is_true():
+        return None
+    return tuple((term.pos_mask, term.neg_mask) for term in guard.terms)
+
+
+def _holds(terms: _TermMasks, not_pos: int, not_neg: int) -> bool:
+    """Whether a :func:`_term_masks` guard holds under an assignment's masks.
+
+    ``not_pos``/``not_neg`` are the complemented masks of the assignment; a
+    term holds when all its literals are assigned and agree.
+    """
+    return terms is None or any(
+        not (term_pos & not_pos) and not (term_neg & not_neg)
+        for term_pos, term_neg in terms
+    )
+
+
+def expanded_paths(
+    base_paths: Sequence[AlternativePath],
+    graph: ConditionalProcessGraph,
+    inserted: Iterable[str],
+) -> Tuple[AlternativePath, ...]:
+    """The alternative paths of an expanded graph, built from its base graph's.
+
+    ``graph`` is a base graph with the ``inserted`` processes placed on
+    some of its edges and guards inherited from the base graph
+    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`);
+    ``base_paths`` is the base graph's enumeration.  Inserting a process on
+    an edge adds no disjunction process and changes no existing guard, so
+    the labels, assignments and indices carry over in the same order, and
+    each path's active set gains the inserted processes whose guard holds
+    under its label, in ``graph``'s topological order.  The result equals
+    ``PathEnumerator(graph).paths()`` without re-walking the decision tree.
+    """
+    guards = graph.guards()
+    inserted_terms = {name: _term_masks(guards[name]) for name in inserted}
+    order = graph.topological_order()
+    paths = []
+    for path in base_paths:
+        base_active = set(path.active_processes)
+        pos, neg = masks_from_assignment(path.assignment)
+        not_pos, not_neg = ~pos, ~neg
+        active = tuple(
+            name
+            for name in order
+            if name in base_active
+            or (
+                name in inserted_terms
+                and _holds(inserted_terms[name], not_pos, not_neg)
+            )
+        )
+        paths.append(AlternativePath(path.label, path.assignment, active, path.index))
+    return tuple(paths)
 
 
 def enumerate_paths(graph: ConditionalProcessGraph) -> Tuple[AlternativePath, ...]:

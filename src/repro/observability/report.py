@@ -4,13 +4,15 @@
 :mod:`repro.observability.trace`) through :func:`aggregate_trace` and prints
 the result: wall-clock totals per pipeline stage, the same broken down per
 engine (stage spans are attributed to the nearest enclosing ``engine`` span
-via the recorded parent ids), and a tally of point events (retries, injected
-faults, respawns).  This is the profile ROADMAP item 5 asks for — it answers
-"where does evaluation time actually go" per engine without re-running
-anything.
+via the recorded parent ids) with each engine's *unattributed* remainder
+(its span total minus its top-level stage totals), and a tally of point
+events (retries, injected faults, respawns).  It answers "where does
+evaluation time actually go" per engine without re-running anything.
 
 Stage spans are named ``stage.<name>``; the canonical stage set is
-``expansion`` (communication expansion + path enumeration),
+``expansion`` (communication expansion and the expanded graph's
+alternative paths, memoized; a new expansion structure inherits its guards
+and paths from the base graph), ``path_keys`` (path sub-fingerprints),
 ``path_schedule`` (one optimal list schedule per alternative path),
 ``merge`` (schedule-table merging, wall time *including* re-adjustments) and
 ``merge_readjust`` (the locked re-scheduling requests the merger issues —
@@ -93,12 +95,26 @@ class TraceReport:
             ])
         return rows
 
+    def unattributed_seconds(self) -> Dict[str, float]:
+        """Per engine: its span total minus its top-level stage totals.
+
+        The time an engine spends outside every stage span (move sampling,
+        cache probes, bookkeeping).  Sub-stages are not subtracted: their
+        time is already inside their parent stage's.
+        """
+        remainder = dict(self.engines)
+        for (engine, stage), profile in self.per_engine.items():
+            if engine in remainder and stage not in SUBSTAGES:
+                remainder[engine] -= profile.total_seconds
+        return remainder
+
     def engine_rows(self) -> List[List[object]]:
         """Table rows ``[engine, stage, count, total s, mean ms]``.
 
         Stage spans that no ``engine`` span encloses (e.g. the seed
         evaluation of a bare evaluator, or stages timed outside any engine)
-        are grouped under ``-``.
+        are grouped under ``-``.  Each engine with a span ends its group
+        with an ``unattributed`` row (:meth:`unattributed_seconds`).
         """
         rows = []
         for (engine, stage), profile in sorted(
@@ -112,7 +128,10 @@ class TraceReport:
                 f"{profile.total_seconds:.4f}",
                 f"{1000.0 * profile.mean_seconds:.3f}",
             ])
-        return rows
+        for engine, seconds in self.unattributed_seconds().items():
+            rows.append([engine, "unattributed", "-", f"{seconds:.4f}", "-"])
+        # A stable sort keeps each group's stage order, remainder last.
+        return sorted(rows, key=lambda row: row[0])
 
     def event_rows(self) -> List[List[object]]:
         """Table rows ``[event, count]``, most frequent first."""
@@ -213,7 +232,7 @@ def format_trace_report(report: TraceReport, source: Optional[str] = None) -> st
             ["stage", "count", "total s", "mean ms", "share"],
             report.stage_rows(),
         ))
-    if report.per_engine:
+    if report.per_engine or report.engines:
         lines.append("")
         lines.append(format_table(
             "per-engine stage breakdown",

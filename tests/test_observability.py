@@ -455,6 +455,21 @@ def test_report_attributes_orphan_stages_to_dash():
     assert report.engine_rows()[0][0] == "-"
 
 
+def test_report_unattributed_row_is_engine_total_minus_top_level_stages():
+    records = [
+        _record(id=1, dt=1.0),
+        _record(id=2, parent=1, name="stage.expansion", dt=0.2, attrs={}),
+        _record(id=3, parent=1, name="stage.merge", dt=0.5, attrs={}),
+        _record(id=4, parent=3, name="stage.merge_readjust", dt=0.1, attrs={}),
+    ]
+    report = aggregate_trace(records)
+    assert report.unattributed_seconds() == {"tabu": pytest.approx(0.3)}
+    rows = report.engine_rows()
+    assert rows[-1] == ["tabu", "unattributed", "-", "0.3000", "-"]
+    assert [row[1] for row in rows[:-1]] == ["merge", "expansion", "merge_readjust"]
+    assert "unattributed" in format_trace_report(report)
+
+
 def test_format_trace_report_renders_tables():
     sink = RingBufferSink()
     tracer = Tracer(sink)
@@ -490,7 +505,10 @@ def test_cli_trace_and_report(tmp_path, capsys):
         ["--trace", str(trace_path), "--metrics"], capsys
     )
     assert code == 0
-    assert "timing: wall" in output
+    timing = next(line for line in output.splitlines() if "timing: wall" in line)
+    wall = float(timing.split("timing: wall ")[1].split("s;")[0])
+    unattributed = float(timing.split("; unattributed ")[1].rstrip("s"))
+    assert 0.0 <= unattributed <= wall
     records = read_trace(trace_path)  # schema-valid by construction
     assert records
     assert main(["trace-report", str(trace_path)]) == 0
@@ -498,6 +516,10 @@ def test_cli_trace_and_report(tmp_path, capsys):
     assert "per-stage wall time" in report_output
     for stage in ("expansion", "path_schedule", "merge"):
         assert stage in report_output
+    assert any(
+        line.split()[:2] == ["tabu", "unattributed"]
+        for line in report_output.splitlines()
+    )
 
 
 def test_cli_json_with_metrics(tmp_path, capsys):
