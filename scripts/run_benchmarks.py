@@ -673,20 +673,27 @@ RECORDS: Dict[str, Record] = {
     # The speedup floor stays below every same-host run of the code and
     # above every run whose staged arm memoizes nothing, so a busy host
     # does not flag phantom regressions while a broken stage cache (~1x)
-    # fails.  It has been recalibrated twice, each time because the
+    # fails.  It has been recalibrated three times, each time because the
     # full-pipeline arm got cheaper: the flat schedule kernel roughly
-    # halved the merge both arms run (~2.1x -> ~1.7x, floor 1.4), and
+    # halved the merge both arms run (~2.1x -> ~1.7x, floor 1.4),
     # inherited guards and paths removed the per-candidate structure
-    # rebuild that only the full arm paid (floor 1.4 -> 1.25).  When the
-    # floor was set, 10 runs read 1.28-1.63 (1.28, 1.46, 1.47, 1.42, 1.36,
-    # 1.62, 1.52, 1.63, 1.33, 1.33) and 5 runs with StageCache(max_bytes=1)
-    # as the staged arm read 0.74-1.22 (0.87, 1.22, 1.04, 0.91, 0.74), on
-    # one shared 2-vCPU host.
+    # rebuild that only the full arm paid (floor 1.4 -> 1.25), and the
+    # graph's own adjacency and sort made each structure build cheaper,
+    # which the full arm does 140 times and the staged arm 35 times
+    # (floor 1.25 -> 1.07).  When the floor was last set, 12 runs of the
+    # code read 1.08-1.71 (1.67, 1.71, 1.43, 1.08, 1.44, 1.37, 1.38, 1.45,
+    # 1.35, 1.39, 1.20, 1.41; the freeze then read 1.24), interleaved with
+    # 12 runs of the previous code that read 1.07-1.79 (two below 1.25
+    # there too), and 7 runs with StageCache(max_bytes=1) as the staged
+    # arm read 0.67-1.06 (1.01, 1.06, 0.93, 1.02, 0.99, 1.01, 0.67), on
+    # one shared 2-vCPU host.  The gap is narrow; the exact stage counters
+    # above are what reliably catch a cache that stops hitting (that
+    # variant fails four of them).
     "incremental": Record(
         _measure_incremental,
         INCREMENTAL_WORKLOAD,
         anchors=("best_cost", *STAGE_COUNTERS),
-        ratios={"speedup": (">=", 1.25)},
+        ratios={"speedup": (">=", 1.07)},
     ),
     # The overhead is a small delta between two same-host timings that
     # scheduler noise can triple on a busy machine, while a genuinely heavy

@@ -88,20 +88,11 @@ class ExpandedGraph:
     #: already maintains these sums — so consumers (the explorer's
     #: ``bus_imbalance`` objective) need not rescan every communication.
     #: Buses that carry nothing have no entry.
-    bus_loads: Dict[str, float] = field(default_factory=dict)
+    bus_loads: Dict[str, float]
     #: (src, dst) -> info index, built at construction so per-edge lookups are
     #: one dict probe instead of a scan over every communication.
     _by_endpoints: Dict[Tuple[str, str], CommunicationInfo] = field(
         init=False, repr=False, compare=False, default_factory=dict
-    )
-    #: Immutable (message id, bus name) pairs in communication insertion
-    #: order, built once at construction.  This is the canonical snapshot
-    #: behind :attr:`bus_assignment` — accessors hand out values derived from
-    #: this tuple, never live views of the instance's dicts, so downstream
-    #: caches (the explorer's path-slice memos) can hold onto the
-    #: results without defensive copying.
-    _bus_assignment_items: Tuple[Tuple[str, str], ...] = field(
-        init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
@@ -109,24 +100,6 @@ class ExpandedGraph:
             (info.src, info.dst): info for info in self.communications.values()
         }
         object.__setattr__(self, "_by_endpoints", index)
-        object.__setattr__(
-            self,
-            "_bus_assignment_items",
-            tuple(
-                (info.message, info.bus.name)
-                for info in self.communications.values()
-            ),
-        )
-        if not self.bus_loads and self.communications:
-            # Derive the loads for directly constructed instances (the
-            # pre-bus_loads construction form), so consumers reading
-            # ``bus_loads`` never silently see an all-idle platform.
-            loads: Dict[str, float] = {}
-            for info in self.communications.values():
-                loads[info.bus.name] = loads.get(info.bus.name, 0.0) + self.graph[
-                    info.name
-                ].duration_on(info.bus)
-            object.__setattr__(self, "bus_loads", loads)
 
     def communication_between(self, src: str, dst: str) -> Optional[CommunicationInfo]:
         """Return the communication process inserted between two processes, if any.
@@ -143,24 +116,14 @@ class ExpandedGraph:
         return info.bus if info is not None else None
 
     @property
-    def bus_assignment_items(self) -> Tuple[Tuple[str, str], ...]:
-        """The realised communication mapping as an immutable snapshot.
-
-        ``(message id, bus name)`` pairs in communication insertion order.
-        This is the tuple form downstream caches should key on: it is built
-        once at construction and can never be mutated through the accessor.
-        """
-        return self._bus_assignment_items
-
-    @property
     def bus_assignment(self) -> Dict[str, str]:
         """The realised communication mapping: message id -> bus name.
 
-        Returns a *fresh* dict built from :attr:`bus_assignment_items` on
-        every access — a snapshot the caller owns, never a live view of this
+        Returns a *fresh* dict, in communication insertion order, on every
+        access — a snapshot the caller owns, never a live view of this
         instance's state.
         """
-        return dict(self._bus_assignment_items)
+        return {info.message: info.bus.name for info in self.communications.values()}
 
 
 @dataclass(frozen=True)

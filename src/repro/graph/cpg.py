@@ -3,16 +3,15 @@
 A :class:`ConditionalProcessGraph` is the abstract system representation of
 the paper: a directed, acyclic, polar graph whose nodes are processes and
 whose edges are either simple (dataflow) or conditional (dataflow guarded by a
-condition literal).  The class wraps a :class:`networkx.DiGraph` and exposes a
+condition literal).  The class keeps its own adjacency and exposes a
 domain-level API: guards, disjunction/conjunction processes, alternative-path
 queries and structural validation.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from ..conditions import (
     BoolExpr,
@@ -74,9 +73,11 @@ class ConditionalProcessGraph:
 
     def __init__(self, name: str = "cpg") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._processes: Dict[str, Process] = {}
         self._edges: Dict[Tuple[str, str], Edge] = {}
+        # Adjacency, in edge insertion order.
+        self._successors: Dict[str, List[str]] = {}
+        self._in_edges: Dict[str, List[Edge]] = {}
         self._guard_cache: Optional[Dict[str, BoolExpr]] = None
         # (base graph, inserted process -> the edge it splits): where the
         # guards come from when this graph was built by inserting processes.
@@ -85,8 +86,12 @@ class ConditionalProcessGraph:
         ] = None
         self._edge_guard_cache: Dict[Tuple[str, str], BoolExpr] = {}
         self._topo_cache: Optional[List[str]] = None
-        self._successor_cache: Optional[Dict[str, Tuple[str, ...]]] = None
-        self._in_edge_cache: Optional[Dict[str, Tuple[Edge, ...]]] = None
+        # (process -> the condition it computes, condition -> that process),
+        # published in one assignment so that threads sharing the graph never
+        # see one map without the other.
+        self._disjunction_cache: Optional[
+            Tuple[Dict[str, Condition], Dict[Condition, str]]
+        ] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -99,7 +104,8 @@ class ConditionalProcessGraph:
         if process.is_sink and self._find_kind(ProcessKind.SINK) is not None:
             raise GraphStructureError("the graph already has a sink process")
         self._processes[process.name] = process
-        self._graph.add_node(process.name)
+        self._successors[process.name] = []
+        self._in_edges[process.name] = []
         self._invalidate_caches()
         return process
 
@@ -111,7 +117,8 @@ class ConditionalProcessGraph:
         if (edge.src, edge.dst) in self._edges:
             raise GraphStructureError(f"duplicate edge {edge.src}->{edge.dst}")
         self._edges[(edge.src, edge.dst)] = edge
-        self._graph.add_edge(edge.src, edge.dst)
+        self._successors[edge.src].append(edge.dst)
+        self._in_edges[edge.dst].append(edge)
         self._invalidate_caches()
         return edge
 
@@ -130,8 +137,7 @@ class ConditionalProcessGraph:
         self._guard_source = None
         self._edge_guard_cache.clear()
         self._topo_cache = None
-        self._successor_cache = None
-        self._in_edge_cache = None
+        self._disjunction_cache = None
 
     def _find_kind(self, kind: ProcessKind) -> Optional[Process]:
         for process in self._processes.values():
@@ -154,16 +160,8 @@ class ConditionalProcessGraph:
         return tuple(p for p in self._processes.values() if p.is_ordinary)
 
     @property
-    def communication_processes(self) -> Tuple[Process, ...]:
-        return tuple(p for p in self._processes.values() if p.is_communication)
-
-    @property
     def edges(self) -> Tuple[Edge, ...]:
         return tuple(self._edges.values())
-
-    @property
-    def simple_edges(self) -> Tuple[Edge, ...]:
-        return tuple(e for e in self._edges.values() if e.is_simple)
 
     @property
     def conditional_edges(self) -> Tuple[Edge, ...]:
@@ -202,67 +200,52 @@ class ConditionalProcessGraph:
         return process
 
     def predecessors(self, name: str) -> Tuple[str, ...]:
-        return tuple(self._graph.predecessors(name))
+        return tuple(edge.src for edge in self._in_edges[name])
 
     def successors(self, name: str) -> Tuple[str, ...]:
-        return tuple(self._graph.successors(name))
+        return tuple(self._successors[name])
 
-    def successor_map(self) -> Dict[str, Tuple[str, ...]]:
-        """Successor names of every process, cached until the graph changes.
-
-        The priority functions query successors for every process of every
-        alternative path; materialising the adjacency once avoids a networkx
-        iterator round-trip per query.  Callers must not mutate the dict.
-        """
-        if self._successor_cache is None:
-            self._successor_cache = {
-                name: tuple(self._graph.successors(name))
-                for name in self._processes
-            }
-        return self._successor_cache
+    def successor_map(self) -> Dict[str, List[str]]:
+        """Successor names of every process (the graph's own lists: do not mutate)."""
+        return self._successors
 
     def in_edges(self, name: str) -> Tuple[Edge, ...]:
-        return tuple(self._edges[(src, name)] for src in self._graph.predecessors(name))
+        return tuple(self._in_edges[name])
 
-    def in_edge_map(self) -> Dict[str, Tuple[Edge, ...]]:
-        """Incoming edges of every process, cached until the graph changes.
-
-        One pass over the edge set replaces a networkx predecessor query per
-        process; the per-path context builds of the list scheduler read the
-        whole map.  Callers must not mutate the dict.  The per-name tuples
-        preserve insertion order of the edges, matching :meth:`in_edges` for
-        graphs built through :meth:`add_edge` (networkx adjacency and the
-        edge dict are appended to together).
-        """
-        if self._in_edge_cache is None:
-            collected: Dict[str, List[Edge]] = {name: [] for name in self._processes}
-            for edge in self._edges.values():
-                collected[edge.dst].append(edge)
-            self._in_edge_cache = {
-                name: tuple(edges) for name, edges in collected.items()
-            }
-        return self._in_edge_cache
+    def in_edge_map(self) -> Dict[str, List[Edge]]:
+        """Incoming edges of every process (the graph's own lists: do not mutate)."""
+        return self._in_edges
 
     def out_edges(self, name: str) -> Tuple[Edge, ...]:
-        return tuple(self._edges[(name, dst)] for dst in self._graph.successors(name))
+        return tuple(self._edges[(name, dst)] for dst in self._successors[name])
 
     def topological_order(self) -> List[str]:
         """Return process names in a deterministic topological order (cached)."""
         return list(self._topological_order_internal())
 
     def _topological_order_internal(self) -> List[str]:
-        if self._topo_cache is None:
-            self._topo_cache = list(nx.lexicographical_topological_sort(self._graph))
-        return self._topo_cache
+        """Kahn's algorithm, always emitting the smallest-named ready process.
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying networkx graph with attached attributes."""
-        graph = nx.DiGraph(name=self.name)
-        for process in self._processes.values():
-            graph.add_node(process.name, process=process)
-        for edge in self._edges.values():
-            graph.add_edge(edge.src, edge.dst, edge=edge)
-        return graph
+        The order is fixed by the names alone, not by insertion order: it sets
+        active-set order, guard-map key order and the scheduler's tie-breaks.
+        """
+        if self._topo_cache is not None:
+            return self._topo_cache
+        waiting = {name: len(edges) for name, edges in self._in_edges.items()}
+        ready = [name for name, count in waiting.items() if count == 0]
+        heapq.heapify(ready)
+        order: List[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for successor in self._successors[name]:
+                waiting[successor] -= 1
+                if waiting[successor] == 0:
+                    heapq.heappush(ready, successor)
+        if len(order) != len(self._processes):
+            raise GraphStructureError("the process graph must be acyclic")
+        self._topo_cache = order
+        return order
 
     # -- conditions, disjunction and conjunction processes -----------------------
 
@@ -280,7 +263,13 @@ class ConditionalProcessGraph:
         to the same condition (one disjunction process computes one condition)
         and each condition to be computed by exactly one process.
         """
-        result: Dict[str, Condition] = {}
+        return dict(self._disjunctions()[0])
+
+    def _disjunctions(self) -> Tuple[Dict[str, Condition], Dict[Condition, str]]:
+        """The disjunction map and its inverse, derived once per graph."""
+        if self._disjunction_cache is not None:
+            return self._disjunction_cache
+        computes: Dict[str, Condition] = {}
         for name in self._processes:
             conditions = {
                 edge.condition.condition
@@ -294,23 +283,25 @@ class ConditionalProcessGraph:
                     f"disjunction process {name!r} drives several conditions: "
                     f"{sorted(str(c) for c in conditions)}"
                 )
-            result[name] = next(iter(conditions))
+            computes[name] = next(iter(conditions))
         producers: Dict[Condition, str] = {}
-        for name, condition in result.items():
+        for name, condition in computes.items():
             if condition in producers:
                 raise GraphStructureError(
                     f"condition {condition} is computed by both "
                     f"{producers[condition]!r} and {name!r}"
                 )
             producers[condition] = name
-        return result
+        maps = (computes, producers)
+        self._disjunction_cache = maps
+        return maps
 
     def disjunction_process_of(self, condition: Condition) -> str:
         """Return the name of the process computing the given condition."""
-        for name, computed in self.disjunction_processes().items():
-            if computed == condition:
-                return name
-        raise KeyError(f"no disjunction process computes condition {condition}")
+        name = self._disjunctions()[1].get(condition)
+        if name is None:
+            raise KeyError(f"no disjunction process computes condition {condition}")
+        return name
 
     def conjunction_processes(self) -> Tuple[str, ...]:
         """Names of conjunction processes (meeting points of alternative paths).
@@ -452,8 +443,8 @@ class ConditionalProcessGraph:
             raise GraphStructureError("missing source process")
         if self._find_kind(ProcessKind.SINK) is None:
             raise GraphStructureError("missing sink process")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise GraphStructureError("the process graph must be acyclic")
+        # Raises for a cycle.
+        self._topological_order_internal()
         source = self.source.name
         sink = self.sink.name
         for name in self._processes:

@@ -165,6 +165,21 @@ def _entry_float(entry: Dict[str, Any], key: str, default: float, what: str) -> 
         ) from error
 
 
+def _entry_times(entry: Dict[str, Any], what: str) -> Optional[Dict[str, float]]:
+    times = entry.get("execution_times")
+    if times is None:
+        return None
+    if not isinstance(times, dict) or not all(
+        isinstance(time, (int, float)) and not isinstance(time, bool)
+        for time in times.values()
+    ):
+        raise SerializationError(
+            f"{what} field 'execution_times' must be an object of numbers, "
+            f"got {times!r}"
+        )
+    return times
+
+
 def architecture_from_dict(document: Dict[str, Any]) -> Architecture:
     """Deserialise an architecture document."""
     document = _entry_dict(document, "architecture document")
@@ -223,8 +238,9 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
 
     Schema violations — a missing section, a process mapped to an unknown
     processing element, an edge naming an undeclared process, a non-numeric
-    time — raise :class:`SerializationError` naming the offending entry,
-    never a bare ``KeyError``/``TypeError`` traceback.
+    or negative time, a self-loop, a non-boolean flag — raise
+    :class:`SerializationError` naming the offending entry, never a bare
+    ``KeyError``/``TypeError``/``ValueError`` traceback.
     """
     document = _entry_dict(document, "system document")
     for key in ("architecture", "processes", "edges"):
@@ -245,21 +261,25 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
             raise SerializationError(
                 f"process {process_name!r} is missing 'execution_time'"
             )
-        execution_time = _entry_float(
-            entry, "execution_time", 0.0, f"process {process_name!r}"
-        )
+        what = f"process {process_name!r}"
+        execution_time = _entry_float(entry, "execution_time", 0.0, what)
+        execution_times = _entry_times(entry, what)
+        is_conjunction = _request_bool(entry, "is_conjunction", False, what)
         declared.add(process_name)
-        builder.process(
-            process_name,
-            execution_time,
-            execution_times=entry.get("execution_times"),
-            is_conjunction=bool(entry.get("is_conjunction", False)),
-        )
+        try:
+            builder.process(
+                process_name,
+                execution_time,
+                execution_times=execution_times,
+                is_conjunction=is_conjunction,
+            )
+        except ValueError as error:
+            raise SerializationError(f"{what}: {error}") from error
         if "mapped_to" in entry:
             target = entry["mapped_to"]
             try:
                 element = architecture[target]
-            except KeyError as error:
+            except (KeyError, TypeError) as error:
                 raise SerializationError(
                     f"process {process_name!r} is mapped to unknown "
                     f"processing element {target!r}"
@@ -277,27 +297,33 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
         for key in ("src", "dst"):
             if key not in entry:
                 raise SerializationError(f"edge entry {entry!r} is missing {key!r}")
-            if entry[key] not in declared:
+            if not isinstance(entry[key], str) or entry[key] not in declared:
                 raise SerializationError(
                     f"edge {entry.get('src')!r} -> {entry.get('dst')!r} names "
                     f"undeclared process {entry[key]!r}"
                 )
+        what = f"edge {entry['src']!r} -> {entry['dst']!r}"
         condition: Optional[Literal] = None
         if "condition" in entry:
+            condition_name = entry["condition"]
+            if not isinstance(condition_name, str) or not condition_name:
+                raise SerializationError(
+                    f"{what} field 'condition' must be a non-empty string, "
+                    f"got {condition_name!r}"
+                )
             condition = Literal(
-                Condition(entry["condition"]), bool(entry.get("value", True))
+                Condition(condition_name), _request_bool(entry, "value", True, what)
             )
-        builder.edge(
-            entry["src"],
-            entry["dst"],
-            condition=condition,
-            communication_time=_entry_float(
-                entry,
-                "communication_time",
-                0.0,
-                f"edge {entry['src']!r} -> {entry['dst']!r}",
-            ),
-        )
+        communication_time = _entry_float(entry, "communication_time", 0.0, what)
+        try:
+            builder.edge(
+                entry["src"],
+                entry["dst"],
+                condition=condition,
+                communication_time=communication_time,
+            )
+        except ValueError as error:
+            raise SerializationError(f"{what}: {error}") from error
 
     try:
         graph = builder.build()

@@ -26,6 +26,7 @@ from repro import (
 )
 from repro.data import load_fig1_example
 from repro.graph import expand_communications
+from repro.io import system_to_dict
 
 
 @pytest.fixture(scope="session")
@@ -133,6 +134,58 @@ def small_system(two_processor_architecture):
         "graph": graph,
         "mapping": mapping,
         "expanded": expanded,
+    }
+
+
+@pytest.fixture()
+def malformed_system_documents(small_system):
+    """Case name -> (broken system document, the entry its error must name,
+    what the error must say).
+
+    Each document is the small system with one entry the schema rejects;
+    edge 0 is ``P1 -C-> P2`` and edge 1 is ``P1 -!C-> P3``.
+    """
+
+    def broken(section, index, key, value):
+        document = system_to_dict(
+            small_system["graph"],
+            small_system["architecture"],
+            small_system["mapping"],
+            name="broken",
+        )
+        document[section][index][key] = value
+        return document
+
+    edge_0, edge_1, process = "edge 'P1' -> 'P2'", "edge 'P1' -> 'P3'", "process 'P1'"
+    return {
+        "self-loop": (
+            broken("edges", 0, "dst", "P1"), "edge 'P1' -> 'P1'", "self-loop"
+        ),
+        "negative execution_time": (
+            broken("processes", 0, "execution_time", -1.0), process, "negative"
+        ),
+        "negative communication_time": (
+            broken("edges", 0, "communication_time", -2.0), edge_0, "negative"
+        ),
+        "non-string condition": (
+            broken("edges", 0, "condition", 7), edge_0, "non-empty string"
+        ),
+        "string value": (
+            broken("edges", 1, "value", "false"), edge_1, "'value' must be a boolean"
+        ),
+        "string is_conjunction": (
+            broken("processes", 0, "is_conjunction", "no"), process, "must be a boolean"
+        ),
+        "non-object execution_times": (
+            broken("processes", 0, "execution_times", [4.0]),
+            process,
+            "object of numbers",
+        ),
+        "non-numeric execution_times": (
+            broken("processes", 0, "execution_times", {"pe1": "fast"}),
+            process,
+            "object of numbers",
+        ),
     }
 
 

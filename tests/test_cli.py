@@ -179,6 +179,20 @@ def test_malformed_system_json_exits_with_message(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_malformed_system_exits_with_one_error_line(
+    tmp_path, capsys, malformed_system_documents
+):
+    path = tmp_path / "broken.json"
+    for case, (document, offender, _) in malformed_system_documents.items():
+        path.write_text(json.dumps(document))
+        assert main(["schedule", str(path)]) == 2, case
+        captured = capsys.readouterr()
+        assert captured.out == "", case
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (case, lines)
+        assert offender in lines[0], case
+
+
 def test_unparseable_json_exits_with_message(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("this is not json")

@@ -1,8 +1,14 @@
 """Unit tests for the conditional process graph container (guards, structure, validation)."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conditions import BoolExpr, Condition
+from repro.generator import generate_system
 from repro.graph import (
     CPGBuilder,
     ConditionalProcessGraph,
@@ -77,11 +83,6 @@ class TestConstruction:
         order = graph.topological_order()
         assert order.index("P1") < order.index("P2")
         assert order.index("P2") < order.index("P4")
-
-    def test_to_networkx_carries_attributes(self):
-        nx_graph = build_branching_graph().to_networkx()
-        assert nx_graph.nodes["P1"]["process"].name == "P1"
-        assert nx_graph.edges["P1", "P2"]["edge"].is_conditional
 
     def test_copy_and_subgraph(self):
         graph = build_branching_graph()
@@ -239,3 +240,134 @@ class TestValidation:
 
     def test_repr_mentions_size(self):
         assert "processes=6" in repr(build_branching_graph())
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A polar DAG whose names, process order and edge order are all shuffled.
+
+    Edges only run from lower to higher index, so the graph is acyclic; the
+    names are drawn independently of the indices, so name order says nothing
+    about the structure.
+    """
+    size = draw(st.integers(min_value=1, max_value=10))
+    names = draw(
+        st.lists(
+            st.text(alphabet="ABPQXZ", min_size=1, max_size=3),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    pairs = [
+        (names[i], names[j])
+        for i in range(size)
+        for j in range(i + 1, size)
+        if draw(st.booleans())
+    ]
+    has_pred = {dst for _, dst in pairs}
+    has_succ = {src for src, _ in pairs}
+    pairs += [("source", name) for name in names if name not in has_pred]
+    pairs += [(name, "sink") for name in names if name not in has_succ]
+    processes = [ordinary_process(name, 1.0) for name in names]
+    processes += [source_process(), sink_process()]
+    graph = ConditionalProcessGraph("shuffled")
+    for process in draw(st.permutations(processes)):
+        graph.add_process(process)
+    for src, dst in draw(st.permutations(pairs)):
+        graph.connect(src, dst)
+    return graph
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(shuffled_dags())
+    def test_emits_the_smallest_ready_name(self, graph):
+        order = graph.topological_order()
+        assert sorted(order) == sorted(graph.process_names)
+        position = {name: index for index, name in enumerate(order)}
+        for edge in graph.edges:
+            assert position[edge.src] < position[edge.dst]
+        emitted = set()
+        for name in order:
+            ready = [
+                candidate
+                for candidate in graph.process_names
+                if candidate not in emitted
+                and set(graph.predecessors(candidate)) <= emitted
+            ]
+            assert name == min(ready)
+            emitted.add(name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_dags())
+    def test_a_back_edge_is_a_structure_error(self, graph):
+        edge = next(edge for edge in graph.edges if edge.src != "source")
+        graph.connect(edge.dst, edge.src)
+        with pytest.raises(GraphStructureError, match="acyclic"):
+            graph.topological_order()
+        with pytest.raises(GraphStructureError, match="acyclic"):
+            graph.validate()
+
+
+class TestDerivedStructure:
+    def test_queries_follow_a_mutation(self):
+        graph = build_branching_graph()
+        assert graph.disjunction_processes() == {"P1": C}
+        assert graph.topological_order() == ["source", "P1", "P2", "P3", "P4", "sink"]
+        graph.add_process(ordinary_process("P0", 1.0))
+        graph.connect("P4", "P0", condition=D.true())
+        assert graph.disjunction_processes() == {"P1": C, "P4": D}
+        assert graph.disjunction_process_of(D) == "P4"
+        assert graph.topological_order() == [
+            "source", "P1", "P2", "P3", "P4", "P0", "sink"
+        ]
+
+    def test_concurrent_first_queries_on_a_fresh_graph_agree(self):
+        """More threads than cores race the lazy per-graph derivations.
+
+        Threads start one after another, so later ones arrive while earlier
+        ones derive.  A map published in two steps fails a few rounds in a
+        hundred here; one assignment leaves no window.
+        """
+        base = generate_system(40, 8, seed=1).graph
+        conditions = base.conditions
+        expected = (
+            base.topological_order(),
+            base.disjunction_processes(),
+            [base.disjunction_process_of(condition) for condition in conditions],
+        )
+        for _ in range(200):
+            graph = base.copy()
+            results = [None] * 6
+
+            def run(index):
+                try:
+                    if index % 2:
+                        order = graph.topological_order()
+                    producers = [
+                        graph.disjunction_process_of(condition)
+                        for condition in conditions
+                    ]
+                    disjunctions = graph.disjunction_processes()
+                    if not index % 2:
+                        order = graph.topological_order()
+                    results[index] = (order, disjunctions, producers)
+                except Exception as error:  # reported by the assertion below
+                    results[index] = error
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=run, args=(index,))
+                    for index in range(len(results))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * len(results)

@@ -91,7 +91,9 @@ class TestSystemRoundTrip:
         with pytest.raises(SerializationError):
             system_from_dict(document)
 
-    def test_schema_violations_name_the_offending_entry(self, small_system):
+    def test_schema_violations_name_the_offending_entry(
+        self, small_system, malformed_system_documents
+    ):
         def document():
             return system_to_dict(
                 small_system["graph"],
@@ -123,6 +125,12 @@ class TestSystemRoundTrip:
         bad["processes"] = {"P1": 1.0}
         with pytest.raises(SerializationError, match="must be a list"):
             system_from_dict(bad)
+
+        for case, (bad, offender, reason) in malformed_system_documents.items():
+            with pytest.raises(SerializationError) as raised:
+                system_from_dict(bad)
+            assert offender in str(raised.value), case
+            assert reason in str(raised.value), case
 
     def test_per_pe_execution_times_survive(self, two_processor_architecture):
         from repro.architecture import Mapping

@@ -1,5 +1,12 @@
 """Tests of the top-level public API surface."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import repro
 
 
@@ -49,3 +56,38 @@ def test_quickstart_snippet_from_module_docstring_runs():
     example = repro.load_fig1_example()
     result = repro.ScheduleMerger(example.graph, example.expanded_mapping).merge()
     assert result.delta_m > 0 and result.delta_max >= result.delta_m - 1e-9
+
+
+def test_package_imports_only_the_standard_library():
+    """Importing every module of the package loads no third-party module."""
+    script = textwrap.dedent(
+        """
+        import json, pkgutil, sys
+        before = set(sys.modules)
+        import repro
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            __import__(module.name)
+        loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+        print(json.dumps(sorted(loaded)))
+        """
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "repro" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name != "repro"
+        and name not in sys.stdlib_module_names
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert foreign == []

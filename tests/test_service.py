@@ -184,7 +184,9 @@ def test_identical_tenant_replays_entirely_from_cache(client):
     assert cold == warm
 
 
-def test_malformed_payloads_name_the_offender(client, small_system):
+def test_malformed_payloads_name_the_offender(
+    client, small_system, malformed_system_documents
+):
     status, document = client.request("POST", "/jobs", {"fig1": True, "cycles": "x"})
     assert status == 400
     assert "'cycles'" in document["error"]
@@ -206,6 +208,14 @@ def test_malformed_payloads_name_the_offender(client, small_system):
     assert status == 400
     assert offender in document["error"]
     assert "execution_time" in document["error"]
+
+    # Malformed systems are refused on submission and by the one-shot query,
+    # never accepted as a job that fails later or answered with a 500.
+    for case, (system, offender, _) in malformed_system_documents.items():
+        for path in ("/jobs", "/schedule"):
+            status, document = client.request("POST", path, {"system": system})
+            assert status == 400, (case, path, document)
+            assert offender in document["error"], (case, path)
 
     status, document = client.request("POST", "/jobs", None)
     assert status == 400
