@@ -11,7 +11,7 @@ depend on K) is locked.
 from __future__ import annotations
 
 from repro.analysis import render_gantt
-from repro.conditions import Condition
+from repro.conditions import Condition, Conjunction
 from repro.graph import PathEnumerator
 from repro.scheduling import PathListScheduler
 
@@ -29,18 +29,22 @@ def test_fig4_optimal_and_adjusted_schedules(benchmark, fig1_example, fig1_resul
         example.graph, example.expanded_mapping, example.architecture
     )
 
-    path_k_true = enumerator.path_for({C: True, D: True, K: True})
-    path_k_false = enumerator.path_for({C: True, D: True, K: False})
+    path_k_true = enumerator.path_for(
+        Conjunction.from_assignment({C: True, D: True, K: True})
+    )
+    path_k_false = enumerator.path_for(
+        Conjunction.from_assignment({C: True, D: True, K: False})
+    )
     optimal_true = scheduler.schedule(path_k_true)
     optimal_false = scheduler.schedule(path_k_false)
 
     # Locks for the adjusted schedule: every activation time already placed in
     # a column that only depends on conditions decided before the K branch.
-    known = {C: True, D: True}
+    known = Conjunction.from_assignment({C: True, D: True})
     locked = {}
     for name in fig1_result.table.process_names:
         for entry in fig1_result.table.process_entries(name):
-            if entry.column.conditions <= set(known) and entry.column.satisfied_by_partial(known):
+            if known.implies(entry.column):
                 if path_k_false.includes(name):
                     locked[name] = entry.start
                 break

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro import (
     Condition,
+    Conjunction,
     CPGBuilder,
     Mapping,
     RuntimeSimulator,
@@ -77,7 +78,9 @@ def main() -> None:
     # Execute the table for both condition outcomes with the run-time simulator.
     simulator = RuntimeSimulator(expanded.graph, expanded.mapping, architecture)
     for value in (True, False):
-        trace = simulator.execute(result.table, {urgent: value})
+        trace = simulator.execute(
+            result.table, Conjunction.from_assignment({urgent: value})
+        )
         print(f"\nExecution with urgent={value}: delay {trace.delay:g}")
         for activity in trace.activities:
             where = activity.pe.name if activity.pe else "-"

@@ -34,7 +34,7 @@ def critical_path_length(
             continue
         duration = graph[name].duration_on(mapping.get(name))
         best_predecessor = 0.0
-        for pred in graph.active_predecessors(name, path.assignment):
+        for pred in graph.active_predecessors(name, path.label):
             if pred in longest:
                 best_predecessor = max(best_predecessor, longest[pred])
         longest[name] = best_predecessor + duration

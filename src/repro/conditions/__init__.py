@@ -8,32 +8,21 @@ boolean algebra the scheduler needs:
   occurrences;
 * :class:`Conjunction` — an AND of literals (path labels, schedule-table
   column headers, "conditions known at time t on PE p");
-* :class:`BoolExpr` — sum-of-products expressions (general process guards);
-* assignment helpers for enumerating and manipulating condition valuations.
+* :class:`BoolExpr` — sum-of-products expressions (general process guards).
+
+Condition values are ``(pos, neg)`` bitmask pairs over the process-wide
+:data:`DEFAULT_UNIVERSE` throughout: a conjunction is one pair, a
+``BoolExpr`` a set of them, and every query (implication, mutual exclusion,
+simplification) is answered from the masks.  A ``Condition -> bool`` dict
+enters only through :meth:`Conjunction.from_assignment`.
 """
 
-from .assignment import (
-    Assignment,
-    all_assignments,
-    assignment_from_literals,
-    conjunction_from_assignment,
-    extend_assignment,
-    is_extension_of,
-    literals_from_assignment,
-    restrict_assignment,
-)
 from .conjunction import Conjunction, ContradictionError
 from .expressions import BoolExpr
 from .literals import Condition, Literal, conditions_of
-from .universe import (
-    DEFAULT_UNIVERSE,
-    ConditionUniverse,
-    condition_bit,
-    masks_from_assignment,
-)
+from .universe import DEFAULT_UNIVERSE, ConditionUniverse, condition_bit
 
 __all__ = [
-    "Assignment",
     "BoolExpr",
     "Condition",
     "ConditionUniverse",
@@ -42,13 +31,5 @@ __all__ = [
     "DEFAULT_UNIVERSE",
     "Literal",
     "condition_bit",
-    "masks_from_assignment",
-    "all_assignments",
-    "assignment_from_literals",
     "conditions_of",
-    "conjunction_from_assignment",
-    "extend_assignment",
-    "is_extension_of",
-    "literals_from_assignment",
-    "restrict_assignment",
 ]

@@ -9,7 +9,7 @@ Internally a conjunction is a pair of integer bitmasks over the process-wide
 :data:`~repro.conditions.universe.DEFAULT_UNIVERSE`: ``pos_mask`` holds one
 bit per positive literal and ``neg_mask`` one bit per negated literal.  The
 operations the schedule merger hammers — :meth:`is_mutually_exclusive_with`,
-:meth:`implies`, :meth:`conjoin`, :meth:`satisfied_by_masks` — are therefore
+:meth:`implies`, :meth:`conjoin`, :meth:`is_compatible_with` — are therefore
 one or two integer operations; literal objects are only materialised when a
 caller actually iterates or prints the conjunction.
 """
@@ -70,7 +70,11 @@ class Conjunction:
 
     @classmethod
     def from_assignment(cls, assignment: Mapping[Condition, bool]) -> "Conjunction":
-        """Build the conjunction equivalent to a (partial) condition assignment."""
+        """Build the conjunction equivalent to a (partial) condition assignment.
+
+        The one conversion from a ``Condition -> bool`` dict: every query
+        below takes conjunctions.
+        """
         pos, neg = DEFAULT_UNIVERSE.masks_of(assignment)
         return cls.from_masks(pos, neg)
 
@@ -230,33 +234,11 @@ class Conjunction:
         removed = DEFAULT_UNIVERSE.mask_of(conditions)
         return Conjunction.from_masks(self._pos & ~removed, self._neg & ~removed)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[Condition, bool]) -> bool:
-        """Evaluate under a complete assignment of this conjunction's conditions."""
-        return all(lit.evaluate(assignment) for lit in self.literals)
-
-    def satisfied_by_partial(self, assignment: Mapping[Condition, bool]) -> bool:
-        """True when every literal's condition is assigned and matches."""
-        pos, neg = DEFAULT_UNIVERSE.masks_of(assignment)
-        return self.satisfied_by_masks(pos, neg)
-
-    def satisfied_by_masks(self, pos_mask: int, neg_mask: int) -> bool:
-        """Mask form of :meth:`satisfied_by_partial` (two integer probes)."""
-        return not (self._pos & ~pos_mask) and not (self._neg & ~neg_mask)
-
-    def consistent_with_partial(self, assignment: Mapping[Condition, bool]) -> bool:
-        """True when no assigned condition contradicts this conjunction."""
-        pos, neg = DEFAULT_UNIVERSE.masks_of(assignment)
-        return self.consistent_with_masks(pos, neg)
-
-    def consistent_with_masks(self, pos_mask: int, neg_mask: int) -> bool:
-        """Mask form of :meth:`consistent_with_partial`."""
-        return not ((self._pos & neg_mask) | (self._neg & pos_mask))
+    # -- conversion --------------------------------------------------------
 
     def as_assignment(self) -> Dict[Condition, bool]:
         """Return the (partial) assignment equivalent to this conjunction."""
-        return {lit.condition: lit.value for lit in self.literals}
+        return {lit.condition: lit.value for lit in self}
 
 
 _TRUE = Conjunction(())

@@ -9,7 +9,7 @@ guards, path labels and schedule-table column headers are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -68,13 +68,6 @@ class Literal:
     def conflicts_with(self, other: "Literal") -> bool:
         """True when the two literals are over the same condition with opposite values."""
         return self.condition == other.condition and self.value != other.value
-
-    def evaluate(self, assignment: Mapping[Condition, bool]) -> bool:
-        """Evaluate this literal under a (complete for this condition) assignment.
-
-        Raises ``KeyError`` if the condition is not assigned.
-        """
-        return assignment[self.condition] == self.value
 
 
 def conditions_of(literals: Iterable[Literal]) -> frozenset:

@@ -6,8 +6,7 @@ over a small, per-system set of condition variables.  Representing such a
 conjunction as a pair of integer bitmasks (one bit per condition; a bit in
 ``pos_mask`` for a positive literal, in ``neg_mask`` for a negated one) turns
 the hot operations of the merging algorithm — mutual exclusion, implication,
-conjoining, partial-assignment satisfaction — into one or two integer
-operations.
+conjoining, compatibility — into one or two integer operations.
 
 A :class:`ConditionUniverse` is the registry that assigns each condition its
 bit.  Conditions are interned on first use and keep their bit for the lifetime
@@ -91,7 +90,3 @@ def condition_bit(condition: Condition) -> int:
     """Shorthand for ``DEFAULT_UNIVERSE.bit_of(condition)``."""
     return DEFAULT_UNIVERSE.bit_of(condition)
 
-
-def masks_from_assignment(assignment: Mapping[Condition, bool]) -> Tuple[int, int]:
-    """Shorthand for ``DEFAULT_UNIVERSE.masks_of(assignment)``."""
-    return DEFAULT_UNIVERSE.masks_of(assignment)

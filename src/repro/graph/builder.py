@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from ..conditions import Literal
-from .cpg import ConditionalProcessGraph
+from .cpg import ConditionalProcessGraph, GraphStructureError
 from .edges import Edge
 from .process import (
     Process,
@@ -112,7 +112,9 @@ class CPGBuilder:
             if not self._graph.successors(process.name):
                 self._graph.connect(process.name, sink)
         if not self._graph.successors(source) and len(self._graph) > 2:
-            raise RuntimeError("builder produced a source with no successors")
+            # No process was left without a predecessor, so walking
+            # predecessors back from any process revisits one: a cycle.
+            raise GraphStructureError("the process graph must be acyclic")
         if validate:
             self._graph.validate()
         self._built = True

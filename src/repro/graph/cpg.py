@@ -13,13 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from ..conditions import (
-    BoolExpr,
-    Condition,
-    Conjunction,
-    Literal,
-    masks_from_assignment,
-)
+from ..conditions import BoolExpr, Condition, Conjunction, Literal
 from .edges import Edge
 from .process import Process, ProcessKind
 
@@ -405,20 +399,18 @@ class ConditionalProcessGraph:
 
     # -- activation semantics -----------------------------------------------------
 
-    def active_processes(self, assignment: Mapping[Condition, bool]) -> Tuple[str, ...]:
-        """Names of processes activated under the given (complete) assignment."""
+    def active_processes(self, label: Conjunction) -> Tuple[str, ...]:
+        """Names of processes activated under the condition values of ``label``."""
         guards = self._guards_internal()
-        pos, neg = masks_from_assignment(assignment)
+        pos, neg = label.pos_mask, label.neg_mask
         return tuple(
             name
             for name in self._topological_order_internal()
-            if guards[name].satisfied_by_masks(pos, neg) or guards[name].is_true()
+            if guards[name].is_true() or guards[name].satisfied_by_masks(pos, neg)
         )
 
-    def active_predecessors(
-        self, name: str, assignment: Mapping[Condition, bool]
-    ) -> Tuple[str, ...]:
-        """Predecessors that actually deliver an input under the assignment.
+    def active_predecessors(self, name: str, label: Conjunction) -> Tuple[str, ...]:
+        """Predecessors that actually deliver an input under ``label``.
 
         A process waits for every predecessor whose own guard holds and whose
         connecting edge (if conditional) has a satisfied condition.  For
@@ -426,12 +418,13 @@ class ConditionalProcessGraph:
         active alternative path.
         """
         guards = self._guards_internal()
+        pos, neg = label.pos_mask, label.neg_mask
         active = []
-        for edge in self.in_edges(name):
-            if edge.is_conditional and not edge.condition.evaluate(assignment):
+        for edge in self._in_edges[name]:
+            if edge.is_conditional and edge.condition not in label:
                 continue
             src_guard = guards[edge.src]
-            if src_guard.is_true() or src_guard.satisfied_by_partial(assignment):
+            if src_guard.is_true() or src_guard.satisfied_by_masks(pos, neg):
                 active.append(edge.src)
         return tuple(active)
 

@@ -11,29 +11,10 @@ associated subgraph ``G_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..conditions import (
-    Assignment,
-    BoolExpr,
-    Condition,
-    Conjunction,
-    masks_from_assignment,
-)
+from ..conditions import Condition, Conjunction
 from .cpg import ConditionalProcessGraph
-
-#: A guard as its terms' ``(pos, neg)`` masks; None when always true.
-_TermMasks = Optional[Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -44,26 +25,27 @@ class AlternativePath:
     ----------
     label:
         The conjunction of condition values selecting this path (``L_k``).
-    assignment:
-        The same information as a condition -> bool mapping.
     active_processes:
         Names of the processes activated on this path, in topological order.
-    subgraph:
-        The induced conditional process graph ``G_k`` (built lazily by
-        :meth:`PathEnumerator.subgraph_of`; stored here when requested).
+    index:
+        The path's position in the enumeration order.
     """
 
     label: Conjunction
-    assignment: Mapping[Condition, bool] = field(compare=False)
     active_processes: Tuple[str, ...] = ()
     index: int = field(default=0, compare=False)
 
     def __str__(self) -> str:
         return f"path[{self.label}]"
 
-    def is_consistent_with(self, partial: Mapping[Condition, bool]) -> bool:
-        """True when this path remains reachable given the partially known conditions."""
-        return self.label.consistent_with_partial(partial)
+    @property
+    def assignment(self) -> Dict[Condition, bool]:
+        """The label as a ``Condition -> bool`` dict, derived on each read."""
+        return self.label.as_assignment()
+
+    def is_consistent_with(self, known: Conjunction) -> bool:
+        """True when this path remains reachable given the known condition values."""
+        return self.label.is_compatible_with(known)
 
     def includes(self, process_name: str) -> bool:
         return process_name in self.active_processes
@@ -75,18 +57,14 @@ class PathEnumerator:
     def __init__(self, graph: ConditionalProcessGraph) -> None:
         self._graph = graph
         self._guards = graph.guards()
-        self._disjunctions = graph.disjunction_processes()
+        self._disjunctions = sorted(graph.disjunction_processes().items())
         self._paths: Optional[Tuple[AlternativePath, ...]] = None
+        # (distinct label condition masks, label masks -> path), built on the
+        # first :meth:`path_for`.
         self._index: Optional[
-            Dict[FrozenSet[Tuple[Condition, bool]], AlternativePath]
+            Tuple[Tuple[int, ...], Dict[Tuple[int, int], AlternativePath]]
         ] = None
-        self._label_condition_sets: Tuple[FrozenSet[Condition], ...] = ()
         self._topological_order = graph.topological_order()
-        self._active_cache: Dict[Tuple[int, int], Tuple[str, ...]] = {}
-        # Flattened guard table in topological order: ``None`` marks an
-        # always-active process, otherwise the guard's term masks.  Built
-        # lazily on the first activity query.
-        self._guard_table: Optional[List[Tuple[str, _TermMasks]]] = None
 
     @property
     def graph(self) -> ConditionalProcessGraph:
@@ -106,41 +84,33 @@ class PathEnumerator:
         """The number ``N_alt`` of alternative paths."""
         return len(self.paths())
 
-    def path_for(self, assignment: Mapping[Condition, bool]) -> AlternativePath:
-        """Return the alternative path selected by a complete condition assignment.
+    def path_for(self, known: Conjunction) -> AlternativePath:
+        """Return the alternative path selected by the given condition values.
 
-        Lookups are indexed: labels are keyed on their frozen condition-value
-        pairs, so resolving an assignment costs one dict probe per distinct
-        label condition set (of which a graph has very few) instead of a scan
-        over all ``N_alt`` paths.
+        ``known`` must fix every condition of the path's label.  Lookups are
+        indexed by label masks: one dict probe per distinct label condition
+        set (of which a graph has very few) instead of a scan over all
+        ``N_alt`` paths.
         """
         if self._index is None:
-            index: Dict[FrozenSet[Tuple[Condition, bool]], AlternativePath] = {}
-            condition_sets: List[FrozenSet[Condition]] = []
+            by_label: Dict[Tuple[int, int], AlternativePath] = {}
             for path in self.paths():
-                items = frozenset(path.label.as_assignment().items())
-                index.setdefault(items, path)
-                conditions = path.label.conditions
-                if conditions not in condition_sets:
-                    condition_sets.append(conditions)
-            self._index = index
-            self._label_condition_sets = tuple(condition_sets)
-        for conditions in self._label_condition_sets:
-            if not all(condition in assignment for condition in conditions):
+                by_label.setdefault((path.label.pos_mask, path.label.neg_mask), path)
+            condition_masks = tuple(dict.fromkeys(pos | neg for pos, neg in by_label))
+            self._index = (condition_masks, by_label)
+        condition_masks, by_label = self._index
+        pos, neg = known.pos_mask, known.neg_mask
+        for mask in condition_masks:
+            if mask & ~(pos | neg):
                 continue
-            key = frozenset(
-                (condition, bool(assignment[condition])) for condition in conditions
-            )
-            path = self._index.get(key)
+            path = by_label.get((pos & mask, neg & mask))
             if path is not None:
                 return path
-        raise KeyError(f"no alternative path matches assignment {assignment}")
+        raise KeyError(f"no alternative path matches {known}")
 
-    def reachable_paths(
-        self, partial: Mapping[Condition, bool]
-    ) -> List[AlternativePath]:
+    def reachable_paths(self, known: Conjunction) -> List[AlternativePath]:
         """Paths still reachable when only some conditions are known."""
-        return [path for path in self.paths() if path.is_consistent_with(partial)]
+        return [path for path in self.paths() if path.is_consistent_with(known)]
 
     def subgraph_of(self, path: AlternativePath) -> ConditionalProcessGraph:
         """Build the induced subgraph ``G_k`` of an alternative path."""
@@ -149,88 +119,39 @@ class PathEnumerator:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _relevant_unassigned_conditions(
-        self, assignment: Assignment
-    ) -> List[Condition]:
-        """Conditions computed by disjunction processes active under ``assignment``."""
-        relevant = []
-        for name, condition in sorted(self._disjunctions.items()):
-            if condition in assignment:
+    def _next_condition(self, label: Conjunction) -> Optional[Condition]:
+        """The first unresolved condition whose disjunction process ``label`` activates."""
+        pos, neg = label.pos_mask, label.neg_mask
+        for name, condition in self._disjunctions:
+            if label.value_of(condition) is not None:
                 continue
             guard = self._guards[name]
-            if guard.is_true() or guard.satisfied_by_partial(assignment):
-                relevant.append(condition)
-        return relevant
+            if guard.is_true() or guard.satisfied_by_masks(pos, neg):
+                return condition
+        return None
 
-    def _active_under(self, assignment: Assignment) -> Tuple[str, ...]:
-        """Active process names under a complete assignment of relevant conditions.
+    def _active_under(self, label: Conjunction) -> Tuple[str, ...]:
+        """Active process names under a label resolving every relevant condition."""
+        pos, neg = label.pos_mask, label.neg_mask
+        guards = self._guards
+        return tuple(
+            name
+            for name in self._topological_order
+            if guards[name].is_true() or guards[name].satisfied_by_masks(pos, neg)
+        )
 
-        Guard evaluation goes through the bitmask fast path: the assignment is
-        folded to a ``(pos, neg)`` mask pair once and every guard term check is
-        then two integer probes.  Results are memoized by mask pair, since the
-        depth-first enumeration revisits identical leaf assignments when
-        labels share prefixes.
-        """
-        key = masks_from_assignment(assignment)
-        cached = self._active_cache.get(key)
-        if cached is None:
-            if self._guard_table is None:
-                self._guard_table = [
-                    (name, _term_masks(self._guards[name]))
-                    for name in self._topological_order
-                ]
-            pos, neg = key
-            cached = tuple(
-                name
-                for name, terms in self._guard_table
-                if _holds(terms, ~pos, ~neg)
-            )
-            self._active_cache[key] = cached
-        return cached
+    def _labels(self, label: Conjunction) -> Iterator[Conjunction]:
+        """Depth-first over the decision tree: the leaf labels below ``label``."""
+        condition = self._next_condition(label)
+        if condition is None:
+            yield label
+            return
+        for value in (True, False):
+            yield from self._labels(label.and_literal(condition.literal(value)))
 
     def _enumerate(self) -> Iterator[AlternativePath]:
-        counter = {"index": 0}
-
-        def recurse(assignment: Assignment) -> Iterator[AlternativePath]:
-            pending = self._relevant_unassigned_conditions(assignment)
-            if not pending:
-                label = Conjunction.from_assignment(assignment)
-                active = self._active_under(assignment)
-                path = AlternativePath(
-                    label=label,
-                    assignment=dict(assignment),
-                    active_processes=active,
-                    index=counter["index"],
-                )
-                counter["index"] += 1
-                yield path
-                return
-            condition = pending[0]
-            for value in (True, False):
-                extended = dict(assignment)
-                extended[condition] = value
-                yield from recurse(extended)
-
-        yield from recurse({})
-
-
-def _term_masks(guard: BoolExpr) -> _TermMasks:
-    """Flatten a guard for :func:`_holds`."""
-    if guard.is_true():
-        return None
-    return tuple((term.pos_mask, term.neg_mask) for term in guard.terms)
-
-
-def _holds(terms: _TermMasks, not_pos: int, not_neg: int) -> bool:
-    """Whether a :func:`_term_masks` guard holds under an assignment's masks.
-
-    ``not_pos``/``not_neg`` are the complemented masks of the assignment; a
-    term holds when all its literals are assigned and agree.
-    """
-    return terms is None or any(
-        not (term_pos & not_pos) and not (term_neg & not_neg)
-        for term_pos, term_neg in terms
-    )
+        for index, label in enumerate(self._labels(Conjunction.true())):
+            yield AlternativePath(label, self._active_under(label), index)
 
 
 def expanded_paths(
@@ -245,29 +166,31 @@ def expanded_paths(
     (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`);
     ``base_paths`` is the base graph's enumeration.  Inserting a process on
     an edge adds no disjunction process and changes no existing guard, so
-    the labels, assignments and indices carry over in the same order, and
+    the labels and indices carry over in the same order, and
     each path's active set gains the inserted processes whose guard holds
     under its label, in ``graph``'s topological order.  The result equals
     ``PathEnumerator(graph).paths()`` without re-walking the decision tree.
     """
     guards = graph.guards()
-    inserted_terms = {name: _term_masks(guards[name]) for name in inserted}
+    inserted_guards = {name: guards[name] for name in inserted}
     order = graph.topological_order()
     paths = []
     for path in base_paths:
         base_active = set(path.active_processes)
-        pos, neg = masks_from_assignment(path.assignment)
-        not_pos, not_neg = ~pos, ~neg
+        pos, neg = path.label.pos_mask, path.label.neg_mask
         active = tuple(
             name
             for name in order
             if name in base_active
             or (
-                name in inserted_terms
-                and _holds(inserted_terms[name], not_pos, not_neg)
+                name in inserted_guards
+                and (
+                    inserted_guards[name].is_true()
+                    or inserted_guards[name].satisfied_by_masks(pos, neg)
+                )
             )
         )
-        paths.append(AlternativePath(path.label, path.assignment, active, path.index))
+        paths.append(AlternativePath(path.label, active, path.index))
     return tuple(paths)
 
 

@@ -157,18 +157,25 @@ def _entry_name(entry: Dict[str, Any], what: str) -> str:
 
 def _entry_float(entry: Dict[str, Any], key: str, default: float, what: str) -> float:
     value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SerializationError(f"{what} field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _entry_element(
+    entry: Dict[str, Any], name: str, kind: PEKind, what: str
+) -> ProcessingElement:
+    speed = _entry_float(entry, "speed", 1.0, what)
     try:
-        return float(value)
-    except (TypeError, ValueError) as error:
-        raise SerializationError(
-            f"{what} field {key!r} must be a number, got {value!r}"
-        ) from error
+        return ProcessingElement(name, kind, speed)
+    except ValueError as error:
+        raise SerializationError(f"{what}: {error}") from error
 
 
 def _entry_times(entry: Dict[str, Any], what: str) -> Optional[Dict[str, float]]:
-    times = entry.get("execution_times")
-    if times is None:
+    if "execution_times" not in entry:
         return None
+    times = entry["execution_times"]
     if not isinstance(times, dict) or not all(
         isinstance(time, (int, float)) and not isinstance(time, bool)
         for time in times.values()
@@ -193,18 +200,17 @@ def architecture_from_dict(document: Dict[str, Any]) -> Architecture:
     for entry in processor_docs:
         entry = _entry_dict(entry, "processor entry")
         name = _entry_name(entry, "processor entry")
+        what = f"processor {name!r}"
         kind = entry.get("kind", "programmable")
         try:
             pe_kind = PEKind(kind)
         except ValueError as error:
-            raise SerializationError(f"unknown processing element kind {kind!r}") from error
+            raise SerializationError(
+                f"{what} has unknown processing element kind {kind!r}"
+            ) from error
         if pe_kind is PEKind.BUS:
-            raise SerializationError("buses must be listed under 'buses'")
-        processors.append(
-            ProcessingElement(
-                name, pe_kind, _entry_float(entry, "speed", 1.0, f"processor {name!r}")
-            )
-        )
+            raise SerializationError(f"{what}: buses must be listed under 'buses'")
+        processors.append(_entry_element(entry, name, pe_kind, what))
     bus_docs = document.get("buses", [])
     if not isinstance(bus_docs, list):
         raise SerializationError("'buses' must be a list of objects")
@@ -213,13 +219,18 @@ def architecture_from_dict(document: Dict[str, Any]) -> Architecture:
     for entry in bus_docs:
         entry = _entry_dict(entry, "bus entry")
         name = _entry_name(entry, "bus entry")
-        buses.append(
-            ProcessingElement(
-                name, PEKind.BUS, _entry_float(entry, "speed", 1.0, f"bus {name!r}")
-            )
-        )
+        what = f"bus {name!r}"
+        buses.append(_entry_element(entry, name, PEKind.BUS, what))
         if "connects" in entry:
-            connectivity[name] = list(entry["connects"])
+            connects = entry["connects"]
+            if not isinstance(connects, list) or not all(
+                isinstance(processor, str) for processor in connects
+            ):
+                raise SerializationError(
+                    f"{what} field 'connects' must be a list of processor names, "
+                    f"got {connects!r}"
+                )
+            connectivity[name] = connects
     try:
         return Architecture(
             processors,
@@ -237,8 +248,9 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
     """Deserialise a complete system description.
 
     Schema violations — a missing section, a process mapped to an unknown
-    processing element, an edge naming an undeclared process, a non-numeric
-    or negative time, a self-loop, a non-boolean flag — raise
+    processing element, an edge naming an undeclared process, a time that is
+    not a JSON number or is negative, a self-loop, a non-boolean flag, a
+    cyclic process graph — raise
     :class:`SerializationError` naming the offending entry, never a bare
     ``KeyError``/``TypeError``/``ValueError`` traceback.
     """
@@ -250,6 +262,10 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
             raise SerializationError(f"{key!r} must be a list of objects")
     architecture = architecture_from_dict(document["architecture"])
     name = document.get("name", "system")
+    if not isinstance(name, str) or not name:
+        raise SerializationError(
+            f"system document field 'name' must be a non-empty string, got {name!r}"
+        )
 
     builder = CPGBuilder(name)
     mapping = Mapping(architecture)
@@ -327,7 +343,7 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
 
     try:
         graph = builder.build()
-    except (ValueError, RuntimeError) as error:
+    except ValueError as error:
         raise SerializationError(f"invalid process graph: {error}") from error
     return SystemDescription(name, graph, architecture, mapping)
 

@@ -272,7 +272,7 @@ class PathListScheduler:
         context.seq_unique = tuple(seq_seen)
 
         successors: List[List[int]] = [[] for _ in context.active]
-        assignment = path.assignment
+        label = path.label
         edge_cache = self._edge_cache
         in_edge_map = self._graph.in_edge_map()
         pred_indices_append = context.pred_indices.append
@@ -289,7 +289,7 @@ class PathListScheduler:
                 index_of[src]
                 for src, condition in edges
                 if src in index_of
-                and (condition is None or condition.evaluate(assignment))
+                and (condition is None or condition in label)
             )
             pred_indices_append(preds)
             base_indegree_append(len(preds))

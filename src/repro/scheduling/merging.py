@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..architecture.architecture import Architecture
 from ..architecture.mapping import Mapping
 from ..architecture.processing_element import ProcessingElement
-from ..conditions import (
-    DEFAULT_UNIVERSE,
-    Condition,
-    Conjunction,
-    masks_from_assignment,
-)
+from ..conditions import DEFAULT_UNIVERSE, Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath, PathEnumerator
 from .list_scheduler import PathListScheduler
@@ -53,20 +48,18 @@ class MergeConflictError(RuntimeError):
 class _SegmentColumns:
     """Per-segment memo of the "conditions known on PE ``p`` at ``t``" columns.
 
-    Within one placement walk the known assignment and the current schedule
-    are fixed, so per processing element the knowledge times of the known
-    conditions form one sorted timeline.  A column query then binary-searches
-    that timeline and returns a prefix-OR mask pair instead of re-folding
-    every known condition per placed item (the masks are cumulative, so ties
-    in knowledge time OR together regardless of order — exactly what the
-    per-condition loop produced).
+    Within one placement walk the known condition values and the current
+    schedule are fixed, so per processing element the knowledge times of the
+    known conditions form one sorted timeline.  A column query then
+    binary-searches that timeline and returns a prefix-OR mask pair instead
+    of re-folding every known condition per placed item (the masks are
+    cumulative, so ties in knowledge time OR together regardless of order —
+    exactly what the per-condition loop produced).
     """
 
     __slots__ = ("_known", "_current", "_by_pe")
 
-    def __init__(
-        self, known: Dict[Condition, bool], current: PathSchedule
-    ) -> None:
+    def __init__(self, known: Conjunction, current: PathSchedule) -> None:
         self._known = known
         self._current = current
         self._by_pe: Dict[Optional[str], Tuple[List[float], List[Tuple[int, int]], Dict[int, Conjunction]]] = {}
@@ -79,8 +72,9 @@ class _SegmentColumns:
         if entry is None:
             bit_of = DEFAULT_UNIVERSE.bit_of
             events = []
-            for condition, value in self._known.items():
-                if condition not in self._current.determination_times:
+            for condition in self._current.determination_times:
+                value = self._known.value_of(condition)
+                if value is None:
                     continue
                 time = self._current.condition_known_time(condition, pe)
                 bit = bit_of(condition)
@@ -196,7 +190,9 @@ class ScheduleMerger:
         self._trace = MergeTrace(path_delays=dict(self._optimal_delays))
 
         initial = max(self._paths, key=lambda p: self._optimal_delays[p.label])
-        root = self._explore({}, self._optimal[initial.label].copy(), False, 0)
+        root = self._explore(
+            Conjunction.true(), self._optimal[initial.label].copy(), False, 0
+        )
         self._trace.root = root
 
         delta_m = max(self._optimal_delays.values())
@@ -219,14 +215,14 @@ class ScheduleMerger:
 
     def _explore(
         self,
-        known: Dict[Condition, bool],
+        known: Conjunction,
         current: PathSchedule,
         back_step: bool,
         depth: int,
         start_item: int = 0,
     ) -> DecisionNode:
         node = DecisionNode(
-            known=Conjunction.from_assignment(known),
+            known=known,
             selected_path=current.path.label,
             entered_by_back_step=back_step,
             depth=depth,
@@ -259,22 +255,16 @@ class ScheduleMerger:
         # First branch (no back-step): the value taken by the current path.
         # The child continues with the same schedule (same item list), so it
         # resumes the placement walk where this node settled it.
-        value = current.path.assignment[branch_condition]
-        same_known = dict(known)
-        same_known[branch_condition] = value
+        value = current.path.label.value_of(branch_condition)
+        same_known = known.and_literal(branch_condition.literal(value))
         node.children.append(
             self._explore(same_known, current, False, depth + 1, resume)
         )
 
         # Back-step: the opposite value; select the reachable path with the
         # largest delay and adjust its schedule to the already fixed times.
-        other_known = dict(known)
-        other_known[branch_condition] = not value
-        reachable = [
-            path
-            for path in self._paths
-            if path.label.consistent_with_partial(other_known)
-        ]
+        other_known = known.and_literal(branch_condition.literal(not value))
+        reachable = [path for path in self._paths if path.is_consistent_with(other_known)]
         if reachable:
             self._trace.back_steps += 1
             new_path = max(reachable, key=lambda p: self._optimal_delays[p.label])
@@ -286,13 +276,13 @@ class ScheduleMerger:
         return node
 
     def _next_branch(
-        self, known: Dict[Condition, bool], current: PathSchedule
+        self, known: Conjunction, current: PathSchedule
     ) -> Tuple[Optional[Condition], float]:
         """The next condition determined on the current path and its time."""
         pending = [
             (time, condition)
             for condition, time in current.determination_times.items()
-            if condition not in known
+            if known.value_of(condition) is None
         ]
         if not pending:
             return None, float("inf")
@@ -303,7 +293,7 @@ class ScheduleMerger:
 
     def _place_segment(
         self,
-        known: Dict[Condition, bool],
+        known: Conjunction,
         current: PathSchedule,
         branch_time: float,
         node: DecisionNode,
@@ -320,7 +310,7 @@ class ScheduleMerger:
         condition is not yet known (it is placed in a deeper segment) stops
         the settled prefix from advancing past it.
         """
-        known_pos, known_neg = masks_from_assignment(known)
+        known_pos, known_neg = known.pos_mask, known.neg_mask
         items = current.all_items_in_order()
         columns = _SegmentColumns(known, current)
         settled = start_index
@@ -348,7 +338,7 @@ class ScheduleMerger:
     def _place_process(
         self,
         task: ScheduledTask,
-        known: Dict[Condition, bool],
+        known: Conjunction,
         known_pos: int,
         known_neg: int,
         current: PathSchedule,
@@ -376,7 +366,7 @@ class ScheduleMerger:
     def _place_broadcast(
         self,
         task: ScheduledTask,
-        known: Dict[Condition, bool],
+        known: Conjunction,
         known_pos: int,
         known_neg: int,
         current: PathSchedule,
@@ -384,7 +374,7 @@ class ScheduleMerger:
     ) -> Tuple[bool, PathSchedule, bool]:
         condition = task.condition
         assert condition is not None
-        if condition not in known:
+        if known.value_of(condition) is None:
             # The broadcast of the condition about to be branched on is placed
             # in the deeper segments, once the condition is part of ``known``
             # — not settled: descendants must revisit this item.
@@ -418,15 +408,16 @@ class ScheduleMerger:
     # -- columns, locks and conflicts --------------------------------------------------
 
     def _locks_from_table(
-        self, known: Dict[Condition, bool]
+        self, known: Conjunction
     ) -> Tuple[Dict[str, float], Dict[Condition, ScheduledTask]]:
         """Previously fixed activation times that apply under ``known``.
 
         One pass over the table's mask index: a column applies when its masks
-        are submasks of the known assignment's masks.
+        are submasks of ``known``'s masks.
         """
-        pos, neg = masks_from_assignment(known)
-        process_entries, condition_entries = self._table.applicable_locks(pos, neg)
+        process_entries, condition_entries = self._table.applicable_locks(
+            known.pos_mask, known.neg_mask
+        )
         locked = {name: entry.start for name, entry in process_entries.items()}
         locked_broadcasts: Dict[Condition, ScheduledTask] = {}
         tau0 = self._architecture.condition_broadcast_time
@@ -438,7 +429,7 @@ class ScheduleMerger:
         return locked, locked_broadcasts
 
     def _adjust(
-        self, path: AlternativePath, known: Dict[Condition, bool]
+        self, path: AlternativePath, known: Conjunction
     ) -> Tuple[PathSchedule, int]:
         """Adjust a newly selected path's schedule to the already fixed times."""
         locked, locked_broadcasts = self._locks_from_table(known)
@@ -466,9 +457,9 @@ class ScheduleMerger:
         extra_locked_broadcasts: Optional[Dict[Condition, ScheduledTask]] = None,
     ) -> PathSchedule:
         """Re-run the adjustment of the current path with additional locks."""
-        known = dict(current.path.assignment)
+        known = current.path.label
         # Locks must reflect what has been placed so far for this tree branch;
-        # using the full path assignment keeps exactly the entries consistent
+        # using the full path label keeps exactly the entries consistent
         # with the path, which is a superset of the entries placed so far and
         # therefore safe (they will be placed later at the same times).
         locked, locked_broadcasts = self._locks_from_table(known)
@@ -493,7 +484,7 @@ class ScheduleMerger:
         self,
         name: str,
         conflicts: List[TableEntry],
-        known: Dict[Condition, bool],
+        known: Conjunction,
         current: PathSchedule,
         columns: _SegmentColumns,
     ) -> PathSchedule:
@@ -535,7 +526,7 @@ class ScheduleMerger:
         fallback_times = sorted(
             {
                 current.condition_known_time(condition, pe)
-                for condition in known
+                for condition in known.conditions
                 if condition in current.determination_times
             }
         )

@@ -14,11 +14,11 @@ re-verified dynamically by the run-time simulator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..architecture.mapping import Mapping as PEMapping
 from ..architecture.processing_element import ProcessingElement
-from ..conditions import BoolExpr, Condition, Conjunction, masks_from_assignment
+from ..conditions import BoolExpr, Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath
 
@@ -294,31 +294,30 @@ class ScheduleTable:
         return first
 
     def activation_time(
-        self, process_name: str, assignment: Mapping[Condition, bool]
+        self, process_name: str, label: Conjunction
     ) -> Optional[float]:
-        """Activation time of a process under a complete condition assignment.
+        """Activation time of a process under the condition values of ``label``.
 
-        Returns None when no column applies (the process is not activated on
-        the selected alternative path).  Raises when several applicable
-        columns give different times (a requirement-2 violation).
+        ``label`` fixes every condition of an alternative path (a path
+        label).  Returns None when no column applies (the process is not
+        activated on that path).  Raises when several applicable columns
+        give different times (a requirement-2 violation).
         """
-        pos, neg = masks_from_assignment(assignment)
         return self._row_start(
             self._process_rows.get(process_name),
-            pos,
-            neg,
+            label.pos_mask,
+            label.neg_mask,
             f"activation time for {process_name!r}",
         )
 
     def broadcast_time(
-        self, condition: Condition, assignment: Mapping[Condition, bool]
+        self, condition: Condition, label: Conjunction
     ) -> Optional[float]:
-        """Broadcast start time of a condition under a complete assignment."""
-        pos, neg = masks_from_assignment(assignment)
+        """Broadcast start time of a condition under the values of ``label``."""
         return self._row_start(
             self._condition_rows.get(condition),
-            pos,
-            neg,
+            label.pos_mask,
+            label.neg_mask,
             f"broadcast time for condition {condition}",
         )
 
@@ -330,7 +329,7 @@ class ScheduleTable:
     ) -> float:
         """Completion time of one alternative path executed from this table."""
         delay = 0.0
-        pos, neg = masks_from_assignment(path.assignment)
+        pos, neg = path.label.pos_mask, path.label.neg_mask
         rows = self._process_rows
         row_start = self._row_start
         for name in path.active_processes:
@@ -407,7 +406,7 @@ class ScheduleTable:
             for name in path.active_processes:
                 if graph[name].is_dummy:
                     continue
-                if self.activation_time(name, path.assignment) is None:
+                if self.activation_time(name, path.label) is None:
                     raise ScheduleTableError(
                         f"requirement 3 violated: {name!r} is active on path "
                         f"{path.label} but has no applicable activation time"

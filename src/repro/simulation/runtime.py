@@ -3,8 +3,8 @@
 The paper assumes a very simple non-preemptive scheduler on every
 programmable processor and bus: it looks up the schedule table and activates a
 process at the tabulated time as soon as the column's condition values are
-known locally.  This module simulates that execution for one complete
-condition assignment and checks, dynamically, everything the static table
+known locally.  This module simulates that execution for one alternative
+path and checks, dynamically, everything the static table
 checks cannot see:
 
 * inputs have actually arrived when a process is activated;
@@ -17,12 +17,12 @@ checks cannot see:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping as TMapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..architecture.architecture import Architecture
 from ..architecture.mapping import Mapping
 from ..architecture.processing_element import ProcessingElement
-from ..conditions import Condition
+from ..conditions import Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath, PathEnumerator
 from ..scheduling.schedule_table import ScheduleTable
@@ -51,9 +51,9 @@ class ExecutedActivity:
 
 @dataclass
 class ExecutionTrace:
-    """The outcome of executing the schedule table for one condition assignment."""
+    """The outcome of executing the schedule table for one alternative path."""
 
-    assignment: Dict[Condition, bool]
+    label: Conjunction
     activities: List[ExecutedActivity] = field(default_factory=list)
     delay: float = 0.0
     condition_determined: Dict[Condition, float] = field(default_factory=dict)
@@ -91,13 +91,17 @@ class RuntimeSimulator:
     def execute(
         self,
         table: ScheduleTable,
-        assignment: TMapping[Condition, bool],
+        known: Conjunction,
         path: Optional[AlternativePath] = None,
     ) -> ExecutionTrace:
-        """Execute the table for one complete condition assignment."""
+        """Execute the table for the alternative path ``known`` selects.
+
+        ``path``, when the caller already holds it, saves the lookup.
+        """
         if path is None:
-            path = self._enumerator.path_for(assignment)
-        trace = ExecutionTrace(assignment=dict(path.assignment))
+            path = self._enumerator.path_for(known)
+        label = path.label
+        trace = ExecutionTrace(label=label)
 
         starts: Dict[str, float] = {}
         ends: Dict[str, float] = {}
@@ -105,7 +109,7 @@ class RuntimeSimulator:
             process = self._graph[name]
             if process.is_dummy:
                 continue
-            start = table.activation_time(name, path.assignment)
+            start = table.activation_time(name, label)
             if start is None:
                 raise SimulationError(
                     f"no activation time for active process {name!r} on path {path.label}"
@@ -133,7 +137,7 @@ class RuntimeSimulator:
         """Execute every alternative path and return the worst delay and its trace."""
         worst: Optional[ExecutionTrace] = None
         for path in self._enumerator.paths():
-            trace = self.execute(table, path.assignment, path)
+            trace = self.execute(table, path.label, path)
             if worst is None or trace.delay > worst.delay:
                 worst = trace
         assert worst is not None
@@ -142,7 +146,7 @@ class RuntimeSimulator:
     def all_delays(self, table: ScheduleTable) -> Dict[str, float]:
         """Delay of every alternative path, keyed by the path label string."""
         return {
-            str(path.label): self.execute(table, path.assignment, path).delay
+            str(path.label): self.execute(table, path.label, path).delay
             for path in self._enumerator.paths()
         }
 
@@ -164,7 +168,7 @@ class RuntimeSimulator:
                 continue
             determined = ends[name]
             trace.condition_determined[condition] = determined
-            broadcast_start = table.broadcast_time(condition, path.assignment)
+            broadcast_start = table.broadcast_time(condition, path.label)
             if broadcast_start is None or not needs_broadcast:
                 trace.condition_broadcast_end[condition] = determined
                 continue
@@ -185,7 +189,7 @@ class RuntimeSimulator:
         self, table: ScheduleTable, condition: Condition, path: AlternativePath
     ) -> Optional[ProcessingElement]:
         for entry in table.condition_entries(condition):
-            if entry.column.satisfied_by_partial(path.assignment):
+            if path.label.implies(entry.column):
                 return entry.pe
         return None
 
@@ -211,7 +215,7 @@ class RuntimeSimulator:
         ends: Dict[str, float],
     ) -> None:
         for name in starts:
-            for pred in self._graph.active_predecessors(name, path.assignment):
+            for pred in self._graph.active_predecessors(name, path.label):
                 if self._graph[pred].is_dummy:
                     continue
                 if pred not in ends:
@@ -236,7 +240,7 @@ class RuntimeSimulator:
             applicable = [
                 entry
                 for entry in table.process_entries(name)
-                if entry.column.satisfied_by_partial(path.assignment)
+                if path.label.implies(entry.column)
                 and abs(entry.start - start) < _EPSILON
             ]
             for entry in applicable:

@@ -53,7 +53,7 @@ def validate_schedule_table(
     simulator = RuntimeSimulator(graph, mapping, architecture)
     report = ValidationReport()
     for path in paths:
-        trace = simulator.execute(table, path.assignment, path)
+        trace = simulator.execute(table, path.label, path)
         report.path_delays[str(path.label)] = trace.delay
         report.worst_case_delay = max(report.worst_case_delay, trace.delay)
         report.paths_checked += 1

@@ -146,15 +146,30 @@ def malformed_system_documents(small_system):
     edge 0 is ``P1 -C-> P2`` and edge 1 is ``P1 -!C-> P3``.
     """
 
-    def broken(section, index, key, value):
-        document = system_to_dict(
+    def valid():
+        return system_to_dict(
             small_system["graph"],
             small_system["architecture"],
             small_system["mapping"],
             name="broken",
         )
+
+    def broken(section, index, key, value):
+        document = valid()
         document[section][index][key] = value
         return document
+
+    def replaced(key, value, *path):
+        document = valid()
+        entry = document
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        return document
+
+    cyclic = valid()
+    # P1 and P4 are the roots; each gains a predecessor on a cycle.
+    cyclic["edges"] += [{"src": "P5", "dst": "P1"}, {"src": "P5", "dst": "P4"}]
 
     edge_0, edge_1, process = "edge 'P1' -> 'P2'", "edge 'P1' -> 'P3'", "process 'P1'"
     return {
@@ -185,6 +200,29 @@ def malformed_system_documents(small_system):
             broken("processes", 0, "execution_times", {"pe1": "fast"}),
             process,
             "object of numbers",
+        ),
+        "cyclic": (cyclic, "process graph must be acyclic", "acyclic"),
+        "boolean execution_time": (
+            broken("processes", 0, "execution_time", True), process, "must be a number"
+        ),
+        "string communication_time": (
+            broken("edges", 0, "communication_time", "3"), edge_0, "must be a number"
+        ),
+        "boolean speed": (
+            replaced("speed", True, "architecture", "processors", 0),
+            "processor 'pe1'",
+            "must be a number",
+        ),
+        "string condition_broadcast_time": (
+            replaced("condition_broadcast_time", "1", "architecture"),
+            "architecture",
+            "must be a number",
+        ),
+        "non-string name": (
+            replaced("name", 5), "system document", "'name' must be a non-empty string"
+        ),
+        "object name": (
+            replaced("name", {}), "system document", "'name' must be a non-empty string"
         ),
     }
 

@@ -52,6 +52,9 @@ class TestAlgebra:
         assert Conjunction.of(C.true()).and_literal(D.true()) == Conjunction.of(
             C.true(), D.true()
         )
+        assert Conjunction.of(C.true()).and_literal(C.true()) == Conjunction.of(C.true())
+        with pytest.raises(ContradictionError):
+            Conjunction.of(C.true()).and_literal(C.false())
 
     def test_mutual_exclusion(self):
         a = Conjunction.of(C.true(), D.true())
@@ -86,25 +89,27 @@ class TestAlgebra:
 
 
 class TestEvaluation:
+    """A conjunction holds under known values that imply it."""
+
     def test_evaluate_complete(self):
         conj = Conjunction.of(C.true(), D.false())
-        assert conj.evaluate({C: True, D: False})
-        assert not conj.evaluate({C: True, D: True})
+        assert Conjunction.from_assignment({C: True, D: False}).implies(conj)
+        assert not Conjunction.from_assignment({C: True, D: True}).implies(conj)
 
     def test_satisfied_by_partial_requires_all_assigned(self):
         conj = Conjunction.of(C.true(), D.false())
-        assert not conj.satisfied_by_partial({C: True})
-        assert conj.satisfied_by_partial({C: True, D: False})
+        assert not Conjunction.from_assignment({C: True}).implies(conj)
+        assert Conjunction.from_assignment({C: True, D: False}).implies(conj)
 
     def test_consistent_with_partial(self):
         conj = Conjunction.of(C.true(), D.false())
-        assert conj.consistent_with_partial({})
-        assert conj.consistent_with_partial({C: True})
-        assert not conj.consistent_with_partial({D: True})
+        assert conj.is_compatible_with(Conjunction.true())
+        assert conj.is_compatible_with(Conjunction.from_assignment({C: True}))
+        assert not conj.is_compatible_with(Conjunction.from_assignment({D: True}))
 
     def test_true_is_always_satisfied(self):
-        assert Conjunction.true().satisfied_by_partial({})
-        assert Conjunction.true().evaluate({})
+        assert Conjunction.true().implies(Conjunction.true())
+        assert Conjunction.of(C.true()).implies(Conjunction.true())
 
     def test_as_assignment_round_trip(self):
         conj = Conjunction.of(C.true(), K.false())

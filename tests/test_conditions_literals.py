@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.conditions import Condition, Literal, conditions_of
+from repro.conditions import Condition, Conjunction, Literal, conditions_of
 
 
 class TestCondition:
@@ -57,15 +57,16 @@ class TestLiteral:
         assert not Condition("C").true().conflicts_with(Condition("D").false())
 
     def test_evaluate(self):
+        """A literal holds under known values that contain it."""
         c = Condition("C")
-        assert c.true().evaluate({c: True}) is True
-        assert c.true().evaluate({c: False}) is False
-        assert c.false().evaluate({c: False}) is True
+        assert c.true() in Conjunction.from_assignment({c: True})
+        assert c.true() not in Conjunction.from_assignment({c: False})
+        assert c.false() in Conjunction.from_assignment({c: False})
 
     def test_evaluate_requires_assignment(self):
         c = Condition("C")
-        with pytest.raises(KeyError):
-            c.true().evaluate({})
+        assert c.true() not in Conjunction.true()
+        assert c.false() not in Conjunction.true()
 
     def test_default_polarity_is_true(self):
         assert Literal(Condition("C")).value is True

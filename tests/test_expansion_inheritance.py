@@ -35,10 +35,8 @@ def nested_graph(levels=17):
     false branch reaches ``D02``, and so on down to ``T``, whose guard (and
     that of a communication process on ``D17 -> T``) has ``levels``
     literals, beyond :meth:`BoolExpr.simplified`'s 16-condition cap.  The
-    chain follows false branches, so each guard's one satisfying assignment
-    comes first in truth-table order, and the ``source -> sink`` edge lets
-    the sink's guard collapse to ``true`` instead of a 17-condition
-    tautology whose truth table would dominate the test.
+    ``source -> sink`` edge lets the sink's guard collapse to ``true``
+    instead of staying a 17-condition tautology.
     """
     builder = CPGBuilder("nested")
     builder.edge("source", "sink")
@@ -124,8 +122,7 @@ def _inputs():
     yield "flagged", flagged, subsets(_inner_edges(flagged)), "{src}_to_{dst}"
     nested = nested_graph()
     chain = _inner_edges(nested)
-    # Every truth table costs 2**conditions, so only the shallow edges and
-    # the deepest one (past the cap: no truth table) cross.
+    # The shallow edges and the deepest one (past the cap) cross.
     yield "nested", nested, [tuple(chain[:8] + chain[-1:])], "{src}_to_{dst}"
     system = generate_system(40, 8, seed=1)
     yield (

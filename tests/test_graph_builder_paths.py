@@ -5,6 +5,7 @@ import pytest
 from repro.conditions import Condition, Conjunction
 from repro.graph import (
     CPGBuilder,
+    GraphStructureError,
     PathEnumerator,
     build_chain_graph,
     count_paths,
@@ -39,6 +40,14 @@ class TestBuilder:
         builder.build()
         with pytest.raises(RuntimeError):
             builder.build()
+
+    def test_cycle_through_every_root_is_reported_as_cyclic(self):
+        for validate in (True, False):
+            builder = CPGBuilder("cyclic")
+            builder.process("P1", 1.0).process("P2", 1.0)
+            builder.edge("P1", "P2").edge("P2", "P1")
+            with pytest.raises(GraphStructureError, match="must be acyclic"):
+                builder.build(validate=validate)
 
     def test_build_chain_graph(self):
         graph = build_chain_graph("chain", {"A": 1.0, "B": 2.0, "C": 3.0})
@@ -86,11 +95,11 @@ class TestPathEnumeration:
     def test_active_processes_per_path(self):
         graph = nested_condition_graph()
         enumerator = PathEnumerator(graph)
-        path_true_true = enumerator.path_for({C: True, D: True})
+        path_true_true = enumerator.path_for(Conjunction.of(C.true(), D.true()))
         assert "P4" in path_true_true.active_processes
         assert "P5" not in path_true_true.active_processes
         assert "P3" not in path_true_true.active_processes
-        path_false = enumerator.path_for({C: False, D: True})
+        path_false = enumerator.path_for(Conjunction.of(C.false(), D.true()))
         assert "P3" in path_false.active_processes
         assert "P2" not in path_false.active_processes
 
@@ -98,28 +107,28 @@ class TestPathEnumeration:
         graph = nested_condition_graph()
         enumerator = PathEnumerator(graph)
         with pytest.raises(KeyError):
-            enumerator.path_for({})
+            enumerator.path_for(Conjunction.true())
 
     def test_reachable_paths_filter(self):
         graph = nested_condition_graph()
         enumerator = PathEnumerator(graph)
-        reachable = enumerator.reachable_paths({C: True})
+        reachable = enumerator.reachable_paths(Conjunction.of(C.true()))
         assert {str(p.label) for p in reachable} == {"C & D", "C & !D"}
-        assert len(enumerator.reachable_paths({})) == 3
+        assert len(enumerator.reachable_paths(Conjunction.true())) == 3
 
     def test_subgraph_of_path(self):
         graph = nested_condition_graph()
         enumerator = PathEnumerator(graph)
-        path = enumerator.path_for({C: False, D: False})
+        path = enumerator.path_for(Conjunction.of(C.false(), D.false()))
         sub = enumerator.subgraph_of(path)
         assert "P3" in sub.process_names
         assert "P2" not in sub.process_names
 
     def test_path_consistency_helpers(self):
         graph = nested_condition_graph()
-        path = PathEnumerator(graph).path_for({C: True, D: False})
-        assert path.is_consistent_with({C: True})
-        assert not path.is_consistent_with({C: False})
+        path = PathEnumerator(graph).path_for(Conjunction.of(C.true(), D.false()))
+        assert path.is_consistent_with(Conjunction.of(C.true()))
+        assert not path.is_consistent_with(Conjunction.of(C.false()))
         assert path.includes("P5")
         assert not path.includes("P4")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conditions import BoolExpr, Condition
+from repro.conditions import BoolExpr, Condition, Conjunction
 from repro.generator import generate_system
 from repro.graph import (
     CPGBuilder,
@@ -169,21 +169,21 @@ class TestConditionsAndGuards:
 class TestActivation:
     def test_active_processes_follow_guards(self):
         graph = build_branching_graph()
-        active_true = graph.active_processes({C: True})
-        active_false = graph.active_processes({C: False})
+        active_true = graph.active_processes(Conjunction.of(C.true()))
+        active_false = graph.active_processes(Conjunction.of(C.false()))
         assert "P2" in active_true and "P3" not in active_true
         assert "P3" in active_false and "P2" not in active_false
         assert "P4" in active_true and "P4" in active_false
 
     def test_active_predecessors_of_conjunction(self):
         graph = build_branching_graph()
-        assert graph.active_predecessors("P4", {C: True}) == ("P2",)
-        assert graph.active_predecessors("P4", {C: False}) == ("P3",)
+        assert graph.active_predecessors("P4", Conjunction.of(C.true())) == ("P2",)
+        assert graph.active_predecessors("P4", Conjunction.of(C.false())) == ("P3",)
 
     def test_active_predecessors_of_regular_node(self):
         graph = build_branching_graph()
-        assert graph.active_predecessors("P2", {C: True}) == ("P1",)
-        assert graph.active_predecessors("P2", {C: False}) == ()
+        assert graph.active_predecessors("P2", Conjunction.of(C.true())) == ("P1",)
+        assert graph.active_predecessors("P2", Conjunction.of(C.false())) == ()
 
 
 class TestValidation:

@@ -9,6 +9,7 @@ import pytest
 from repro import (
     CPGBuilder,
     Condition,
+    Conjunction,
     Mapping,
     ScheduleMerger,
     simple_architecture,
@@ -51,8 +52,8 @@ class TestFullPipeline:
         assert report.paths_checked == 2
 
         simulator = RuntimeSimulator(expanded.graph, expanded.mapping, architecture)
-        fast_trace = simulator.execute(result.table, {C: True})
-        slow_trace = simulator.execute(result.table, {C: False})
+        fast_trace = simulator.execute(result.table, Conjunction.of(C.true()))
+        slow_trace = simulator.execute(result.table, Conjunction.of(C.false()))
         assert fast_trace.delay <= slow_trace.delay
         assert result.delta_max == pytest.approx(
             max(fast_trace.delay, slow_trace.delay)

@@ -1,8 +1,11 @@
 """Tests for JSON serialisation of system descriptions."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.io import (
     SerializationError,
@@ -173,3 +176,110 @@ class TestFiles:
         loaded = load_system(path)
         expanded = loaded.expand()
         assert len(expanded.communications) == 14
+
+
+# -- one field of a valid document at a time, set to another JSON type -------------
+
+#: A value of every JSON type, and negative numbers.
+REPLACEMENTS = [True, False, "x", "3", "", None, [], ["pe1"], {}, {"pe1": 1.0}, -1, -2.5]
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The documented type of every field of a system document.
+DOCUMENTED = {
+    "number": _is_number,
+    "non-empty string": lambda value: isinstance(value, str) and bool(value),
+    "boolean": lambda value: isinstance(value, bool),
+    "object": lambda value: isinstance(value, dict),
+    "list": lambda value: isinstance(value, list),
+    "object of numbers": lambda value: isinstance(value, dict)
+    and all(_is_number(time) for time in value.values()),
+    "list of names": lambda value: isinstance(value, list)
+    and all(isinstance(name, str) for name in value),
+}
+FIELD_TYPES = {
+    "name": "non-empty string",
+    "architecture": "object",
+    "processes": "list",
+    "edges": "list",
+    "condition_broadcast_time": "number",
+    "processors": "list",
+    "buses": "list",
+    "kind": "non-empty string",
+    "speed": "number",
+    "connects": "list of names",
+    "execution_time": "number",
+    "execution_times": "object of numbers",
+    "is_conjunction": "boolean",
+    "mapped_to": "non-empty string",
+    "src": "non-empty string",
+    "dst": "non-empty string",
+    "condition": "non-empty string",
+    "value": "boolean",
+    "communication_time": "number",
+}
+ENTRY_KINDS = {"processors": "processor", "buses": "bus", "processes": "process"}
+
+
+def _fields(document):
+    """(path to the entry, key) of every field of ``document``."""
+    for key in document:
+        yield (), key
+    for key in document["architecture"]:
+        yield ("architecture",), key
+    for section in ("processors", "buses"):
+        for index, entry in enumerate(document["architecture"][section]):
+            for key in entry:
+                yield ("architecture", section, index), key
+    for section in ("processes", "edges"):
+        for index, entry in enumerate(document[section]):
+            for key in entry:
+                yield (section, index), key
+
+
+def _entry_named(path, key, entry):
+    """How an error about ``key`` of ``entry`` (already replaced) names it."""
+    if not path:
+        return {"name": "system document", "architecture": "architecture document"}.get(
+            key, repr(key)
+        )
+    if path == ("architecture",):
+        return "architecture" if key == "condition_broadcast_time" else repr(key)
+    section = path[-2]
+    if section == "edges":
+        return f"edge {entry['src']!r} -> {entry['dst']!r}"
+    kind = ENTRY_KINDS[section]
+    return f"{kind} entry" if key == "name" else f"{kind} {entry['name']!r}"
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_a_field_of_another_json_type_is_rejected_naming_its_entry(small_system, data):
+    valid = system_to_dict(
+        small_system["graph"], small_system["architecture"], small_system["mapping"]
+    )
+    valid["processes"][0].update(execution_times={"pe1": 4.0}, is_conjunction=False)
+    path, key = data.draw(st.sampled_from(list(_fields(valid))), label="field")
+    value = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    document = copy.deepcopy(valid)
+    entry = document
+    for step in path:
+        entry = entry[step]
+    entry[key] = value
+    # Any exception other than SerializationError fails the test.
+    try:
+        system_from_dict(document)
+    except SerializationError as error:
+        message = str(error)
+    else:
+        message = None
+    if not DOCUMENTED[FIELD_TYPES[key]](value):
+        assert message is not None, (path, key, value)
+        assert _entry_named(path, key, entry) in message, (path, key, value, message)

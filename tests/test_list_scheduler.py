@@ -3,7 +3,7 @@
 import pytest
 
 from repro.architecture import Architecture, Mapping, bus, hardware, programmable
-from repro.conditions import Condition
+from repro.conditions import Condition, Conjunction
 from repro.graph import CPGBuilder, PathEnumerator, expand_communications
 from repro.scheduling import PathListScheduler, SchedulingError
 from repro.scheduling.priorities import critical_path_priorities, static_order_priorities
@@ -138,7 +138,7 @@ class TestConditionBroadcasts:
         architecture, expanded = build_conditional_system()
         scheduler = PathListScheduler(expanded.graph, expanded.mapping, architecture)
         enumerator = PathEnumerator(expanded.graph)
-        path = enumerator.path_for({C: True})
+        path = enumerator.path_for(Conjunction.of(C.true()))
         schedule = scheduler.schedule(path)
         assert C in schedule.broadcasts
         broadcast = schedule.broadcasts[C]
@@ -149,7 +149,7 @@ class TestConditionBroadcasts:
     def test_condition_known_earlier_on_origin_processor(self):
         architecture, expanded = build_conditional_system()
         scheduler = PathListScheduler(expanded.graph, expanded.mapping, architecture)
-        path = PathEnumerator(expanded.graph).path_for({C: True})
+        path = PathEnumerator(expanded.graph).path_for(Conjunction.of(C.true()))
         schedule = scheduler.schedule(path)
         pe1, pe2 = architecture["pe1"], architecture["pe2"]
         assert schedule.condition_known_time(C, pe1) == pytest.approx(
@@ -162,7 +162,7 @@ class TestConditionBroadcasts:
         # of C has reached pe2 (requirement 4 of the paper).
         architecture, expanded = build_conditional_system()
         scheduler = PathListScheduler(expanded.graph, expanded.mapping, architecture)
-        path = PathEnumerator(expanded.graph).path_for({C: True})
+        path = PathEnumerator(expanded.graph).path_for(Conjunction.of(C.true()))
         schedule = scheduler.schedule(path)
         assert schedule.start_of("T") >= schedule.condition_known_time(
             C, architecture["pe2"]
@@ -183,7 +183,7 @@ class TestConditionBroadcasts:
         for name in ("D", "T", "F"):
             mapping.assign(name, architecture["pe1"])
         schedule = PathListScheduler(graph, mapping, architecture).schedule(
-            PathEnumerator(graph).path_for({C: True})
+            PathEnumerator(graph).path_for(Conjunction.of(C.true()))
         )
         assert schedule.broadcasts[C].duration == 0.0
 
@@ -192,7 +192,7 @@ class TestLockingAndAdjustment:
     def test_locked_start_is_respected(self):
         architecture, expanded = build_conditional_system()
         scheduler = PathListScheduler(expanded.graph, expanded.mapping, architecture)
-        path = PathEnumerator(expanded.graph).path_for({C: False})
+        path = PathEnumerator(expanded.graph).path_for(Conjunction.of(C.false()))
         free = scheduler.schedule(path)
         locked_time = free.start_of("F") + 5.0
         locked = scheduler.schedule(path, locked_starts={"F": locked_time})
@@ -264,7 +264,7 @@ class TestResourceCorrectness:
             for name in path.active_processes:
                 if fig1.graph[name].is_dummy:
                     continue
-                for pred in fig1.graph.active_predecessors(name, path.assignment):
+                for pred in fig1.graph.active_predecessors(name, path.label):
                     if fig1.graph[pred].is_dummy:
                         continue
                     assert schedule.start_of(name) >= schedule.end_of(pred) - 1e-9

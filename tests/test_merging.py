@@ -199,7 +199,7 @@ class TestFig1Merge:
         # in, every path must see exactly one applicable time (requirements 2/3).
         enumerator = PathEnumerator(fig1.graph)
         for path in enumerator.paths():
-            time = fig1_merge_result.table.activation_time("P11", path.assignment)
+            time = fig1_merge_result.table.activation_time("P11", path.label)
             assert time is not None
 
     def test_condition_rows_cover_all_three_conditions(self, fig1_merge_result):

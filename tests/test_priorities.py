@@ -3,7 +3,7 @@
 import pytest
 
 from repro.architecture import Architecture, Mapping, bus, hardware, programmable
-from repro.conditions import Condition
+from repro.conditions import Condition, Conjunction
 from repro.graph import CPGBuilder, PathEnumerator
 from repro.scheduling.priorities import (
     PRIORITY_FUNCTIONS,
@@ -73,7 +73,7 @@ def test_priorities_only_cover_active_processes():
     mapping = Mapping(architecture)
     for name in ("D", "T", "F"):
         mapping.assign(name, architecture["pe1"])
-    path = PathEnumerator(graph).path_for({C: True})
+    path = PathEnumerator(graph).path_for(Conjunction.of(C.true()))
     priorities = critical_path_priorities(graph, path, mapping)
     assert "F" not in priorities
     assert priorities["D"] == pytest.approx(3.0)

@@ -16,9 +16,7 @@ BUS = bus("bus1")
 
 
 def make_path():
-    return AlternativePath(
-        label=Conjunction.true(), assignment={}, active_processes=("P1", "P2", "P3")
-    )
+    return AlternativePath(label=Conjunction.true(), active_processes=("P1", "P2", "P3"))
 
 
 def make_schedule():

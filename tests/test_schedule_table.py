@@ -65,22 +65,22 @@ class TestStructure:
 class TestInterpretation:
     def test_activation_time_selects_applicable_column(self):
         table = valid_table()
-        assert table.activation_time("P4", {C: True}) == 5.0
-        assert table.activation_time("P4", {C: False}) == 6.0
-        assert table.activation_time("P2", {C: False}) is None
-        assert table.activation_time("P1", {C: False}) == 0.0
+        assert table.activation_time("P4", Conjunction.of(C.true())) == 5.0
+        assert table.activation_time("P4", Conjunction.of(C.false())) == 6.0
+        assert table.activation_time("P2", Conjunction.of(C.false())) is None
+        assert table.activation_time("P1", Conjunction.of(C.false())) == 0.0
 
     def test_ambiguous_activation_raises(self):
         table = ScheduleTable()
         table.add_process_entry("P1", TRUE, 0.0)
         table.add_process_entry("P1", C_TRUE, 3.0)
         with pytest.raises(ScheduleTableError):
-            table.activation_time("P1", {C: True})
+            table.activation_time("P1", Conjunction.of(C.true()))
 
     def test_broadcast_time(self):
         table = valid_table()
-        assert table.broadcast_time(C, {C: True}) == 2.0
-        assert table.broadcast_time(D, {C: True}) is None
+        assert table.broadcast_time(C, Conjunction.of(C.true())) == 2.0
+        assert table.broadcast_time(D, Conjunction.of(C.true())) is None
 
     def test_delay_of_path_and_worst_case(self, two_processor_architecture):
         from repro.architecture import Mapping

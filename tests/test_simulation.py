@@ -32,7 +32,7 @@ class TestExecution:
             small_system["expanded"].mapping,
             small_system["architecture"],
         )
-        trace = simulator.execute(merged_small.table, {C: True})
+        trace = simulator.execute(merged_small.table, Conjunction.of(C.true()))
         assert trace.delay > 0
         assert "P2" in trace.executed_names()
         assert "P3" not in trace.executed_names()
@@ -44,7 +44,7 @@ class TestExecution:
             small_system["expanded"].mapping,
             small_system["architecture"],
         )
-        trace = simulator.execute(merged_small.table, {C: True})
+        trace = simulator.execute(merged_small.table, Conjunction.of(C.true()))
         assert C in trace.condition_determined
         assert trace.condition_broadcast_end[C] >= trace.condition_determined[C]
 
@@ -68,7 +68,7 @@ class TestExecution:
         )
         empty = ScheduleTable()
         with pytest.raises(SimulationError):
-            simulator.execute(empty, {C: True})
+            simulator.execute(empty, Conjunction.of(C.true()))
 
     def test_dependency_violation_detected(self, small_system, merged_small):
         simulator = RuntimeSimulator(
@@ -86,7 +86,7 @@ class TestExecution:
             for entry in merged_small.table.condition_entries(condition):
                 corrupted.add_condition_entry(condition, entry.column, entry.start, entry.pe)
         with pytest.raises(SimulationError):
-            simulator.execute(corrupted, {C: True})
+            simulator.execute(corrupted, Conjunction.of(C.true()))
 
     def test_requirement4_violation_detected(self, small_system, merged_small):
         simulator = RuntimeSimulator(
@@ -105,7 +105,7 @@ class TestExecution:
             for entry in merged_small.table.condition_entries(condition):
                 corrupted.add_condition_entry(condition, entry.column, entry.start, entry.pe)
         with pytest.raises(SimulationError):
-            simulator.execute(corrupted, {C: True})
+            simulator.execute(corrupted, Conjunction.of(C.true()))
 
     def test_resource_overlap_detected(self, small_system, merged_small):
         simulator = RuntimeSimulator(
@@ -115,7 +115,7 @@ class TestExecution:
         )
         # Move P4 (pe2) on top of P2 (pe2) while keeping dependencies intact.
         corrupted = ScheduleTable()
-        p2_time = merged_small.table.activation_time("P2", {C: True})
+        p2_time = merged_small.table.activation_time("P2", Conjunction.of(C.true()))
         for name in merged_small.table.process_names:
             for entry in merged_small.table.process_entries(name):
                 start = p2_time if name == "P4" else entry.start
@@ -124,7 +124,7 @@ class TestExecution:
             for entry in merged_small.table.condition_entries(condition):
                 corrupted.add_condition_entry(condition, entry.column, entry.start, entry.pe)
         with pytest.raises(SimulationError):
-            simulator.execute(corrupted, {C: True})
+            simulator.execute(corrupted, Conjunction.of(C.true()))
 
     def test_non_strict_mode_skips_checks(self, small_system, merged_small):
         simulator = RuntimeSimulator(
@@ -137,7 +137,7 @@ class TestExecution:
         for name in merged_small.table.process_names:
             for entry in merged_small.table.process_entries(name):
                 corrupted.add_process_entry(name, entry.column, 0.0, entry.pe)
-        trace = simulator.execute(corrupted, {C: True})
+        trace = simulator.execute(corrupted, Conjunction.of(C.true()))
         assert trace.delay >= 0.0
 
 
@@ -187,7 +187,7 @@ class TestActivityAccess:
             small_system["expanded"].mapping,
             small_system["architecture"],
         )
-        trace = simulator.execute(merged_small.table, {C: False})
+        trace = simulator.execute(merged_small.table, Conjunction.of(C.false()))
         with pytest.raises(KeyError):
             trace.activity("P2")  # P2 is only active when C holds
 
@@ -197,7 +197,7 @@ class TestActivityAccess:
             small_system["expanded"].mapping,
             small_system["architecture"],
         )
-        trace = simulator.execute(merged_small.table, {C: True})
+        trace = simulator.execute(merged_small.table, Conjunction.of(C.true()))
         broadcasts = [a for a in trace.activities if a.is_broadcast]
         assert len(broadcasts) == 1
         assert broadcasts[0].condition == C
@@ -213,6 +213,6 @@ def test_empty_assignment_single_path_graph(two_processor_architecture):
     mapping = Mapping(two_processor_architecture, {"A": two_processor_architecture["pe1"]})
     result = ScheduleMerger(graph, mapping, two_processor_architecture).merge()
     simulator = RuntimeSimulator(graph, mapping, two_processor_architecture)
-    trace = simulator.execute(result.table, {})
+    trace = simulator.execute(result.table, Conjunction.true())
     assert trace.delay == pytest.approx(1.0)
     assert Conjunction.true() in result.table.columns()
