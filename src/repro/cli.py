@@ -637,7 +637,9 @@ def _command_explore(arguments) -> int:
               f"{result.best.delta_max:g}  ({verdict})")
         print(f"         cycles {result.cycles}, evaluations {result.evaluations}, "
               f"cache hits {result.cache.hits} "
-              f"({100.0 * result.cache.hit_rate:.0f}%), stop: {result.stop_reason}")
+              f"({100.0 * result.cache.hit_rate:.0f}%), "
+              f"merges pruned {result.cache.merges_pruned}, "
+              f"stop: {result.stop_reason}")
         if result.stages is not None:
             stages = result.stages
             print(f"         stages: expansions "

@@ -61,6 +61,7 @@ from .cost import (
     CostWeights,
     StageCache,
     StageStats,
+    TabuSelection,
     architecture_cost_of,
     bus_imbalance_of,
     evaluate_candidate,
@@ -144,6 +145,7 @@ __all__ = [
     "Stalled",
     "StoppingCriterion",
     "TabuSearchEngine",
+    "TabuSelection",
     "TargetCost",
     "TrajectoryPoint",
     "WorkerInitializationError",

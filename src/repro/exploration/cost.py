@@ -35,7 +35,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from ..architecture.architecture import Architecture, ArchitectureError
 from ..architecture.mapping import MappingError
@@ -215,10 +215,10 @@ class StageCache:
     memoized, so occupancy never exceeds the byte budget.  Eviction is
     self-healing by construction: stages are pure, so a re-query after
     eviction recomputes a bit-identical value.  The maps that hang off
-    LRU-managed entries follow them out: a path key's intern id and
-    scheduler context go with the last memoized schedule keyed on it, and an
-    expansion structure with the last memoized expansion built on it, so
-    every map stays bounded by the budget.  Every cache keeps this bookkeeping; one without a budget
+    LRU-managed entries follow them out: a path key's intern id goes with
+    the last memoized schedule keyed on it, and an expansion structure with
+    the last memoized expansion built on it, so every map stays bounded by
+    the budget.  Every cache keeps this bookkeeping; one without a budget
     simply never evicts (the bookkeeping costs no measurable time, see
     PERFORMANCE.md).
     """
@@ -230,7 +230,6 @@ class StageCache:
         "_key_ids",
         "_next_key_id",
         "_intern_lock",
-        "_contexts",
         "_max_entries",
         "_max_bytes",
         "_lru",
@@ -271,9 +270,6 @@ class StageCache:
         self._key_ids: Dict[Tuple, int] = {}
         self._next_key_id = 0
         self._intern_lock = threading.Lock()
-        # Per-path dependency structures (PathListScheduler contexts), keyed
-        # by interned path key and re-adopted across scheduler instances.
-        self._contexts: Dict[int, object] = {}
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
@@ -378,12 +374,11 @@ class StageCache:
                 self._release_key_locked(key_id)
 
     def _release_key_locked(self, key_id: int) -> None:
-        """Forget an intern id no memoized schedule uses, and its context.
+        """Forget an intern id no memoized schedule uses.
 
         Ids are never reused, so a later intern of the same fingerprint
         gets a fresh id and cannot alias anything still in flight.
         """
-        self._contexts.pop(key_id, None)
         fingerprint = self._key_fingerprints.pop(key_id, None)
         if fingerprint is not None and self._key_ids.get(fingerprint) == key_id:
             del self._key_ids[fingerprint]
@@ -485,7 +480,6 @@ class StageCache:
             self._structures.clear()
             self._schedules.clear()
             self._key_ids.clear()
-            self._contexts.clear()
             self._lru.clear()
             self._occupancy_bytes = 0
             self._key_fingerprints.clear()
@@ -503,16 +497,12 @@ class StageCache:
             self.schedule_misses += 1
         return cached
 
-    def store_schedule(
-        self, key: Tuple, schedule: PathSchedule, context=None
-    ) -> None:
+    def store_schedule(self, key: Tuple, schedule: PathSchedule) -> None:
         """Record a freshly computed per-path schedule.
 
-        ``context`` is the scheduler's per-path structure for the key's path
-        (:meth:`PathListScheduler.export_context`), kept for the next
-        scheduler that sees the same path key.  An entry whose cost alone
-        exceeds ``max_bytes`` is not memoized at all — the caller keeps the
-        computed value, occupancy never exceeds the budget.
+        An entry whose cost alone exceeds ``max_bytes`` is not memoized at
+        all — the caller keeps the computed value, occupancy never exceeds
+        the budget.
         """
         key_id = key[0]
         cost = schedule_entry_cost(schedule)
@@ -523,8 +513,6 @@ class StageCache:
                 return
             if self._record_locked("schedule", key, schedule, cost):
                 _add_user(self._key_users, key_id)
-            if context is not None:
-                self._contexts[key_id] = context
             self._evict_to_budget_locked()
 
 
@@ -620,28 +608,20 @@ class _StagedScheduler:
             "stage.merge_readjust" if locked else "stage.path_schedule",
             **({"path": str(path.label)} if self._tracer is not None else {}),
         ) as outcome:
-            path_key = self._path_keys[path.label]
             key = (
-                path_key,
+                self._path_keys[path.label],
                 _locks_key(locked_starts, locked_broadcasts, order_hint is not None),
             )
             schedule = self._cache.lookup_schedule(key)
             outcome["hit"] = schedule is not None
             if schedule is None:
-                context = self._cache._contexts.get(path_key)
-                if context is not None:
-                    self._inner.adopt_context(path, context)
                 schedule = self._inner.schedule(
                     path,
                     locked_starts=locked_starts,
                     locked_broadcasts=locked_broadcasts,
                     order_hint=order_hint,
                 )
-                self._cache.store_schedule(
-                    key,
-                    schedule,
-                    self._inner.export_context(path) if context is None else None,
-                )
+                self._cache.store_schedule(key, schedule)
         return schedule
 
 
@@ -768,44 +748,48 @@ def architecture_cost_of(
     )
 
 
-def merge_candidate(
+_PIPELINE_ERRORS = (
+    ArchitectureError, MappingError, SchedulingError, MergeConflictError
+)
+
+
+@dataclass
+class _PathStage:
+    """One candidate between its two phases: what the merge needs, and the bound.
+
+    ``terms`` are the merge-free cost terms (load imbalance, platform cost,
+    bus imbalance) and ``bound`` the cost expression with δ_M in place of
+    δ_max; the bound phase sets both.
+    """
+
+    expanded: ExpandedGraph
+    architecture: Architecture
+    paths: Tuple[AlternativePath, ...]
+    scheduler: _StagedScheduler
+    path_schedules: Dict
+    terms: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    bound: float = 0.0
+
+    def merge(self, tracer=None, metrics=None) -> MergeResult:
+        merger = ScheduleMerger(
+            self.expanded.graph, self.expanded.mapping, self.architecture,
+            self.scheduler,
+        )
+        with _timed_stage(tracer, metrics, "stage.merge"):
+            return merger.merge(
+                paths=list(self.paths), path_schedules=self.path_schedules
+            )
+
+
+def _schedule_paths(
     problem: ExplorationProblem,
     candidate: Candidate,
-    stage_cache: Optional[StageCache] = None,
-    tracer=None,
-    metrics=None,
-    slice_memo: Optional[Dict] = None,
-) -> Tuple[ExpandedGraph, MergeResult]:
-    """Run the merge pipeline for one candidate through a stage cache.
-
-    Expand communications, schedule every alternative path, merge: the
-    expansion and the per-path schedules are looked up by sub-fingerprint
-    in ``stage_cache`` first, so a move-local candidate recomputes only the
-    paths its move can actually affect; the merge itself always runs (its
-    output is the whole point of the evaluation, and revisited *candidates*
-    are already absorbed by the whole-candidate cache upstream).  Without a
-    ``stage_cache`` the pipeline runs over a private one for this call.
-
-    The result is bit-identical to the plain pipeline (expand, then
-    :meth:`ScheduleMerger.merge` with a :class:`PathListScheduler`): the
-    merger gets the same paths (enumeration is part of the memoized
-    expansion stage, preserving order) and the same per-path schedules (the
-    scheduler is deterministic and the sub-fingerprints cover everything it
-    observes).  Raises the pipeline's errors (``MappingError`` etc.);
-    callers wanting infinite-cost semantics use :func:`evaluate_candidate`.
-
-    ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
-    ``expansion``, ``path_keys`` (sub-fingerprint slicing + key interning),
-    ``path_schedule`` per alternative path, ``merge`` (wall time including
-    re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
-    within the merge).  Timing never changes the result.
-
-    ``slice_memo`` (supplied by :func:`evaluate_neighbourhood`) shares the
-    candidate-independent half of the path sub-fingerprints — the active-set
-    and realised-bus slices of :meth:`ExplorationProblem.path_slices` —
-    across every candidate of a batch that reuses the same expansion; it is
-    a pure-value cache, so passing one never changes any result.
-    """
+    stage_cache: Optional[StageCache],
+    tracer,
+    metrics,
+    slice_memo: Optional[Dict],
+) -> _PathStage:
+    """Expand, key and schedule every path of one candidate (no merge)."""
     if stage_cache is None:
         stage_cache = StageCache()
     architecture = problem.architecture_for(candidate)
@@ -827,19 +811,21 @@ def merge_candidate(
         expansion_key = problem.expansion_key(candidate, pins=pins)
 
     with _timed_stage(tracer, metrics, "stage.path_keys", paths=len(paths)):
-        # The candidate-independent slices are keyed on the paths tuple's
-        # identity (the memoized expansion returns the same tuple object for
-        # every candidate that shares the expansion); holding the tuple in
-        # the entry pins the id against reuse.
+        # The candidate-independent slices read the realised buses from the
+        # expansion, so they are keyed on the expansion's identity (the
+        # memoized stage returns the same object for every candidate with
+        # the same expansion key); holding the expansion in the entry pins
+        # the id against reuse.  The paths tuple would not do: it belongs to
+        # the expansion *structure*, which expansions with other buses share.
         if slice_memo is None:
             slice_memo = {}
-        entry = slice_memo.get(id(paths))
-        if entry is None or entry[0] is not paths:
+        entry = slice_memo.get(id(expanded))
+        if entry is None or entry[0] is not expanded:
             entry = (
-                paths,
+                expanded,
                 {path.label: problem.path_slices(path, expanded) for path in paths},
             )
-            slice_memo[id(paths)] = entry
+            slice_memo[id(expanded)] = entry
         slices = entry[1]
         path_keys = {
             path.label: stage_cache.intern_key(
@@ -857,12 +843,140 @@ def merge_candidate(
         stage_cache, inner, path_keys, tracer=tracer, metrics=metrics
     )
     path_schedules = {path.label: scheduler.schedule(path) for path in paths}
-    merger = ScheduleMerger(
-        expanded.graph, expanded.mapping, architecture, scheduler
+    return _PathStage(expanded, architecture, paths, scheduler, path_schedules)
+
+
+def merge_candidate(
+    problem: ExplorationProblem,
+    candidate: Candidate,
+    stage_cache: Optional[StageCache] = None,
+    tracer=None,
+    metrics=None,
+    slice_memo: Optional[Dict] = None,
+) -> Tuple[ExpandedGraph, MergeResult]:
+    """Run the merge pipeline for one candidate through a stage cache.
+
+    Expand communications, schedule every alternative path, merge: the
+    expansion and the per-path schedules are looked up by sub-fingerprint
+    in ``stage_cache`` first, so a move-local candidate recomputes only the
+    paths its move can actually affect.  Without a ``stage_cache`` the
+    pipeline runs over a private one for this call.
+
+    The result is bit-identical to the plain pipeline (expand, then
+    :meth:`ScheduleMerger.merge` with a :class:`PathListScheduler`): the
+    merger gets the same paths (enumeration is part of the memoized
+    expansion stage, preserving order) and the same per-path schedules (the
+    scheduler is deterministic and the sub-fingerprints cover everything it
+    observes).  Raises the pipeline's errors (``MappingError`` etc.);
+    callers wanting infinite-cost semantics use :func:`evaluate_candidate`.
+
+    ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
+    ``expansion``, ``path_keys`` (sub-fingerprint slicing + key interning),
+    ``path_schedule`` per alternative path, ``merge`` (wall time including
+    re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
+    within the merge).  Timing never changes the result.
+
+    ``slice_memo`` (supplied by :func:`evaluate_neighbourhood`) shares the
+    candidate-independent half of the path sub-fingerprints — the active-set
+    and realised-bus slices of :meth:`ExplorationProblem.path_slices` —
+    across every candidate of a batch that reuses the same memoized
+    expansion; it is a pure-value cache, so passing one never changes any
+    result.
+    """
+    stage = _schedule_paths(
+        problem, candidate, stage_cache, tracer, metrics, slice_memo
     )
-    with _timed_stage(tracer, metrics, "stage.merge"):
-        result = merger.merge(paths=list(paths), path_schedules=path_schedules)
-    return expanded, result
+    return stage.expanded, stage.merge(tracer, metrics)
+
+
+def _weighted_cost(
+    weights: CostWeights,
+    worst_delay: float,
+    mean_path_delay: float,
+    terms: Tuple[float, float, float],
+) -> float:
+    """The scalar cost; the bound phase and the merge phase both sum here.
+
+    Summing the terms in one order for both keeps ``bound <= cost`` exact
+    under IEEE rounding, which is monotone: the bound passes δ_M (never
+    above δ_max) and a zero mean path delay.
+    """
+    imbalance, platform_cost, contention = terms
+    return (
+        weights.delta_max * worst_delay
+        + weights.mean_path_delay * mean_path_delay
+        + weights.load_imbalance * imbalance
+        + weights.architecture_cost * platform_cost
+        + weights.bus_imbalance * contention
+    )
+
+
+def _infeasible(candidate: Candidate, error: Exception) -> CandidateEvaluation:
+    return CandidateEvaluation(
+        fingerprint=candidate.fingerprint,
+        cost=_INFEASIBLE_COST,
+        feasible=False,
+        error=str(error),
+    )
+
+
+def _bound_phase(
+    problem: ExplorationProblem,
+    candidate: Candidate,
+    weights: CostWeights,
+    stage_cache: Optional[StageCache],
+    tracer,
+    metrics,
+    slice_memo: Optional[Dict],
+) -> Union[_PathStage, CandidateEvaluation]:
+    """Phase one: path schedules, merge-free terms and the δ_M bound.
+
+    Returns the exact (infeasible) evaluation instead when the candidate
+    already fails here.
+    """
+    try:
+        stage = _schedule_paths(
+            problem, candidate, stage_cache, tracer, metrics, slice_memo
+        )
+    except _PIPELINE_ERRORS as error:
+        return _infeasible(candidate, error)
+    stage.terms = (
+        load_imbalance_of(problem, candidate),
+        architecture_cost_of(problem, candidate, weights),
+        bus_imbalance_of(stage.architecture, stage.expanded),
+    )
+    delta_m = max(schedule.delay for schedule in stage.path_schedules.values())
+    stage.bound = _weighted_cost(weights, delta_m, 0.0, stage.terms)
+    return stage
+
+
+def _merge_phase(
+    candidate: Candidate,
+    stage: _PathStage,
+    weights: CostWeights,
+    tracer,
+    metrics,
+) -> CandidateEvaluation:
+    """Phase two: merge the path schedules and score the table."""
+    try:
+        result = stage.merge(tracer, metrics)
+    except _PIPELINE_ERRORS as error:
+        return _infeasible(candidate, error)
+    path_delays = [result.table_path_delays[path.label] for path in result.paths]
+    mean_path_delay = sum(path_delays) / len(path_delays)
+    imbalance, platform_cost, contention = stage.terms
+    return CandidateEvaluation(
+        fingerprint=candidate.fingerprint,
+        cost=_weighted_cost(weights, result.delta_max, mean_path_delay, stage.terms),
+        feasible=True,
+        delta_max=result.delta_max,
+        delta_m=result.delta_m,
+        mean_path_delay=mean_path_delay,
+        load_imbalance=imbalance,
+        architecture_cost=platform_cost,
+        bus_imbalance=contention,
+        paths=len(result.paths),
+    )
 
 
 def evaluate_candidate(
@@ -876,57 +990,26 @@ def evaluate_candidate(
 ) -> CandidateEvaluation:
     """Score one candidate by running the merge pipeline end to end.
 
-    Infeasible candidates (unconnectable communications, unschedulable paths,
-    unresolvable merge conflicts, malformed sized platforms) get infinite
-    cost instead of raising, so a search can step over them.  A
-    ``stage_cache`` shared across calls makes the pipeline incremental (see
-    :func:`merge_candidate`); the evaluation is bit-identical either way.
+    The bound phase (expansion, path schedules, merge-free cost terms)
+    followed by the merge phase.  Infeasible candidates (unconnectable
+    communications, unschedulable paths, unresolvable merge conflicts,
+    malformed sized platforms) get infinite cost instead of raising, so a
+    search can step over them.  A ``stage_cache`` shared across calls makes
+    the pipeline incremental (see :func:`merge_candidate`); the evaluation
+    is bit-identical either way.
 
     ``tracer``/``metrics`` wrap the whole evaluation in an ``evaluate`` span
     / latency histogram and time the pipeline stages inside (see
     :func:`merge_candidate`).
     """
     with _timed_stage(tracer, metrics, "evaluate") as outcome:
-        try:
-            expanded, result = merge_candidate(
-                problem, candidate, stage_cache=stage_cache,
-                tracer=tracer, metrics=metrics, slice_memo=slice_memo,
-            )
-        except (
-            ArchitectureError, MappingError, SchedulingError, MergeConflictError
-        ) as error:
-            outcome["feasible"] = False
-            return CandidateEvaluation(
-                fingerprint=candidate.fingerprint,
-                cost=_INFEASIBLE_COST,
-                feasible=False,
-                error=str(error),
-            )
-        outcome["feasible"] = True
-        path_delays = [result.table_path_delays[path.label] for path in result.paths]
-        mean_path_delay = sum(path_delays) / len(path_delays)
-        imbalance = load_imbalance_of(problem, candidate)
-        platform_cost = architecture_cost_of(problem, candidate, weights)
-        contention = bus_imbalance_of(problem.architecture_for(candidate), expanded)
-        cost = (
-            weights.delta_max * result.delta_max
-            + weights.mean_path_delay * mean_path_delay
-            + weights.load_imbalance * imbalance
-            + weights.architecture_cost * platform_cost
-            + weights.bus_imbalance * contention
+        stage = _bound_phase(
+            problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
         )
-    return CandidateEvaluation(
-        fingerprint=candidate.fingerprint,
-        cost=cost,
-        feasible=True,
-        delta_max=result.delta_max,
-        delta_m=result.delta_m,
-        mean_path_delay=mean_path_delay,
-        load_imbalance=imbalance,
-        architecture_cost=platform_cost,
-        bus_imbalance=contention,
-        paths=len(result.paths),
-    )
+        if isinstance(stage, _PathStage):
+            stage = _merge_phase(candidate, stage, weights, tracer, metrics)
+        outcome["feasible"] = stage.feasible
+    return stage
 
 
 class BatchStats:
@@ -968,6 +1051,30 @@ class BatchStats:
         }
 
 
+@dataclass(frozen=True)
+class TabuSelection:
+    """Tabu search's choice rule, handed down with a batch as data.
+
+    A neighbour is *admissible* when it is feasible and either not tabu or
+    cheaper than ``aspiration`` (the best cost found so far); tabu search
+    moves to the admissible neighbour with the least ``(cost,
+    fingerprint)``.  ``known`` holds evaluations the caller already has
+    (whole-candidate cache hits of the same neighbourhood): they enter
+    :func:`evaluate_neighbourhood`'s merge order as exact entries.
+    """
+
+    tabu: FrozenSet[str] = frozenset()
+    aspiration: float = _INFEASIBLE_COST
+    known: Tuple[CandidateEvaluation, ...] = ()
+
+    def admissible(self, evaluation: CandidateEvaluation) -> bool:
+        """Whether tabu search may move to this evaluated neighbour."""
+        return evaluation.feasible and (
+            evaluation.fingerprint not in self.tabu
+            or evaluation.cost < self.aspiration
+        )
+
+
 def evaluate_neighbourhood(
     problem: ExplorationProblem,
     candidates,
@@ -975,27 +1082,82 @@ def evaluate_neighbourhood(
     stage_cache: Optional[StageCache] = None,
     tracer=None,
     metrics=None,
-) -> "list[CandidateEvaluation]":
+    select: Optional[TabuSelection] = None,
+) -> "list[Optional[CandidateEvaluation]]":
     """Score a whole move batch against one shared expansion state.
 
-    Semantically identical to mapping :func:`evaluate_candidate` over
-    ``candidates`` in order — same evaluations, same stage-cache accounting,
-    same spans — but the candidate-independent half of every path
-    sub-fingerprint (:meth:`ExplorationProblem.path_slices`) is sliced once
-    per batch and shared by every candidate that reuses the same memoized
-    expansion, instead of being recomputed per candidate.  This is the one
-    in-process scoring call of :class:`~repro.exploration.EvaluationPool`.
+    Without ``select`` this is :func:`evaluate_candidate` mapped over
+    ``candidates`` in order.  With ``select`` (tabu search's rule, see
+    :class:`TabuSelection`), and while the bound below is a lower bound — a
+    zero ``mean_path_delay`` weight and a non-negative ``delta_max`` weight
+    — the batch is scored in two phases:
+
+    * the bound phase (each candidate's ``evaluate`` span) runs expansion
+      and path schedules through the stage cache and bounds the cost by the
+      cost expression with δ_M in place of δ_max (Section 6: the longest
+      path runs in exactly δ_M, so δ_max >= δ_M);
+    * the merge phase merges in ascending ``(bound, fingerprint)`` order
+      and stops once the best admissible ``(cost, fingerprint)`` so far is
+      below the next candidate's ``(bound, fingerprint)``: no candidate
+      left can be chosen, and those come back as None.  With no admissible
+      candidate every one is merged, so the caller's fallback to the best
+      of all stays exact.  A merged candidate whose exact cost is below its
+      bound raises ``RuntimeError`` naming it.
+
+    Either way the candidate-independent half of every path sub-fingerprint
+    (:meth:`ExplorationProblem.path_slices`) is sliced once per batch and
+    shared by every candidate that reuses the same memoized expansion.
+    This is the one in-process scoring call of
+    :class:`~repro.exploration.EvaluationPool`.
     """
     slice_memo: Dict = {}
-    return [
-        evaluate_candidate(
-            problem,
-            candidate,
-            weights,
-            stage_cache=stage_cache,
-            tracer=tracer,
-            metrics=metrics,
-            slice_memo=slice_memo,
-        )
-        for candidate in candidates
+    if select is None or not (weights.mean_path_delay == 0 and weights.delta_max >= 0):
+        return [
+            evaluate_candidate(
+                problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
+            )
+            for candidate in candidates
+        ]
+    candidates = list(candidates)
+    stages: List[Union[_PathStage, CandidateEvaluation]] = []
+    for candidate in candidates:
+        with _timed_stage(tracer, metrics, "evaluate") as outcome:
+            stage = _bound_phase(
+                problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
+            )
+            if isinstance(stage, _PathStage):
+                outcome["bound"] = stage.bound
+            else:
+                outcome["feasible"] = False
+        stages.append(stage)
+    results: List[Optional[CandidateEvaluation]] = [
+        None if isinstance(stage, _PathStage) else stage for stage in stages
     ]
+    pending = sorted(
+        (index for index, result in enumerate(results) if result is None),
+        key=lambda index: (stages[index].bound, candidates[index].fingerprint),
+    )
+    best = min(
+        (
+            (known.cost, known.fingerprint)
+            for known in select.known
+            if select.admissible(known)
+        ),
+        default=None,
+    )
+    for index in pending:
+        stage, candidate = stages[index], candidates[index]
+        if best is not None and best < (stage.bound, candidate.fingerprint):
+            break  # no candidate left can be chosen
+        evaluation = _merge_phase(candidate, stage, weights, tracer, metrics)
+        if evaluation.cost < stage.bound:
+            raise RuntimeError(
+                f"candidate {candidate.fingerprint} costs {evaluation.cost!r}, "
+                f"below its delta_M bound {stage.bound!r}; the bound that "
+                "ordered its batch is unsound"
+            )
+        key = (evaluation.cost, candidate.fingerprint)
+        if select.admissible(evaluation) and (best is None or key < best):
+            best = key
+        results[index] = evaluation
+    return results

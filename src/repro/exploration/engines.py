@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from collections import deque
 
 from .candidate import Candidate
-from .cost import CandidateEvaluation, CostWeights, StageStats
+from .cost import CandidateEvaluation, CostWeights, StageStats, TabuSelection
 from .evaluator import CachedEvaluator, CacheStats
 from .moves import DEFAULT_PRIORITY_CHOICES, NeighborhoodSampler
 from .pareto import ParetoFront
@@ -460,22 +460,22 @@ class TabuSearchEngine(_SinglePointEngine):
         )
         if not neighbors:
             return "no distinct neighbors"
+        best_cost = self._best[1].cost
+        # The rule below, as data: the evaluator may skip the merges of
+        # neighbours it proves cannot be chosen (they come back as None).
+        selection = TabuSelection(frozenset(self._tabu), aspiration=best_cost)
         evaluations = self._evaluator.evaluate_many(
-            [candidate for _, candidate in neighbors]
+            [candidate for _, candidate in neighbors], select=selection
         )
         state.evaluations += len(neighbors)
 
-        best_cost = self._best[1].cost
         chosen: Optional[Tuple] = None  # (cost, fingerprint, move, cand, eval)
         fallback: Optional[Tuple] = None
         for (move, candidate), evaluation in zip(neighbors, evaluations):
-            if not evaluation.feasible:
+            if evaluation is None or not evaluation.feasible:
                 continue
             key = (evaluation.cost, candidate.fingerprint)
-            admissible = (
-                candidate.fingerprint not in self._tabu
-                or evaluation.cost < best_cost  # aspiration
-            )
+            admissible = selection.admissible(evaluation)
             entry = key + (move, candidate, evaluation)
             if admissible and (chosen is None or key < chosen[:2]):
                 chosen = entry

@@ -16,7 +16,7 @@ over its own stage cache unless a pool is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from .candidate import Candidate
@@ -26,6 +26,7 @@ from .cost import (
     CostWeights,
     StageCache,
     StageStats,
+    TabuSelection,
 )
 from .pareto import ParetoFront
 from .pool import EvaluationPool
@@ -34,11 +35,17 @@ from .problem import ExplorationProblem
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters of one evaluator (misses = actual merge runs)."""
+    """Hit/miss counters of one evaluator.
+
+    ``misses`` counts fresh candidates; ``merges_pruned`` those of them
+    whose merge was skipped because their bound showed tabu search could
+    not choose them (see :func:`~repro.exploration.evaluate_neighbourhood`).
+    """
 
     hits: int
     misses: int
     size: int
+    merges_pruned: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -79,10 +86,10 @@ class CachedEvaluator:
         default) keeps the uninstrumented code path.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` receiving
-        ``cache.hits``/``cache.misses`` counters and one ``batch.size``
-        observation per fresh batch; the pool adds the stage/evaluate latency
-        histograms of in-process evaluations.  None disables, with ~zero
-        overhead.
+        ``cache.hits``/``cache.misses``/``cache.merges_pruned`` counters and
+        one ``batch.size`` observation per fresh batch; the pool adds the
+        stage/evaluate latency histograms of in-process evaluations.  None
+        disables, with ~zero overhead.
     """
 
     def __init__(
@@ -124,6 +131,7 @@ class CachedEvaluator:
         self._cache: Dict[str, CandidateEvaluation] = {}
         self._hits = 0
         self._misses = 0
+        self._merges_pruned = 0
         self._batch_stats = BatchStats()
 
     @property
@@ -151,7 +159,9 @@ class CachedEvaluator:
 
     @property
     def stats(self) -> CacheStats:
-        return CacheStats(self._hits, self._misses, len(self._cache))
+        return CacheStats(
+            self._hits, self._misses, len(self._cache), self._merges_pruned
+        )
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
@@ -188,21 +198,29 @@ class CachedEvaluator:
         return self.evaluate_many([candidate])[0]
 
     def evaluate_many(
-        self, candidates: Sequence[Candidate]
-    ) -> List[CandidateEvaluation]:
+        self,
+        candidates: Sequence[Candidate],
+        select: Optional[TabuSelection] = None,
+    ) -> List[Optional[CandidateEvaluation]]:
         """Score a batch, returning evaluations in input order.
 
         Cache misses are deduplicated by fingerprint and sent to the pool as
-        one fresh batch.
+        one fresh batch.  ``select`` (tabu search's choice rule) travels
+        with it, the batch's cache hits added as exact entries, so an
+        in-process route can skip the merges of neighbours that cannot be
+        chosen: those come back as None and are not cached.  An evaluator
+        that tracks a Pareto front needs every evaluation and drops it.
         """
         fresh: List[Candidate] = []
         fresh_keys: Dict[str, int] = {}
+        known: List[CandidateEvaluation] = []
         batch_hits = 0
         for candidate in candidates:
             key = candidate.fingerprint
             if key in self._cache:
                 self._hits += 1
                 batch_hits += 1
+                known.append(self._cache[key])
             elif key in fresh_keys:
                 self._hits += 1
                 batch_hits += 1
@@ -216,21 +234,35 @@ class CachedEvaluator:
             if fresh:
                 self._metrics.count("cache.misses", len(fresh))
         if fresh:
-            evaluations = self._evaluate_fresh(fresh)
+            if select is not None and self._front is None:
+                select = replace(select, known=tuple(known))
+            else:
+                select = None
+            evaluations = self._evaluate_fresh(fresh, select)
+            pruned = 0
             for candidate, evaluation in zip(fresh, evaluations):
-                self._cache[candidate.fingerprint] = evaluation
+                if evaluation is None:
+                    pruned += 1
+                else:
+                    self._cache[candidate.fingerprint] = evaluation
+            if pruned:
+                self._merges_pruned += pruned
+                if self._metrics is not None:
+                    self._metrics.count("cache.merges_pruned", pruned)
             if self._front is not None:
                 self._front.offer_many(fresh, evaluations)
-        return [self._cache[candidate.fingerprint] for candidate in candidates]
+        return [self._cache.get(candidate.fingerprint) for candidate in candidates]
 
     def _evaluate_fresh(
-        self, candidates: List[Candidate]
-    ) -> List[CandidateEvaluation]:
+        self,
+        candidates: List[Candidate],
+        select: Optional[TabuSelection] = None,
+    ) -> List[Optional[CandidateEvaluation]]:
         """Score one fresh batch on the pool and record it (see BatchStats)."""
         if self._metrics is not None:
             self._metrics.observe("batch.size", len(candidates))
         shipped_before = self._pool.payload_bytes_shipped
-        evaluations = self._pool.evaluate(candidates)
+        evaluations = self._pool.evaluate(candidates, select)
         self._batch_stats.record_batch(
             len(candidates), self._pool.payload_bytes_shipped - shipped_before
         )

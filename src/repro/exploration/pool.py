@@ -25,9 +25,11 @@ Modes
 Every in-process route — serial mode, single-candidate batches and a
 degraded pool — scores through one
 :func:`~repro.exploration.evaluate_neighbourhood` call over the in-process
-stage cache.  An armed serial pool scores one candidate at a time, each
-attempt through the fault injector first, retried under the pooled path's
-bookkeeping.
+stage cache.  An unarmed serial pool hands it the batch's selection (tabu
+search's choice rule), so it may skip merges; every other route ignores the
+selection and returns full evaluations, which is always correct.  An armed
+serial pool scores one candidate at a time, each attempt through the fault
+injector first, retried under the pooled path's bookkeeping.
 
 Resilience
 ----------
@@ -63,6 +65,7 @@ from .cost import (
     CostWeights,
     StageCache,
     StageStats,
+    TabuSelection,
     evaluate_candidate,
     evaluate_neighbourhood,
 )
@@ -408,8 +411,17 @@ class EvaluationPool:
 
     # -- scoring -------------------------------------------------------------
 
-    def evaluate(self, candidates: Sequence[Candidate]) -> List[CandidateEvaluation]:
-        """Score a batch, in submission order."""
+    def evaluate(
+        self,
+        candidates: Sequence[Candidate],
+        select: Optional[TabuSelection] = None,
+    ) -> List[Optional[CandidateEvaluation]]:
+        """Score a batch, in submission order.
+
+        ``select`` lets an unarmed serial pool skip merges (None marks a
+        skipped candidate, see :func:`evaluate_neighbourhood`); every other
+        route ignores it.
+        """
         candidates = list(candidates)
         if self._mode == "serial" and self._armed:
             return self._evaluate_armed_in_process(candidates)
@@ -420,12 +432,16 @@ class EvaluationPool:
         ):
             # Trusted in-process evaluation.  A degraded pool's workers are
             # gone for good, and the injector simulates *worker* faults.
-            return self._evaluate_in_process(candidates)
+            return self._evaluate_in_process(
+                candidates, select if self._mode == "serial" else None
+            )
         return self._evaluate_pooled(candidates)
 
     def _evaluate_in_process(
-        self, candidates: List[Candidate]
-    ) -> List[CandidateEvaluation]:
+        self,
+        candidates: List[Candidate],
+        select: Optional[TabuSelection] = None,
+    ) -> List[Optional[CandidateEvaluation]]:
         """The pool's one in-process scoring call (see the module docstring)."""
         return evaluate_neighbourhood(
             self._problem,
@@ -434,6 +450,7 @@ class EvaluationPool:
             stage_cache=self._stage_cache,
             tracer=self._tracer,
             metrics=self._metrics,
+            select=select,
         )
 
     def _evaluate_armed_in_process(

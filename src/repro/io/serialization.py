@@ -172,7 +172,9 @@ def _entry_element(
         raise SerializationError(f"{what}: {error}") from error
 
 
-def _entry_times(entry: Dict[str, Any], what: str) -> Optional[Dict[str, float]]:
+def _entry_times(
+    entry: Dict[str, Any], what: str, architecture: Architecture
+) -> Optional[Dict[str, float]]:
     if "execution_times" not in entry:
         return None
     times = entry["execution_times"]
@@ -184,6 +186,13 @@ def _entry_times(entry: Dict[str, Any], what: str) -> Optional[Dict[str, float]]
             f"{what} field 'execution_times' must be an object of numbers, "
             f"got {times!r}"
         )
+    processors = {processor.name for processor in architecture.processors}
+    for element in times:
+        if element not in processors:
+            raise SerializationError(
+                f"{what} field 'execution_times' names {element!r}, which is "
+                "not a processor of the architecture"
+            )
     return times
 
 
@@ -248,7 +257,8 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
     """Deserialise a complete system description.
 
     Schema violations — a missing section, a process mapped to an unknown
-    processing element, an edge naming an undeclared process, a time that is
+    processing element, per-PE execution times keyed by anything but a
+    processor, an edge naming an undeclared process, a time that is
     not a JSON number or is negative, a self-loop, a non-boolean flag, a
     cyclic process graph — raise
     :class:`SerializationError` naming the offending entry, never a bare
@@ -279,7 +289,7 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
             )
         what = f"process {process_name!r}"
         execution_time = _entry_float(entry, "execution_time", 0.0, what)
-        execution_times = _entry_times(entry, what)
+        execution_times = _entry_times(entry, what, architecture)
         is_conjunction = _request_bool(entry, "is_conjunction", False, what)
         declared.add(process_name)
         try:

@@ -19,7 +19,8 @@ Metric naming convention (dotted, lowercase; the full list is documented in
 * ``evaluate.seconds`` — histogram of whole-candidate evaluation latency;
 * ``engine.<engine>.cycle.seconds`` — histogram of cycle/generation wall
   time per engine;
-* ``cache.hits`` / ``cache.misses`` — whole-candidate cache counters;
+* ``cache.hits`` / ``cache.misses`` / ``cache.merges_pruned`` —
+  whole-candidate cache counters and the merges tabu's bound skipped;
 * ``pool.*`` — queue depth gauge, per-unit latency histogram and the
   resilience counters (retries, timeouts, worker_restarts, quarantined,
   injected, degraded).

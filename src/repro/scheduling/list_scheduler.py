@@ -298,28 +298,6 @@ class PathListScheduler:
         context.succ_indices = [tuple(succ) for succ in successors]
         return context
 
-    def export_context(self, path: AlternativePath) -> Optional[_PathContext]:
-        """The cached per-path structure of ``path``, if this scheduler built it.
-
-        Together with :meth:`adopt_context` this lets the design-space
-        explorer's incremental evaluator reuse the dependency structure,
-        durations and default priorities of a path across scheduler
-        instances, instead of rebuilding them per candidate.
-        """
-        return self._path_cache.get((path.label, path.active_processes))
-
-    def adopt_context(self, path: AlternativePath, context: _PathContext) -> None:
-        """Seed the per-path cache with a context built by another scheduler.
-
-        The caller guarantees the context matches this scheduler's view of
-        the path: same active processes, same durations on the same mapped
-        processing elements, same restricted edge structure and the same
-        priority configuration.  (The incremental evaluator derives that
-        guarantee from its sub-fingerprint keys; a mismatched adoption would
-        silently produce wrong schedules.)
-        """
-        self._path_cache[(path.label, path.active_processes)] = context
-
     def schedule(
         self,
         path: AlternativePath,

@@ -80,6 +80,7 @@ def explore_result_dict(result, include_front: bool = False, problem=None) -> di
             "hits": result.cache.hits,
             "misses": result.cache.misses,
             "hit_rate": result.cache.hit_rate,
+            "merges_pruned": result.cache.merges_pruned,
         },
         "stages": (
             {

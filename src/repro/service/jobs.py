@@ -156,9 +156,9 @@ class _JobEvaluator(CachedEvaluator):
         super().__init__(problem, **options)
         self._evaluation_lock = lock
 
-    def _evaluate_fresh(self, candidates: List) -> List:
+    def _evaluate_fresh(self, candidates: List, select=None) -> List:
         with self._evaluation_lock:
-            return super()._evaluate_fresh(candidates)
+            return super()._evaluate_fresh(candidates, select)
 
 
 class Job:

@@ -201,6 +201,16 @@ def malformed_system_documents(small_system):
             process,
             "object of numbers",
         ),
+        "execution_times on an unknown element": (
+            broken("processes", 0, "execution_times", {"pe99": 1.0}),
+            process,
+            "'pe99', which is not a processor of the architecture",
+        ),
+        "execution_times on a bus": (
+            broken("processes", 0, "execution_times", {"bus1": 1.0}),
+            process,
+            "'bus1', which is not a processor of the architecture",
+        ),
         "cyclic": (cyclic, "process graph must be acyclic", "acyclic"),
         "boolean execution_time": (
             broken("processes", 0, "execution_time", True), process, "must be a number"

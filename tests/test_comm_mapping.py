@@ -722,9 +722,9 @@ def test_restricted_exploration_only_evaluates_connecting_buses(seed):
             super().__init__(problem)
             self.seen = []
 
-        def evaluate_many(self, candidates):
+        def evaluate_many(self, candidates, select=None):
             self.seen.extend(candidates)
-            return super().evaluate_many(candidates)
+            return super().evaluate_many(candidates, select)
 
     recorder = _Recorder()
     config = ExplorationConfig(seed=seed, max_cycles=4, neighbors_per_cycle=4)

@@ -176,9 +176,9 @@ class _RecordingEvaluator(CachedEvaluator):
         super().__init__(problem, weights)
         self.seen = []
 
-    def evaluate_many(self, candidates):
+    def evaluate_many(self, candidates, select=None):
         self.seen.extend(candidates)
-        return super().evaluate_many(candidates)
+        return super().evaluate_many(candidates, select)
 
 
 class TestEngines:

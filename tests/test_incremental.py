@@ -347,7 +347,7 @@ class TestPoolEquivalence:
 class _CachelessEvaluator(CachedEvaluator):
     """Scores every miss without stage reuse (a private cache per call)."""
 
-    def _evaluate_fresh(self, candidates):
+    def _evaluate_fresh(self, candidates, select=None):
         return [
             evaluate_candidate(self.problem, candidate, self.weights)
             for candidate in candidates
@@ -391,6 +391,68 @@ def test_batch_matches_serial_evaluation(fig1_problem):
     assert stats.candidates == unique
     assert stats.mean_batch_size == pytest.approx(unique)
     assert stats.payload_bytes == 0
+
+
+def _mapped_two_bus_fig1():
+    example = load_fig1_example(num_buses=2)
+    return ExplorationProblem(
+        example.process_graph,
+        example.mapping,
+        example.architecture,
+        name="fig1-two-bus",
+        map_communications=True,
+    )
+
+
+def test_batch_slices_follow_each_expansions_buses(reference_merge):
+    """Two candidates of one batch share an assignment (so an expansion
+    structure) but pin other buses: the second must be sliced and keyed on
+    its own buses, not served the first one's schedules.  (Cycle 14 of
+    ``explore --fig1 --fig1-buses 2 --map-communications --seed 6
+    --cycles 16 --neighbors 6``.)"""
+    problem = _mapped_two_bus_fig1()
+    base = problem.initial_candidate()
+    for process, pe in (
+        ("P1", "pe2"), ("P10", "pe3"), ("P11", "pe1"), ("P15", "pe3"),
+        ("P16", "pe1"), ("P5", "pe3"), ("P6", "pe2"), ("P9", "pe3"),
+    ):
+        base = base.reassigned(process, pe)
+    for process, delta in (("P2", -1.0), ("P5", -4.0), ("P8", 4.0)):
+        base = base.with_bias(process, delta)
+    first = base.with_communication("P6->P8", "pe5").with_communication(
+        "P7->P10", "pe5"
+    )
+    second = base.with_communication("P6->P8", "pe4")
+    batch = evaluate_neighbourhood(
+        problem, [first, second], stage_cache=StageCache()
+    )
+    for candidate, evaluation in zip((first, second), batch):
+        assert evaluation == evaluate_candidate(problem, candidate)
+        reference = reference_merge(problem, candidate)
+        assert evaluation.delta_max == reference.delta_max
+        assert evaluation.delta_m == reference.delta_m
+
+
+def test_every_fresh_evaluation_of_a_mapped_run_matches_a_rescore():
+    problem = _mapped_two_bus_fig1()
+
+    class _Recorder(CachedEvaluator):
+        def __init__(self):
+            super().__init__(problem)
+            self.fresh = []
+
+        def _evaluate_fresh(self, candidates, select=None):
+            evaluations = super()._evaluate_fresh(candidates, select)
+            self.fresh.extend(zip(candidates, evaluations))
+            return evaluations
+
+    recorder = _Recorder()
+    config = ExplorationConfig(seed=6, max_cycles=16, neighbors_per_cycle=6)
+    Explorer(problem, config=config, evaluator=recorder).explore("tabu")
+    scored = [(c, e) for c, e in recorder.fresh if e is not None]
+    assert len(scored) > 16
+    for candidate, evaluation in scored:
+        assert evaluation == evaluate_candidate(problem, candidate)
 
 
 def test_batch_stats_snapshot_accumulates():

@@ -222,7 +222,6 @@ def _assert_maps_follow_the_memo(cache):
     assert sum(cache._key_users.values()) == stats.schedules
     assert len(cache._key_ids) <= len(cache._key_users) <= stats.schedules
     assert len(cache._key_fingerprints) <= len(cache._key_users)
-    assert set(cache._contexts) <= set(cache._key_users)
     assert set(cache._expansion_patterns) == set(cache._expansions)
     assert sum(cache._structure_users.values()) == stats.expansions
     assert set(cache._structures) == set(cache._structure_users)
@@ -251,7 +250,6 @@ def test_long_walk_keeps_every_map_bounded(reference_merge):
         current = sampler.sample(current, rng, 1)[0][1]
     assert bounded.lru_evictions > 0
     # The unbounded cache kept what the bounded one let go.
-    assert len(unbounded._contexts) > len(bounded._contexts)
     assert len(unbounded._key_ids) > len(bounded._key_ids)
 
 
