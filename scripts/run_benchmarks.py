@@ -67,7 +67,7 @@ from repro.exploration.engines import SearchState, TrajectoryPoint
 from repro.exploration.resilience import snapshot_document
 from repro.generator import LARGE_SCALE_PRESETS, generate_system, large_scale_system
 from repro.io import system_to_dict
-from repro.scheduling import ScheduleMerger
+from repro.scheduling import PathListScheduler, ScheduleMerger
 from repro.service import ServiceClient, start_in_thread
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,11 +254,23 @@ def _race(arms: Dict[str, Callable], repeats: int = 1, diverged: str = ""):
     return best, results[0]
 
 
+class _CountingScheduler(PathListScheduler):
+    """A list scheduler that counts its calls, optimal and re-adjustment."""
+
+    calls = 0
+
+    def schedule(self, path, **locks):
+        self.calls += 1
+        return super().schedule(path, **locks)
+
+
 def _measure_merge(spec: dict) -> dict:
     """Best-of-``repeats`` ``ScheduleMerger.merge`` wall-time on one preset.
 
     Every repeat must produce the identical ``delta_max``: the merge is
-    pure, so the frozen value anchors its semantics on any host.
+    pure, so the frozen value anchors its semantics on any host.  One more,
+    untimed merge counts the work: list-scheduler calls and table entries
+    are host-free, so a merge that does more work fails an exact anchor.
     """
     preset = spec["preset"]
     system = large_scale_system(preset)
@@ -273,6 +285,14 @@ def _measure_merge(spec: dict) -> dict:
         started = time.perf_counter()
         delta_max.add(merger.merge().delta_max)
         best = min(best, time.perf_counter() - started)
+    scheduler = _CountingScheduler(
+        system.graph, system.expanded_mapping, system.architecture
+    )
+    counted = ScheduleMerger(
+        system.graph, system.expanded_mapping, system.architecture, scheduler
+    ).merge()
+    delta_max.add(counted.delta_max)
+    table = counted.table
     if len(delta_max) != 1:
         raise SystemExit(
             f"merge of {preset!r} is not deterministic across repeats: "
@@ -284,6 +304,10 @@ def _measure_merge(spec: dict) -> dict:
         "seed": config.seed,
         "expanded_processes": len(system.graph),
         "delta_max": delta_max.pop(),
+        "schedule_calls": scheduler.calls,
+        "table_entries": sum(
+            len(table.process_entries(name)) for name in table.process_names
+        ) + sum(len(table.condition_entries(name)) for name in table.conditions),
         "merge_seconds": round(best, 4),
         "seed_merge_seconds": SEED_MERGE_SECONDS[preset],
         "speedup_vs_seed": round(SEED_MERGE_SECONDS[preset] / best, 2),
@@ -644,7 +668,9 @@ RECORDS: Dict[str, Record] = {
         f"merge_{preset}": Record(
             _measure_merge,
             {"preset": preset, "repeats": repeats},
-            anchors=("expanded_processes", "delta_max"),
+            anchors=(
+                "expanded_processes", "delta_max", "schedule_calls", "table_entries"
+            ),
             timings={"merge_seconds": 0.25},
         )
         for preset, repeats in zip(SEED_MERGE_SECONDS, (15, 7, 3, 3))

@@ -191,9 +191,9 @@ class StageCache:
     must cover everything that can change the stage's output (see
     PERFORMANCE.md, "Incremental evaluation").  One instance may be shared
     across threads — ``repro-cpg serve``'s job threads and its ``/cache``
-    readers share each scope's cache — so key interning (the one
-    check-then-act that could alias two fingerprints to one id) and the LRU
-    bookkeeping take a lock.  The counters may undercount under contention.
+    readers share each scope's cache — so every store, touch and eviction
+    takes the cache's one lock.  The counters may undercount under
+    contention.
 
     Without a budget, stage memos grow for the lifetime of the cache
     (per-path schedules are the bulky part — one ``PathSchedule`` per
@@ -214,11 +214,10 @@ class StageCache:
     An entry larger than ``max_bytes`` on its own is computed but never
     memoized, so occupancy never exceeds the byte budget.  Eviction is
     self-healing by construction: stages are pure, so a re-query after
-    eviction recomputes a bit-identical value.  The maps that hang off
-    LRU-managed entries follow them out: a path key's intern id goes with
-    the last memoized schedule keyed on it, and an expansion structure with
-    the last memoized expansion built on it, so every map stays bounded by
-    the budget.  Every cache keeps this bookkeeping; one without a budget
+    eviction recomputes a bit-identical value.  Evicting a schedule drops
+    only that entry; an expansion structure leaves with the last memoized
+    expansion built on it, so every map stays bounded by the budget.  Every
+    cache keeps this bookkeeping; one without a budget
     simply never evicts (the bookkeeping costs no measurable time, see
     PERFORMANCE.md).
     """
@@ -227,15 +226,11 @@ class StageCache:
         "_expansions",
         "_structures",
         "_schedules",
-        "_key_ids",
-        "_next_key_id",
-        "_intern_lock",
+        "_lock",
         "_max_entries",
         "_max_bytes",
         "_lru",
         "_occupancy_bytes",
-        "_key_fingerprints",
-        "_key_users",
         "_expansion_patterns",
         "_structure_users",
         "expansion_hits",
@@ -263,13 +258,9 @@ class StageCache:
         self._structures: Dict[
             Tuple, Tuple[ExpansionStructure, Tuple[AlternativePath, ...]]
         ] = {}
+        # (path sub-fingerprint, lock-set key) -> schedule.
         self._schedules: Dict[Tuple, PathSchedule] = {}
-        # Sub-fingerprints are bulky nested tuples; they are hashed once here
-        # and replaced by a small integer id, so the (frequent) schedule-memo
-        # probes hash two small values instead of the whole fingerprint.
-        self._key_ids: Dict[Tuple, int] = {}
-        self._next_key_id = 0
-        self._intern_lock = threading.Lock()
+        self._lock = threading.Lock()
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
@@ -277,15 +268,12 @@ class StageCache:
         self._max_entries = max_entries or 0
         self._max_bytes = max_bytes or 0
         # Recency order of the LRU-managed entries: (kind, key) -> byte cost,
-        # least recently used first.  Mutated only under _intern_lock.
+        # least recently used first.  Mutated only under _lock.
         self._lru: "OrderedDict[Tuple[str, Tuple], int]" = OrderedDict()
         self._occupancy_bytes = 0
-        # The links that evict the unmanaged maps with the LRU-managed
-        # entries: intern id -> its fingerprint and -> the number of memoized
-        # schedules keyed on it; expansion key -> its crossing pattern, and
-        # pattern -> memoized expansions built on it.
-        self._key_fingerprints: Dict[int, Tuple] = {}
-        self._key_users: Dict[int, int] = {}
+        # The links that evict expansion structures with the LRU-managed
+        # expansions: expansion key -> its crossing pattern, and pattern ->
+        # memoized expansions built on it.
         self._expansion_patterns: Dict[Tuple, Tuple] = {}
         self._structure_users: Dict[Tuple, int] = {}
         self.expansion_hits = 0
@@ -324,14 +312,14 @@ class StageCache:
 
     def _touch(self, kind: str, key: Tuple) -> None:
         """Mark one LRU-managed entry as most recently used."""
-        with self._intern_lock:
+        with self._lock:
             if (kind, key) in self._lru:
                 self._lru.move_to_end((kind, key))
 
     def _record_locked(self, kind: str, key: Tuple, value, cost: int) -> bool:
         """Store one LRU-managed entry as most recent; True if it is new.
 
-        The caller owns ``_intern_lock`` (store + bookkeeping share it, so
+        The caller owns ``_lock`` (store + bookkeeping share it, so
         eviction can never orphan a stored value outside the recency order)
         and evicts back under budget once the entry's links are recorded.
         """
@@ -344,7 +332,7 @@ class StageCache:
         return previous is None
 
     def _evict_to_budget_locked(self) -> None:
-        """Evict until both budgets hold (caller owns ``_intern_lock``)."""
+        """Evict until both budgets hold (caller owns ``_lock``)."""
         while self._lru and (
             (self._max_entries and len(self._lru) > self._max_entries)
             or (self._max_bytes and self._occupancy_bytes > self._max_bytes)
@@ -358,7 +346,7 @@ class StageCache:
     def _forget_locked(self, kind: str, key: Tuple) -> None:
         """Drop one memoized entry and what only it kept alive.
 
-        The caller owns ``_intern_lock``.
+        The caller owns ``_lock``.
         """
         cost = self._lru.pop((kind, key), None)
         if cost is not None:
@@ -366,22 +354,15 @@ class StageCache:
         if kind == "expansion":
             self._expansions.pop(key, None)
             pattern = self._expansion_patterns.pop(key, None)
-            if pattern is not None and _drop_user(self._structure_users, pattern):
-                self._structures.pop(pattern, None)
-        elif self._schedules.pop(key, None) is not None:
-            key_id = key[0]
-            if key_id in self._key_users and _drop_user(self._key_users, key_id):
-                self._release_key_locked(key_id)
-
-    def _release_key_locked(self, key_id: int) -> None:
-        """Forget an intern id no memoized schedule uses.
-
-        Ids are never reused, so a later intern of the same fingerprint
-        gets a fresh id and cannot alias anything still in flight.
-        """
-        fingerprint = self._key_fingerprints.pop(key_id, None)
-        if fingerprint is not None and self._key_ids.get(fingerprint) == key_id:
-            del self._key_ids[fingerprint]
+            if pattern is not None:
+                users = self._structure_users[pattern] - 1
+                if users:
+                    self._structure_users[pattern] = users
+                else:
+                    del self._structure_users[pattern]
+                    self._structures.pop(pattern, None)
+        else:
+            self._schedules.pop(key, None)
 
     # -- stage probes (used by merge_candidate) ------------------------------
 
@@ -438,52 +419,30 @@ class StageCache:
         cost = expansion_entry_cost(expanded, paths)
         if self._max_bytes and cost > self._max_bytes:
             return expanded, paths  # computed but never memoized: see store_schedule
-        with self._intern_lock:
+        with self._lock:
             if self._record_locked("expansion", key, (expanded, paths), cost):
                 # Link the entry to its structure (evicted with the last one).
                 self._expansion_patterns[key] = pattern
-                _add_user(self._structure_users, pattern)
+                self._structure_users[pattern] = (
+                    self._structure_users.get(pattern, 0) + 1
+                )
                 self._structures.setdefault(pattern, record)
             self._evict_to_budget_locked()
         return expanded, paths
 
-    def intern_key(self, key: Tuple) -> int:
-        """Replace a bulky sub-fingerprint tuple with a stable small id.
-
-        Ids must be unique per fingerprint — an aliased id would make the
-        schedule memo serve another path's schedule — so the allocation is
-        locked against the threads that share a cache (double-checked: the
-        fast path is one GIL-atomic dict probe, the lock is only taken on
-        first intern of a key).
-        """
-        cached = self._key_ids.get(key)
-        if cached is None:
-            with self._intern_lock:
-                cached = self._key_ids.get(key)
-                if cached is None:
-                    cached = self._next_key_id
-                    self._next_key_id += 1
-                    self._key_ids[key] = cached
-                    self._key_fingerprints[cached] = key
-        return cached
-
     def clear(self) -> None:
         """Drop every memoized stage (counters keep running totals).
 
-        The intern counter is monotonic and survives clearing, so ids handed
-        out before a ``clear`` can never alias ids interned afterwards —
-        clearing concurrently with an in-flight evaluation wastes that
-        evaluation's memo entries but cannot corrupt them.
+        Entries are keyed by the values they cache, so clearing concurrently
+        with an in-flight evaluation wastes that evaluation's memo entries
+        but cannot corrupt them.
         """
-        with self._intern_lock:
+        with self._lock:
             self._expansions.clear()
             self._structures.clear()
             self._schedules.clear()
-            self._key_ids.clear()
             self._lru.clear()
             self._occupancy_bytes = 0
-            self._key_fingerprints.clear()
-            self._key_users.clear()
             self._expansion_patterns.clear()
             self._structure_users.clear()
 
@@ -504,30 +463,12 @@ class StageCache:
         all — the caller keeps the computed value, occupancy never exceeds
         the budget.
         """
-        key_id = key[0]
         cost = schedule_entry_cost(schedule)
-        with self._intern_lock:
-            if self._max_bytes and cost > self._max_bytes:
-                if key_id not in self._key_users:
-                    self._release_key_locked(key_id)
-                return
-            if self._record_locked("schedule", key, schedule, cost):
-                _add_user(self._key_users, key_id)
+        if self._max_bytes and cost > self._max_bytes:
+            return
+        with self._lock:
+            self._record_locked("schedule", key, schedule, cost)
             self._evict_to_budget_locked()
-
-
-def _add_user(users: Dict, key) -> None:
-    users[key] = users.get(key, 0) + 1
-
-
-def _drop_user(users: Dict, key) -> bool:
-    """Decrement one use count; True when it reached zero (and was removed)."""
-    remaining = users[key] - 1
-    if remaining:
-        users[key] = remaining
-        return False
-    del users[key]
-    return True
 
 
 def _locks_key(
@@ -787,7 +728,6 @@ def _schedule_paths(
     stage_cache: Optional[StageCache],
     tracer,
     metrics,
-    slice_memo: Optional[Dict],
 ) -> _PathStage:
     """Expand, key and schedule every path of one candidate (no merge)."""
     if stage_cache is None:
@@ -811,31 +751,9 @@ def _schedule_paths(
         expansion_key = problem.expansion_key(candidate, pins=pins)
 
     with _timed_stage(tracer, metrics, "stage.path_keys", paths=len(paths)):
-        # The candidate-independent slices read the realised buses from the
-        # expansion, so they are keyed on the expansion's identity (the
-        # memoized stage returns the same object for every candidate with
-        # the same expansion key); holding the expansion in the entry pins
-        # the id against reuse.  The paths tuple would not do: it belongs to
-        # the expansion *structure*, which expansions with other buses share.
-        if slice_memo is None:
-            slice_memo = {}
-        entry = slice_memo.get(id(expanded))
-        if entry is None or entry[0] is not expanded:
-            entry = (
-                expanded,
-                {path.label: problem.path_slices(path, expanded) for path in paths},
-            )
-            slice_memo[id(expanded)] = entry
-        slices = entry[1]
         path_keys = {
-            path.label: stage_cache.intern_key(
-                problem.path_schedule_key(
-                    candidate,
-                    path,
-                    expanded,
-                    expansion_key=expansion_key,
-                    slices=slices[path.label],
-                )
+            path.label: problem.path_schedule_key(
+                candidate, path, expanded, expansion_key=expansion_key
             )
             for path in paths
         }
@@ -852,7 +770,6 @@ def merge_candidate(
     stage_cache: Optional[StageCache] = None,
     tracer=None,
     metrics=None,
-    slice_memo: Optional[Dict] = None,
 ) -> Tuple[ExpandedGraph, MergeResult]:
     """Run the merge pipeline for one candidate through a stage cache.
 
@@ -871,21 +788,12 @@ def merge_candidate(
     callers wanting infinite-cost semantics use :func:`evaluate_candidate`.
 
     ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
-    ``expansion``, ``path_keys`` (sub-fingerprint slicing + key interning),
+    ``expansion``, ``path_keys`` (the path sub-fingerprints),
     ``path_schedule`` per alternative path, ``merge`` (wall time including
     re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
     within the merge).  Timing never changes the result.
-
-    ``slice_memo`` (supplied by :func:`evaluate_neighbourhood`) shares the
-    candidate-independent half of the path sub-fingerprints — the active-set
-    and realised-bus slices of :meth:`ExplorationProblem.path_slices` —
-    across every candidate of a batch that reuses the same memoized
-    expansion; it is a pure-value cache, so passing one never changes any
-    result.
     """
-    stage = _schedule_paths(
-        problem, candidate, stage_cache, tracer, metrics, slice_memo
-    )
+    stage = _schedule_paths(problem, candidate, stage_cache, tracer, metrics)
     return stage.expanded, stage.merge(tracer, metrics)
 
 
@@ -927,7 +835,6 @@ def _bound_phase(
     stage_cache: Optional[StageCache],
     tracer,
     metrics,
-    slice_memo: Optional[Dict],
 ) -> Union[_PathStage, CandidateEvaluation]:
     """Phase one: path schedules, merge-free terms and the δ_M bound.
 
@@ -935,9 +842,7 @@ def _bound_phase(
     already fails here.
     """
     try:
-        stage = _schedule_paths(
-            problem, candidate, stage_cache, tracer, metrics, slice_memo
-        )
+        stage = _schedule_paths(problem, candidate, stage_cache, tracer, metrics)
     except _PIPELINE_ERRORS as error:
         return _infeasible(candidate, error)
     stage.terms = (
@@ -986,7 +891,6 @@ def evaluate_candidate(
     stage_cache: Optional[StageCache] = None,
     tracer=None,
     metrics=None,
-    slice_memo: Optional[Dict] = None,
 ) -> CandidateEvaluation:
     """Score one candidate by running the merge pipeline end to end.
 
@@ -1004,7 +908,7 @@ def evaluate_candidate(
     """
     with _timed_stage(tracer, metrics, "evaluate") as outcome:
         stage = _bound_phase(
-            problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
+            problem, candidate, weights, stage_cache, tracer, metrics
         )
         if isinstance(stage, _PathStage):
             stage = _merge_phase(candidate, stage, weights, tracer, metrics)
@@ -1104,17 +1008,13 @@ def evaluate_neighbourhood(
       of all stays exact.  A merged candidate whose exact cost is below its
       bound raises ``RuntimeError`` naming it.
 
-    Either way the candidate-independent half of every path sub-fingerprint
-    (:meth:`ExplorationProblem.path_slices`) is sliced once per batch and
-    shared by every candidate that reuses the same memoized expansion.
     This is the one in-process scoring call of
     :class:`~repro.exploration.EvaluationPool`.
     """
-    slice_memo: Dict = {}
     if select is None or not (weights.mean_path_delay == 0 and weights.delta_max >= 0):
         return [
             evaluate_candidate(
-                problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
+                problem, candidate, weights, stage_cache, tracer, metrics
             )
             for candidate in candidates
         ]
@@ -1123,7 +1023,7 @@ def evaluate_neighbourhood(
     for candidate in candidates:
         with _timed_stage(tracer, metrics, "evaluate") as outcome:
             stage = _bound_phase(
-                problem, candidate, weights, stage_cache, tracer, metrics, slice_memo
+                problem, candidate, weights, stage_cache, tracer, metrics
             )
             if isinstance(stage, _PathStage):
                 outcome["bound"] = stage.bound

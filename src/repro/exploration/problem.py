@@ -498,33 +498,12 @@ class ExplorationProblem:
             tuple(sorted(pins.items())) if pins else (),
         )
 
-    def path_slices(
-        self, path: AlternativePath, expanded: ExpandedGraph
-    ) -> Tuple[frozenset, Tuple]:
-        """The candidate-independent half of one path's sub-fingerprint.
-
-        ``(active process set, realised communication buses)`` depends only on
-        the path and the expansion, not on the candidate, so batch evaluation
-        (:func:`~repro.exploration.cost.evaluate_neighbourhood`) computes it
-        once per (expansion, path) pair and reuses it for every candidate in
-        the batch instead of re-slicing per candidate.
-        """
-        mapping = expanded.mapping
-        communications = expanded.communications
-        buses = tuple(sorted(
-            (name, mapping[name].name)
-            for name in path.active_processes
-            if name in communications
-        ))
-        return frozenset(path.active_processes), buses
-
     def path_schedule_key(
         self,
         candidate: Candidate,
         path: AlternativePath,
         expanded: ExpandedGraph,
         expansion_key: Optional[Tuple] = None,
-        slices: Optional[Tuple[frozenset, Tuple]] = None,
     ) -> Tuple:
         """The sub-fingerprint of one alternative path's optimal schedule.
 
@@ -549,12 +528,16 @@ class ExplorationProblem:
         additionally key on the full expansion, conservatively; callers
         computing keys for several paths of one candidate may pass the
         candidate's ``expansion_key`` once instead of having every path
-        recompute it, and ``slices`` (from :meth:`path_slices`) once per
-        (expansion, path) pair instead of re-slicing per candidate.
+        recompute it.
         """
-        if slices is None:
-            slices = self.path_slices(path, expanded)
-        active, buses = slices
+        active = frozenset(path.active_processes)
+        mapping = expanded.mapping
+        communications = expanded.communications
+        buses = tuple(sorted(
+            (name, mapping[name].name)
+            for name in path.active_processes
+            if name in communications
+        ))
         key: Tuple = (
             path.label,
             candidate.assignment_slice(active),

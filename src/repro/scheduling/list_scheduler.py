@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..architecture.architecture import Architecture
 from ..architecture.mapping import Mapping
 from ..architecture.processing_element import ProcessingElement
-from ..conditions import Condition
+from ..conditions import Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath
 from .priorities import PriorityFunction, critical_path_priorities
@@ -170,9 +170,10 @@ class PathListScheduler:
         bias 0).
 
     The scheduler caches the dependency structure and default priorities of
-    every path it sees, keyed on the path's label and active set; it assumes
-    the graph, the mapping and the priority configuration do not change
-    between calls (build a new scheduler after remapping).
+    every path it sees in one context per path, keyed by the path's label
+    (a context whose active set differs from the path's is rebuilt); it
+    assumes the graph, the mapping and the priority configuration do not
+    change between calls (build a new scheduler after remapping).
     """
 
     def __init__(
@@ -190,12 +191,9 @@ class PathListScheduler:
         self._priority_bias = dict(priority_bias or {})
         self._disjunctions = graph.disjunction_processes()
         self._guards = graph.guards()
-        self._path_cache: Dict[tuple, _PathContext] = {}
-        # Identity fast path: the merger re-schedules the same path object
-        # hundreds of times; an id-keyed probe skips re-hashing the (label,
-        # active set) key on every call.  The strong path reference pins the
-        # id against reuse for the cache's lifetime.
-        self._context_by_id: Dict[int, Tuple[AlternativePath, _PathContext]] = {}
+        # One context per path label (a label's hash is precomputed, so the
+        # merger's many re-adjustment calls probe cheaply).
+        self._contexts: Dict[Conjunction, _PathContext] = {}
         # Static incoming-edge structure per process, shared by every path:
         # (source name, edge condition or None).  Context builds filter it
         # against the path's active set — a process active on the path has a
@@ -211,15 +209,10 @@ class PathListScheduler:
     # -- public API -------------------------------------------------------------
 
     def _context_for(self, path: AlternativePath) -> _PathContext:
-        hit = self._context_by_id.get(id(path))
-        if hit is not None and hit[0] is path:
-            return hit[1]
-        key = (path.label, path.active_processes)
-        context = self._path_cache.get(key)
-        if context is None:
+        context = self._contexts.get(path.label)
+        if context is None or context.active != path.active_processes:
             context = self._build_context(path)
-            self._path_cache[key] = context
-        self._context_by_id[id(path)] = (path, context)
+            self._contexts[path.label] = context
         return context
 
     def _static_info_for(self, name: str) -> tuple:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +91,13 @@ class ExplorationService:
     ) -> None:
         from .jobs import DEFAULT_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_BYTES
 
+        for flag, value in (
+            ("--job-workers", job_workers),
+            ("--cache-max-entries", cache_max_entries),
+            ("--cache-max-bytes", cache_max_bytes),
+        ):
+            if value is not None and value < 1:
+                raise ValueError(f"{flag} must be >= 1, got {value}")
         self._host = host
         self._requested_port = port
         self.port: Optional[int] = None
@@ -480,15 +488,23 @@ def serve_forever(
     cache_max_bytes: Optional[int] = None,
     tracer=None,
 ) -> int:
-    """Blocking entry point behind ``repro-cpg serve``."""
-    service = ExplorationService(
-        host=host,
-        port=port,
-        job_workers=job_workers,
-        cache_max_entries=cache_max_entries,
-        cache_max_bytes=cache_max_bytes,
-        tracer=tracer,
-    )
+    """Blocking entry point behind ``repro-cpg serve``.
+
+    A setting below 1 is reported as one ``error:`` line on stderr, with
+    exit status 2, before anything binds.
+    """
+    try:
+        service = ExplorationService(
+            host=host,
+            port=port,
+            job_workers=job_workers,
+            cache_max_entries=cache_max_entries,
+            cache_max_bytes=cache_max_bytes,
+            tracer=tracer,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     async def _amain() -> None:
         await service.start()

@@ -84,6 +84,12 @@ class RuntimeSimulator:
         self._architecture = architecture or mapping.architecture
         self._strict = strict
         self._disjunctions = graph.disjunction_processes()
+        # Condition -> the PE of its disjunction process, where the value is
+        # known as soon as it is computed.
+        self._origin_pes = {
+            condition: mapping.get(name)
+            for name, condition in self._disjunctions.items()
+        }
         self._enumerator = PathEnumerator(graph)
 
     # -- public API ----------------------------------------------------------------
@@ -202,8 +208,7 @@ class RuntimeSimulator:
         determined = trace.condition_determined.get(condition)
         if determined is None:
             return float("inf")
-        origin_name = self._graph.disjunction_process_of(condition)
-        origin_pe = self._mapping.get(origin_name)
+        origin_pe = self._origin_pes[condition]
         if pe is not None and origin_pe is not None and pe == origin_pe:
             return determined
         return trace.condition_broadcast_end.get(condition, determined)

@@ -303,12 +303,6 @@ class TestStageAccounting:
         evaluate_candidate(problem, problem.initial_candidate(), stage_cache=cache)
         assert cache.stats.expansion_misses == 2
 
-    def test_intern_key_ids_are_unique(self, problem):
-        cache = StageCache()
-        ids = [cache.intern_key(("key", index)) for index in range(50)]
-        assert len(set(ids)) == 50
-        assert cache.intern_key(("key", 7)) == ids[7]
-
     def test_pooled_evaluator_defers_stage_caching_to_the_pool(self, problem):
         with EvaluationPool(problem, mode="serial") as pool:
             evaluator = CachedEvaluator(problem, pool=pool)

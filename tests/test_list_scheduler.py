@@ -1,11 +1,15 @@
 """Tests for the per-path list scheduler (resources, dependencies, broadcasts, locks)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.architecture import Architecture, Mapping, bus, hardware, programmable
 from repro.conditions import Condition, Conjunction
-from repro.graph import CPGBuilder, PathEnumerator, expand_communications
-from repro.scheduling import PathListScheduler, SchedulingError
+from repro.exploration import ExplorationProblem, merge_candidate
+from repro.generator import generate_system
+from repro.graph import AlternativePath, CPGBuilder, PathEnumerator, expand_communications
+from repro.scheduling import PathListScheduler, ScheduleMerger, SchedulingError
 from repro.scheduling.priorities import critical_path_priorities, static_order_priorities
 
 C = Condition("C")
@@ -328,3 +332,61 @@ class TestBroadcastDispatchOrder:
             )
             for first, second in zip(ordered, ordered[1:]):
                 assert second.start >= first.end - 1e-9
+
+
+class TestContextReuse:
+    """One dependency context per path, keyed by label, guarded by active set."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Counts of ``_build_context`` and ``schedule`` calls, by path label."""
+        calls = {"build": [], "schedule": []}
+        build, schedule = PathListScheduler._build_context, PathListScheduler.schedule
+
+        def counting_build(self, path):
+            calls["build"].append(path.label)
+            return build(self, path)
+
+        def counting_schedule(self, path, **locks):
+            calls["schedule"].append(path.label)
+            return schedule(self, path, **locks)
+
+        monkeypatch.setattr(PathListScheduler, "_build_context", counting_build)
+        monkeypatch.setattr(PathListScheduler, "schedule", counting_schedule)
+        return calls
+
+    @pytest.mark.parametrize("system", ["fig1", "generated_40_8"])
+    @pytest.mark.parametrize("route", ["merger", "merge_candidate"])
+    def test_a_merge_builds_one_context_per_path(self, system, route, fig1, calls):
+        source = fig1 if system == "fig1" else generate_system(40, 8, seed=3)
+        if route == "merger":
+            result = ScheduleMerger(
+                source.graph, source.expanded_mapping, source.architecture
+            ).merge()
+        else:
+            problem = ExplorationProblem.from_system(source)
+            _, result = merge_candidate(problem, problem.initial_candidate())
+        labels = [path.label for path in result.paths]
+        assert len(labels) == (6 if system == "fig1" else 8)
+        assert Counter(calls["build"]) == Counter(labels)
+        # The merge re-adjusted paths, so the contexts were reused.
+        assert len(calls["schedule"]) > len(labels)
+
+    def test_same_label_other_active_set_gets_a_fresh_schedule(self, fig1):
+        graph, mapping = fig1.graph, fig1.expanded_mapping
+        path = PathEnumerator(graph).paths()[0]
+        trimmed = AlternativePath(path.label, path.active_processes[:-1], path.index)
+
+        def rows(schedule):
+            return sorted(
+                (task.name, task.start, task.duration, getattr(task.pe, "name", None))
+                for task in [*schedule.tasks.values(), *schedule.broadcasts.values()]
+            )
+
+        shared = PathListScheduler(graph, mapping, fig1.architecture)
+        served = []
+        for request in (path, trimmed, path, trimmed):
+            fresh = PathListScheduler(graph, mapping, fig1.architecture)
+            served.append(rows(shared.schedule(request)))
+            assert served[-1] == rows(fresh.schedule(request))
+        assert served[0] != served[1]

@@ -1,5 +1,6 @@
 """Tests of the top-level public API surface."""
 
+import ast
 import json
 import os
 import subprocess
@@ -91,3 +92,22 @@ def test_package_imports_only_the_standard_library():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert foreign == []
+
+
+def test_package_keys_no_memo_by_object_identity():
+    """No ``id()`` call in the package: every memo is keyed by its value.
+
+    An ``id()`` key is valid only while the object it names is alive and
+    the same (a memo keyed on ``id()`` once served one expansion's bus
+    slices to another), so no memo may use one.
+    """
+    root = Path(repro.__file__).resolve().parent
+    calls = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    ]
+    assert calls == []

@@ -20,6 +20,7 @@ from repro.exploration import pool as pool_module
 from repro.generator import generate_system
 from repro.io import system_to_dict, validate_explore_request
 from repro.service import (
+    ExplorationService,
     ServiceClient,
     ServiceError,
     config_from_request,
@@ -384,3 +385,26 @@ def test_shutdown_endpoint_stops_the_server(timeout_cleanup):
     assert not running._thread.is_alive()
     with pytest.raises(OSError):
         client.health()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "flag", ["--job-workers", "--cache-max-entries", "--cache-max-bytes"]
+)
+def test_settings_below_one_are_rejected_before_binding(
+    flag, value, monkeypatch, capsys
+):
+    setting = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=flag):
+        start_in_thread(**{setting: value})
+
+    def bound(self):
+        raise AssertionError(f"serve bound a socket with {flag}={value}")
+
+    monkeypatch.setattr(ExplorationService, "start", bound)
+    assert main(["serve", "--port", "0", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert flag in lines[0]
