@@ -54,17 +54,9 @@ def main() -> None:
         neighbors_per_cycle=6,
         weights=CostWeights(delta_max=1.0, load_imbalance=1.0),
     )
-    pool = (
-        EvaluationPool(problem, config.weights, workers=workers)
-        if workers > 1
-        else None
-    )
-    try:
+    with EvaluationPool(problem, config.weights, workers=workers) as pool:
         explorer = Explorer(problem, config=config, pool=pool)
         results = [explorer.explore(engine) for engine in ("tabu", "anneal")]
-    finally:
-        if pool is not None:
-            pool.close()
 
     print(format_exploration_comparison(
         "tabu search vs simulated annealing (shared evaluation cache)", results

@@ -38,6 +38,7 @@ import argparse
 import gc
 import json
 import operator
+import os
 import platform
 import random
 import sys
@@ -60,7 +61,6 @@ from repro.exploration import (
     NeighborhoodSampler,
     RetryPolicy,
     StageCache,
-    default_worker_count,
     evaluate_candidate,
 )
 from repro.exploration.engines import SearchState, TrajectoryPoint
@@ -330,7 +330,7 @@ def _measure_exploration(spec: dict) -> dict:
         rng.shuffle(replay)
         stream.extend(replay)
 
-    workers = default_worker_count()
+    workers = os.cpu_count() or 1
     with EvaluationPool(problem, workers=workers) as pool:
         seconds, _ = _race(
             {
@@ -343,7 +343,7 @@ def _measure_exploration(spec: dict) -> dict:
     return {
         "stream_length": len(stream),
         "workers": workers,
-        "pool_mode": pool.mode,
+        "pool_mode": "process" if workers > 1 else "serial",
         "naive_seconds": round(seconds["naive"], 4),
         "optimised_seconds": round(seconds["cached"], 4),
         "speedup": round(seconds["naive"] / seconds["cached"], 2),
@@ -513,9 +513,7 @@ def _measure_resilience(spec: dict) -> dict:
         ]
 
     def armed():
-        pool = EvaluationPool(
-            problem, mode="serial", retry=RetryPolicy(backoff_base=0.0)
-        )
+        pool = EvaluationPool(problem, retry=RetryPolicy(backoff_base=0.0))
         checkpointer = Checkpointer(checkpoint_path, every=every)
         evaluations = []
         trajectory = []

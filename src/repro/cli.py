@@ -72,6 +72,7 @@ from .data import load_fig1_example
 from .architecture.architecture import ArchitectureError
 from .architecture.mapping import MappingError
 from .exploration import (
+    Checkpointer,
     CheckpointError,
     EvaluationPool,
     Explorer,
@@ -79,9 +80,16 @@ from .exploration import (
     RetryPolicy,
     WorkerInitializationError,
 )
-from .graph import PathEnumerator
+from .graph import BUS_POLICIES, PathEnumerator
 from .graph.cpg import GraphStructureError
-from .io import SerializationError, load_system
+from .io import (
+    RequestError,
+    SerializationError,
+    load_system,
+    read_system_document,
+    validate_explore_request,
+)
+from .io.serialization import EXPLORE_ENGINE_CHOICES
 from .observability import (
     JsonlSink,
     MetricsRegistry,
@@ -109,98 +117,108 @@ from .service.jobs import DEFAULT_CACHE_MAX_BYTES, DEFAULT_CACHE_MAX_ENTRIES
 from .simulation import validate_merge_result
 
 
+#: Request flags whose dests are explore-request keys as they stand.
+_REQUEST_KEYS = (
+    "fig1", "fig1_buses", "seed", "engine", "cycles", "neighbors",
+    "population", "stall", "pareto", "map_communications", "bus_policy",
+)
+_RANDOM_KEYS = ("nodes", "paths")
+_SIZING_KEYS = ("min_processors", "max_processors", "min_buses", "max_buses")
+
+
 def _add_request_arguments(parser: argparse.ArgumentParser) -> None:
     """The explore-request flags ``explore`` and ``submit`` share.
 
-    Their dests are the keys :func:`_request_from_arguments` reads, so both
-    commands build identical request documents.
+    They carry no defaults of their own: a flag the user did not give is
+    absent from the namespace, and :func:`_request_from_arguments` leaves it
+    to :func:`~repro.io.validate_explore_request` — the schema ``POST /jobs``
+    uses — to fill it in.
     """
-    parser.add_argument(
+    group = parser.add_argument_group(
+        "explore request",
+        "defaults, ranges and choices come from the request schema the "
+        "service's POST /jobs uses (see docs/cli.md)",
+        argument_default=argparse.SUPPRESS,
+    )
+    group.add_argument(
         "system",
         nargs="?",
-        default=None,
         help="optional JSON system description; omitted: a seeded random system",
     )
-    parser.add_argument("--nodes", type=int, default=40, help="random-system size")
-    parser.add_argument(
-        "--paths", type=int, default=8, help="random-system alternative paths"
+    group.add_argument("--nodes", type=int, help="random-system size")
+    group.add_argument(
+        "--paths", type=int, help="random-system alternative paths"
     )
-    parser.add_argument("--seed", type=int, default=0, help="search + system seed")
-    parser.add_argument(
+    group.add_argument("--seed", type=int, help="search + system seed")
+    group.add_argument(
         "--fig1",
         action="store_true",
         help="explore the paper's Fig. 1 example instead of a random system",
     )
-    parser.add_argument(
-        "--fig1-buses", type=int, default=1,
+    group.add_argument(
+        "--fig1-buses", type=int,
         help="with --fig1: number of shared buses of the platform (the "
         "paper's platform has 1; 2 makes communication mapping worthwhile)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--engine",
-        choices=["tabu", "anneal", "genetic", "both", "all"],
-        default="tabu",
+        choices=EXPLORE_ENGINE_CHOICES,
         help="search engine ('both' runs tabu then annealing, 'all' adds the "
         "genetic engine; engines share one evaluation cache)",
     )
-    parser.add_argument(
-        "--cycles", type=int, default=40,
+    group.add_argument(
+        "--cycles", type=int,
         help="cycle budget (generations for the genetic engine)",
     )
-    parser.add_argument(
-        "--neighbors", type=int, default=8, help="neighbours scored per cycle"
+    group.add_argument(
+        "--neighbors", type=int, help="neighbours scored per cycle"
     )
-    parser.add_argument(
-        "--population", type=int, default=16,
-        help="genetic-engine population size",
+    group.add_argument(
+        "--population", type=int, help="genetic-engine population size"
     )
-    parser.add_argument(
+    group.add_argument(
         "--pareto",
         action="store_true",
         help="track and report the non-dominated front over "
         "(delta_max, mean path delay, load imbalance, architecture cost)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--size-architecture",
         action="store_true",
         help="enable architecture sizing: the search may add/remove "
         "programmable processors and buses within the declared bounds",
     )
-    parser.add_argument(
+    group.add_argument(
         "--map-communications",
         action="store_true",
         help="explore communication-to-bus mapping: the search may pin "
         "individual messages to buses instead of accepting the derived "
         "assignment (adds remap_comm/swap_bus moves)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--bus-policy",
-        choices=["least_index", "least_loaded"],
-        default="least_index",
+        choices=BUS_POLICIES,
         help="derivation policy for messages without an explicit bus pin "
-        "(default: least_index, the lexicographically least connecting bus)",
+        "(least_index: the lexicographically least connecting bus)",
     )
-    parser.add_argument(
-        "--min-processors", type=int, default=1,
+    group.add_argument(
+        "--min-processors", type=int,
         help="sizing: lower bound on programmable processors",
     )
-    parser.add_argument(
-        "--max-processors", type=int, default=None,
+    group.add_argument(
+        "--max-processors", type=int,
         help="sizing: upper bound on programmable processors "
-        "(default: seed count + 2)",
+        "(omitted: seed count + 2)",
     )
-    parser.add_argument(
-        "--min-buses", type=int, default=1,
-        help="sizing: lower bound on buses",
+    group.add_argument(
+        "--min-buses", type=int, help="sizing: lower bound on buses"
     )
-    parser.add_argument(
-        "--max-buses", type=int, default=None,
-        help="sizing: upper bound on buses (default: seed count + 1)",
+    group.add_argument(
+        "--max-buses", type=int,
+        help="sizing: upper bound on buses (omitted: seed count + 1)",
     )
-    parser.add_argument(
-        "--stall",
-        type=int,
-        default=0,
+    group.add_argument(
+        "--stall", type=int,
         help="stop after N cycles without improvement (0: disabled)",
     )
 
@@ -466,110 +484,83 @@ def _command_sweep(
     return 0
 
 
-def _request_from_arguments(arguments, system=None) -> dict:
-    """The normalised explore-request document of one argparse namespace.
+def _request_from_arguments(arguments) -> dict:
+    """The validated explore request the given flags spell.
 
-    The same shape :func:`repro.io.validate_explore_request` produces for
-    service submissions, so ``explore``, ``submit`` and ``POST /jobs`` all
-    build their runs from identical ingredients.  ``system`` carries the
-    already-loaded description for the file-path case (the service embeds
-    the payload instead).
+    Only the flags the user gave go into the document, so
+    :func:`~repro.io.validate_explore_request` — the call ``POST /jobs``
+    makes — fills every default and checks every range and choice for
+    ``explore`` and ``submit`` alike.  A system file is read with
+    :func:`~repro.io.read_system_document` and goes inline, as the service
+    receives it; without a file or ``--fig1`` the source is a random system.
     """
-    sizing = None
-    if arguments.size_architecture:
-        sizing = {
-            "min_processors": arguments.min_processors,
-            "max_processors": arguments.max_processors,
-            "min_buses": arguments.min_buses,
-            "max_buses": arguments.max_buses,
-        }
-    request = {
-        "fig1": arguments.fig1,
-        "fig1_buses": arguments.fig1_buses,
-        "seed": arguments.seed,
-        "engine": arguments.engine,
-        "cycles": arguments.cycles,
-        "neighbors": arguments.neighbors,
-        "population": arguments.population,
-        "stall": arguments.stall,
-        "pareto": arguments.pareto,
-        "map_communications": arguments.map_communications,
-        "bus_policy": arguments.bus_policy,
-        "sizing": sizing,
-    }
-    # Exactly one problem source goes on the wire (the request schema
-    # rejects ambiguity); the random spec is the fallback source.
-    if system is not None:
-        request["system"] = system
-    elif not arguments.fig1:
-        request["random"] = {"nodes": arguments.nodes, "paths": arguments.paths}
-    return request
+    given = vars(arguments)
+    request = {key: given[key] for key in _REQUEST_KEYS if key in given}
+    if "system" in given:
+        request["system"] = read_system_document(given["system"])
+    elif not request.get("fig1"):
+        request["random"] = {key: given[key] for key in _RANDOM_KEYS if key in given}
+    if given.get("size_architecture"):
+        request["sizing"] = {key: given[key] for key in _SIZING_KEYS if key in given}
+    return validate_explore_request(request)
+
+
+class _UsageError(Exception):
+    """A flag value or combination the command rejects (one error line)."""
+
+
+def _checked(flags: str, build):
+    """``build()``; a ``ValueError`` from the owner of ``flags`` names them."""
+    try:
+        return build()
+    except ValueError as error:
+        raise _UsageError(f"{flags}: {error}") from None
 
 
 def _command_explore(arguments) -> int:
-    system = (
-        load_system(arguments.system) if arguments.system is not None else None
-    )
-    request = _request_from_arguments(arguments, system=system)
-    problem, origin = problem_and_origin(
-        request,
-        origin=arguments.system if arguments.system is not None else None,
-    )
+    request = _request_from_arguments(arguments)
+    engines = engines_for(request["engine"])
+    if arguments.checkpoint is not None and len(engines) > 1:
+        raise _UsageError(
+            "--checkpoint records the state of one engine; "
+            f"--engine {request['engine']} runs several (pick one engine)"
+        )
+    if arguments.resume and arguments.checkpoint is None:
+        raise _UsageError("--resume requires --checkpoint PATH")
+    if arguments.checkpoint is not None:
+        _checked("--checkpoint-every", lambda: Checkpointer(
+            arguments.checkpoint, every=arguments.checkpoint_every
+        ))
+    seed = request["seed"]
+    injector = _checked("--fault-*", lambda: FaultInjector(
+        seed=arguments.fault_seed if arguments.fault_seed is not None else seed,
+        crash_rate=arguments.fault_crash_rate,
+        hang_rate=arguments.fault_hang_rate,
+        exit_rate=arguments.fault_exit_rate,
+        hang_seconds=arguments.fault_hang_seconds,
+    ))
+    injector = injector if injector.armed else None
+    settings = {"max_attempts": arguments.retries, "timeout": arguments.eval_timeout}
+    given = {key: value for key, value in settings.items() if value is not None}
+    retry = None
+    if given:
+        retry = _checked("--retries/--eval-timeout", lambda: RetryPolicy(**given))
+    elif injector is not None:
+        # Faults without an explicit policy still need bounded retries.
+        retry = RetryPolicy()
+    path = vars(arguments).get("system")
+    problem, origin = problem_and_origin(request, origin=path)
     config = replace(
         config_from_request(request),
         checkpoint_every=arguments.checkpoint_every,
     )
-    engines = engines_for(arguments.engine)
-    if arguments.checkpoint is not None and len(engines) > 1:
-        print(
-            "error: --checkpoint records the state of one engine; "
-            f"--engine {arguments.engine} runs several (pick one engine)",
-            file=sys.stderr,
-        )
-        return 2
-    if arguments.resume and arguments.checkpoint is None:
-        print("error: --resume requires --checkpoint PATH", file=sys.stderr)
-        return 2
-
-    injector = None
-    if (
-        arguments.fault_crash_rate > 0
-        or arguments.fault_hang_rate > 0
-        or arguments.fault_exit_rate > 0
-    ):
-        injector = FaultInjector(
-            seed=(
-                arguments.fault_seed
-                if arguments.fault_seed is not None
-                else arguments.seed
-            ),
-            crash_rate=arguments.fault_crash_rate,
-            hang_rate=arguments.fault_hang_rate,
-            exit_rate=arguments.fault_exit_rate,
-            hang_seconds=arguments.fault_hang_seconds,
-        )
-    retry = None
-    if arguments.retries is not None or arguments.eval_timeout is not None:
-        retry = RetryPolicy(
-            max_attempts=(
-                arguments.retries if arguments.retries is not None else 3
-            ),
-            timeout=arguments.eval_timeout,
-        )
-    elif injector is not None:
-        # Faults without an explicit policy still need bounded retries.
-        retry = RetryPolicy()
 
     tracer = None
     if arguments.trace is not None:
-        tracer = Tracer(
-            JsonlSink(arguments.trace), run_id=f"explore-seed{arguments.seed}"
-        )
+        tracer = Tracer(JsonlSink(arguments.trace), run_id=f"explore-seed{seed}")
     metrics = MetricsRegistry() if arguments.metrics else None
-
-    pool = None
-    if arguments.workers > 1 or injector is not None or retry is not None:
-        pool = EvaluationPool(
+    try:
+        with _checked("--workers", lambda: EvaluationPool(
             problem,
             config.weights,
             workers=arguments.workers,
@@ -577,22 +568,19 @@ def _command_explore(arguments) -> int:
             fault_injector=injector,
             tracer=tracer,
             metrics=metrics,
-        )
-    try:
-        explorer = Explorer(
-            problem, config=config, pool=pool, tracer=tracer, metrics=metrics
-        )
-        results = [
-            explorer.explore(
-                engine,
-                checkpoint=arguments.checkpoint,
-                resume=arguments.resume,
+        )) as pool:
+            explorer = Explorer(
+                problem, config=config, pool=pool, tracer=tracer, metrics=metrics
             )
-            for engine in engines
-        ]
+            results = [
+                explorer.explore(
+                    engine,
+                    checkpoint=arguments.checkpoint,
+                    resume=arguments.resume,
+                )
+                for engine in engines
+            ]
     finally:
-        if pool is not None:
-            pool.close()
         if tracer is not None:
             tracer.close()
 
@@ -600,9 +588,9 @@ def _command_explore(arguments) -> int:
         print(json.dumps(
             explore_document(
                 origin,
-                arguments.seed,
+                seed,
                 results,
-                include_front=arguments.pareto,
+                include_front=request["pareto"],
                 problem=problem,
             ),
             indent=2,
@@ -613,7 +601,7 @@ def _command_explore(arguments) -> int:
     print(f"exploring {origin}")
     print(f"  processes {len(problem.movable_processes)}, "
           f"processors {len(problem.processor_names)}, "
-          f"workers {pool.workers if pool else 1}")
+          f"workers {pool.workers}")
     if arguments.checkpoint is not None:
         print(f"  checkpoint {arguments.checkpoint} "
               f"(every {config.checkpoint_every} cycle(s))")
@@ -671,7 +659,7 @@ def _command_explore(arguments) -> int:
                 if stage not in SUBSTAGES
             )
             if (
-                (pool is None or pool.mode == "serial")
+                pool.workers == 1
                 and result.stage_seconds
                 and result.wall_seconds is not None
             ):
@@ -691,7 +679,7 @@ def _command_explore(arguments) -> int:
             if stats.degraded:
                 line += " (degraded to in-process evaluation)"
             print(line)
-        if arguments.map_communications and result.best.feasible:
+        if request["map_communications"] and result.best.feasible:
             realised = problem.communications_for(result.best_candidate)
             per_bus = Counter(realised.values())
             distribution = ", ".join(
@@ -705,7 +693,7 @@ def _command_explore(arguments) -> int:
             print(format_trajectory(
                 f"  trajectory ({result.engine})", result.trajectory
             ))
-        if arguments.pareto and result.front is not None:
+        if request["pareto"] and result.front is not None:
             print(format_pareto_front(
                 f"  Pareto front ({result.engine}): {len(result.front)} "
                 "non-dominated trade-off points",
@@ -735,11 +723,7 @@ def _command_serve(arguments) -> int:
 
 def _command_submit(arguments) -> int:
     """Submit one job to a running service (the ``submit`` command)."""
-    system_payload = None
-    if arguments.system is not None:
-        with open(arguments.system) as handle:
-            system_payload = json.load(handle)
-    request = _request_from_arguments(arguments, system=system_payload)
+    request = _request_from_arguments(arguments)
     client = ServiceClient(arguments.url, timeout=arguments.timeout)
     try:
         submitted = client.submit(request)
@@ -788,15 +772,6 @@ def _dispatch(arguments) -> int:
         return _command_sweep(
             arguments.nodes, arguments.paths, arguments.graphs, arguments.json
         )
-    if arguments.command in ("explore", "submit") and (
-        arguments.fig1 and arguments.system is not None
-    ):
-        print(
-            "error: --fig1 and a system description file are mutually "
-            "exclusive; pass one problem source",
-            file=sys.stderr,
-        )
-        return 2
     if arguments.command == "explore":
         return _command_explore(arguments)
     if arguments.command == "trace-report":
@@ -812,13 +787,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-cpg`` console script.
 
     User-input problems — an unreadable or malformed system description, an
-    invalid model, a foreign checkpoint, workers that cannot start — are
-    reported as one actionable ``error:`` line on stderr with exit status 2
-    instead of a traceback.
+    invalid model, an explore request or flag its owner rejects, a foreign
+    checkpoint, workers that cannot start — are reported as one actionable
+    ``error:`` line on stderr with exit status 2 instead of a traceback.
     """
     arguments = _build_parser().parse_args(argv)
     try:
         return _dispatch(arguments)
+    except (RequestError, _UsageError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except FileNotFoundError as error:
         name = error.filename or error
         print(f"error: {name}: no such file", file=sys.stderr)

@@ -94,7 +94,7 @@ from .pareto import (
     dominates,
     non_dominated_sort,
 )
-from .pool import EvaluationPool, default_worker_count
+from .pool import EvaluationPool
 from .problem import ArchitectureBounds, ExplorationProblem
 from .resilience import (
     CHECKPOINT_VERSION,
@@ -152,7 +152,6 @@ __all__ = [
     "architecture_cost_of",
     "bus_imbalance_of",
     "crowding_distances",
-    "default_worker_count",
     "dominates",
     "evaluate_candidate",
     "evaluate_neighbourhood",

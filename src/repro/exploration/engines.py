@@ -17,18 +17,20 @@ Engine sketches
 Tabu search (cf. the post-optimiser layering of the TimeTableGenerator
 exemplar): each cycle scores one neighbourhood batch, moves to the best
 admissible neighbour — not on the tabu list, unless it beats the global best
-(aspiration) — and marks the chosen design point tabu for ``tabu_tenure``
-cycles.
+(aspiration) — and marks the chosen design point tabu for
+:data:`TABU_TENURE` cycles.
 
 Simulated annealing: each cycle scores a batch of proposals around the
 current point (batched so the pool parallelises them), then walks the batch
 in order, accepting improvements always and uphill moves with probability
-``exp(-delta / T)``; the temperature cools geometrically per proposal.
+``exp(-delta / T)``; the temperature starts at
+:data:`INITIAL_TEMPERATURE_SHARE` of the initial cost and cools by
+:data:`COOLING` per proposal.
 
 Stopping is pluggable: criteria are callables inspecting the running
 :class:`SearchState`; the first non-None reason ends the search.  The cycle
 budget itself is a criterion (:class:`MaxCycles`), as are stagnation
-(:class:`Stalled`) and cost targets (:class:`TargetCost`).
+(:class:`Stalled`) and cost targets (``Explorer(stopping=[TargetCost(x)])``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from collections import deque
 from .candidate import Candidate
 from .cost import CandidateEvaluation, CostWeights, StageStats, TabuSelection
 from .evaluator import CachedEvaluator, CacheStats
-from .moves import DEFAULT_PRIORITY_CHOICES, NeighborhoodSampler
+from .moves import NeighborhoodSampler
 from .pareto import ParetoFront
 from .pool import EvaluationPool
 from .problem import ExplorationProblem
@@ -65,14 +67,12 @@ from .resilience import (
 
 @dataclass(frozen=True)
 class ExplorationConfig:
-    """Shared knobs of all engines (engine-specific ones are prefixed)."""
+    """The settings of a search; each engine's fixed constants sit beside it."""
 
     seed: int = 0
     max_cycles: int = 40
     neighbors_per_cycle: int = 8
     stall_cycles: int = 0  # 0 disables the stagnation criterion
-    target_cost: Optional[float] = None
-    priority_choices: Tuple[str, ...] = DEFAULT_PRIORITY_CHOICES
     weights: CostWeights = field(default_factory=CostWeights)
     #: Track a Pareto front over every fresh evaluation of the explorer (the
     #: genetic engine tracks one regardless; this turns it on for tabu/SA).
@@ -81,16 +81,8 @@ class ExplorationConfig:
     #: checkpoint path (1 = every cycle; larger periods trade at-most-N lost
     #: cycles for less write overhead).
     checkpoint_every: int = 1
-    # tabu search
-    tabu_tenure: int = 12
-    # simulated annealing
-    initial_temperature: Optional[float] = None  # None: 5% of the initial cost
-    cooling: float = 0.97
-    # genetic engine (one cycle = one generation)
+    #: Genetic engine: individuals per generation (one cycle = one generation).
     population_size: int = 16
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_moves: int = 2
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ class ExplorationResult:
     stages: Optional[StageStats] = None
     #: Fault/retry counters of the evaluation pool (see
     #: :class:`~repro.exploration.ResilienceStats`); None for an unarmed
-    #: serial pool, the default.
+    #: one-worker pool, the default.
     resilience: Optional[ResilienceStats] = None
     #: The cycle this run was restored at when it resumed from a checkpoint
     #: (None for a run started from scratch).
@@ -431,6 +423,10 @@ class _SinglePointEngine(_EngineBase):
         return {"current": scored_to_json(*self._current)}
 
 
+#: Tabu search: cycles a chosen design point stays on the tabu list.
+TABU_TENURE = 12
+
+
 class TabuSearchEngine(_SinglePointEngine):
     """Best-admissible-neighbour descent with a fingerprint tabu list."""
 
@@ -438,16 +434,12 @@ class TabuSearchEngine(_SinglePointEngine):
 
     def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
         state = super()._start(initial, rng)
-        self._tabu = deque(
-            [initial.fingerprint], maxlen=max(1, self._config.tabu_tenure)
-        )
+        self._tabu = deque([initial.fingerprint], maxlen=TABU_TENURE)
         return state
 
     def _restore(self, engine_state: Dict[str, Any]) -> None:
         super()._restore(engine_state)
-        self._tabu = deque(
-            engine_state["tabu"], maxlen=max(1, self._config.tabu_tenure)
-        )
+        self._tabu = deque(engine_state["tabu"], maxlen=TABU_TENURE)
 
     def _engine_state(self) -> Dict[str, Any]:
         return {**super()._engine_state(), "tabu": list(self._tabu)}
@@ -497,6 +489,13 @@ class TabuSearchEngine(_SinglePointEngine):
         )
 
 
+#: Simulated annealing: the start temperature, as a share of the initial
+#: cost (of 1.0 when the start is infeasible).
+INITIAL_TEMPERATURE_SHARE = 0.05
+#: Simulated annealing: the factor the temperature cools by per proposal.
+COOLING = 0.97
+
+
 class SimulatedAnnealingEngine(_SinglePointEngine):
     """Metropolis acceptance over batched neighbour proposals."""
 
@@ -504,11 +503,10 @@ class SimulatedAnnealingEngine(_SinglePointEngine):
 
     def _start(self, initial: Candidate, rng: random.Random) -> SearchState:
         state = super()._start(initial, rng)
-        temperature = self._config.initial_temperature
-        if temperature is None:
-            cost = self._initial[1].cost
-            temperature = max(1e-9, 0.05 * (cost if math.isfinite(cost) else 1.0))
-        self._temperature = temperature
+        cost = self._initial[1].cost
+        self._temperature = max(
+            1e-9, INITIAL_TEMPERATURE_SHARE * (cost if math.isfinite(cost) else 1.0)
+        )
         return state
 
     def _restore(self, engine_state: Dict[str, Any]) -> None:
@@ -548,7 +546,7 @@ class SimulatedAnnealingEngine(_SinglePointEngine):
                     and rng.random() < math.exp(-delta / temperature)
                 )
             )
-            temperature *= self._config.cooling
+            temperature *= COOLING
             if not accept:
                 continue
             accepted += 1
@@ -605,9 +603,7 @@ class Explorer:
             tracer=tracer,
             metrics=metrics,
         )
-        self._sampler = NeighborhoodSampler(
-            problem, priority_choices=self._config.priority_choices
-        )
+        self._sampler = NeighborhoodSampler(problem)
         self._extra_stopping = list(stopping or ())
 
     @property
@@ -627,8 +623,6 @@ class Explorer:
         criteria: List[StoppingCriterion] = [MaxCycles(self._config.max_cycles)]
         if self._config.stall_cycles > 0:
             criteria.append(Stalled(self._config.stall_cycles))
-        if self._config.target_cost is not None:
-            criteria.append(TargetCost(self._config.target_cost))
         criteria.extend(self._extra_stopping)
         return criteria
 

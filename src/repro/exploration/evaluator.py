@@ -10,8 +10,8 @@ expansion, per-path scheduling or schedule merging.
 Batches are deduplicated *before* they reach the evaluation pool: within
 one neighbourhood batch, duplicated candidates are evaluated once; across
 batches, the cache answers directly.  Every *fresh batch* (the misses of one
-engine step) goes to the evaluator's :class:`EvaluationPool` — a serial one
-over its own stage cache unless a pool is given.
+engine step) goes to the evaluator's :class:`EvaluationPool` — a one-worker
+pool over its own stage cache unless a pool is given.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class CachedEvaluator:
         weights must equal ``weights`` (checked at construction — worker
         processes score with the pool's weights, so a mismatch would silently
         optimise the wrong objective).  Without one, the evaluator builds a
-        serial pool over ``stage_cache``, ``tracer`` and ``metrics``.
+        one-worker pool over ``stage_cache``, ``tracer`` and ``metrics``.
     front:
         Optional :class:`~repro.exploration.ParetoFront`.  When given, every
         *fresh* feasible evaluation is offered to the front, so the front ends
@@ -75,7 +75,7 @@ class CachedEvaluator:
         (cache hits were already offered when they were first computed).
     stage_cache:
         The :class:`~repro.exploration.StageCache` that makes whole-candidate
-        cache misses *incremental*, for the serial pool the evaluator builds.
+        cache misses *incremental*, for the one-worker pool the evaluator builds.
         None (the default) creates a private one; pass an instance to share
         it across evaluators of the *same problem*.  A given ``pool`` scores
         misses on its own stage caches, so passing both is an error.
@@ -106,8 +106,6 @@ class CachedEvaluator:
             pool = EvaluationPool(
                 problem,
                 weights,
-                workers=1,
-                mode="serial",
                 stage_cache=stage_cache,
                 tracer=tracer,
                 metrics=metrics,
@@ -165,7 +163,7 @@ class CachedEvaluator:
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
-        """The pool's in-process stage cache (None in process mode)."""
+        """The pool's in-process stage cache (None on a process pool)."""
         return self._pool.stage_cache
 
     @property
@@ -175,7 +173,7 @@ class CachedEvaluator:
 
     @property
     def resilience_stats(self):
-        """The pool's fault/retry counters (None for an unarmed serial pool).
+        """The pool's fault/retry counters (None for an unarmed one-worker pool).
 
         (Typed loosely to avoid importing the resilience module here; the
         value is a :class:`repro.exploration.ResilienceStats`.)
@@ -186,7 +184,7 @@ class CachedEvaluator:
     def stage_stats(self) -> Optional[StageStats]:
         """Stage-level hit/miss counters of the pool's stage caches.
 
-        None in process mode, where the caches live in the workers and are
+        None on a process pool, where the caches live in the workers and are
         not aggregated (see :meth:`EvaluationPool.stage_stats`).
         """
         return self._pool.stage_stats

@@ -20,10 +20,11 @@ Generation sketch (NSGA-II selection, the repository's moves as mutation):
 
 1. score the current population (batch evaluation, cache-deduplicated);
 2. rank it by non-dominated front and crowding distance;
-3. breed ``population_size`` children: binary tournaments pick parents,
-   uniform mapping crossover mixes their assignments (the platform and its
-   validity come from one *donor* parent), and one to ``mutation_moves``
-   neighbourhood moves mutate the child;
+3. breed ``population_size`` children: :data:`TOURNAMENT_SIZE`-way
+   tournaments pick parents, uniform mapping crossover mixes their
+   assignments with probability :data:`CROSSOVER_RATE` (the platform and its
+   validity come from one *donor* parent), and one to
+   :data:`MUTATION_MOVES` neighbourhood moves mutate the child;
 4. score the children, pool parents + children, and keep the best
    ``population_size`` by (front rank, crowding distance) — elitism falls out
    of pooling, diversity out of the crowding tie-break.
@@ -49,6 +50,14 @@ from .resilience import (
     evaluation_to_json,
 )
 
+#: Contenders per parent-selection tournament.
+TOURNAMENT_SIZE = 3
+#: Probability that two parents are crossed (else the tournament winner is
+#: copied).
+CROSSOVER_RATE = 0.9
+#: Most neighbourhood moves one mutation applies (it applies at least one).
+MUTATION_MOVES = 2
+
 
 class GeneticEngine(_EngineBase):
     """Population search with NSGA-II selection and Pareto-front reporting."""
@@ -66,8 +75,8 @@ class GeneticEngine(_EngineBase):
     # -- population helpers --------------------------------------------------
 
     def _mutate(self, candidate: Candidate, rng: random.Random) -> Candidate:
-        """Apply 1..``mutation_moves`` sampled neighbourhood moves."""
-        moves = rng.randint(1, max(1, self._config.mutation_moves))
+        """Apply 1..:data:`MUTATION_MOVES` sampled neighbourhood moves."""
+        moves = rng.randint(1, MUTATION_MOVES)
         for _ in range(moves):
             neighbors = self._sampler.sample(candidate, rng, 1)
             if not neighbors:
@@ -179,8 +188,8 @@ class GeneticEngine(_EngineBase):
         crowding: Sequence[float],
         rng: random.Random,
     ) -> int:
-        """Binary/k-way tournament on (rank, crowding, scalar cost)."""
-        size = min(max(2, self._config.tournament_size), len(population))
+        """A k-way tournament on (rank, crowding, scalar cost)."""
+        size = min(TOURNAMENT_SIZE, len(population))
         contenders = rng.sample(range(len(population)), size)
         return min(
             contenders,
@@ -277,7 +286,7 @@ class GeneticEngine(_EngineBase):
             second = self._tournament(
                 population, evaluations, ranks, crowding, rng
             )
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 child = self._crossover(
                     population[first], population[second], rng
                 )

@@ -50,11 +50,19 @@ from typing import List, Optional, Sequence, Tuple
 from .candidate import Candidate
 from .problem import ExplorationProblem
 
-DEFAULT_PRIORITY_CHOICES: Tuple[str, ...] = (
+#: The registered priority functions a ``priority`` move switches between.
+PRIORITY_CHOICES: Tuple[str, ...] = (
     "critical_path",
     "upward_rank",
     "static_order",
 )
+
+#: The additive dispatch-priority steps a ``bias`` move draws from.
+BIAS_STEPS: Tuple[float, ...] = (-4.0, -1.0, 1.0, 4.0)
+
+#: Draws :meth:`NeighborhoodSampler.sample` may spend per requested
+#: neighbour before it returns a short batch.
+ATTEMPTS_PER_NEIGHBOR = 8
 
 #: Relative draw frequency of the move kinds (mapping moves dominate: they
 #: change the communication structure, which is where the big wins are).
@@ -164,17 +172,10 @@ class Move:
 class NeighborhoodSampler:
     """Draws batches of distinct neighbour candidates around a design point."""
 
-    def __init__(
-        self,
-        problem: ExplorationProblem,
-        priority_choices: Sequence[str] = DEFAULT_PRIORITY_CHOICES,
-        bias_steps: Sequence[float] = (-4.0, -1.0, 1.0, 4.0),
-    ) -> None:
+    def __init__(self, problem: ExplorationProblem) -> None:
         if len(problem.processor_names) < 1:
             raise ValueError("the problem has no processors to map onto")
         self._problem = problem
-        self._priority_choices = tuple(priority_choices)
-        self._bias_steps = tuple(bias_steps)
         weights = list(_MOVE_WEIGHTS)
         if problem.map_communications:
             weights.extend(_COMM_WEIGHTS)
@@ -306,16 +307,16 @@ class NeighborhoodSampler:
             if candidate.pe_of(first) != candidate.pe_of(second):
                 return Move("swap", (first, second))
             return None
-        if kind == "priority" and len(self._priority_choices) > 1:
+        if kind == "priority":
             others = [
                 name
-                for name in self._priority_choices
+                for name in PRIORITY_CHOICES
                 if name != candidate.priority_function
             ]
             return Move("priority", (rng.choice(others),))
         if kind == "bias":
             process = rng.choice(processes)
-            return Move("bias", (process, rng.choice(self._bias_steps)))
+            return Move("bias", (process, rng.choice(BIAS_STEPS)))
         if kind == "remap_comm":
             return self._draw_remap_comm(candidate, rng)
         if kind == "swap_bus":
@@ -332,19 +333,19 @@ class NeighborhoodSampler:
         candidate: Candidate,
         rng: random.Random,
         count: int,
-        attempts_per_neighbor: int = 8,
     ) -> List[Tuple[Move, Candidate]]:
         """Draw up to ``count`` neighbours with pairwise-distinct fingerprints.
 
         Draws that produce no-ops (swapping two processes already co-located,
         remapping on a single-processor architecture, sizing a platform
-        already at its bounds) or duplicate an earlier neighbour are retried a
-        bounded number of times, so degenerate design spaces yield short
-        batches instead of looping forever.
+        already at its bounds) or duplicate an earlier neighbour are retried
+        up to :data:`ATTEMPTS_PER_NEIGHBOR` times per neighbour in total, so
+        degenerate design spaces yield short batches instead of looping
+        forever.
         """
         neighbors: List[Tuple[Move, Candidate]] = []
         seen = {candidate.fingerprint}
-        budget = count * attempts_per_neighbor
+        budget = count * ATTEMPTS_PER_NEIGHBOR
         while len(neighbors) < count and budget > 0:
             budget -= 1
             move = self._draw(candidate, rng)

@@ -13,23 +13,21 @@ it knows exactly how many bytes cross the boundary:
 :attr:`EvaluationPool.payload_bytes_shipped` is a cumulative counter feeding
 the ``repro-cpg explore --json`` batch-stats block.
 
-Modes
+Shape
 -----
-``process``
-    One ``ProcessPoolExecutor`` worker per core (default on multi-core
-    hosts).  Chunked submission amortises IPC per batch.
-``serial``
-    In-process evaluation (default on single-core hosts; also the fallback
-    when a batch is smaller than two candidates).
+``workers`` is the pool's one shape setting.  One worker (the default)
+scores in-process; more score on that many ``ProcessPoolExecutor`` worker
+processes, with chunked submission amortising IPC per batch.
 
-Every in-process route — serial mode, single-candidate batches and a
-degraded pool — scores through one
+Every in-process route — one worker, a one-candidate batch on a process
+pool and a degraded pool — scores through one
 :func:`~repro.exploration.evaluate_neighbourhood` call over the in-process
-stage cache.  An unarmed serial pool hands it the batch's selection (tabu
-search's choice rule), so it may skip merges; every other route ignores the
-selection and returns full evaluations, which is always correct.  An armed
-serial pool scores one candidate at a time, each attempt through the fault
-injector first, retried under the pooled path's bookkeeping.
+stage cache.  An unarmed one-worker pool hands it the batch's selection
+(tabu search's choice rule), so it may skip merges; every other route
+ignores the selection and returns full evaluations, which is always
+correct.  An armed one-worker pool scores one candidate at a time, each
+attempt through the fault injector first, retried under the pooled path's
+bookkeeping.
 
 Resilience
 ----------
@@ -48,7 +46,6 @@ come back in submission order with bit-identical evaluations, faults or not.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from concurrent.futures import (
@@ -77,6 +74,10 @@ from .resilience import (
     WorkerInitializationError,
     quarantined_evaluation,
 )
+
+#: Seconds a fresh process pool may take before its first worker answers a
+#: liveness probe; past it, start-up fails with WorkerInitializationError.
+WORKER_STARTUP_TIMEOUT = 60.0
 
 # Worker-process globals, set once per worker by _initialise_worker.
 _WORKER_PROBLEM: Optional[ExplorationProblem] = None
@@ -138,7 +139,7 @@ def _evaluate_unit_in_worker(
 
 
 def _evaluate_unit_blob(blob: bytes) -> List[CandidateEvaluation]:
-    """Score a unit shipped as a pre-pickled blob (process mode).
+    """Score a unit shipped as a pre-pickled blob (process workers).
 
     The coordinator pickles the unit itself (so the exact byte count is
     known and accounted) and ships the blob; ``concurrent.futures`` then
@@ -146,11 +147,6 @@ def _evaluate_unit_blob(blob: bytes) -> List[CandidateEvaluation]:
     candidate structures.
     """
     return _evaluate_unit_in_worker(pickle.loads(blob))
-
-
-def default_worker_count() -> int:
-    """Worker count used when none is requested: one per available core."""
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass
@@ -178,17 +174,19 @@ class _ResilienceCounters:
 class EvaluationPool:
     """Batched scoring of candidates, optionally across worker processes.
 
-    The pool is lazy: no executor exists until the first batch that can use
-    one, and ``close()`` (or use as a context manager) tears it down.  Results
-    are always returned in submission order, so search engines stay
-    deterministic regardless of worker scheduling.
+    ``workers`` sets the shape: 1 scores in-process, more score on that many
+    worker processes (below 1 raises ``ValueError``).  The pool is lazy: no
+    executor exists until the first batch that can use one, and ``close()``
+    (or use as a context manager) tears it down.  Results are always
+    returned in submission order, so search engines stay deterministic
+    regardless of worker scheduling.
 
     ``retry`` and ``fault_injector`` arm the resilience layer (see the module
-    docstring).  Process-mode execution always detects broken executors and
+    docstring).  A process pool always detects broken executors and
     respawns them; an explicit retry policy additionally bounds
     per-unit evaluation time, and a fault injector exercises the whole
-    machinery deterministically.  Unarmed, serial mode scores each batch in
-    one in-process call and has no resilience layer at all
+    machinery deterministically.  Unarmed, a one-worker pool scores each
+    batch in one in-process call and has no resilience layer at all
     (:attr:`resilience_stats` is None).
     """
 
@@ -196,40 +194,35 @@ class EvaluationPool:
         self,
         problem: ExplorationProblem,
         weights: CostWeights = CostWeights(),
-        workers: Optional[int] = None,
-        mode: str = "auto",
+        workers: int = 1,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
         tracer=None,
         metrics=None,
         stage_cache: Optional[StageCache] = None,
     ) -> None:
-        if mode not in ("auto", "serial", "process"):
-            raise ValueError(
-                f"unknown pool mode {mode!r}; choose auto, serial or process"
-            )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self._problem = problem
         self._weights = weights
-        self._workers = workers if workers is not None else default_worker_count()
-        if mode == "auto":
-            mode = "process" if self._workers > 1 else "serial"
-        self._mode = mode
+        self._workers = workers
+        self._in_process = workers == 1
         self._executor: Optional[ProcessPoolExecutor] = None
-        # Incremental evaluation (cost.StageCache).  Serial mode scores
-        # through this in-process cache; process mode gives each worker its
-        # own cache instead — and keeps no in-process cache until the pool
-        # degrades to in-process evaluation, so ``stage_stats`` never hides
-        # real caching activity.  An *injected* cache (repro-cpg serve's
-        # shared cross-request cache, possibly bounded) replaces the
-        # pool-private one.  Process mode cannot honour it — worker caches
+        # Incremental evaluation (cost.StageCache).  One worker scores
+        # through this in-process cache; process workers each keep their
+        # own cache instead — and the pool keeps no in-process cache until
+        # it degrades to in-process evaluation, so ``stage_stats`` never
+        # hides real caching activity.  An *injected* cache (repro-cpg
+        # serve's shared cross-request cache, possibly bounded) replaces the
+        # pool-private one.  Process workers cannot honour it — their caches
         # live in other processes — so the mismatch is an error rather than
         # a silent private cache.
-        if stage_cache is not None and self._mode == "process":
+        if stage_cache is not None and not self._in_process:
             raise ValueError(
-                "an injected stage_cache requires serial mode; "
+                "an injected stage_cache requires one worker; "
                 "process workers keep per-process caches"
             )
-        if stage_cache is None and self._mode == "serial":
+        if stage_cache is None and self._in_process:
             stage_cache = StageCache()
         self._stage_cache: Optional[StageCache] = stage_cache
         self._armed = retry is not None or fault_injector is not None
@@ -245,14 +238,10 @@ class EvaluationPool:
         self._degraded = False
         self._payload: Optional[Dict[str, Any]] = None
         self._payload_validated = False
-        # Pickled-once problem payload (process mode): every worker spawn
+        # Pickled-once problem payload (process workers): every spawn
         # reuses this blob instead of re-serialising the nested payload dict.
         self._payload_blob: Optional[bytes] = None
         self._payload_bytes_shipped = 0
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     @property
     def weights(self) -> CostWeights:
@@ -261,10 +250,6 @@ class EvaluationPool:
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def retry(self) -> RetryPolicy:
-        return self._retry
 
     @property
     def degraded(self) -> bool:
@@ -277,7 +262,7 @@ class EvaluationPool:
 
         Counts the pickled-once problem blob (once per worker, again after a
         restart respawns the pool) plus every pre-pickled candidate unit.
-        Serial mode ships nothing, so the counter stays 0 — the
+        One worker ships nothing, so the counter stays 0 — the
         batch-stats block in ``explore --json`` reports payload traffic only
         where it actually exists.
         """
@@ -287,10 +272,10 @@ class EvaluationPool:
     def resilience_stats(self) -> Optional[ResilienceStats]:
         """Fault/retry counters accumulated over the pool's lifetime.
 
-        None for an unarmed serial pool, which has no resilience layer:
+        None for an unarmed one-worker pool, which has no resilience layer:
         nothing it runs is ever retried, injected, timed out or respawned.
         """
-        if self._mode == "serial" and not self._armed:
+        if self._in_process and not self._armed:
             return None
         return self._counters.snapshot()
 
@@ -303,17 +288,17 @@ class EvaluationPool:
 
     @property
     def stage_cache(self) -> Optional[StageCache]:
-        """The in-process stage cache; None in process mode until a degrade."""
+        """The in-process stage cache; None on a process pool until a degrade."""
         return self._stage_cache
 
     @property
     def stage_stats(self) -> Optional[StageStats]:
         """Stage-cache counters of the in-process cache, when one exists.
 
-        Serial mode reports its cache.  Process mode
-        returns None until the pool degrades to in-process evaluation: each
-        worker owns a private cache in its own process and the counters are
-        deliberately not shipped back per batch.
+        One worker reports its cache.  A process pool returns None until it
+        degrades to in-process evaluation: each worker owns a private cache
+        in its own process and the counters are deliberately not shipped
+        back per batch.
         """
         if self._stage_cache is None:
             return None
@@ -364,7 +349,7 @@ class EvaluationPool:
                 self._metrics.count("pool.payload_bytes", len(blob) * self._workers)
             probe = executor.submit(_worker_probe)
             try:
-                probe.result(timeout=self._retry.startup_timeout)
+                probe.result(timeout=WORKER_STARTUP_TIMEOUT)
             except BrokenExecutor as error:
                 executor.shutdown(wait=False, cancel_futures=True)
                 raise WorkerInitializationError(
@@ -376,7 +361,7 @@ class EvaluationPool:
                 executor.shutdown(wait=False, cancel_futures=True)
                 raise WorkerInitializationError(
                     f"worker initialisation for problem {self._problem.name!r} "
-                    f"timed out after {self._retry.startup_timeout:g}s"
+                    f"timed out after {WORKER_STARTUP_TIMEOUT:g}s"
                 ) from error
             self._executor = executor
         return self._executor
@@ -387,15 +372,13 @@ class EvaluationPool:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
         self._counters.worker_restarts += 1
-        self._resilience(
-            "resilience.worker_restart", "pool.worker_restarts", mode=self._mode
-        )
+        self._resilience("resilience.worker_restart", "pool.worker_restarts")
 
     def _degrade(self) -> None:
         """Give up on pooled execution; evaluate in-process from now on."""
         self._degraded = True
         self._counters.degraded = True
-        self._resilience("resilience.degrade", "pool.degraded", mode=self._mode)
+        self._resilience("resilience.degrade", "pool.degraded")
         self._stage_cache = StageCache()
 
     def close(self) -> None:
@@ -418,22 +401,22 @@ class EvaluationPool:
     ) -> List[Optional[CandidateEvaluation]]:
         """Score a batch, in submission order.
 
-        ``select`` lets an unarmed serial pool skip merges (None marks a
+        ``select`` lets an unarmed one-worker pool skip merges (None marks a
         skipped candidate, see :func:`evaluate_neighbourhood`); every other
         route ignores it.
         """
         candidates = list(candidates)
-        if self._mode == "serial" and self._armed:
+        if self._in_process and self._armed:
             return self._evaluate_armed_in_process(candidates)
         if (
             self._degraded
-            or self._mode == "serial"
+            or self._in_process
             or (len(candidates) < 2 and not self._armed)
         ):
             # Trusted in-process evaluation.  A degraded pool's workers are
             # gone for good, and the injector simulates *worker* faults.
             return self._evaluate_in_process(
-                candidates, select if self._mode == "serial" else None
+                candidates, select if self._in_process else None
             )
         return self._evaluate_pooled(candidates)
 
@@ -456,7 +439,7 @@ class EvaluationPool:
     def _evaluate_armed_in_process(
         self, candidates: List[Candidate]
     ) -> List[CandidateEvaluation]:
-        """Armed serial evaluation: every candidate is a singleton unit.
+        """Armed one-worker evaluation: every candidate is a singleton unit.
 
         Each attempt passes the fault injector first; an injected fault of
         any kind raises here (see :meth:`FaultInjector.inject`), since the
@@ -486,7 +469,7 @@ class EvaluationPool:
     def _evaluate_pooled(
         self, candidates: List[Candidate]
     ) -> List[CandidateEvaluation]:
-        """The resilient unit-based submission path (process mode).
+        """The resilient unit-based submission path (process workers).
 
         Candidates are grouped into *units* (index tuples).  Each round
         submits every outstanding unit, harvests results, and classifies

@@ -180,7 +180,6 @@ class RetryPolicy:
     backoff_max: float = 2.0
     jitter: float = 0.25
     max_pool_restarts: int = 5
-    startup_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -454,15 +453,18 @@ def snapshot_document(
 class Checkpointer:
     """Atomic, periodic checkpoint writer.
 
-    ``every`` is the cycle period; engines call :meth:`due` once per cycle
-    and :meth:`save` with the full snapshot document.  Writes go to a
-    temporary sibling first and are moved into place with ``os.replace``, so
-    a crash mid-write never corrupts the previous checkpoint.
+    ``every`` is the cycle period (below 1 raises ``ValueError``); engines
+    call :meth:`due` once per cycle and :meth:`save` with the full snapshot
+    document.  Writes go to a temporary sibling first and are moved into
+    place with ``os.replace``, so a crash mid-write never corrupts the
+    previous checkpoint.
     """
 
     def __init__(self, path: Union[str, Path], every: int = 1) -> None:
+        if every < 1:
+            raise ValueError(f"checkpoint period must be >= 1 cycle, got {every}")
         self.path = Path(path)
-        self.every = max(1, int(every))
+        self.every = every
         self.saves = 0
 
     def due(self, cycle: int) -> bool:

@@ -25,6 +25,9 @@ from ..graph import (
 )
 from .structure import StructurePlan, distribute_sizes, plan_for_paths
 
+#: The smallest graph the generator builds; explore requests check against it.
+MIN_GENERATED_PROCESSES = 3
+
 
 @dataclass
 class GeneratorConfig:
@@ -46,8 +49,10 @@ class GeneratorConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.nodes < 3:
-            raise ValueError("a generated graph needs at least 3 processes")
+        if self.nodes < MIN_GENERATED_PROCESSES:
+            raise ValueError(
+                f"a generated graph needs at least {MIN_GENERATED_PROCESSES} processes"
+            )
         if self.alternative_paths < 1:
             raise ValueError("the number of alternative paths must be positive")
         if self.execution_time_distribution not in ("uniform", "exponential"):

@@ -174,12 +174,12 @@ def crossing_edges(
 def expansion_structure(
     graph: ConditionalProcessGraph,
     crossing: Tuple[Tuple[str, str], ...],
-    name_format: str = "{src}_to_{dst}",
 ) -> ExpansionStructure:
     """Insert communication processes for the given crossing edges.
 
     The mapping-independent half of :func:`expand_communications`: builds the
-    expanded graph and records the inserted communications, leaving the bus
+    expanded graph and records the inserted communications (the one on edge
+    ``src -> dst`` is named ``"{src}_to_{dst}"``), leaving the bus
     choice (and hence the extended mapping) to :func:`assign_buses`.  The
     expanded graph inherits its guards from ``graph``
     (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`):
@@ -195,7 +195,7 @@ def expansion_structure(
         if (edge.src, edge.dst) not in crossing_set:
             expanded.add_edge(edge)
             continue
-        comm_name = name_format.format(src=edge.src, dst=edge.dst)
+        comm_name = f"{edge.src}_to_{edge.dst}"
         if comm_name in expanded:
             raise GraphStructureError(
                 f"communication process name collision: {comm_name!r}"
@@ -332,7 +332,6 @@ def expand_communications(
     graph: ConditionalProcessGraph,
     mapping: Mapping,
     architecture: Optional[Architecture] = None,
-    name_format: str = "{src}_to_{dst}",
     bus_assignment: Optional[TMapping[MessageKey, BusLike]] = None,
     bus_policy: str = "least_index",
 ) -> ExpandedGraph:
@@ -347,9 +346,6 @@ def expand_communications(
         Mapping of every ordinary process to a processor.
     architecture:
         Defaults to ``mapping.architecture``.
-    name_format:
-        Format string for communication process names, receiving ``src`` and
-        ``dst`` keyword arguments.
     bus_assignment:
         Optional explicit bus choice per message, keyed by stable message id
         (``"src->dst"``) or by the raw ``(src, dst)`` pair; values may be
@@ -373,9 +369,7 @@ def expand_communications(
     for process in graph.processes:
         if process.is_ordinary and process.name not in mapping:
             raise MappingError(f"ordinary process {process.name!r} is not mapped")
-    structure = expansion_structure(
-        graph, crossing_edges(graph, mapping), name_format
-    )
+    structure = expansion_structure(graph, crossing_edges(graph, mapping))
     return assign_buses(
         structure,
         mapping,

@@ -1,11 +1,13 @@
 """Persistence of system descriptions (graph + architecture + mapping) as JSON."""
 
 from .serialization import (
+    RequestError,
     SerializationError,
     SystemDescription,
     architecture_from_dict,
     architecture_to_dict,
     load_system,
+    read_system_document,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -15,11 +17,13 @@ from .serialization import (
 )
 
 __all__ = [
+    "RequestError",
     "SerializationError",
     "SystemDescription",
     "architecture_from_dict",
     "architecture_to_dict",
     "load_system",
+    "read_system_document",
     "save_system",
     "system_from_dict",
     "system_to_dict",

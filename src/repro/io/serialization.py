@@ -30,7 +30,9 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..architecture import Architecture, Mapping, PEKind, ProcessingElement
 from ..conditions import Condition, Literal
+from ..generator.random_cpg import MIN_GENERATED_PROCESSES
 from ..graph import (
+    BUS_POLICIES,
     CPGBuilder,
     ConditionalProcessGraph,
     ExpandedGraph,
@@ -40,6 +42,14 @@ from ..graph import (
 
 class SerializationError(ValueError):
     """Raised when a system description document is malformed."""
+
+
+class RequestError(SerializationError):
+    """An explore request breaks its schema: a setting, not its system.
+
+    The system description a request carries raises a plain
+    :class:`SerializationError`, so a front-end can label the two apart.
+    """
 
 
 @dataclass
@@ -358,13 +368,17 @@ def system_from_dict(document: Dict[str, Any]) -> SystemDescription:
     return SystemDescription(name, graph, architecture, mapping)
 
 
-def load_system(path: Union[str, Path]) -> SystemDescription:
-    """Read a system description from a JSON file."""
+def read_system_document(path: Union[str, Path]) -> Any:
+    """The JSON document of a system description file, not yet checked."""
     try:
-        document = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
         raise SerializationError(f"{path} is not valid JSON: {error}") from error
-    return system_from_dict(document)
+
+
+def load_system(path: Union[str, Path]) -> SystemDescription:
+    """Read a system description from a JSON file."""
+    return system_from_dict(read_system_document(path))
 
 
 # -- service request schemas -------------------------------------------------
@@ -374,10 +388,9 @@ def load_system(path: Union[str, Path]) -> SystemDescription:
 # :class:`SerializationError` naming the offending entry, so the service can
 # answer 400 with an actionable message instead of a traceback.  Validators
 # return a *normalised* copy with every default filled in — the job runner
-# and the CLI client never re-derive defaults independently.
+# and the command line never re-derive defaults independently.
 
 EXPLORE_ENGINE_CHOICES = ("tabu", "anneal", "genetic", "both", "all")
-BUS_POLICY_CHOICES = ("least_index", "least_loaded")
 
 
 def _request_bool(entry: Dict[str, Any], key: str, default: bool, what: str) -> bool:
@@ -430,10 +443,26 @@ def validate_explore_request(document: Any) -> Dict[str, Any]:
     or ``"random": {"nodes": N, "paths": P}`` — plus search settings
     (``seed``, ``engine``, ``cycles``, ``neighbors``, ``population``,
     ``stall``, ``pareto``, ``map_communications``, ``bus_policy`` and an
-    optional ``sizing`` bounds object).  Every default matches the CLI's, so
-    a served job and a one-shot run of the same request produce identical
-    result documents.
+    optional ``sizing`` bounds object).  This function owns the request's
+    defaults, ranges and choices: ``explore`` and ``submit`` pass the flags
+    they were given through it, as ``POST /jobs`` passes its body, so a
+    served job and a one-shot run of the same request produce identical
+    result documents.  A bad setting raises :class:`RequestError`; a bad
+    inline system raises :class:`SerializationError` naming its entry.
     """
+    try:
+        request = _explore_settings(document)
+    except SerializationError as error:
+        raise RequestError(str(error)) from None
+    if request["system"] is not None:
+        # Build it once now so a malformed system names its offender at
+        # submission time, not inside the job.
+        system_from_dict(request["system"])
+    return request
+
+
+def _explore_settings(document: Any) -> Dict[str, Any]:
+    """The normalised request; the inline system is passed through unchecked."""
     document = _entry_dict(document, "explore request")
     what = "explore request"
     allowed = (
@@ -445,23 +474,27 @@ def validate_explore_request(document: Any) -> Dict[str, Any]:
     fig1 = _request_bool(document, "fig1", False, what)
     system = document.get("system")
     random_spec = document.get("random")
-    sources = sum(1 for chosen in (fig1, system is not None, random_spec is not None) if chosen)
-    if sources != 1:
+    sources = [key for key, chosen in (
+        ("fig1", fig1), ("system", system is not None), ("random", random_spec is not None)
+    ) if chosen]
+    if len(sources) > 1:
+        raise SerializationError(
+            f"explore request fields {' and '.join(map(repr, sources))} are "
+            "mutually exclusive; pass one problem source"
+        )
+    if not sources:
         raise SerializationError(
             "explore request needs exactly one problem source: "
             "'fig1': true, an inline 'system' description, or 'random'"
         )
-    if system is not None:
-        # Build it once now so a malformed system names its offender at
-        # submission time, not inside the job.
-        system_from_dict(system)
     random_normalised = None
     if random_spec is not None:
         random_spec = _entry_dict(random_spec, "explore request 'random'")
         _reject_unknown_keys(random_spec, ("nodes", "paths"), "explore request 'random'")
         random_normalised = {
             "nodes": _request_int(
-                random_spec, "nodes", 40, "explore request 'random'", minimum=2
+                random_spec, "nodes", 40, "explore request 'random'",
+                minimum=MIN_GENERATED_PROCESSES,
             ),
             "paths": _request_int(
                 random_spec, "paths", 8, "explore request 'random'", minimum=1
@@ -474,10 +507,10 @@ def validate_explore_request(document: Any) -> Dict[str, Any]:
             f"{', '.join(EXPLORE_ENGINE_CHOICES)}, got {engine!r}"
         )
     bus_policy = document.get("bus_policy", "least_index")
-    if bus_policy not in BUS_POLICY_CHOICES:
+    if bus_policy not in BUS_POLICIES:
         raise SerializationError(
             f"explore request field 'bus_policy' must be one of "
-            f"{', '.join(BUS_POLICY_CHOICES)}, got {bus_policy!r}"
+            f"{', '.join(BUS_POLICIES)}, got {bus_policy!r}"
         )
     sizing = None
     if document.get("sizing") is not None:

@@ -41,7 +41,7 @@ from ..conditions import Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath
 from .priorities import PriorityFunction, critical_path_priorities
-from .schedule import PathSchedule, ScheduledTask
+from .schedule import ZERO_LENGTH, PathSchedule, ScheduledTask
 
 _EPSILON = 1e-9
 _INFINITY = float("inf")
@@ -68,7 +68,7 @@ class _ResourceTimeline:
         self._max_length = 0.0
 
     def reserve(self, start: float, end: float) -> None:
-        if end - start <= _EPSILON:
+        if end - start <= ZERO_LENGTH:
             return
         insort(self._intervals, (start, end))
         if end - start > self._max_length:
@@ -76,7 +76,7 @@ class _ResourceTimeline:
 
     def earliest_slot(self, ready: float, duration: float) -> float:
         """Earliest start >= ready such that [start, start+duration) is free."""
-        if duration <= _EPSILON:
+        if duration <= ZERO_LENGTH:
             return ready
         intervals = self._intervals
         start = ready

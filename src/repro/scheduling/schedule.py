@@ -16,6 +16,11 @@ from ..architecture.processing_element import ProcessingElement
 from ..conditions import Condition
 from ..graph.paths import AlternativePath
 
+#: An activity occupies its sequential processing element over
+#: ``[start, end)``, so one no longer than this occupies nothing: the list
+#: scheduler reserves no interval for it, and no resource check counts it.
+ZERO_LENGTH = 1e-9
+
 
 @dataclass(frozen=True)
 class ScheduledTask:
@@ -175,10 +180,15 @@ class PathSchedule:
     # -- resource view ----------------------------------------------------------
 
     def busy_intervals(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Occupied intervals per sequential processing element (sorted)."""
+        """Occupied intervals per sequential processing element (sorted).
+
+        Zero-length activities occupy nothing (see :data:`ZERO_LENGTH`).
+        """
         intervals: Dict[str, List[Tuple[float, float]]] = {}
         for task in list(self.tasks.values()) + list(self.broadcasts.values()):
             if task.pe is None or not task.pe.executes_sequentially:
+                continue
+            if task.duration <= ZERO_LENGTH:
                 continue
             intervals.setdefault(task.pe.name, []).append((task.start, task.end))
         for slots in intervals.values():

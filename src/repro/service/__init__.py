@@ -41,7 +41,6 @@ from .jobs import (
 )
 from .requests import (
     ENGINE_CHOICES,
-    bounds_from_request,
     config_from_request,
     engines_for,
     problem_and_origin,
@@ -64,7 +63,6 @@ __all__ = [
     "ScopedStageCaches",
     "ServiceClient",
     "ServiceError",
-    "bounds_from_request",
     "config_from_request",
     "engines_for",
     "explore_document",

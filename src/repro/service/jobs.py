@@ -51,8 +51,8 @@ class ScopedStageCaches:
 
     def __init__(
         self,
-        max_entries: Optional[int] = DEFAULT_CACHE_MAX_ENTRIES,
-        max_bytes: Optional[int] = DEFAULT_CACHE_MAX_BYTES,
+        max_entries: int = DEFAULT_CACHE_MAX_ENTRIES,
+        max_bytes: int = DEFAULT_CACHE_MAX_BYTES,
     ) -> None:
         self._max_entries = max_entries
         self._max_bytes = max_bytes
@@ -111,8 +111,8 @@ class ScopedStageCaches:
                 totals["misses"] += misses
             return {
                 "budget": {
-                    "max_entries": self._max_entries or 0,
-                    "max_bytes": self._max_bytes or 0,
+                    "max_entries": self._max_entries,
+                    "max_bytes": self._max_bytes,
                 },
                 "scopes": scopes,
                 "totals": totals,

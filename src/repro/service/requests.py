@@ -47,19 +47,6 @@ def engines_for(engine: str) -> List[str]:
     return ENGINE_CHOICES.get(engine, [engine])
 
 
-def bounds_from_request(request: Dict[str, Any]) -> Optional[ArchitectureBounds]:
-    """The sizing bounds of a request, or None when sizing is off."""
-    sizing = request.get("sizing")
-    if sizing is None:
-        return None
-    return ArchitectureBounds(
-        max_processors=sizing.get("max_processors"),
-        min_processors=sizing.get("min_processors", 1),
-        max_buses=sizing.get("max_buses"),
-        min_buses=sizing.get("min_buses", 1),
-    )
-
-
 def problem_and_origin(
     request: Dict[str, Any], origin: Optional[str] = None
 ) -> Tuple[ExplorationProblem, str]:
@@ -69,9 +56,11 @@ def problem_and_origin(
     served result document matches the CLI's byte for byte.  ``origin``
     overrides the derived string (the CLI passes the file path when the
     system came from disk; the service has no path and labels the payload by
-    its system name instead).
+    its system name instead).  An inline system is the JSON document, as
+    :func:`~repro.io.read_system_document` returns it.
     """
-    bounds = bounds_from_request(request)
+    sizing = request["sizing"]
+    bounds = ArchitectureBounds(**sizing) if sizing is not None else None
     if request["fig1"]:
         example = load_fig1_example(num_buses=request["fig1_buses"])
         problem = ExplorationProblem(
@@ -87,12 +76,7 @@ def problem_and_origin(
         if request["fig1_buses"] != 1:
             derived += f" ({request['fig1_buses']} buses)"
     elif request.get("system") is not None:
-        source = request["system"]
-        system = (
-            source
-            if isinstance(source, SystemDescription)
-            else system_from_dict(source)
-        )
+        system = system_from_dict(request["system"])
         system.graph.validate()
         problem = ExplorationProblem.from_system(
             system,

@@ -56,7 +56,12 @@ from ..io.serialization import (
 )
 from ..observability import MetricsRegistry
 from .documents import schedule_document, sweep_document
-from .jobs import JobManager, ScopedStageCaches
+from .jobs import (
+    DEFAULT_CACHE_MAX_BYTES,
+    DEFAULT_CACHE_MAX_ENTRIES,
+    JobManager,
+    ScopedStageCaches,
+)
 from .requests import schedule_system, sweep_series
 
 #: Upper bound on request bodies; a system description this large is a
@@ -84,39 +89,25 @@ class ExplorationService:
         host: str = "127.0.0.1",
         port: int = 0,
         job_workers: int = 2,
-        cache_max_entries: Optional[int] = None,
-        cache_max_bytes: Optional[int] = None,
+        cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES,
+        cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
-        from .jobs import DEFAULT_CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_BYTES
-
         for flag, value in (
             ("--job-workers", job_workers),
             ("--cache-max-entries", cache_max_entries),
             ("--cache-max-bytes", cache_max_bytes),
         ):
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{flag} must be >= 1, got {value}")
         self._host = host
         self._requested_port = port
         self.port: Optional[int] = None
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        caches = ScopedStageCaches(
-            max_entries=(
-                cache_max_entries
-                if cache_max_entries is not None
-                else DEFAULT_CACHE_MAX_ENTRIES
-            ),
-            max_bytes=(
-                cache_max_bytes
-                if cache_max_bytes is not None
-                else DEFAULT_CACHE_MAX_BYTES
-            ),
-        )
         self._jobs = JobManager(
-            caches=caches,
+            caches=ScopedStageCaches(cache_max_entries, cache_max_bytes),
             workers=job_workers,
             metrics=self._metrics,
             tracer=tracer,
@@ -484,8 +475,8 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 8765,
     job_workers: int = 2,
-    cache_max_entries: Optional[int] = None,
-    cache_max_bytes: Optional[int] = None,
+    cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES,
+    cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES,
     tracer=None,
 ) -> int:
     """Blocking entry point behind ``repro-cpg serve``.

@@ -10,7 +10,9 @@ checks cannot see:
 * inputs have actually arrived when a process is activated;
 * the column used for the activation only involves condition values already
   known on the executing processing element (requirement 4);
-* no two activities overlap on a sequential processing element;
+* no two activities overlap on a sequential processing element (a
+  zero-length one occupies nothing, see
+  :data:`~repro.scheduling.schedule.ZERO_LENGTH`);
 * the delay equals the activation time of the sink.
 """
 
@@ -25,6 +27,7 @@ from ..architecture.processing_element import ProcessingElement
 from ..conditions import Condition, Conjunction
 from ..graph.cpg import ConditionalProcessGraph
 from ..graph.paths import AlternativePath, PathEnumerator
+from ..scheduling.schedule import ZERO_LENGTH
 from ..scheduling.schedule_table import ScheduleTable
 
 _EPSILON = 1e-6
@@ -262,6 +265,8 @@ class RuntimeSimulator:
         per_pe: Dict[str, List[ExecutedActivity]] = {}
         for activity in trace.activities:
             if activity.pe is None or not activity.pe.executes_sequentially:
+                continue
+            if activity.end - activity.start <= ZERO_LENGTH:
                 continue
             per_pe.setdefault(activity.pe.name, []).append(activity)
         for pe_name, activities in per_pe.items():

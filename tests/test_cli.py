@@ -151,6 +151,96 @@ def test_explore_fig1_and_system_file_mutually_exclusive(system_file, capsys):
         assert "mutually exclusive" in capsys.readouterr().err
 
 
+# Each malformed explore input -> a fragment its one error line must carry.
+# The request flags go through the schema POST /jobs uses ...
+MALFORMED_REQUEST_FLAGS = [
+    (["--cycles", "0"], "'cycles'"),
+    (["--neighbors", "0"], "'neighbors'"),
+    (["--population", "1"], "'population'"),
+    (["--stall", "-1"], "'stall'"),
+    (["--nodes", "2"], "'nodes'"),
+    (["--fig1", "--fig1-buses", "0"], "'fig1_buses'"),
+    (["--size-architecture", "--min-processors", "0"], "'min_processors'"),
+]
+# ... and the CLI-only flags through the class that owns the setting.
+MALFORMED_RUN_FLAGS = [
+    (["--retries", "0"], "--retries"),
+    (["--eval-timeout", "0"], "--eval-timeout"),
+    (["--fault-crash-rate", "2"], "crash_rate"),
+    (["--fault-hang-seconds", "-1"], "hang_seconds"),
+    (["--workers", "0"], "--workers"),
+    (["--workers", "-3"], "--workers"),
+    (["--checkpoint", "CHECKPOINT", "--checkpoint-every", "0"],
+     "--checkpoint-every"),
+]
+
+
+def _one_error_line(capsys, fragment):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fragment in lines[0]
+    return lines[0]
+
+
+def _ids(cases):
+    return [" ".join(flags) for flags, _ in cases]
+
+
+@pytest.mark.parametrize(
+    "flags,fragment",
+    MALFORMED_REQUEST_FLAGS + MALFORMED_RUN_FLAGS,
+    ids=_ids(MALFORMED_REQUEST_FLAGS + MALFORMED_RUN_FLAGS),
+)
+def test_malformed_explore_input_gets_one_error_line(
+    flags, fragment, tmp_path, capsys
+):
+    checkpoint = tmp_path / "search.ckpt.json"
+    flags = [str(checkpoint) if flag == "CHECKPOINT" else flag for flag in flags]
+    base = ["explore", "--nodes", "16", "--paths", "2", "--cycles", "1"]
+    assert main(base + flags) == 2
+    _one_error_line(capsys, fragment)
+    assert not checkpoint.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,fragment", MALFORMED_REQUEST_FLAGS, ids=_ids(MALFORMED_REQUEST_FLAGS)
+)
+def test_submit_validates_the_request_before_contacting_a_service(
+    flags, fragment, capsys
+):
+    # Nothing listens on port 9: a request that got past validation would
+    # end in "cannot reach service" instead.
+    assert main(["submit", "--url", "http://127.0.0.1:9"] + flags) == 2
+    _one_error_line(capsys, fragment)
+
+
+def test_submit_reads_a_malformed_file_with_the_shared_reader(tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("this is not json")
+    for argv in (
+        ["explore", str(path)],
+        ["submit", str(path), "--url", "http://127.0.0.1:9"],
+    ):
+        assert main(argv) == 2
+        line = _one_error_line(capsys, "not valid JSON")
+        assert "invalid system description" in line
+
+
+def test_request_flags_have_no_defaults_of_their_own():
+    from repro.cli import _RANDOM_KEYS, _REQUEST_KEYS, _SIZING_KEYS, _build_parser
+
+    request_dests = {
+        "system", "size_architecture",
+        *_REQUEST_KEYS, *_RANDOM_KEYS, *_SIZING_KEYS,
+    }
+    for command in ("explore", "submit"):
+        given = vars(_build_parser().parse_args([command]))
+        assert not request_dests & set(given), command
+
+
 def test_explore_command_on_system_file(system_file, capsys):
     assert main(["explore", str(system_file), "--cycles", "2",
                  "--neighbors", "2"]) == 0

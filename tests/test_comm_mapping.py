@@ -627,8 +627,8 @@ class TestPoolTransport:
                 batch.append(neighbor)
                 candidate = neighbor
         assert any(c.communication_assignment for c in batch)
-        serial = EvaluationPool(mapped_problem, mode="serial").evaluate(batch)
-        with EvaluationPool(mapped_problem, workers=2, mode="process") as pool:
+        serial = EvaluationPool(mapped_problem).evaluate(batch)
+        with EvaluationPool(mapped_problem, workers=2) as pool:
             assert pool.evaluate(batch) == serial
 
 

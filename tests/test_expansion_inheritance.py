@@ -92,13 +92,13 @@ def _inner_edges(graph):
 
 
 def _inputs():
-    """(name, base graph, crossing subsets, name format) per input."""
+    """(name, base graph, crossing subsets) per input."""
     rng = random.Random(17)
 
-    def subsets(edges, count=3):
+    def subsets(edges):
         edges = list(edges)
         found = [tuple(edges), ()]
-        for _ in range(count):
+        for _ in range(3):
             chosen = set(rng.sample(edges, rng.randint(1, len(edges))))
             found.append(tuple(edge for edge in edges if edge in chosen))
         return found
@@ -109,28 +109,19 @@ def _inputs():
             f"generated-{nodes}-{seed}",
             system.process_graph,
             subsets(_mapped_crossing(system)),
-            "{src}_to_{dst}",
         )
     fig1 = load_fig1_example()
     yield (
         "fig1",
         fig1.process_graph,
         subsets(crossing_edges(fig1.process_graph, fig1.mapping)),
-        "{src}_to_{dst}",
     )
     flagged = flagged_conjunction_graph()
-    yield "flagged", flagged, subsets(_inner_edges(flagged)), "{src}_to_{dst}"
+    yield "flagged", flagged, subsets(_inner_edges(flagged))
     nested = nested_graph()
     chain = _inner_edges(nested)
     # The shallow edges and the deepest one (past the cap) cross.
-    yield "nested", nested, [tuple(chain[:8] + chain[-1:])], "{src}_to_{dst}"
-    system = generate_system(40, 8, seed=1)
-    yield (
-        "name-format",
-        system.process_graph,
-        subsets(_mapped_crossing(system), count=1),
-        "msg[{dst}<-{src}]",
-    )
+    yield "nested", nested, [tuple(chain[:8] + chain[-1:])]
 
 
 INPUTS = list(_inputs())
@@ -144,14 +135,12 @@ def _path_facts(paths):
 
 
 @pytest.mark.parametrize(
-    "name,graph,subsets,name_format", INPUTS, ids=[entry[0] for entry in INPUTS]
+    "name,graph,subsets", INPUTS, ids=[entry[0] for entry in INPUTS]
 )
-def test_inherited_guards_and_paths_equal_a_cold_derivation(
-    name, graph, subsets, name_format
-):
+def test_inherited_guards_and_paths_equal_a_cold_derivation(name, graph, subsets):
     base_paths = PathEnumerator(graph).paths()
     for crossing in subsets:
-        structure = expansion_structure(graph, crossing, name_format)
+        structure = expansion_structure(graph, crossing)
         inserted = [comm_name for comm_name, *_ in structure.comm_edges]
         inherited = structure.graph.guards()
         cold_graph = structure.graph.copy()

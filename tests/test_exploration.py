@@ -24,6 +24,7 @@ from repro.exploration import (
     Explorer,
     MaxCycles,
     NeighborhoodSampler,
+    TargetCost,
     evaluate_candidate,
     load_imbalance_of,
 )
@@ -145,21 +146,25 @@ class TestEvaluationPool:
 
     @pytest.fixture(scope="class")
     def serial_results(self, problem, batch):
-        return EvaluationPool(problem, mode="serial").evaluate(batch)
+        return EvaluationPool(problem).evaluate(batch)
 
     def test_process_mode_matches_serial(self, problem, batch, serial_results):
-        with EvaluationPool(problem, workers=2, mode="process") as pool:
+        with EvaluationPool(problem, workers=2) as pool:
             assert pool.evaluate(batch) == serial_results
 
-    def test_single_worker_auto_runs_serially(self, problem):
-        pool = EvaluationPool(problem, workers=1)
-        assert pool.mode == "serial"
+    def test_single_worker_auto_runs_serially(self, problem, batch, serial_results):
+        # One worker, the default, scores in-process: nothing crosses a
+        # process boundary, and the pool keeps its own stage cache.
+        pool = EvaluationPool(problem)
+        assert pool.workers == 1
+        assert pool.evaluate(batch) == serial_results
+        assert pool.payload_bytes_shipped == 0
+        assert pool.stage_stats is not None
 
-    def test_unknown_mode_rejected(self, problem):
-        # Not a mode: evaluation is pure Python, so threads would not scale.
-        for mode in ("quantum", "thread"):
-            with pytest.raises(ValueError, match="unknown pool mode"):
-                EvaluationPool(problem, mode=mode)
+    def test_workers_below_one_rejected(self, problem):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                EvaluationPool(problem, workers=workers)
 
     def test_weights_mismatch_with_pool_rejected(self, problem):
         pool = EvaluationPool(problem, CostWeights(load_imbalance=50.0), workers=1)
@@ -229,8 +234,10 @@ class TestEngines:
 
     def test_target_cost_stops_immediately(self, problem, initial):
         seed_cost = evaluate_candidate(problem, initial).cost
-        config = ExplorationConfig(seed=0, max_cycles=50, target_cost=seed_cost + 1)
-        result = Explorer(problem, config=config).explore("tabu")
+        config = ExplorationConfig(seed=0, max_cycles=50)
+        result = Explorer(
+            problem, config=config, stopping=[TargetCost(seed_cost + 1)]
+        ).explore("tabu")
         assert result.cycles == 0
         assert "target cost" in result.stop_reason
 

@@ -125,10 +125,10 @@ class TestGeneticEngine:
 
 
 class TestGeneticPoolEquivalence:
-    @pytest.mark.parametrize("mode", ["process"])
-    def test_pool_modes_match_serial(self, sized_problem, mode):
+    @pytest.mark.parametrize("workers", [2], ids=["process"])
+    def test_pool_modes_match_serial(self, sized_problem, workers):
         serial = Explorer(sized_problem, config=_config()).explore("genetic")
-        with EvaluationPool(sized_problem, workers=2, mode=mode) as pool:
+        with EvaluationPool(sized_problem, workers=workers) as pool:
             pooled = Explorer(
                 sized_problem, config=_config(), pool=pool
             ).explore("genetic")

@@ -103,13 +103,6 @@ class TestExpansion:
         architecture, graph, mapping = build_two_pe_system()
         assert not is_expanded(graph, mapping)
 
-    def test_custom_name_format(self):
-        architecture, graph, mapping = build_two_pe_system()
-        expanded = expand_communications(
-            graph, mapping, architecture, name_format="comm_{src}_{dst}"
-        )
-        assert "comm_P1_P2" in expanded.graph
-
     def test_fig1_expansion_matches_paper(self, fig1):
         # The paper inserts exactly fourteen communication processes (P18..P31).
         assert len(fig1.expanded.communications) == 14

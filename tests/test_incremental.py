@@ -304,7 +304,7 @@ class TestStageAccounting:
         assert cache.stats.expansion_misses == 2
 
     def test_pooled_evaluator_defers_stage_caching_to_the_pool(self, problem):
-        with EvaluationPool(problem, mode="serial") as pool:
+        with EvaluationPool(problem) as pool:
             evaluator = CachedEvaluator(problem, pool=pool)
             assert evaluator.stage_cache is pool.stage_cache  # pool owns it
             evaluator.evaluate_many(_walk(problem, 21, 3))
@@ -318,7 +318,7 @@ class TestPoolEquivalence:
     def test_process_pool_with_stage_caches_matches_serial(self, problem):
         batch = _walk(problem, 13, 7)
         serial = [evaluate_candidate(problem, candidate) for candidate in batch]
-        with EvaluationPool(problem, workers=2, mode="process") as pool:
+        with EvaluationPool(problem, workers=2) as pool:
             assert pool.evaluate(batch) == serial
             # per-worker caches are deliberately not aggregated
             assert pool.stage_stats is None
@@ -466,24 +466,21 @@ def test_batch_stats_snapshot_accumulates():
     assert snapshot["payload_bytes"] == 120
 
 
-@pytest.mark.parametrize(
-    "mode,workers",
-    [("serial", 1), ("process", 2)],
-)
-def test_pool_modes_score_identically(fig1_problem, mode, workers):
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial-1", "process-2"])
+def test_pool_modes_score_identically(fig1_problem, workers):
     candidates = neighbourhood(fig1_problem)
     unique = len({candidate.fingerprint for candidate in candidates})
     expected = [
         evaluate_candidate(fig1_problem, candidate) for candidate in candidates
     ]
-    with EvaluationPool(fig1_problem, mode=mode, workers=workers) as pool:
+    with EvaluationPool(fig1_problem, workers=workers) as pool:
         evaluator = CachedEvaluator(fig1_problem, pool=pool)
         got = evaluator.evaluate_many(candidates)
         assert got == expected
         stats = evaluator.batch_stats
         assert stats.batches == 1
         assert stats.candidates == unique
-        if mode == "process":
+        if workers > 1:
             # The pickled-once problem blob plus the pre-pickled units all
             # crossed the process boundary and were counted.
             assert pool.payload_bytes_shipped > 0

@@ -347,10 +347,10 @@ def test_process_pool_records_coordinator_metrics(problem):
             if pe != initial.pe_of(process)
         ]
         batch.append(initial.reassigned(process, targets[0]))
-    with EvaluationPool(problem, mode="serial") as reference_pool:
+    with EvaluationPool(problem) as reference_pool:
         reference = reference_pool.evaluate(batch)
     with EvaluationPool(
-        problem, mode="process", workers=2, tracer=tracer, metrics=metrics
+        problem, workers=2, tracer=tracer, metrics=metrics
     ) as pool:
         evaluations = pool.evaluate(batch)
     assert evaluations == reference
@@ -374,7 +374,7 @@ def test_fault_matrix_emits_resilience_events(problem):
             if pe != batch[0].pe_of(process)
         ]
         batch.append(batch[0].reassigned(process, targets[0]))
-    with EvaluationPool(problem, mode="serial") as clean_pool:
+    with EvaluationPool(problem) as clean_pool:
         clean = clean_pool.evaluate(batch)
 
     sink = RingBufferSink(capacity=100_000)
@@ -382,7 +382,6 @@ def test_fault_matrix_emits_resilience_events(problem):
     injector = FaultInjector(seed=3, crash_rate=0.5)
     with EvaluationPool(
         problem,
-        mode="serial",
         retry=RetryPolicy(backoff_base=0.0),
         fault_injector=injector,
         tracer=Tracer(sink),
@@ -414,7 +413,6 @@ def test_quarantine_event_when_retries_exhausted(problem):
     sink = RingBufferSink()
     with EvaluationPool(
         problem,
-        mode="serial",
         retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
         fault_injector=FaultInjector(seed=3, crash_rate=1.0),
         tracer=Tracer(sink),

@@ -183,7 +183,7 @@ def test_weights_without_a_valid_bound_turn_pruning_off(problem, weights):
 
 
 def test_a_process_pool_ignores_the_selection(problem):
-    with EvaluationPool(problem, workers=2, mode="process") as pool:
+    with EvaluationPool(problem, workers=2) as pool:
         pooled = Explorer(problem, config=_CONFIG, pool=pool).explore("tabu")
     serial = Explorer(problem, config=_CONFIG).explore("tabu")
     assert pooled.cache.merges_pruned == 0

@@ -111,3 +111,33 @@ def test_package_keys_no_memo_by_object_identity():
         and node.func.id == "id"
     ]
     assert calls == []
+
+
+def test_each_setting_has_one_owner():
+    """Settings no program sets are module constants, not parameters."""
+    import dataclasses
+    import inspect
+
+    import repro.exploration as exploration
+    from repro.graph import expand_communications
+    from repro.graph.communication import expansion_structure
+
+    fields = dataclasses.fields(exploration.ExplorationConfig)
+    assert [field.name for field in fields] == [
+        "seed", "max_cycles", "neighbors_per_cycle", "stall_cycles", "weights",
+        "track_front", "checkpoint_every", "population_size",
+    ]
+    removed = {
+        "mode", "priority_choices", "bias_steps", "attempts_per_neighbor",
+        "name_format", "startup_timeout",
+    }
+    for owner in (
+        exploration.EvaluationPool,
+        exploration.NeighborhoodSampler,
+        exploration.NeighborhoodSampler.sample,
+        expand_communications,
+        expansion_structure,
+        exploration.RetryPolicy,
+    ):
+        assert not removed & set(inspect.signature(owner).parameters), owner
+    assert not hasattr(exploration, "default_worker_count")

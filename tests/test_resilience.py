@@ -72,7 +72,7 @@ def batch(problem):
 @pytest.fixture(scope="module")
 def reference(problem, batch):
     """Fault-free evaluations of the batch (the bit-identity yardstick)."""
-    return EvaluationPool(problem, mode="serial").evaluate(batch)
+    return EvaluationPool(problem).evaluate(batch)
 
 
 # -- fault injector ----------------------------------------------------------------
@@ -183,7 +183,7 @@ class TestPoolFaultMatrix:
             hang_seconds=0.01,
         )
         pool = EvaluationPool(
-            problem, mode="serial", retry=_retry(), fault_injector=injector
+            problem, retry=_retry(), fault_injector=injector
         )
         assert pool.evaluate(batch) == reference
         stats = pool.resilience_stats
@@ -202,7 +202,6 @@ class TestPoolFaultMatrix:
         with EvaluationPool(
             problem,
             workers=workers,
-            mode="process",
             retry=_retry(),
             fault_injector=injector,
         ) as pool:
@@ -216,7 +215,6 @@ class TestPoolFaultMatrix:
         with EvaluationPool(
             problem,
             workers=2,
-            mode="process",
             retry=_retry(),
             fault_injector=injector,
         ) as pool:
@@ -234,7 +232,6 @@ class TestPoolFaultMatrix:
         with EvaluationPool(
             problem,
             workers=2,
-            mode="process",
             retry=RetryPolicy(timeout=0.5, max_attempts=10, backoff_base=0.0),
             fault_injector=injector,
         ) as pool:
@@ -247,10 +244,10 @@ class TestPoolFaultMatrix:
     def test_unarmed_pool_has_quiet_stats(self, problem, batch, reference):
         # An unarmed serial pool has no resilience layer at all; an unarmed
         # process pool has one, and it stays quiet.
-        pool = EvaluationPool(problem, mode="serial")
+        pool = EvaluationPool(problem)
         assert pool.evaluate(batch) == reference
         assert pool.resilience_stats is None
-        with EvaluationPool(problem, workers=2, mode="process") as pool:
+        with EvaluationPool(problem, workers=2) as pool:
             assert pool.evaluate(batch) == reference
             assert not pool.resilience_stats.eventful
 
@@ -262,7 +259,6 @@ class TestQuarantine:
     def test_always_crashing_candidates_are_quarantined(self, problem, batch):
         pool = EvaluationPool(
             problem,
-            mode="serial",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             fault_injector=FaultInjector(crash_rate=1.0),
         )
@@ -290,7 +286,7 @@ class TestQuarantine:
 
         monkeypatch.setattr(cost_module, "evaluate_candidate", poisoned)
         pool = EvaluationPool(
-            problem, mode="serial", retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+            problem, retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
         )
         evaluations = pool.evaluate(batch)
         assert evaluations[1] == quarantined_evaluation(poison, 3, "poisoned candidate")
@@ -304,7 +300,6 @@ class TestQuarantine:
         with EvaluationPool(
             problem,
             workers=2,
-            mode="process",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             fault_injector=FaultInjector(crash_rate=1.0),
         ) as pool:
@@ -331,7 +326,6 @@ class TestDegrade:
         with EvaluationPool(
             problem,
             workers=2,
-            mode="process",
             retry=RetryPolicy(
                 max_attempts=10, timeout=30.0, backoff_base=0.0, max_pool_restarts=1
             ),
@@ -351,7 +345,6 @@ class TestWorkerInitialisation:
         with EvaluationPool(
             problem,
             workers=2,
-            mode="process",
             fault_injector=FaultInjector(fail_worker_init=True),
         ) as pool:
             with pytest.raises(WorkerInitializationError) as excinfo:
@@ -368,7 +361,7 @@ class TestWorkerInitialisation:
             "to_payload",
             lambda self: {"name": problem.name, "nonsense": True},
         )
-        pool = EvaluationPool(problem, workers=2, mode="process")
+        pool = EvaluationPool(problem, workers=2)
         with pytest.raises(WorkerInitializationError) as excinfo:
             pool.evaluate(batch)
         assert "cannot be rebuilt" in str(excinfo.value)
@@ -395,7 +388,6 @@ class TestEngineFaultMatrix:
         clean = Explorer(problem, config=config).explore(engine)
         pool = EvaluationPool(
             problem,
-            mode="serial",
             retry=_retry(),
             fault_injector=FaultInjector(
                 seed=5, crash_rate=0.1, hang_rate=0.05, exit_rate=0.05,
@@ -412,7 +404,6 @@ class TestEngineFaultMatrix:
     def test_resilience_stats_surface_in_result(self, problem):
         pool = EvaluationPool(
             problem,
-            mode="serial",
             retry=_retry(),
             fault_injector=FaultInjector(seed=5, crash_rate=0.3),
         )
@@ -519,6 +510,11 @@ class TestCheckpointResume:
         assert checkpointer.saves == 2
         assert json.loads(path.read_text())["payload"] == 2
         assert not path.with_name(path.name + ".tmp").exists()
+
+    def test_checkpoint_period_below_one_rejected(self, tmp_path):
+        for every in (0, -2):
+            with pytest.raises(ValueError, match="checkpoint period"):
+                Checkpointer(tmp_path / "never.json", every=every)
 
     def test_checkpoint_every_reduces_writes(self, problem, tmp_path):
         path = tmp_path / "sparse.json"

@@ -117,6 +117,18 @@ class TestPathSchedule:
     def test_validate_resources_accepts_back_to_back(self):
         make_schedule().validate_resources()
 
+    def test_zero_length_activity_occupies_nothing(self):
+        # An activity occupies its element over [start, end), so a
+        # zero-length one inside another's interval overlaps nothing.
+        tasks = {
+            "P1": ScheduledTask("P1", 0.0, 4.0, PE1),
+            "P2": ScheduledTask("P2", 2.0, 0.0, PE1),
+        }
+        broadcasts = {C: ScheduledTask("cond:C", 3.0, 0.0, PE1, C)}
+        schedule = PathSchedule(make_path(), tasks, broadcasts, {}, {})
+        assert schedule.busy_intervals() == {"pe1": [(0.0, 4.0)]}
+        schedule.validate_resources()
+
     def test_copy_is_independent(self):
         schedule = make_schedule()
         clone = schedule.copy()

@@ -102,6 +102,14 @@ def test_served_result_is_byte_identical_to_one_shot_cli(client, capsys):
     assert served == one_shot
 
 
+def test_submit_command_prints_the_one_shot_document(service, capsys):
+    flags = ["--fig1", "--cycles", "4", "--neighbors", "4", "--seed", "1", "--json"]
+    assert main(["explore", *flags]) == 0
+    one_shot = capsys.readouterr().out
+    assert main(["submit", "--url", service.url, *flags]) == 0
+    assert capsys.readouterr().out == one_shot
+
+
 def test_concurrent_clients_same_request_get_identical_results(service):
     documents = [None] * 4
     errors = []
@@ -185,6 +193,26 @@ def test_identical_tenant_replays_entirely_from_cache(client):
     assert cold == warm
 
 
+@pytest.mark.parametrize(
+    "field,request_document,flags",
+    [
+        ("nodes", {"random": {"nodes": 2}}, ["--nodes", "2"]),
+        ("cycles", {"fig1": True, "cycles": 0}, ["--fig1", "--cycles", "0"]),
+    ],
+    ids=["nodes", "cycles"],
+)
+def test_one_schema_answers_both_front_ends(
+    client, capsys, field, request_document, flags
+):
+    # A job that must fail is refused at submission, and the one-shot CLI
+    # prints the service's message as its one error line.
+    status, document = client.request("POST", "/jobs", request_document)
+    assert status == 400
+    assert f"field {field!r}" in document["error"]
+    assert main(["explore", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {document['error']}\n"
+
+
 def test_malformed_payloads_name_the_offender(
     client, small_system, malformed_system_documents
 ):
@@ -195,6 +223,12 @@ def test_malformed_payloads_name_the_offender(
     status, document = client.request("POST", "/jobs", {"cycles": 4})
     assert status == 400
     assert "exactly one problem source" in document["error"]
+
+    status, document = client.request(
+        "POST", "/jobs", {"fig1": True, "random": {"nodes": 8}}
+    )
+    assert status == 400
+    assert "'fig1' and 'random' are mutually exclusive" in document["error"]
 
     status, document = client.request(
         "POST", "/jobs", {"fig1": True, "budget": 9}
