@@ -33,9 +33,10 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..architecture.architecture import Architecture, ArchitectureError
 from ..architecture.mapping import MappingError
@@ -63,11 +64,23 @@ _INFEASIBLE_COST = float("inf")
 #: ``sys.getsizeof`` and wall clocks are banned here — eviction decisions
 #: feed frozen benchmark anchors, so an entry's cost must be the same on
 #: every host and every run.  The estimates are structural proxies for the
-#: python-object footprint of the memoized value.
+#: python-object footprint of the memoized value, fitted to what
+#: ``tracemalloc`` measures on generated systems of 16–120 processes once
+#: the value has been used (``tests/test_stage_cache_lru.py`` keeps them
+#: within 2x of it).
 _ENTRY_OVERHEAD_BYTES = 64
+#: A scheduled task or broadcast: the slotted task, its start time and its
+#: slot in the schedule's maps.
 _SCHEDULE_TASK_BYTES = 160
-_EXPANSION_NODE_BYTES = 96
-_PATH_BYTES = 32
+#: A process of the expanded graph: its adjacency lists, its entries in the
+#: graph's and the extended mapping's dicts, and in the in-edge map the
+#: list scheduler builds on the graph's first use.
+_EXPANSION_PROCESS_BYTES = 680
+#: An inserted communication on top of that: its process, name, two edges
+#: and the bus layer's record of it.
+_COMMUNICATION_BYTES = 480
+#: One active process of one enumerated path.
+_PATH_ENTRY_BYTES = 24
 #: How many least-recently-used entries compete per eviction: the victim is
 #: the *cheapest to recompute* among this window, so one cold-but-expensive
 #: merge artefact survives a burst of cheap re-adjustment schedules.
@@ -89,13 +102,17 @@ def schedule_entry_cost(schedule: PathSchedule) -> int:
 def expansion_entry_cost(expanded, paths) -> int:
     """Deterministic size estimate (bytes) of one memoized expansion stage.
 
-    Counts the expanded graph's processes (communication processes included)
-    plus the enumerated alternative paths stored alongside it.
+    Counts everything the entry keeps alive: the structure's graph (every
+    process, communication processes included), the bus layer of each
+    communication, and the active sets of the enumerated alternative paths.
+    Expansions that share a structure each count it in full, so the
+    estimate bounds the memory the memo holds from above.
     """
     return (
         _ENTRY_OVERHEAD_BYTES
-        + _EXPANSION_NODE_BYTES * len(expanded.graph)
-        + _PATH_BYTES * len(paths)
+        + _EXPANSION_PROCESS_BYTES * len(expanded.graph)
+        + _COMMUNICATION_BYTES * len(expanded.communications)
+        + _PATH_ENTRY_BYTES * sum(len(path.active_processes) for path in paths)
     )
 
 
@@ -446,6 +463,10 @@ class StageCache:
             self._expansion_patterns.clear()
             self._structure_users.clear()
 
+    def holds_schedule(self, key: Tuple) -> bool:
+        """Whether the per-path schedule memo holds ``key`` (counts nothing)."""
+        return key in self._schedules
+
     def lookup_schedule(self, key: Tuple) -> Optional[PathSchedule]:
         """Probe the per-path schedule memo (counts the hit/miss)."""
         cached = self._schedules.get(key)
@@ -501,6 +522,10 @@ def _locks_key(
     return (starts, broadcasts, ordered)
 
 
+#: The lock-set key of an optimal (lock-free) path schedule.
+_OPTIMAL = _locks_key(None, None, False)
+
+
 class _StagedScheduler:
     """Memoizing facade the staged pipeline hands to the schedule merger.
 
@@ -515,7 +540,8 @@ class _StagedScheduler:
     Every request is timed as a ``path_schedule`` stage (the initial optimal
     schedules) or a ``merge_readjust`` stage (the locked re-scheduling
     requests the merger issues while walking its decision tree); the span
-    records whether the memo answered (``hit``).
+    records whether the memo answered (``hit``).  :meth:`cached` reads an
+    optimal schedule only when the memo holds it.
     """
 
     __slots__ = ("_cache", "_inner", "_path_keys", "_tracer", "_metrics")
@@ -564,6 +590,16 @@ class _StagedScheduler:
                 )
                 self._cache.store_schedule(key, schedule)
         return schedule
+
+    def cached(self, path: AlternativePath) -> Optional[PathSchedule]:
+        """The path's optimal schedule if the memo holds it, else None.
+
+        Only a hit is counted (and timed as a ``path_schedule`` stage): a
+        path the memo lacks is probed, and counted, when it is scheduled.
+        """
+        if not self._cache.holds_schedule((self._path_keys[path.label], _OPTIMAL)):
+            return None
+        return self.schedule(path)
 
 
 @dataclass(frozen=True)
@@ -696,30 +732,68 @@ _PIPELINE_ERRORS = (
 
 @dataclass
 class _PathStage:
-    """One candidate between its two phases: what the merge needs, and the bound.
+    """One candidate between expansion and merge: its paths and their schedules.
 
-    ``terms`` are the merge-free cost terms (load imbalance, platform cost,
-    bus imbalance) and ``bound`` the cost expression with δ_M in place of
-    δ_max; the bound phase sets both.
+    ``path_schedules`` holds the optimal schedules the candidate has so far,
+    by path label, and ``longest`` the largest of their delays: δ_M once
+    every path is scheduled.  ``terms`` are the merge-free cost terms (load
+    imbalance, platform cost, bus imbalance) and ``bound`` the cost
+    expression with ``longest`` in place of δ_max; the bound phase sets
+    both, and each further schedule can only raise the bound.
     """
 
     expanded: ExpandedGraph
     architecture: Architecture
     paths: Tuple[AlternativePath, ...]
     scheduler: _StagedScheduler
-    path_schedules: Dict
+    path_schedules: Dict = field(default_factory=dict)
+    longest: float = 0.0
     terms: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     bound: float = 0.0
+
+    @property
+    def complete(self) -> bool:
+        """Whether every path is scheduled (the bound is then δ_M's)."""
+        return len(self.path_schedules) == len(self.paths)
+
+    def add(
+        self,
+        path: AlternativePath,
+        schedule: PathSchedule,
+        seen: Optional[Dict] = None,
+    ) -> None:
+        """Record one path's optimal schedule (and its delay in ``seen``)."""
+        self.path_schedules[path.label] = schedule
+        delay = schedule.delay
+        if delay > self.longest:
+            self.longest = delay
+        if seen is not None and delay > seen.get(path.label, -1.0):
+            seen[path.label] = delay
+
+    def schedule_next(self, seen: Dict) -> None:
+        """Schedule the path most likely to raise the bound, and record it.
+
+        ``seen`` maps a path label to the largest delay any candidate of the
+        batch has had on it so far: the label with the largest one goes
+        first, labels not seen yet follow in enumeration order.
+        """
+        path = min(
+            (path for path in self.paths if path.label not in self.path_schedules),
+            key=lambda path: (
+                path.label not in seen, -seen.get(path.label, 0.0), path.index
+            ),
+        )
+        self.add(path, self.scheduler.schedule(path), seen)
 
     def merge(self, tracer=None, metrics=None) -> MergeResult:
         merger = ScheduleMerger(
             self.expanded.graph, self.expanded.mapping, self.architecture,
             self.scheduler,
         )
+        # Enumeration order, whatever order the schedules were taken in.
+        schedules = {path.label: self.path_schedules[path.label] for path in self.paths}
         with _timed_stage(tracer, metrics, "stage.merge"):
-            return merger.merge(
-                paths=list(self.paths), path_schedules=self.path_schedules
-            )
+            return merger.merge(paths=list(self.paths), path_schedules=schedules)
 
 
 def _schedule_paths(
@@ -728,8 +802,15 @@ def _schedule_paths(
     stage_cache: Optional[StageCache],
     tracer,
     metrics,
+    seen: Optional[Dict] = None,
 ) -> _PathStage:
-    """Expand, key and schedule every path of one candidate (no merge)."""
+    """Expand, key and schedule every path of one candidate (no merge).
+
+    With ``seen`` (the batch's delays by path label, see
+    :meth:`_PathStage.schedule_next`) the candidate takes only the
+    schedules the stage cache already holds, and records their delays in
+    ``seen``.
+    """
     if stage_cache is None:
         stage_cache = StageCache()
     architecture = problem.architecture_for(candidate)
@@ -760,8 +841,12 @@ def _schedule_paths(
     scheduler = _StagedScheduler(
         stage_cache, inner, path_keys, tracer=tracer, metrics=metrics
     )
-    path_schedules = {path.label: scheduler.schedule(path) for path in paths}
-    return _PathStage(expanded, architecture, paths, scheduler, path_schedules)
+    stage = _PathStage(expanded, architecture, paths, scheduler)
+    for path in paths:
+        schedule = scheduler.schedule(path) if seen is None else scheduler.cached(path)
+        if schedule is not None:
+            stage.add(path, schedule, seen)
+    return stage
 
 
 def merge_candidate(
@@ -806,8 +891,8 @@ def _weighted_cost(
     """The scalar cost; the bound phase and the merge phase both sum here.
 
     Summing the terms in one order for both keeps ``bound <= cost`` exact
-    under IEEE rounding, which is monotone: the bound passes δ_M (never
-    above δ_max) and a zero mean path delay.
+    under IEEE rounding, which is monotone: the bound passes δ_M or a
+    smaller delay (never above δ_max) and a zero mean path delay.
     """
     imbalance, platform_cost, contention = terms
     return (
@@ -835,14 +920,18 @@ def _bound_phase(
     stage_cache: Optional[StageCache],
     tracer,
     metrics,
+    seen: Optional[Dict] = None,
 ) -> Union[_PathStage, CandidateEvaluation]:
-    """Phase one: path schedules, merge-free terms and the δ_M bound.
+    """Phase one: path schedules, merge-free terms and the bound.
 
-    Returns the exact (infeasible) evaluation instead when the candidate
-    already fails here.
+    Every path is scheduled unless ``seen`` is given (see
+    :func:`_schedule_paths`).  Returns the exact (infeasible) evaluation
+    instead when the candidate already fails here.
     """
     try:
-        stage = _schedule_paths(problem, candidate, stage_cache, tracer, metrics)
+        stage = _schedule_paths(
+            problem, candidate, stage_cache, tracer, metrics, seen
+        )
     except _PIPELINE_ERRORS as error:
         return _infeasible(candidate, error)
     stage.terms = (
@@ -850,8 +939,7 @@ def _bound_phase(
         architecture_cost_of(problem, candidate, weights),
         bus_imbalance_of(stage.architecture, stage.expanded),
     )
-    delta_m = max(schedule.delay for schedule in stage.path_schedules.values())
-    stage.bound = _weighted_cost(weights, delta_m, 0.0, stage.terms)
+    stage.bound = _weighted_cost(weights, stage.longest, 0.0, stage.terms)
     return stage
 
 
@@ -979,6 +1067,16 @@ class TabuSelection:
         )
 
 
+class NeighbourhoodScores(list):
+    """One scored batch: evaluations in input order, None where a merge was pruned.
+
+    ``paths_pruned`` counts the paths of those pruned neighbours that were
+    neither read from the stage cache nor scheduled.
+    """
+
+    paths_pruned = 0
+
+
 def evaluate_neighbourhood(
     problem: ExplorationProblem,
     candidates,
@@ -987,56 +1085,69 @@ def evaluate_neighbourhood(
     tracer=None,
     metrics=None,
     select: Optional[TabuSelection] = None,
-) -> "list[Optional[CandidateEvaluation]]":
+) -> NeighbourhoodScores:
     """Score a whole move batch against one shared expansion state.
 
     Without ``select`` this is :func:`evaluate_candidate` mapped over
     ``candidates`` in order.  With ``select`` (tabu search's rule, see
     :class:`TabuSelection`), and while the bound below is a lower bound — a
     zero ``mean_path_delay`` weight and a non-negative ``delta_max`` weight
-    — the batch is scored in two phases:
+    — the batch is scored one path schedule at a time:
 
-    * the bound phase (each candidate's ``evaluate`` span) runs expansion
-      and path schedules through the stage cache and bounds the cost by the
-      cost expression with δ_M in place of δ_max (Section 6: the longest
-      path runs in exactly δ_M, so δ_max >= δ_M);
-    * the merge phase merges in ascending ``(bound, fingerprint)`` order
-      and stops once the best admissible ``(cost, fingerprint)`` so far is
-      below the next candidate's ``(bound, fingerprint)``: no candidate
-      left can be chosen, and those come back as None.  With no admissible
-      candidate every one is merged, so the caller's fallback to the best
-      of all stays exact.  A merged candidate whose exact cost is below its
-      bound raises ``RuntimeError`` naming it.
+    * each candidate is expanded and keyed, and takes the path schedules the
+      stage cache already holds (its ``evaluate`` span).  Its bound is the
+      cost expression with the longest of those delays in place of δ_max:
+      the longest path runs in exactly δ_M (Section 6), so δ_max >= δ_M >=
+      any one path's delay;
+    * a heap keyed by ``(bound, fingerprint)`` then takes the least
+      candidate, again and again.  One with paths left schedules the next
+      (see :meth:`_PathStage.schedule_next`) and goes back with its raised
+      bound; one with every path scheduled is merged.  The loop stops once
+      the best admissible ``(cost, fingerprint)`` so far is below the
+      heap's least key: no candidate left can be chosen, and those come
+      back as None, their unscheduled paths counted in
+      ``paths_pruned``.  With no admissible candidate every one is merged,
+      so the caller's fallback to the best of all stays exact.  A merged
+      candidate whose exact cost is below its bound raises ``RuntimeError``
+      naming it.
+
+    A partial bound never exceeds the candidate's δ_M bound, so candidates
+    merge in ascending ``(δ_M bound, fingerprint)`` order and the same ones
+    are pruned whichever paths were scheduled first (docs/exploration.md,
+    "Bound-ordered tabu selection").
 
     This is the one in-process scoring call of
     :class:`~repro.exploration.EvaluationPool`.
     """
     if select is None or not (weights.mean_path_delay == 0 and weights.delta_max >= 0):
-        return [
+        return NeighbourhoodScores(
             evaluate_candidate(
                 problem, candidate, weights, stage_cache, tracer, metrics
             )
             for candidate in candidates
-        ]
+        )
+    if stage_cache is None:
+        stage_cache = StageCache()
     candidates = list(candidates)
-    stages: List[Union[_PathStage, CandidateEvaluation]] = []
-    for candidate in candidates:
+    results = NeighbourhoodScores([None] * len(candidates))
+    stages: Dict[int, _PathStage] = {}
+    seen: Dict = {}  # path label -> the largest delay of the batch so far
+    for index, candidate in enumerate(candidates):
         with _timed_stage(tracer, metrics, "evaluate") as outcome:
             stage = _bound_phase(
-                problem, candidate, weights, stage_cache, tracer, metrics
+                problem, candidate, weights, stage_cache, tracer, metrics, seen
             )
             if isinstance(stage, _PathStage):
                 outcome["bound"] = stage.bound
+                stages[index] = stage
             else:
                 outcome["feasible"] = False
-        stages.append(stage)
-    results: List[Optional[CandidateEvaluation]] = [
-        None if isinstance(stage, _PathStage) else stage for stage in stages
+                results[index] = stage
+    heap = [
+        (stage.bound, candidates[index].fingerprint, index)
+        for index, stage in stages.items()
     ]
-    pending = sorted(
-        (index for index, result in enumerate(results) if result is None),
-        key=lambda index: (stages[index].bound, candidates[index].fingerprint),
-    )
+    heapify(heap)
     best = min(
         (
             (known.cost, known.fingerprint)
@@ -1045,10 +1156,20 @@ def evaluate_neighbourhood(
         ),
         default=None,
     )
-    for index in pending:
+    while heap and (best is None or not best < heap[0][:2]):
+        _, fingerprint, index = heap[0]
         stage, candidate = stages[index], candidates[index]
-        if best is not None and best < (stage.bound, candidate.fingerprint):
-            break  # no candidate left can be chosen
+        if not stage.complete:
+            try:
+                stage.schedule_next(seen)
+            except _PIPELINE_ERRORS as error:
+                heappop(heap)
+                results[index] = _infeasible(candidate, error)
+                continue
+            stage.bound = _weighted_cost(weights, stage.longest, 0.0, stage.terms)
+            heapreplace(heap, (stage.bound, fingerprint, index))
+            continue
+        heappop(heap)
         evaluation = _merge_phase(candidate, stage, weights, tracer, metrics)
         if evaluation.cost < stage.bound:
             raise RuntimeError(
@@ -1056,8 +1177,12 @@ def evaluate_neighbourhood(
                 f"below its delta_M bound {stage.bound!r}; the bound that "
                 "ordered its batch is unsound"
             )
-        key = (evaluation.cost, candidate.fingerprint)
+        key = (evaluation.cost, fingerprint)
         if select.admissible(evaluation) and (best is None or key < best):
             best = key
         results[index] = evaluation
+    results.paths_pruned = sum(
+        len(stages[index].paths) - len(stages[index].path_schedules)
+        for _, _, index in heap
+    )
     return results

@@ -39,13 +39,19 @@ class CacheStats:
 
     ``misses`` counts fresh candidates; ``merges_pruned`` those of them
     whose merge was skipped because their bound showed tabu search could
-    not choose them (see :func:`~repro.exploration.evaluate_neighbourhood`).
+    not choose them (see :func:`~repro.exploration.evaluate_neighbourhood`),
+    and ``paths_pruned`` the paths of those that were neither read from the
+    stage cache nor scheduled.  A warmer stage cache leaves fewer paths to
+    prune, so ``paths_pruned``, like the stage counters (and next to them
+    in result documents), depends on what the cache held; ``merges_pruned``
+    does not.
     """
 
     hits: int
     misses: int
     size: int
     merges_pruned: int = 0
+    paths_pruned: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -86,7 +92,8 @@ class CachedEvaluator:
         default) keeps the uninstrumented code path.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry` receiving
-        ``cache.hits``/``cache.misses``/``cache.merges_pruned`` counters and
+        ``cache.hits``/``cache.misses``/``cache.merges_pruned``/
+        ``cache.paths_pruned`` counters and
         one ``batch.size`` observation per fresh batch; the pool adds the
         stage/evaluate latency histograms of in-process evaluations.  None
         disables, with ~zero overhead.
@@ -130,6 +137,7 @@ class CachedEvaluator:
         self._hits = 0
         self._misses = 0
         self._merges_pruned = 0
+        self._paths_pruned = 0
         self._batch_stats = BatchStats()
 
     @property
@@ -158,7 +166,8 @@ class CachedEvaluator:
     @property
     def stats(self) -> CacheStats:
         return CacheStats(
-            self._hits, self._misses, len(self._cache), self._merges_pruned
+            self._hits, self._misses, len(self._cache),
+            self._merges_pruned, self._paths_pruned,
         )
 
     @property
@@ -206,8 +215,11 @@ class CachedEvaluator:
         one fresh batch.  ``select`` (tabu search's choice rule) travels
         with it, the batch's cache hits added as exact entries, so an
         in-process route can skip the merges of neighbours that cannot be
-        chosen: those come back as None and are not cached.  An evaluator
-        that tracks a Pareto front needs every evaluation and drops it.
+        chosen: those come back as None and are not cached, and the batch's
+        ``paths_pruned`` (a :class:`~repro.exploration.cost.NeighbourhoodScores`
+        count; a plain list prunes nothing) counts the paths they never
+        scheduled.  An evaluator that tracks a Pareto front needs every
+        evaluation and drops it.
         """
         fresh: List[Candidate] = []
         fresh_keys: Dict[str, int] = {}
@@ -244,9 +256,12 @@ class CachedEvaluator:
                 else:
                     self._cache[candidate.fingerprint] = evaluation
             if pruned:
+                paths_pruned = getattr(evaluations, "paths_pruned", 0)
                 self._merges_pruned += pruned
+                self._paths_pruned += paths_pruned
                 if self._metrics is not None:
                     self._metrics.count("cache.merges_pruned", pruned)
+                    self._metrics.count("cache.paths_pruned", paths_pruned)
             if self._front is not None:
                 self._front.offer_many(fresh, evaluations)
         return [self._cache.get(candidate.fingerprint) for candidate in candidates]

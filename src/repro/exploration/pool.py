@@ -402,8 +402,9 @@ class EvaluationPool:
         """Score a batch, in submission order.
 
         ``select`` lets an unarmed one-worker pool skip merges (None marks a
-        skipped candidate, see :func:`evaluate_neighbourhood`); every other
-        route ignores it.
+        skipped candidate, and the returned scores count the paths skipped
+        with them, see :func:`evaluate_neighbourhood`); every other route
+        ignores it.
         """
         candidates = list(candidates)
         if self._in_process and self._armed:

@@ -533,6 +533,13 @@ def _explore_settings(document: Any) -> Dict[str, Any]:
                 sizing_doc, "max_buses", None, "explore request 'sizing'", minimum=1
             ),
         }
+        for element in ("processors", "buses"):
+            low, high = sizing[f"min_{element}"], sizing[f"max_{element}"]
+            if high is not None and low > high:
+                raise SerializationError(
+                    f"explore request 'sizing' field 'min_{element}' ({low}) "
+                    f"must be <= field 'max_{element}' ({high})"
+                )
     return {
         "fig1": fig1,
         "fig1_buses": _request_int(document, "fig1_buses", 1, what, minimum=1),

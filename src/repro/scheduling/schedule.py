@@ -22,9 +22,13 @@ from ..graph.paths import AlternativePath
 ZERO_LENGTH = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledTask:
-    """One scheduled activity: a process execution or a condition broadcast."""
+    """One scheduled activity: a process execution or a condition broadcast.
+
+    Slotted: a memoized path schedule holds one per active process, and a
+    per-instance ``__dict__`` would add ~40 bytes to each.
+    """
 
     name: str
     start: float

@@ -90,6 +90,8 @@ def explore_result_dict(result, include_front: bool = False, problem=None) -> di
                 "schedule_hits": result.stages.schedule_hits,
                 "schedule_misses": result.stages.schedule_misses,
                 "schedule_hit_rate": result.stages.schedule_hit_rate,
+                # Depends on what the stage cache held, like the hits.
+                "paths_pruned": result.cache.paths_pruned,
             }
             if result.stages is not None
             else None

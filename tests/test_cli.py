@@ -161,6 +161,10 @@ MALFORMED_REQUEST_FLAGS = [
     (["--nodes", "2"], "'nodes'"),
     (["--fig1", "--fig1-buses", "0"], "'fig1_buses'"),
     (["--size-architecture", "--min-processors", "0"], "'min_processors'"),
+    (["--size-architecture", "--min-processors", "5", "--max-processors", "2"],
+     "'min_processors' (5) must be <= field 'max_processors' (2)"),
+    (["--size-architecture", "--min-buses", "3", "--max-buses", "1"],
+     "'min_buses' (3) must be <= field 'max_buses' (1)"),
 ]
 # ... and the CLI-only flags through the class that owns the setting.
 MALFORMED_RUN_FLAGS = [

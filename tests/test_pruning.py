@@ -25,10 +25,12 @@ from repro.exploration import (
     Explorer,
     StageCache,
     TabuSelection,
+    evaluate_candidate,
     evaluate_neighbourhood,
 )
 from repro.exploration import cost as cost_module
 from repro.generator import generate_system
+from repro.observability import RingBufferSink, Tracer
 
 
 class _FullEvaluator(CachedEvaluator):
@@ -269,3 +271,73 @@ def test_a_cost_below_its_bound_is_reported(problem, monkeypatch):
             problem, candidates, stage_cache=StageCache(), select=TabuSelection()
         )
     assert any(c.fingerprint in str(raised.value) for c in candidates)
+
+
+# -- the path-by-path bound --------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def eight_paths():
+    return ExplorationProblem.from_system(generate_system(40, 8, seed=3))
+
+
+def _winner(evaluations):
+    return min(
+        (e.cost, e.fingerprint) for e in evaluations if e is not None and e.feasible
+    )
+
+
+def test_a_first_path_shorter_than_the_longest_picks_the_same_neighbour(
+    eight_paths, monkeypatch
+):
+    taken = {}  # stage -> the delays of its schedules, in the order taken
+    add = cost_module._PathStage.add
+
+    def recording(self, path, schedule, seen=None):
+        taken.setdefault(id(self), []).append(schedule.delay)
+        add(self, path, schedule, seen)
+
+    monkeypatch.setattr(cost_module._PathStage, "add", recording)
+    candidates = _neighbourhood(eight_paths)
+    pruned = evaluate_neighbourhood(
+        eight_paths, candidates, stage_cache=StageCache(), select=TabuSelection()
+    )
+    monkeypatch.undo()
+    # Some neighbour's first schedule was not its longest path: its bound
+    # grew path by path before it merged or was pruned.
+    assert any(delays[0] < max(delays) for delays in taken.values())
+    assert _winner(pruned) == _winner(evaluate_neighbourhood(eight_paths, candidates))
+
+
+def test_a_batch_schedules_the_same_paths_on_fresh_caches(eight_paths):
+    candidates = _neighbourhood(eight_paths)
+    runs = []
+    for _ in range(2):
+        cache = StageCache()
+        scores = evaluate_neighbourhood(
+            eight_paths, candidates, stage_cache=cache, select=TabuSelection()
+        )
+        runs.append((list(scores), scores.paths_pruned, set(cache._schedules)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0
+
+
+def test_a_pruned_neighbour_had_paths_left_unscheduled(eight_paths):
+    candidates = _neighbourhood(eight_paths)
+    cache = StageCache()
+    scores = evaluate_neighbourhood(
+        eight_paths, candidates, stage_cache=cache, select=TabuSelection()
+    )
+    pruned = [c for c, e in zip(candidates, scores) if e is None]
+    assert pruned
+    # Scoring them in full now schedules the paths the batch skipped: at
+    # most paths_pruned of them (pruned neighbours may share a path).
+    sink = RingBufferSink()
+    for candidate in pruned:
+        evaluate_candidate(eight_paths, candidate, stage_cache=cache, tracer=Tracer(sink))
+    misses = [
+        record for record in sink.records
+        if record["name"] == "stage.path_schedule" and not record["attrs"]["hit"]
+    ]
+    assert 0 < len(misses) <= scores.paths_pruned
+

@@ -236,6 +236,18 @@ def test_malformed_payloads_name_the_offender(
     assert status == 400
     assert "'budget'" in document["error"]
 
+    # A sizing minimum above its maximum is refused at submission, not
+    # accepted as a job that fails later.
+    for element, low, high in (("processors", 5, 2), ("buses", 3, 1)):
+        sizing = {f"min_{element}": low, f"max_{element}": high}
+        status, document = client.request(
+            "POST", "/jobs", {"fig1": True, "sizing": sizing}
+        )
+        assert status == 400, document
+        assert (
+            f"'min_{element}' ({low}) must be <= field 'max_{element}' ({high})"
+        ) in document["error"]
+
     broken = _system_payload(small_system, "broken")
     offender = broken["processes"][0]["name"]
     broken["processes"][0].pop("execution_time")

@@ -13,9 +13,11 @@ evicted with them.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 
 from repro.exploration import (
     CostWeights,
@@ -27,9 +29,11 @@ from repro.exploration import (
 )
 from repro.exploration.cost import (
     _EVICTION_WINDOW,
+    expansion_entry_cost,
     schedule_entry_cost,
 )
 from repro.generator import generate_system
+from repro.scheduling import PathListScheduler
 
 import pytest
 
@@ -166,6 +170,41 @@ def test_oversize_entries_are_computed_but_never_memoized():
     assert cache.occupancy_bytes == schedule_entry_cost(small)
 
 
+def _allocated(build):
+    """``build()``'s result and the bytes it left allocated (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        gc.collect()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_entry_estimates_track_measured_memory():
+    """The byte budget bounds real memory: each estimate is within 2x of it."""
+    problem = ExplorationProblem.from_system(generate_system(40, 8, seed=1))
+    seed = problem.initial_candidate()
+    StageCache().expansion(problem, seed)  # the problem's own derivations, once
+    neighbour = NeighborhoodSampler(problem).sample(seed, random.Random(1), 1)[0][1]
+    cache = StageCache()
+    (expanded, paths), expansion_bytes = _allocated(
+        lambda: cache.expansion(problem, neighbour)
+    )
+    assert cache.structure_misses == 1  # the structure was built, not shared
+    assert 0.5 <= expansion_entry_cost(expanded, paths) / expansion_bytes <= 2.0
+
+    scheduler = PathListScheduler(
+        expanded.graph, expanded.mapping, problem.architecture_for(neighbour)
+    )
+    for path in paths:
+        scheduler.schedule(path)  # the path's context stays with the scheduler
+        schedule, schedule_bytes = _allocated(lambda: scheduler.schedule(path))
+        assert 0.5 <= schedule_entry_cost(schedule) / schedule_bytes <= 2.0
+
+
 def test_invalid_budgets_are_rejected():
     with pytest.raises(ValueError):
         StageCache(max_entries=0)
@@ -194,9 +233,24 @@ def _evaluation_key(evaluation):
     )
 
 
+def _entry_costs(cache):
+    """The largest memoized expansion and path-schedule estimates."""
+    costs = {"expansion": 0, "schedule": 0}
+    for (kind, _key), cost in cache._lru.items():
+        costs[kind] = max(costs[kind], cost)
+    return costs["expansion"], costs["schedule"]
+
+
 def test_post_eviction_requery_recomputes_bit_identical_results(reference_merge):
-    # A budget this tight evicts constantly; results must not notice.
-    bounded = StageCache(max_entries=3, max_bytes=2048)
+    # Room for one expansion and one path schedule, and three entries: a
+    # budget this tight evicts constantly, expansions and schedules alike;
+    # results must not notice.
+    sizing = StageCache()
+    for candidate in _CANDIDATES:
+        evaluate_candidate(_PROBLEM, candidate, _WEIGHTS, stage_cache=sizing)
+    expansion_bytes, schedule_bytes = _entry_costs(sizing)
+    max_bytes = expansion_bytes + schedule_bytes
+    bounded = StageCache(max_entries=3, max_bytes=max_bytes)
     unbounded = StageCache()
     for sweep in range(2):  # second sweep re-queries evicted stages
         for candidate in _CANDIDATES:
@@ -212,7 +266,11 @@ def test_post_eviction_requery_recomputes_bit_identical_results(reference_merge)
             assert with_bound.delta_m == reference.delta_m
     assert bounded.lru_evictions > 0
     assert bounded.stats.schedules <= 3
-    assert bounded.occupancy_bytes <= 2048
+    assert bounded.occupancy_bytes <= max_bytes
+    # Both kinds were evicted: each re-query missed where the unbounded
+    # cache hit.
+    assert bounded.expansion_misses > unbounded.expansion_misses
+    assert bounded.schedule_misses > unbounded.schedule_misses
 
 
 def _assert_maps_follow_the_memo(cache):
