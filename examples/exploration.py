@@ -71,7 +71,8 @@ def main() -> None:
           f"load imbalance {best.best.load_imbalance:.2f}, "
           f"priority function {best.best_candidate.priority_function!r}")
     stats = explorer.evaluator.stats
-    print(f"evaluations: {stats.misses} merges for "
+    print(f"evaluations: {stats.misses - stats.merges_pruned} merges "
+          f"({stats.merges_pruned} pruned) for "
           f"{stats.hits + stats.misses} requests "
           f"({100.0 * stats.hit_rate:.0f}% served from the cache)")
 

@@ -54,10 +54,6 @@ class OAMMode:
         return f"mode{self.index}"
 
     @property
-    def cpu_processes(self) -> Tuple[str, ...]:
-        return tuple(self.cpu_groups)
-
-    @property
     def memory_processes(self) -> Tuple[str, ...]:
         return tuple(self.memory_groups)
 

@@ -224,11 +224,6 @@ class Conjunction:
         """
         return not (other._pos & ~self._pos) and not (other._neg & ~self._neg)
 
-    def restricted_to(self, conditions: Iterable[Condition]) -> "Conjunction":
-        """Return the conjunction of only the literals over the given conditions."""
-        allowed = DEFAULT_UNIVERSE.mask_of(conditions)
-        return Conjunction.from_masks(self._pos & allowed, self._neg & allowed)
-
     def without(self, conditions: Iterable[Condition]) -> "Conjunction":
         """Return the conjunction with literals over the given conditions removed."""
         removed = DEFAULT_UNIVERSE.mask_of(conditions)

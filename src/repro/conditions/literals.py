@@ -65,10 +65,6 @@ class Literal:
     def __invert__(self) -> "Literal":
         return self.negate()
 
-    def conflicts_with(self, other: "Literal") -> bool:
-        """True when the two literals are over the same condition with opposite values."""
-        return self.condition == other.condition and self.value != other.value
-
 
 def conditions_of(literals: Iterable[Literal]) -> frozenset:
     """Return the set of condition variables mentioned by ``literals``."""

@@ -48,10 +48,6 @@ class ConditionUniverse:
             self._conditions.append(condition)
         return bit
 
-    def condition_at(self, index: int) -> Condition:
-        """The condition owning bit ``1 << index``."""
-        return self._conditions[index]
-
     def conditions_in(self, mask: int) -> Tuple[Condition, ...]:
         """The conditions whose bits are set in ``mask`` (bit order)."""
         found = []

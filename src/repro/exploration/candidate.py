@@ -198,16 +198,6 @@ class Candidate:
             self, communication_assignment=tuple(sorted(updated.items()))
         )
 
-    def without_communication(self, message: str) -> "Candidate":
-        """Return a copy with one message's pin removed (derivation resumes)."""
-        updated = dict(self.communication_assignment)
-        if message not in updated:
-            raise KeyError(f"message {message!r} carries no explicit bus pin")
-        del updated[message]
-        return replace(
-            self, communication_assignment=tuple(sorted(updated.items()))
-        )
-
     def with_element(self, name: str, kind: str) -> "Candidate":
         """Return a copy with one sizable element (processor or bus) added."""
         if any(existing == name for existing, _ in self.platform):
@@ -229,34 +219,6 @@ class Candidate:
         for name, pe_name in self.assignment:
             mapping.assign(name, pe_name)
         return mapping
-
-    def describe_difference(self, other: "Candidate") -> str:
-        """Short human-readable summary of what changed versus ``other``."""
-        changes = [
-            f"{name}->{pe}"
-            for name, pe in self.assignment
-            if other.assignment_dict.get(name) != pe
-        ]
-        if self.priority_function != other.priority_function:
-            changes.append(f"priority={self.priority_function}")
-        if self.priority_bias != other.priority_bias:
-            changed_bias = set(self.priority_bias) ^ set(other.priority_bias)
-            changes.append(f"bias({len(changed_bias)} terms)")
-        if self.communication_assignment != other.communication_assignment:
-            theirs = other.communication_dict
-            for message, bus_name in self.communication_assignment:
-                if theirs.get(message) != bus_name:
-                    changes.append(f"{message}~{bus_name}")
-            for message in theirs:
-                if message not in self.communication_dict:
-                    changes.append(f"{message}~derived")
-        if self.platform != other.platform:
-            mine, theirs = set(self.platform), set(other.platform)
-            for name, _ in sorted(mine - theirs):
-                changes.append(f"+{name}")
-            for name, _ in sorted(theirs - mine):
-                changes.append(f"-{name}")
-        return ", ".join(changes) if changes else "unchanged"
 
     def __str__(self) -> str:
         return f"candidate[{self.fingerprint}]"

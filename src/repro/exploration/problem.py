@@ -60,10 +60,11 @@ class ArchitectureBounds:
     max_processors / min_processors:
         Inclusive bounds on the number of programmable processors.
         ``max_processors=None`` resolves to "two more than the seed
-        architecture provides".
+        architecture provides", or to ``min_processors`` if that is larger.
     max_buses / min_buses:
         Inclusive bounds on the number of buses.  ``max_buses=None`` resolves
-        to "one more than the seed architecture provides".  Keep
+        to "one more than the seed architecture provides", or to
+        ``min_buses`` if that is larger.  Keep
         ``min_buses >= 1`` whenever processes communicate across processors —
         removing the last bus makes every such design point infeasible.
     processor_speed / bus_speed:
@@ -82,10 +83,12 @@ class ArchitectureBounds:
         """Fill the ``None`` maxima from the seed architecture's element counts."""
         max_processors = self.max_processors
         if max_processors is None:
-            max_processors = len(architecture.programmable_processors) + 2
+            max_processors = max(
+                len(architecture.programmable_processors) + 2, self.min_processors
+            )
         max_buses = self.max_buses
         if max_buses is None:
-            max_buses = len(architecture.buses) + 1
+            max_buses = max(len(architecture.buses) + 1, self.min_buses)
         bounds = replace(self, max_processors=max_processors, max_buses=max_buses)
         bounds.validate()
         return bounds

@@ -11,7 +11,7 @@ associated subgraph ``G_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..conditions import Condition, Conjunction
 from .cpg import ConditionalProcessGraph
@@ -107,15 +107,6 @@ class PathEnumerator:
             if path is not None:
                 return path
         raise KeyError(f"no alternative path matches {known}")
-
-    def reachable_paths(self, known: Conjunction) -> List[AlternativePath]:
-        """Paths still reachable when only some conditions are known."""
-        return [path for path in self.paths() if path.is_consistent_with(known)]
-
-    def subgraph_of(self, path: AlternativePath) -> ConditionalProcessGraph:
-        """Build the induced subgraph ``G_k`` of an alternative path."""
-        sub = self._graph.subgraph(path.active_processes, name=f"{self._graph.name}[{path.label}]")
-        return sub
 
     # -- enumeration ---------------------------------------------------------
 

@@ -10,9 +10,8 @@ source paper itself argues (measured schedule-table generation time):
   ``repro-cpg explore --trace FILE`` format) or an in-memory
   :class:`RingBufferSink`; tracing is off by default — instrumented layers
   take ``tracer=None`` and skip their spans, allocating nothing;
-* :class:`MetricsRegistry` — named counters, gauges and histograms whose
-  frozen :class:`MetricsSnapshot` views merge, so per-worker metrics fold
-  into one run-level profile;
+* :class:`MetricsRegistry` — named counters, gauges and histograms of one
+  process, read through frozen :class:`MetricsSnapshot` views;
 * :func:`aggregate_trace` / :func:`format_trace_report` — the
   ``repro-cpg trace-report`` aggregation from a raw trace to the per-stage /
   per-engine wall-time tables that seed the evaluator-flattening work.
@@ -28,7 +27,6 @@ from .metrics import (
     HistogramStats,
     MetricsRegistry,
     MetricsSnapshot,
-    merge_snapshots,
 )
 from .report import (
     StageProfile,
@@ -63,7 +61,6 @@ __all__ = [
     "Tracer",
     "aggregate_trace",
     "format_trace_report",
-    "merge_snapshots",
     "read_trace",
     "validate_record",
 ]

@@ -1,15 +1,13 @@
-"""Counters, gauges and histograms with mergeable snapshots.
+"""Counters, gauges and histograms with frozen snapshots.
 
 The runtime's existing statistics (:class:`~repro.exploration.CacheStats`,
 :class:`~repro.exploration.StageStats`,
 :class:`~repro.exploration.ResilienceStats`) are purpose-built frozen
 dataclasses; this module adds the *generic* layer underneath them — a
-:class:`MetricsRegistry` any instrumented component can write named metrics
-into, and a frozen :class:`MetricsSnapshot` whose :meth:`~MetricsSnapshot.merge`
-folds per-worker registries into one view (counters sum, gauges keep the
-maximum, histograms combine count/total/min/max).  That merge is what lets
-pool workers each keep a private registry and still report one coherent
-per-run profile.
+:class:`MetricsRegistry` any instrumented component of one process can write
+named metrics into, and a frozen :class:`MetricsSnapshot` view of it.
+Process-mode pool workers keep no registry, so a run's metrics are the
+coordinating process's alone.
 
 Metric naming convention (dotted, lowercase; the full list is documented in
 ``docs/observability.md``):
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 
 @dataclass(frozen=True)
@@ -51,49 +49,14 @@ class HistogramStats:
         """The arithmetic mean of the observed values (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def combined(self, other: "HistogramStats") -> "HistogramStats":
-        """The summary of both histograms' observations pooled together."""
-        if not other.count:
-            return self
-        if not self.count:
-            return other
-        return HistogramStats(
-            count=self.count + other.count,
-            total=self.total + other.total,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """A frozen, mergeable view of one registry's metrics.
-
-    ``merge`` is associative and commutative, so per-worker snapshots fold
-    in any order: counters sum, gauges keep the maximum (the convention that
-    makes high-water marks like queue depth meaningful across workers) and
-    histograms pool their observations.
-    """
+    """A frozen view of one registry's counters, gauges and histograms."""
 
     counters: Mapping[str, float] = field(default_factory=dict)
     gauges: Mapping[str, float] = field(default_factory=dict)
     histograms: Mapping[str, HistogramStats] = field(default_factory=dict)
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold another snapshot into this one; returns a new snapshot."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges.get(name, value), value)
-        histograms = dict(self.histograms)
-        for name, stats in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = stats if mine is None else mine.combined(stats)
-        return MetricsSnapshot(
-            counters=counters, gauges=gauges, histograms=histograms
-        )
 
     def stage_seconds(self) -> Dict[str, float]:
         """Total wall-clock seconds per pipeline stage, from the histograms.
@@ -134,7 +97,7 @@ class MetricsRegistry:
             self._counters[name] = self._counters.get(name, 0.0) + value
 
     def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge (merges keep the maximum across workers)."""
+        """Set the named gauge."""
         with self._lock:
             self._gauges[name] = value
 
@@ -162,12 +125,3 @@ class MetricsRegistry:
                 gauges=dict(self._gauges),
                 histograms=dict(self._histograms),
             )
-
-
-def merge_snapshots(*snapshots: Optional[MetricsSnapshot]) -> MetricsSnapshot:
-    """Fold any number of (possibly None) snapshots into one view."""
-    merged = MetricsSnapshot()
-    for snapshot in snapshots:
-        if snapshot is not None:
-            merged = merged.merge(snapshot)
-    return merged

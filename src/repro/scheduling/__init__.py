@@ -9,7 +9,13 @@ The package contains the two halves of the paper's scheduling strategy:
 """
 
 from .list_scheduler import PathListScheduler, SchedulingError
-from .merging import MergeConflictError, MergeResult, ScheduleMerger, merge_schedules
+from .merging import (
+    MergeConflictError,
+    MergeInvariantError,
+    MergeResult,
+    ScheduleMerger,
+    merge_schedules,
+)
 from .priorities import (
     PATH_LOCAL_PRIORITY_FUNCTIONS,
     PRIORITY_FUNCTIONS,
@@ -27,6 +33,7 @@ from .trace import DecisionNode, MergeTrace
 __all__ = [
     "DecisionNode",
     "MergeConflictError",
+    "MergeInvariantError",
     "MergeResult",
     "MergeTrace",
     "PATH_LOCAL_PRIORITY_FUNCTIONS",

@@ -536,12 +536,6 @@ class PathListScheduler:
             )
         return PathSchedule(path, scheduled, broadcasts, determination, disjunction_pes)
 
-    def schedule_all(
-        self, paths: List[AlternativePath]
-    ) -> Dict[AlternativePath, PathSchedule]:
-        """Schedule every alternative path with default priorities."""
-        return {path: self.schedule(path) for path in paths}
-
     # -- internal helpers ---------------------------------------------------------
 
     def _critical_path_priorities(self, context: _PathContext) -> Dict[str, float]:

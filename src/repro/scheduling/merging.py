@@ -9,16 +9,21 @@ progressively fills the schedule table:
   delay — its schedule is followed and its activation times are fixed in the
   table;
 * when a back-step selects a new path, the new path's schedule is *adjusted*:
-  processes whose activation time was already fixed in a column that depends
-  only on conditions determined before the branching node are locked to that
-  time, and the remaining (unlocked) processes are rescheduled to the earliest
-  feasible moment while keeping their original relative order;
+  every activity whose time the table fixed in a column that holds under the
+  path's label is locked to that time, and the remaining (unlocked)
+  activities are rescheduled to the earliest feasible moment while keeping
+  their original relative order.  The paper's wording locks only the times
+  fixed in columns that depend on conditions determined before the branching
+  node; but the walk later treats every entry the label meets as settled, and
+  one the adjusted schedule had moved then breaks requirement 4.  A settled
+  entry whose time differs from the current schedule's raises
+  :class:`MergeInvariantError`;
 * a placement that would violate the determinism requirement (the same process
   with different activation times under non-exclusive columns) is a *conflict*;
   following Theorem 2 of the paper the process is moved to the activation time
-  of one of the conflicting columns (and, as a safety net beyond the paper,
-  delayed until the distinguishing condition is known on its processing
-  element).
+  of one of the conflicting columns and the schedule is re-adjusted by the
+  same rule.  A conflict no such time resolves raises
+  :class:`MergeConflictError`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,27 @@ _EPSILON = 1e-9
 
 
 class MergeConflictError(RuntimeError):
-    """Raised when a table conflict cannot be resolved (should not happen)."""
+    """Raised when no conflicting column's time resolves a table conflict."""
+
+
+class MergeInvariantError(RuntimeError):
+    """Raised when the walk finds a fixed entry the current schedule moved.
+
+    Every adjusted schedule is locked to the entries that can apply on its
+    path, so this is a merger bug, never an infeasible design point: unlike
+    :class:`MergeConflictError`, exploration does not score it as one.
+    """
+
+
+def _check_settled(
+    activity: str, entry: TableEntry, task: ScheduledTask, current: PathSchedule
+) -> None:
+    """An applicable entry is settled only if the schedule runs it at its time."""
+    if abs(entry.start - task.start) > _EPSILON:
+        raise MergeInvariantError(
+            f"{activity} is fixed at {entry.start:g} under [{entry.column}] "
+            f"but scheduled at {task.start:g} on path {current.path.label}"
+        )
 
 
 class _SegmentColumns:
@@ -268,7 +293,7 @@ class ScheduleMerger:
         if reachable:
             self._trace.back_steps += 1
             new_path = max(reachable, key=lambda p: self._optimal_delays[p.label])
-            adjusted, locked_count = self._adjust(new_path, other_known)
+            adjusted, locked_count = self._adjust(new_path)
             self._trace.adjustments += 1
             child = self._explore(other_known, adjusted, True, depth + 1)
             child.locked_processes = locked_count
@@ -348,7 +373,9 @@ class ScheduleMerger:
         name = task.name
         if name in self._dummy_names:
             return False, current, True
-        if self._table.applicable_process_entry(name, known_pos, known_neg) is not None:
+        entry = self._table.applicable_process_entry(name, known_pos, known_neg)
+        if entry is not None:
+            _check_settled(f"process {name!r}", entry, task, current)
             return False, current, True
         pe = self._mapping.get(name)
         column = columns.column(pe, task.start)
@@ -379,10 +406,9 @@ class ScheduleMerger:
             # in the deeper segments, once the condition is part of ``known``
             # — not settled: descendants must revisit this item.
             return False, current, False
-        if (
-            self._table.applicable_condition_entry(condition, known_pos, known_neg)
-            is not None
-        ):
+        entry = self._table.applicable_condition_entry(condition, known_pos, known_neg)
+        if entry is not None:
+            _check_settled(f"the broadcast of {condition}", entry, task, current)
             return False, current, True
         # The broadcast happens whatever value its condition takes, so that
         # condition stays out of its column.
@@ -400,85 +426,62 @@ class ScheduleMerger:
         forced = ScheduledTask(
             task.name, target.start, task.duration, target.pe or task.pe, condition
         )
-        new_current = self._readjust(
-            current, extra_locked_broadcasts={condition: forced}
+        new_current, _ = self._adjust(
+            current.path, extra_broadcasts={condition: forced}
         )
         return True, new_current, False
 
-    # -- columns, locks and conflicts --------------------------------------------------
-
-    def _locks_from_table(
-        self, known: Conjunction
-    ) -> Tuple[Dict[str, float], Dict[Condition, ScheduledTask]]:
-        """Previously fixed activation times that apply under ``known``.
-
-        One pass over the table's mask index: a column applies when its masks
-        are submasks of ``known``'s masks.
-        """
-        process_entries, condition_entries = self._table.applicable_locks(
-            known.pos_mask, known.neg_mask
-        )
-        locked = {name: entry.start for name, entry in process_entries.items()}
-        locked_broadcasts: Dict[Condition, ScheduledTask] = {}
-        tau0 = self._architecture.condition_broadcast_time
-        for condition, entry in condition_entries.items():
-            duration = tau0 if entry.pe is not None else 0.0
-            locked_broadcasts[condition] = ScheduledTask(
-                f"cond:{condition}", entry.start, duration, entry.pe, condition
-            )
-        return locked, locked_broadcasts
+    # -- adjustment and conflicts ----------------------------------------------------
 
     def _adjust(
-        self, path: AlternativePath, known: Conjunction
+        self,
+        path: AlternativePath,
+        extra_locked: Optional[Dict[str, float]] = None,
+        extra_broadcasts: Optional[Dict[Condition, ScheduledTask]] = None,
     ) -> Tuple[PathSchedule, int]:
-        """Adjust a newly selected path's schedule to the already fixed times."""
-        locked, locked_broadcasts = self._locks_from_table(known)
+        """Schedule ``path`` around the activation times the table already fixed.
+
+        Every entry whose column holds under the path's label is locked, not
+        only those the conditions known at the branching node imply: once its
+        conditions are known, such an entry applies on this branch and the
+        placement walk treats it as settled.  ``extra_locked`` and
+        ``extra_broadcasts`` add the times a conflict forces.  Returns the
+        schedule and the number of locked processes.
+        """
+        label = path.label
+        process_entries, condition_entries = self._table.applicable_locks(
+            label.pos_mask, label.neg_mask
+        )
         active = set(path.active_processes)
         locked = {
-            name: start for name, start in locked.items() if name in active
+            name: entry.start
+            for name, entry in process_entries.items()
+            if name in active
         }
+        determined = self._optimal[label].determination_times
+        tau0 = self._architecture.condition_broadcast_time
         locked_broadcasts = {
-            condition: task
-            for condition, task in locked_broadcasts.items()
-            if condition in self._optimal[path.label].determination_times
+            condition: ScheduledTask(
+                f"cond:{condition}",
+                entry.start,
+                tau0 if entry.pe is not None else 0.0,
+                entry.pe,
+                condition,
+            )
+            for condition, entry in condition_entries.items()
+            if condition in determined
         }
+        if extra_locked:
+            locked.update(extra_locked)
+        if extra_broadcasts:
+            locked_broadcasts.update(extra_broadcasts)
         adjusted = self._scheduler.schedule(
             path,
             locked_starts=locked,
             locked_broadcasts=locked_broadcasts,
-            order_hint=self._order_hints[path.label],
+            order_hint=self._order_hints[label],
         )
         return adjusted, len(locked)
-
-    def _readjust(
-        self,
-        current: PathSchedule,
-        extra_locked: Optional[Dict[str, float]] = None,
-        extra_locked_broadcasts: Optional[Dict[Condition, ScheduledTask]] = None,
-    ) -> PathSchedule:
-        """Re-run the adjustment of the current path with additional locks."""
-        known = current.path.label
-        # Locks must reflect what has been placed so far for this tree branch;
-        # using the full path label keeps exactly the entries consistent
-        # with the path, which is a superset of the entries placed so far and
-        # therefore safe (they will be placed later at the same times).
-        locked, locked_broadcasts = self._locks_from_table(known)
-        active = set(current.path.active_processes)
-        locked = {
-            name: start
-            for name, start in locked.items()
-            if name in active
-        }
-        if extra_locked:
-            locked.update(extra_locked)
-        if extra_locked_broadcasts:
-            locked_broadcasts.update(extra_locked_broadcasts)
-        return self._scheduler.schedule(
-            current.path,
-            locked_starts=locked,
-            locked_broadcasts=locked_broadcasts,
-            order_hint=self._order_hints[current.path.label],
-        )
 
     def _resolve_process_conflict(
         self,
@@ -490,55 +493,23 @@ class ScheduleMerger:
     ) -> PathSchedule:
         """Move the process to a conflict-free activation time (Theorem 2).
 
-        ``columns`` are the segment's columns over ``current``; a re-adjusted
-        schedule gets its own.
+        The conflicting times are tried in increasing order.  A time is
+        screened against ``columns``, the segment's columns over ``current``
+        (re-adjusting around one moved process almost never changes the
+        condition-knowledge times a column depends on), and only a time that
+        passes pays for a re-adjustment, whose own column is checked again.
         """
         pe = self._mapping.get(name)
         candidate_times = sorted({entry.start for entry in conflicts})
-
-        # Cheap pre-screening: the column a candidate time would get depends on
-        # the condition-knowledge times, which re-adjusting around one moved
-        # process almost never changes.  Try the candidates against the current
-        # schedule first and only pay for a full re-adjustment on the best one;
-        # the per-candidate re-adjustment loop below remains as the fallback.
         for candidate in candidate_times:
             column = columns.column(pe, candidate)
             if self._table.conflicting_process_entries(name, column, candidate):
                 continue
-            adjusted = self._readjust(current, extra_locked={name: candidate})
+            adjusted, _ = self._adjust(current.path, extra_locked={name: candidate})
             column = _SegmentColumns(known, adjusted).column(pe, candidate)
             if not self._table.conflicting_process_entries(name, column, candidate):
                 self._table.add_process_entry(name, column, candidate, pe)
                 return adjusted
-            break
-
-        for candidate in candidate_times:
-            adjusted = self._readjust(current, extra_locked={name: candidate})
-            column = _SegmentColumns(known, adjusted).column(pe, candidate)
-            if not self._table.conflicting_process_entries(name, column, candidate):
-                self._table.add_process_entry(name, column, candidate, pe)
-                return adjusted
-
-        # Safety net beyond Theorem 2: delay the process until some condition
-        # distinguishing it from every conflicting column is known on its
-        # processing element, which makes the new column mutually exclusive
-        # with all conflicting entries.
-        fallback_times = sorted(
-            {
-                current.condition_known_time(condition, pe)
-                for condition in known.conditions
-                if condition in current.determination_times
-            }
-        )
-        for candidate in fallback_times:
-            if candidate <= max(candidate_times) + _EPSILON:
-                continue
-            adjusted = self._readjust(current, extra_locked={name: candidate})
-            column = _SegmentColumns(known, adjusted).column(pe, candidate)
-            if not self._table.conflicting_process_entries(name, column, candidate):
-                self._table.add_process_entry(name, column, candidate, pe)
-                return adjusted
-
         raise MergeConflictError(
             f"could not resolve the table conflict for process {name!r} "
             f"(conflicting times {candidate_times})"

@@ -10,7 +10,7 @@ algorithm that produces the global schedule table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..architecture.processing_element import ProcessingElement
 from ..conditions import Condition
@@ -49,10 +49,6 @@ class ScheduledTask:
     @property
     def is_broadcast(self) -> bool:
         return self.condition is not None
-
-    def moved_to(self, start: float) -> "ScheduledTask":
-        """Return a copy of this task starting at a different time."""
-        return ScheduledTask(self.name, start, self.duration, self.pe, self.condition)
 
     def __str__(self) -> str:
         where = self.pe.name if self.pe is not None else "-"
@@ -162,24 +158,6 @@ class PathSchedule:
         if broadcast is None:
             return determined
         return broadcast.end
-
-    def conditions_known_at(
-        self,
-        pe: Optional[ProcessingElement],
-        time: float,
-        restrict_to: Optional[Iterable[Condition]] = None,
-    ) -> Tuple[Condition, ...]:
-        """Conditions whose value is usable on ``pe`` at ``time`` (sorted)."""
-        allowed = (
-            set(restrict_to) if restrict_to is not None else set(self.determination_times)
-        )
-        known = [
-            condition
-            for condition in self.determination_times
-            if condition in allowed
-            and self.condition_known_time(condition, pe) <= time
-        ]
-        return tuple(sorted(known))
 
     # -- resource view ----------------------------------------------------------
 

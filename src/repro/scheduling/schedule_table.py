@@ -5,10 +5,13 @@ row per condition broadcast.  Each column is headed by a conjunction of
 condition values; the cell at row *P*, column *E* holds the activation time of
 *P* when *E* is true.  Section 3 of the paper states four requirements the
 table must satisfy to yield a deterministic distributed execution; this module
-represents the table and checks requirements 1–3 statically (requirement 4 —
+represents the table and checks requirements 1–3 statically.  Requirement 4 —
 activation may only depend on conditions already known on the executing
-processing element — is enforced by construction during merging and
-re-verified dynamically by the run-time simulator).
+processing element — is the merger's: each column holds only the conditions
+known on the element at the entry's start, every adjusted schedule is locked
+to the entries its path's label meets, and an entry the walk keeps as settled
+must match the current schedule (see :mod:`repro.scheduling.merging`).  The
+run-time simulator re-verifies it dynamically.
 """
 
 from __future__ import annotations

@@ -83,7 +83,3 @@ class MergeTrace:
         if self.root is not None:
             visit(self.root, 0)
         return "\n".join(lines)
-
-    def ordered_path_delays(self) -> List[tuple]:
-        """Path labels and their optimal delays, longest first (as in Fig. 2)."""
-        return sorted(self.path_delays.items(), key=lambda item: -item[1])

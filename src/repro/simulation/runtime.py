@@ -68,9 +68,6 @@ class ExecutionTrace:
                 return item
         raise KeyError(f"no executed activity named {name!r}")
 
-    def executed_names(self) -> Tuple[str, ...]:
-        return tuple(item.name for item in self.activities if not item.is_broadcast)
-
 
 class RuntimeSimulator:
     """Executes a schedule table under the paper's distributed execution model."""

@@ -29,10 +29,6 @@ class ValidationReport:
     worst_case_delay: float = 0.0
     paths_checked: int = 0
 
-    @property
-    def best_case_delay(self) -> float:
-        return min(self.path_delays.values(), default=0.0)
-
 
 def validate_schedule_table(
     graph: ConditionalProcessGraph,

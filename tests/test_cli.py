@@ -144,6 +144,19 @@ def test_explore_engine_all_runs_three_engines(capsys):
     }
 
 
+def test_a_sizing_minimum_above_the_default_maximum_raises_it(capsys):
+    """Fig. 1 has one bus, so the default maximum (seed + 1) is 2: a minimum
+    of 4 makes the maximum 4, exactly as if it had been given."""
+    arguments = ["explore", "--fig1", "--size-architecture", "--min-buses", "4",
+                 "--cycles", "3", "--neighbors", "3"]
+    assert main(arguments) == 0
+    raised = capsys.readouterr()
+    assert main(arguments + ["--max-buses", "4"]) == 0
+    given = capsys.readouterr()
+    assert raised.err == given.err == ""
+    assert raised.out == given.out
+
+
 def test_explore_fig1_and_system_file_mutually_exclusive(system_file, capsys):
     # submit shares the check and fails before it contacts any service.
     for command in ("explore", "submit"):

@@ -239,21 +239,12 @@ class TestCommunicationLookup:
 
 class TestCandidatePins:
     def test_with_and_without_communication(self):
+        """The candidate with a pin is a copy; the one without keeps none."""
         candidate = Candidate(assignment=(("P1", "pe1"),))
         pinned = candidate.with_communication("P1->P2", "bus2")
         assert pinned.communication_dict == {"P1->P2": "bus2"}
         assert pinned.fingerprint != candidate.fingerprint
         assert candidate.communication_assignment == ()  # origin untouched
-        restored = pinned.without_communication("P1->P2")
-        assert restored.fingerprint == candidate.fingerprint
-        with pytest.raises(KeyError):
-            restored.without_communication("P1->P2")
-
-    def test_pins_enter_describe_difference(self):
-        candidate = Candidate(assignment=(("P1", "pe1"),))
-        pinned = candidate.with_communication("P1->P2", "bus2")
-        assert "P1->P2~bus2" in pinned.describe_difference(candidate)
-        assert "P1->P2~derived" in candidate.describe_difference(pinned)
 
 
 @pytest.fixture(scope="module")

@@ -82,9 +82,8 @@ class TestAlgebra:
         assert conj.value_of(D) is False
         assert conj.value_of(K) is None
 
-    def test_restricted_to_and_without(self):
+    def test_without_drops_the_given_conditions(self):
         conj = Conjunction.of(C.true(), D.false(), K.true())
-        assert conj.restricted_to([C, D]) == Conjunction.of(C.true(), D.false())
         assert conj.without([C]) == Conjunction.of(D.false(), K.true())
 
 

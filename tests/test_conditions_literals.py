@@ -48,14 +48,6 @@ class TestLiteral:
         literal = Condition("D").true()
         assert ~~literal == literal
 
-    def test_conflicts_with_opposite_polarity(self):
-        c = Condition("C")
-        assert c.true().conflicts_with(c.false())
-        assert not c.true().conflicts_with(c.true())
-
-    def test_no_conflict_between_different_conditions(self):
-        assert not Condition("C").true().conflicts_with(Condition("D").false())
-
     def test_evaluate(self):
         """A literal holds under known values that contain it."""
         c = Condition("C")

@@ -11,6 +11,8 @@ zero-length activities and the merge's conflict rule get exercised.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.data import load_fig1_example
 from repro.exploration import (
@@ -18,10 +20,14 @@ from repro.exploration import (
     ExplorationProblem,
     Explorer,
     NeighborhoodSampler,
+    evaluate_candidate,
     merge_candidate,
 )
+from repro.exploration import cost
+from repro.exploration.problem import BUS_POLICIES
+from repro.scheduling import MergeInvariantError, ScheduleMerger
 from repro.scheduling.schedule import ZERO_LENGTH
-from repro.simulation import SimulationError, validate_merge_result
+from repro.simulation import validate_merge_result
 
 
 def _problem(buses=1, **options):
@@ -100,25 +106,15 @@ def test_reported_fig1_winner_passes_the_simulator():
 
 # -- the merge's conflict rule (Theorem 2) -----------------------------------------
 #
-# One bus, mapped communications, least-loaded derivation.  Seed 1 resolves
-# its conflict at the first conflicting time; seeds 389 and 22 skip the first
-# time in the cheap pre-screen and take a later one.  Every conflict these
-# walks reach is resolved by the pre-screen loop.
+# One bus, mapped communications, least-loaded derivation.  Each walk
+# resolves its conflict at the first conflicting time.  The ids of seeds 389
+# and 22 name the later time they took under the narrower back-step lock rule
+# (see below), under which seed 22's table broke requirement 4.
 
 _CONFLICT_CASES = [
     pytest.param(1, 4, id="seed1-step4-first-time"),
     pytest.param(389, 7, id="seed389-step7-later-time"),
-    pytest.param(
-        22, 3, id="seed22-step3-later-time",
-        marks=pytest.mark.xfail(
-            strict=True,
-            raises=SimulationError,
-            reason="the table activates the zero-length P2_to_P4 at 8 under "
-            "!C, while C's broadcast under D ends at 9: the back-step "
-            "re-placed that broadcast because its entry's column (D) did not "
-            "apply yet",
-        ),
-    ),
+    pytest.param(22, 3, id="seed22-step3-later-time"),
 ]
 
 
@@ -130,3 +126,69 @@ def test_conflicts_resolved_on_a_valid_table(seed, step):
     assert result.trace.conflicts_resolved >= 1
     assert result.delta_max >= result.delta_m
     validate_merge_result(expanded.graph, expanded.mapping, result, architecture)
+
+
+# -- one adjustment rule: every entry the path's label meets is locked ------------
+#
+# A back-step adjusts the new path's schedule around every table entry whose
+# column holds under the path's label.  Locking only the entries the known
+# conditions imply let the schedule move an entry whose column names a
+# condition known later; the walk then found that entry applicable and kept
+# its time, and the table broke requirement 4.
+
+
+class _KnownImpliedLocks(ScheduleMerger):
+    """A merger whose back-steps lock only the entries ``known`` implies."""
+
+    def _explore(self, known, current, back_step, depth, start_item=0):
+        if back_step:
+            table = self._table
+            locks = table.applicable_locks(known.pos_mask, known.neg_mask)
+            table.applicable_locks = lambda pos_mask, neg_mask: locks
+            try:
+                current, _ = self._adjust(current.path)
+            finally:
+                del table.applicable_locks
+        return super()._explore(known, current, back_step, depth, start_item)
+
+
+def test_moving_a_settled_entry_fails_the_evaluation(monkeypatch):
+    """The check names the moved broadcast; it is a bug, not an infeasible design.
+
+    At the root back-step on C, the broadcast of C fixed under column D (8-9
+    on the bus) is not locked, so the adjusted ``!C & D & K`` schedule moves
+    it to 7; the walk then finds the D entry applicable.
+    """
+    problem = _problem(map_communications=True, bus_policy="least_loaded")
+    candidate = list(_walk(problem, 22, 4))[3]
+    monkeypatch.setattr(cost, "ScheduleMerger", _KnownImpliedLocks)
+    with pytest.raises(
+        MergeInvariantError,
+        match=r"the broadcast of C is fixed at 8 under \[D\] but scheduled at 7",
+    ):
+        evaluate_candidate(problem, candidate)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    buses=st.integers(1, 2),
+    mapped=st.booleans(),
+    policy=st.sampled_from(BUS_POLICIES),
+    seed=st.integers(0, 39),
+    step=st.integers(0, 19),
+)
+# One-bus walk steps whose tables broke requirement 4 under the narrower
+# lock rule (the bus policy does not matter on one bus).  The first also
+# resolves a conflict (``test_conflicts_resolved_on_a_valid_table``), so the
+# property reaches the conflict rule.
+@example(buses=1, mapped=True, policy="least_loaded", seed=22, step=3)
+@example(buses=1, mapped=False, policy="least_index", seed=22, step=6)
+@example(buses=1, mapped=False, policy="least_index", seed=28, step=12)
+@example(buses=1, mapped=True, policy="least_index", seed=3, step=16)
+@example(buses=1, mapped=True, policy="least_index", seed=6, step=10)
+def test_every_walk_table_passes_the_simulator(buses, mapped, policy, seed, step):
+    problem = _problem(buses, map_communications=mapped, bus_policy=policy)
+    candidate = list(_walk(problem, seed, step + 1))[step]
+    expanded, result, architecture = _merged(problem, candidate)
+    validate_merge_result(expanded.graph, expanded.mapping, result, architecture)
+    assert result.delta_max >= result.delta_m

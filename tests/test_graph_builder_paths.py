@@ -109,21 +109,6 @@ class TestPathEnumeration:
         with pytest.raises(KeyError):
             enumerator.path_for(Conjunction.true())
 
-    def test_reachable_paths_filter(self):
-        graph = nested_condition_graph()
-        enumerator = PathEnumerator(graph)
-        reachable = enumerator.reachable_paths(Conjunction.of(C.true()))
-        assert {str(p.label) for p in reachable} == {"C & D", "C & !D"}
-        assert len(enumerator.reachable_paths(Conjunction.true())) == 3
-
-    def test_subgraph_of_path(self):
-        graph = nested_condition_graph()
-        enumerator = PathEnumerator(graph)
-        path = enumerator.path_for(Conjunction.of(C.false(), D.false()))
-        sub = enumerator.subgraph_of(path)
-        assert "P3" in sub.process_names
-        assert "P2" not in sub.process_names
-
     def test_path_consistency_helpers(self):
         graph = nested_condition_graph()
         path = PathEnumerator(graph).path_for(Conjunction.of(C.true(), D.false()))

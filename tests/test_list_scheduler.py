@@ -242,7 +242,7 @@ class TestLockingAndAdjustment:
         architecture, expanded = build_conditional_system()
         scheduler = PathListScheduler(expanded.graph, expanded.mapping, architecture)
         paths = PathEnumerator(expanded.graph).paths()
-        schedules = scheduler.schedule_all(paths)
+        schedules = {path: scheduler.schedule(path) for path in paths}
         assert set(schedules) == set(paths)
         for path, schedule in schedules.items():
             for name in path.active_processes:

@@ -5,7 +5,7 @@ import pytest
 from repro.architecture import Architecture, Mapping, bus, hardware, programmable
 from repro.conditions import Condition, Conjunction
 from repro.graph import CPGBuilder, PathEnumerator, expand_communications
-from repro.scheduling import ScheduleMerger, merge_schedules
+from repro.scheduling import MergeConflictError, ScheduleMerger, merge_schedules
 from repro.simulation import validate_merge_result
 
 C = Condition("C")
@@ -212,3 +212,76 @@ class TestFig1Merge:
 
     def test_six_leaves_in_decision_tree(self, fig1_merge_result):
         assert len(fig1_merge_result.trace.leaves()) == 6
+
+
+class TestBroadcastConflict:
+    """Fig. 1's graph and mapping on two buses, with tau0 = 3, P1 = 12, P2 = 2
+    and a 4-unit transfer P1 -> P3.
+
+    The first path, ``C & D & K``, broadcasts K at 17 on pe5 under ``C & D``.
+    After the back-step on C, the ``!C & D & K`` schedule broadcasts K at 16
+    on pe4, where C is known only at 17: that column, ``D``, does not exclude
+    ``C & D``, and the label does not lock the ``C & D`` entry.  The merger
+    moves the broadcast to the fixed time, 17 on pe5.
+    """
+
+    def test_the_broadcast_moves_to_the_fixed_time(self, monkeypatch):
+        from repro.data import fig1 as data
+
+        monkeypatch.setattr(
+            data, "EXECUTION_TIMES", dict(data.EXECUTION_TIMES, P1=12, P2=2)
+        )
+        monkeypatch.setattr(
+            data, "COMMUNICATION_TIMES", {**data.COMMUNICATION_TIMES, ("P1", "P3"): 4}
+        )
+        monkeypatch.setattr(data, "CONDITION_BROADCAST_TIME", 3.0)
+        example = data.load_fig1_example(num_buses=2)
+        result = ScheduleMerger(
+            example.graph, example.expanded_mapping, example.architecture
+        ).merge()
+        assert result.trace.conflicts_resolved == 1
+        assert [
+            (str(entry.column), entry.start, entry.pe.name)
+            for entry in result.table.condition_entries(Condition("K"))
+        ] == [("C & D", 17, "pe5"), ("!C & D", 17, "pe5")]
+        validate_merge_result(
+            example.graph, example.expanded_mapping, result, example.architecture
+        )
+
+
+class TestUnresolvedConflict:
+    """Fig. 1's graph on two buses with tau0 = 2, other times, and P11 and
+    P12 moved to pe1.
+
+    On path ``C & !D`` the bus carries D's broadcast only from 20 to 22, so
+    P7 at 21 on pe2 gets the column ``C``, which the entry at 35 under
+    ``C & D & !K`` does not exclude.  At 35 the column is ``C & !D``, which
+    the entry at 21 under ``C & K`` does not exclude: no conflicting time is
+    free, and the merger says so instead of producing a table.
+    """
+
+    def test_the_merger_names_the_process(self, monkeypatch):
+        from repro.data import fig1 as data
+
+        monkeypatch.setattr(
+            data,
+            "EXECUTION_TIMES",
+            dict(
+                data.EXECUTION_TIMES,
+                P3=10, P4=10, P5=7, P6=2, P8=9, P11=1, P12=1, P15=12,
+            ),
+        )
+        monkeypatch.setattr(
+            data, "COMMUNICATION_TIMES", {**data.COMMUNICATION_TIMES, ("P12", "P15"): 1}
+        )
+        monkeypatch.setattr(data, "CONDITION_BROADCAST_TIME", 2.0)
+        example = data.load_fig1_example(num_buses=2)
+        mapping = example.mapping.reassigned({"P11": "pe1", "P12": "pe1"})
+        expanded = expand_communications(
+            example.process_graph, mapping, example.architecture
+        )
+        merger = ScheduleMerger(expanded.graph, expanded.mapping, example.architecture)
+        with pytest.raises(
+            MergeConflictError, match=r"process 'P7' \(conflicting times \[35.0\]\)"
+        ):
+            merger.merge()

@@ -34,13 +34,11 @@ from repro.observability import (
     HistogramStats,
     JsonlSink,
     MetricsRegistry,
-    MetricsSnapshot,
     RingBufferSink,
     TraceError,
     Tracer,
     aggregate_trace,
     format_trace_report,
-    merge_snapshots,
     read_trace,
     validate_record,
 )
@@ -254,6 +252,7 @@ def test_registry_counters_gauges_histograms():
     assert stats.total == 1.0
     assert stats.minimum == 0.25 and stats.maximum == 0.75
     assert stats.mean == 0.5
+    assert HistogramStats().mean == 0.0
     assert snapshot.stage_seconds() == {"merge": 1.0}
 
 
@@ -264,37 +263,6 @@ def test_snapshot_is_frozen_copy():
     registry.count("c")
     assert snapshot.counters["c"] == 1.0
     assert registry.snapshot().counters["c"] == 2.0
-
-
-def test_merge_equals_single_registry():
-    # Per-worker registries folded together must equal one shared registry
-    # that saw every write — the property pool-mode reporting relies on.
-    observations = [0.1, 0.4, 0.2, 0.9, 0.3, 0.6]
-    shared = MetricsRegistry()
-    workers = [MetricsRegistry() for _ in range(3)]
-    for index, value in enumerate(observations):
-        for registry in (shared, workers[index % 3]):
-            registry.observe("stage.expansion.seconds", value)
-            registry.count("cache.misses")
-    shared.gauge("pool.queue_depth", 7.0)
-    workers[0].gauge("pool.queue_depth", 3.0)
-    workers[2].gauge("pool.queue_depth", 7.0)
-    merged = merge_snapshots(*[worker.snapshot() for worker in workers])
-    expected = shared.snapshot()
-    assert merged.counters == expected.counters
-    assert merged.gauges == expected.gauges
-    assert merged.histograms == expected.histograms
-    assert merged.stage_seconds() == expected.stage_seconds()
-
-
-def test_merge_snapshots_skips_none_and_handles_empty():
-    snapshot = MetricsSnapshot(counters={"a": 1.0})
-    merged = merge_snapshots(None, snapshot, None)
-    assert merged.counters == {"a": 1.0}
-    assert merge_snapshots().counters == {}
-    empty = HistogramStats()
-    assert empty.combined(HistogramStats(count=1, total=2.0)).total == 2.0
-    assert empty.mean == 0.0
 
 
 # -- instrumented pipeline ---------------------------------------------------------

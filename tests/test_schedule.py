@@ -45,11 +45,6 @@ class TestScheduledTask:
         assert ScheduledTask("cond:C", 0.0, 1.0, BUS, C).is_broadcast
         assert not ScheduledTask("P1", 0.0, 1.0, PE1).is_broadcast
 
-    def test_moved_to_keeps_everything_else(self):
-        task = ScheduledTask("P1", 0.0, 3.0, PE1)
-        moved = task.moved_to(7.0)
-        assert moved.start == 7.0 and moved.duration == 3.0 and moved.pe == PE1
-
     def test_str_mentions_pe(self):
         assert "pe1" in str(ScheduledTask("P1", 0.0, 3.0, PE1))
 
@@ -88,13 +83,6 @@ class TestPathSchedule:
     def test_condition_known_time_unknown_condition(self):
         with pytest.raises(KeyError):
             make_schedule().condition_known_time(Condition("Z"), PE1)
-
-    def test_conditions_known_at(self):
-        schedule = make_schedule()
-        assert schedule.conditions_known_at(PE1, 4.0) == (C,)
-        assert schedule.conditions_known_at(PE2, 4.5) == ()
-        assert schedule.conditions_known_at(PE2, 5.0) == (C,)
-        assert schedule.conditions_known_at(PE2, 10.0, restrict_to=[]) == ()
 
     def test_busy_intervals_only_for_sequential_elements(self):
         tasks = {

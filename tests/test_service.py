@@ -213,6 +213,21 @@ def test_one_schema_answers_both_front_ends(
     assert capsys.readouterr().err == f"error: {document['error']}\n"
 
 
+def test_a_sizing_minimum_above_the_default_maximum_runs(client):
+    # Fig. 1 has one bus, so the default maximum (seed + 1) is 2; a minimum
+    # of 4 raises it to 4, as if it had been given.
+    results = []
+    for sizing in ({"min_buses": 4}, {"min_buses": 4, "max_buses": 4}):
+        request = dict(FIG1_REQUEST, sizing=sizing)
+        status, submitted = client.request("POST", "/jobs", request)
+        assert status == 202, submitted
+        assert client.wait(submitted["job"], timeout=120)["state"] == "done"
+        (result,) = client.result(submitted["job"])["results"]
+        assert result["best"]["feasible"] is True
+        results.append((result["best"], result["trajectory"]))
+    assert results[0] == results[1]
+
+
 def test_malformed_payloads_name_the_offender(
     client, small_system, malformed_system_documents
 ):

@@ -57,12 +57,6 @@ def test_render_marks_back_steps():
     assert "branches on C" in text
 
 
-def test_ordered_path_delays_sorted_descending():
-    trace, *_ = build_tree()
-    ordered = trace.ordered_path_delays()
-    assert [delay for _, delay in ordered] == [20.0, 15.0]
-
-
 def test_empty_trace():
     trace = MergeTrace()
     assert trace.nodes() == []
