@@ -148,11 +148,8 @@ def format_exploration_comparison(
     ``sched hits`` column reports the incremental evaluator's per-path schedule
     cache (``hits/probes``, see :class:`repro.exploration.StageStats`); runs
     without stage counters (staged evaluation off, process-mode pool) show
-    ``-``.  The ``faults`` column summarises the resilience counters as
-    ``r<retries> w<worker restarts> q<quarantined>`` (plus ``DEGRADED`` when
-    the pool fell back to in-process evaluation); unarmed runs show ``-``.
-    The ``wall`` column shows the run's total wall-clock time and the mean
-    per evaluation (``total/mean``, from the metrics snapshot backing
+    ``-``.  The ``wall`` column shows the run's total wall-clock time and the
+    mean per evaluation (``total/mean``, from the metrics snapshot backing
     ``ExplorationResult.wall_seconds``); runs without metrics show ``-``.
     """
     rows = []
@@ -163,16 +160,6 @@ def format_exploration_comparison(
             stage_cell = f"{stages.schedule_hits}/{probes}"
         else:
             stage_cell = "-"
-        resilience = getattr(result, "resilience", None)
-        if resilience is not None:
-            fault_cell = (
-                f"r{resilience.retries} w{resilience.worker_restarts}"
-                f" q{resilience.quarantined}"
-            )
-            if resilience.degraded:
-                fault_cell += " DEGRADED"
-        else:
-            fault_cell = "-"
         wall = getattr(result, "wall_seconds", None)
         if wall is not None:
             evaluations = result.evaluations or 1
@@ -188,12 +175,11 @@ def format_exploration_comparison(
             result.evaluations,
             result.cache.hits,
             stage_cell,
-            fault_cell,
             wall_cell,
         ])
     return format_table(
         title,
         ["engine", "seed dmax", "best dmax", "gain", "cycles", "evals",
-         "cache hits", "sched hits", "faults", "wall"],
+         "cache hits", "sched hits", "wall"],
         rows,
     )

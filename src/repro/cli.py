@@ -76,8 +76,6 @@ from .exploration import (
     CheckpointError,
     EvaluationPool,
     Explorer,
-    FaultInjector,
-    RetryPolicy,
     WorkerInitializationError,
 )
 from .graph import BUS_POLICIES, PathEnumerator
@@ -271,41 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="evaluation-pool workers (>1 scores neighbour batches in parallel)",
-    )
-    explore.add_argument(
-        "--retries", type=int, default=None,
-        help="resilience: attributable failures per candidate before it is "
-        "quarantined with an infeasible sentinel cost (default 3 once the "
-        "resilient path is armed)",
-    )
-    explore.add_argument(
-        "--eval-timeout", type=float, default=None,
-        help="resilience: per-candidate evaluation timeout in seconds for "
-        "pooled execution (hung workers are restarted; default: no timeout)",
-    )
-    explore.add_argument(
-        "--fault-crash-rate", type=float, default=0.0,
-        help="fault injection: probability an evaluation attempt raises",
-    )
-    explore.add_argument(
-        "--fault-hang-rate", type=float, default=0.0,
-        help="fault injection: probability an evaluation attempt hangs "
-        "(for --fault-hang-seconds)",
-    )
-    explore.add_argument(
-        "--fault-exit-rate", type=float, default=0.0,
-        help="fault injection: probability a worker process dies abruptly",
-    )
-    explore.add_argument(
-        "--fault-hang-seconds", type=float, default=0.5,
-        help="fault injection: duration of an injected hang",
-    )
-    explore.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="fault injection: decision seed (default: --seed); decisions "
-        "hash (seed, candidate, attempt), so results stay bit-identical "
-        "to the fault-free run",
+        help="evaluation-pool workers (>1 scores each batch on that many "
+        "processes, which evaluate every neighbour in full: tabu loses its "
+        "pruning)",
     )
     explore.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -532,22 +498,6 @@ def _command_explore(arguments) -> int:
             arguments.checkpoint, every=arguments.checkpoint_every
         ))
     seed = request["seed"]
-    injector = _checked("--fault-*", lambda: FaultInjector(
-        seed=arguments.fault_seed if arguments.fault_seed is not None else seed,
-        crash_rate=arguments.fault_crash_rate,
-        hang_rate=arguments.fault_hang_rate,
-        exit_rate=arguments.fault_exit_rate,
-        hang_seconds=arguments.fault_hang_seconds,
-    ))
-    injector = injector if injector.armed else None
-    settings = {"max_attempts": arguments.retries, "timeout": arguments.eval_timeout}
-    given = {key: value for key, value in settings.items() if value is not None}
-    retry = None
-    if given:
-        retry = _checked("--retries/--eval-timeout", lambda: RetryPolicy(**given))
-    elif injector is not None:
-        # Faults without an explicit policy still need bounded retries.
-        retry = RetryPolicy()
     path = vars(arguments).get("system")
     problem, origin = problem_and_origin(request, origin=path)
     config = replace(
@@ -564,8 +514,6 @@ def _command_explore(arguments) -> int:
             problem,
             config.weights,
             workers=arguments.workers,
-            retry=retry,
-            fault_injector=injector,
             tracer=tracer,
             metrics=metrics,
         )) as pool:
@@ -598,10 +546,14 @@ def _command_explore(arguments) -> int:
         ))
         return 0
 
+    fallback = (
+        " (a worker died; fell back to in-process evaluation)"
+        if pool.degraded else ""
+    )
     print(f"exploring {origin}")
     print(f"  processes {len(problem.movable_processes)}, "
           f"processors {len(problem.processor_names)}, "
-          f"workers {pool.workers}")
+          f"workers {pool.workers}{fallback}")
     if arguments.checkpoint is not None:
         print(f"  checkpoint {arguments.checkpoint} "
               f"(every {config.checkpoint_every} cycle(s))")
@@ -670,15 +622,6 @@ def _command_explore(arguments) -> int:
         if result.resumed_from is not None:
             print(f"         resumed from checkpoint at cycle "
                   f"{result.resumed_from}")
-        if result.resilience is not None and result.resilience.eventful:
-            stats = result.resilience
-            line = (f"         resilience: retries {stats.retries}, "
-                    f"timeouts {stats.timeouts}, "
-                    f"worker restarts {stats.worker_restarts}, "
-                    f"quarantined {stats.quarantined}")
-            if stats.degraded:
-                line += " (degraded to in-process evaluation)"
-            print(line)
         if request["map_communications"] and result.best.feasible:
             realised = problem.communications_for(result.best_candidate)
             per_bus = Counter(realised.values())
@@ -788,8 +731,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     User-input problems — an unreadable or malformed system description, an
     invalid model, an explore request or flag its owner rejects, a foreign
-    checkpoint, workers that cannot start — are reported as one actionable
-    ``error:`` line on stderr with exit status 2 instead of a traceback.
+    checkpoint, a problem the workers cannot rebuild — are reported as one
+    actionable ``error:`` line on stderr with exit status 2 instead of a
+    traceback.
     """
     arguments = _build_parser().parse_args(argv)
     try:

@@ -24,11 +24,10 @@ repository's schedule merger as the evaluator:
 * :class:`ParetoFront` — non-dominated fronts over the vector cost
   ``(delta_max, mean_path_delay, load_imbalance, architecture_cost,
   bus_imbalance)``;
-* :class:`EvaluationPool` — batched neighbour/generation scoring on
-  ``concurrent.futures`` worker processes, resilient to worker crashes,
-  hangs and abrupt exits (:class:`RetryPolicy`, :class:`FaultInjector`,
-  quarantine of poison candidates, graceful degrade to in-process
-  evaluation);
+* :class:`EvaluationPool` — batched neighbour/generation scoring,
+  in-process or on ``concurrent.futures`` worker processes; a merger bug
+  fails the run with any worker count, and a dead worker makes the pool
+  evaluate in-process, with the same evaluations;
 * :class:`Checkpointer` / :func:`load_checkpoint` — versioned JSON
   checkpoints every engine writes periodically and resumes from
   bit-identically (``Explorer.explore(..., checkpoint=..., resume=True)``).
@@ -100,13 +99,8 @@ from .resilience import (
     CHECKPOINT_VERSION,
     Checkpointer,
     CheckpointError,
-    FaultInjector,
-    InjectedFault,
-    ResilienceStats,
-    RetryPolicy,
     WorkerInitializationError,
     load_checkpoint,
-    quarantined_evaluation,
     validate_checkpoint,
 )
 
@@ -127,17 +121,13 @@ __all__ = [
     "ExplorationProblem",
     "ExplorationResult",
     "Explorer",
-    "FaultInjector",
     "GeneticEngine",
-    "InjectedFault",
     "MaxCycles",
     "Move",
     "NeighborhoodSampler",
     "OBJECTIVE_NAMES",
     "ParetoFront",
     "ParetoPoint",
-    "ResilienceStats",
-    "RetryPolicy",
     "SearchState",
     "SimulatedAnnealingEngine",
     "StageCache",
@@ -159,6 +149,5 @@ __all__ = [
     "load_checkpoint",
     "merge_candidate",
     "non_dominated_sort",
-    "quarantined_evaluation",
     "validate_checkpoint",
 ]

@@ -53,7 +53,6 @@ from .pool import EvaluationPool
 from .problem import ExplorationProblem
 from .resilience import (
     Checkpointer,
-    ResilienceStats,
     load_checkpoint,
     rng_state_from_json,
     scored_from_json,
@@ -172,10 +171,6 @@ class ExplorationResult:
     #: explorer.  None when a process-mode pool scores the misses
     #: (per-worker caches are not aggregated).
     stages: Optional[StageStats] = None
-    #: Fault/retry counters of the evaluation pool (see
-    #: :class:`~repro.exploration.ResilienceStats`); None for an unarmed
-    #: one-worker pool, the default.
-    resilience: Optional[ResilienceStats] = None
     #: The cycle this run was restored at when it resumed from a checkpoint
     #: (None for a run started from scratch).
     resumed_from: Optional[int] = None
@@ -401,7 +396,6 @@ class _EngineBase:
             stop_reason=reason,
             cache=self._evaluator.stats,
             stages=self._evaluator.stage_stats,
-            resilience=self._evaluator.resilience_stats,
             resumed_from=resumed_from,
             front=front.snapshot() if front is not None else None,
             **self._finish_run(engine_span, run_started, state.cycle),

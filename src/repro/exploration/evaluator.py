@@ -181,15 +181,6 @@ class CachedEvaluator:
         return self._batch_stats
 
     @property
-    def resilience_stats(self):
-        """The pool's fault/retry counters (None for an unarmed one-worker pool).
-
-        (Typed loosely to avoid importing the resilience module here; the
-        value is a :class:`repro.exploration.ResilienceStats`.)
-        """
-        return self._pool.resilience_stats
-
-    @property
     def stage_stats(self) -> Optional[StageStats]:
         """Stage-level hit/miss counters of the pool's stage caches.
 

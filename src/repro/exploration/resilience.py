@@ -1,26 +1,8 @@
-"""Fault injection, retry policies and checkpointing for the explorer.
+"""Checkpointing for the explorer, and the pool's start-up error.
 
-The evaluation layer is pure, which makes it *restartable*: a candidate that
-was lost to a crashed worker, an injected hang or a poisoned chunk can simply
-be evaluated again and must produce the identical
-:class:`~repro.exploration.CandidateEvaluation`.  This module supplies the
-three pieces the resilient runtime is built from:
-
-:class:`FaultInjector`
-    Deterministic, seeded fault decisions.  Faults are *not* drawn from the
-    engine RNG: each decision hashes ``(seed, fingerprint, attempt)``, so
-    whether an evaluation faults depends only on the candidate and how often
-    it was tried — never on worker scheduling, chunking or pool size.  A
-    retried evaluation moves to the next attempt and therefore to a fresh
-    draw, so injected faults delay results but cannot change them: a run with
-    faults injected reports the bit-identical best cost and trajectory as the
-    fault-free run with the same engine seed.
-
-:class:`RetryPolicy`
-    Bounded retries with exponential backoff and deterministic jitter, a
-    per-evaluation timeout for pooled execution, and the pool-restart budget
-    after which the :class:`~repro.exploration.EvaluationPool` degrades to
-    trusted in-process evaluation.
+The evaluation layer is pure, which makes a search *resumable*: an engine's
+whole state fits in a JSON document, and re-running from it reproduces the
+uninterrupted search.
 
 Checkpoint documents
     Versioned JSON snapshots of a running engine — RNG state, current/best
@@ -30,16 +12,17 @@ Checkpoint documents
     checkpoint continues the search bit-identically to the uninterrupted run
     (cache *counters* restart from zero; every value the search reads is in
     the snapshot).
+
+:class:`WorkerInitializationError`
+    Raised by :class:`~repro.exploration.EvaluationPool` before any worker
+    starts when the problem payload cannot be rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
-import time
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,205 +34,12 @@ CHECKPOINT_VERSION = 1
 _INFEASIBLE_COST = float("inf")
 
 
-class InjectedFault(RuntimeError):
-    """The exception a 'crash' fault raises inside an evaluation."""
-
-
 class WorkerInitializationError(RuntimeError):
-    """Worker start-up failed: the problem payload or the workers are broken."""
+    """Evaluation workers could not rebuild the problem from its payload."""
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is missing, malformed or belongs to a different run."""
-
-
-# -- fault injection ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultInjector:
-    """Seeded, deterministic fault decisions for evaluation workers.
-
-    Rates are independent probabilities checked in order crash -> hang ->
-    exit; at most one fault fires per (candidate, attempt).  ``hang_seconds``
-    bounds an injected hang (a sleep, so a per-evaluation timeout can catch
-    it without leaving an unkillable worker behind).  ``fail_worker_init``
-    makes the *worker initialiser* raise instead — the deterministic handle
-    on start-up failures.
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    exit_rate: float = 0.0
-    hang_seconds: float = 30.0
-    fail_worker_init: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate", "exit_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {rate!r}")
-        if self.hang_seconds < 0:
-            raise ValueError("hang_seconds must be non-negative")
-
-    @property
-    def armed(self) -> bool:
-        """Whether any fault can ever fire."""
-        return (
-            self.crash_rate > 0
-            or self.hang_rate > 0
-            or self.exit_rate > 0
-            or self.fail_worker_init
-        )
-
-    def _draw(self, fingerprint: str, attempt: int, salt: str) -> float:
-        digest = hashlib.sha256(
-            f"{self.seed}|{fingerprint}|{attempt}|{salt}".encode()
-        ).digest()
-        return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-    def fault_for(self, fingerprint: str, attempt: int) -> Optional[str]:
-        """The fault (``'crash'``/``'hang'``/``'exit'``) for one attempt, or None.
-
-        Pure and scheduling-independent: the same (fingerprint, attempt) pair
-        always yields the same decision, whatever worker evaluates it.
-        """
-        if self._draw(fingerprint, attempt, "crash") < self.crash_rate:
-            return "crash"
-        if self._draw(fingerprint, attempt, "hang") < self.hang_rate:
-            return "hang"
-        if self._draw(fingerprint, attempt, "exit") < self.exit_rate:
-            return "exit"
-        return None
-
-    def inject(self, fingerprint: str, attempt: int, in_worker: bool) -> None:
-        """Fire the configured fault for this attempt, if any.
-
-        ``in_worker`` distinguishes a pool worker process (where ``'exit'``
-        may genuinely kill the process) from in-process evaluation, where
-        'exit' and 'hang' both degrade to a crash-style exception — killing
-        or sleeping the coordinator would take the whole run down, which is
-        exactly what the resilience layer exists to prevent.
-        """
-        fault = self.fault_for(fingerprint, attempt)
-        if fault is None:
-            return
-        if fault == "crash":
-            raise InjectedFault(
-                f"injected crash for candidate {fingerprint} (attempt {attempt})"
-            )
-        if fault == "hang":
-            if in_worker:
-                time.sleep(self.hang_seconds)
-                return
-            raise InjectedFault(
-                f"injected hang for candidate {fingerprint} (attempt {attempt})"
-            )
-        # 'exit': abrupt worker death, the BrokenProcessPool case.
-        if in_worker:
-            os._exit(1)
-        raise InjectedFault(
-            f"injected exit for candidate {fingerprint} (attempt {attempt})"
-        )
-
-
-# -- retry policy ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries, deterministic backoff and the pool-restart budget.
-
-    ``max_attempts`` counts *attributable* failures per candidate before it
-    is quarantined (scored with the infeasible sentinel instead of killing
-    the run).  ``timeout`` bounds one pooled evaluation unit (None disables
-    timeouts; injected hangs then merely delay the batch by
-    ``FaultInjector.hang_seconds``).  ``max_pool_restarts`` bounds executor
-    respawns *without progress* before the pool degrades to in-process
-    evaluation.  Backoff for attempt ``k`` is
-    ``min(backoff_max, backoff_base * backoff_factor**(k-1))`` plus a
-    deterministic jitter hashed from the retried key, so reruns sleep
-    identically.
-    """
-
-    max_attempts: int = 3
-    timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    max_pool_restarts: int = 5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("backoff bounds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        if self.max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be non-negative")
-
-    def delay_for(self, attempt: int, key: str = "") -> float:
-        """Backoff before retry number ``attempt`` (1-based), in seconds."""
-        if attempt < 1 or self.backoff_base <= 0:
-            return 0.0
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        if self.jitter > 0:
-            digest = hashlib.sha256(f"backoff|{key}|{attempt}".encode()).digest()
-            fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            delay *= 1.0 - self.jitter * fraction
-        return delay
-
-
-@dataclass(frozen=True)
-class ResilienceStats:
-    """Fault/retry counters of one pool (reported in ExplorationResult).
-
-    ``injected`` counts the faults injected into in-process evaluation (an
-    armed serial pool); faults injected inside process workers are not
-    shipped back, so they show only through the retries, timeouts and
-    restarts they cause.
-    """
-
-    retries: int = 0
-    timeouts: int = 0
-    worker_restarts: int = 0
-    quarantined: int = 0
-    injected: int = 0
-    degraded: bool = False
-
-    @property
-    def eventful(self) -> bool:
-        """Whether anything at all went wrong (or was injected)."""
-        return any(
-            getattr(self, f.name) for f in fields(self) if f.name != "degraded"
-        ) or self.degraded
-
-
-def quarantined_evaluation(
-    fingerprint: str, failures: int, error: str
-) -> CandidateEvaluation:
-    """The sentinel scored for a candidate that failed ``failures`` times.
-
-    Infeasible with infinite cost, so every engine treats the design point as
-    a dead end instead of dying with it; the error message preserves the last
-    failure for diagnosis.
-    """
-    return CandidateEvaluation(
-        fingerprint=fingerprint,
-        cost=_INFEASIBLE_COST,
-        feasible=False,
-        error=f"quarantined after {failures} failed evaluations: {error}",
-    )
 
 
 # -- checkpoint serialisation helpers ----------------------------------------------

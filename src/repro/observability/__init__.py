@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics and profiling hooks.
 
-The exploration runtime reports *what* happened (cache hit rates, fault
+The exploration runtime reports *what* happened (cache hit rates, stage
 counters, trajectories) but — before this package — not *where wall-clock
 time goes*.  This package is the missing timing spine, mirroring how the
 source paper itself argues (measured schedule-table generation time):

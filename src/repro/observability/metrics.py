@@ -1,8 +1,7 @@
 """Counters, gauges and histograms with frozen snapshots.
 
 The runtime's existing statistics (:class:`~repro.exploration.CacheStats`,
-:class:`~repro.exploration.StageStats`,
-:class:`~repro.exploration.ResilienceStats`) are purpose-built frozen
+:class:`~repro.exploration.StageStats`) are purpose-built frozen
 dataclasses; this module adds the *generic* layer underneath them — a
 :class:`MetricsRegistry` any instrumented component of one process can write
 named metrics into, and a frozen :class:`MetricsSnapshot` view of it.
@@ -19,13 +18,13 @@ Metric naming convention (dotted, lowercase; the full list is documented in
   time per engine;
 * ``cache.hits`` / ``cache.misses`` / ``cache.merges_pruned`` —
   whole-candidate cache counters and the merges tabu's bound skipped;
-* ``pool.*`` — queue depth gauge, per-unit latency histogram and the
-  resilience counters (retries, timeouts, worker_restarts, quarantined,
-  injected, degraded).
+* ``pool.*`` — a process pool's per-chunk latency histogram
+  (``pool.unit.seconds``), the bytes it ships (``pool.payload_bytes``) and
+  its fall-back to in-process evaluation (``pool.degraded``).
 
 The disabled default is simply ``metrics=None`` at every instrumentation
 site: one ``is not None`` check and nothing else, so the disabled path costs
-~zero (the BENCH_core ``incremental``/``resilience`` records gate this).
+~zero (the BENCH_core ``incremental`` record gates this).
 """
 
 from __future__ import annotations

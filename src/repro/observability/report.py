@@ -6,7 +6,7 @@ the result: wall-clock totals per pipeline stage, the same broken down per
 engine (stage spans are attributed to the nearest enclosing ``engine`` span
 via the recorded parent ids) with each engine's *unattributed* remainder
 (its span total minus its top-level stage totals), and a tally of point
-events (retries, injected faults, respawns).  It answers "where does
+events (such as ``pool.degraded``).  It answers "where does
 evaluation time actually go" per engine without re-running anything.
 
 Stage spans are named ``stage.<name>``; the canonical stage set is

@@ -4,10 +4,10 @@ The exploration runtime knows its *hit rates* (whole-candidate cache, stage
 caches) but, before this module, not where wall-clock time goes.  A
 :class:`Tracer` records that as a flat stream of JSON-compatible dicts — one
 record per closed *span* (a named, timed region: an engine run, a search
-cycle, a pipeline stage) or per *event* (a point occurrence: a retry, an
-injected fault, a pool respawn) — that ``repro-cpg trace-report`` aggregates
-into the per-stage/per-engine time profile seeding the evaluator-flattening
-work (ROADMAP item 5).
+cycle, a pipeline stage) or per *event* (a point occurrence, such as a
+process pool falling back to in-process evaluation) — that
+``repro-cpg trace-report`` aggregates into the per-stage/per-engine time
+profile seeding the evaluator-flattening work (ROADMAP item 5).
 
 Schema (version :data:`TRACE_SCHEMA_VERSION`)
 ---------------------------------------------
@@ -27,7 +27,7 @@ Every record is a flat dict with exactly these keys:
     level).  Events carry their own id too, so they are addressable.
 ``name``
     The span/stage/event name (e.g. ``"engine"``, ``"stage.expansion"``,
-    ``"resilience.retry"``).
+    ``"pool.degraded"``).
 ``t0``
     Start time on the monotonic ``time.perf_counter`` clock, relative to the
     tracer's creation.  Monotonic and subtraction-safe within one run;

@@ -96,18 +96,6 @@ def explore_result_dict(result, include_front: bool = False, problem=None) -> di
             if result.stages is not None
             else None
         ),
-        "resilience": (
-            {
-                "retries": result.resilience.retries,
-                "timeouts": result.resilience.timeouts,
-                "worker_restarts": result.resilience.worker_restarts,
-                "quarantined": result.resilience.quarantined,
-                "injected": result.resilience.injected,
-                "degraded": result.resilience.degraded,
-            }
-            if result.resilience is not None
-            else None
-        ),
         "resumed_from": result.resumed_from,
         # Timing and batch stats (all None unless metrics are on: identical
         # invocations must keep producing byte-identical JSON).

@@ -147,9 +147,8 @@ class EvaluationLock:
 class _JobEvaluator(CachedEvaluator):
     """A :class:`CachedEvaluator` whose fresh batches hold the evaluation lock.
 
-    Everything else is the CLI's serial shape — a serial pool over the
-    given stage cache, so ``resilience`` stays null and the result document
-    byte-identical.
+    Everything else is the CLI's serial shape — a one-worker pool over the
+    given stage cache, so the result document stays byte-identical.
     """
 
     def __init__(self, problem, lock: EvaluationLock, **options) -> None:

@@ -181,10 +181,6 @@ MALFORMED_REQUEST_FLAGS = [
 ]
 # ... and the CLI-only flags through the class that owns the setting.
 MALFORMED_RUN_FLAGS = [
-    (["--retries", "0"], "--retries"),
-    (["--eval-timeout", "0"], "--eval-timeout"),
-    (["--fault-crash-rate", "2"], "crash_rate"),
-    (["--fault-hang-seconds", "-1"], "hang_seconds"),
     (["--workers", "0"], "--workers"),
     (["--workers", "-3"], "--workers"),
     (["--checkpoint", "CHECKPOINT", "--checkpoint-every", "0"],
@@ -305,25 +301,6 @@ def test_unparseable_json_exits_with_message(tmp_path, capsys):
     path.write_text("this is not json")
     assert main(["schedule", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
-
-
-def test_explore_with_fault_injection_matches_clean_run(capsys):
-    base = [
-        "explore", "--nodes", "16", "--paths", "2", "--seed", "3",
-        "--cycles", "3", "--engine", "tabu", "--json",
-    ]
-    assert main(base) == 0
-    clean = json.loads(capsys.readouterr().out)
-    assert main(base + [
-        "--fault-crash-rate", "0.1", "--fault-exit-rate", "0.05",
-        "--retries", "5",
-    ]) == 0
-    faulted = json.loads(capsys.readouterr().out)
-    assert faulted["results"][0]["best"] == clean["results"][0]["best"]
-    assert faulted["results"][0]["trajectory"] == clean["results"][0]["trajectory"]
-    resilience = faulted["results"][0]["resilience"]
-    assert resilience is not None and not resilience["degraded"]
-    assert clean["results"][0]["resilience"] is None
 
 
 def test_explore_checkpoint_resume_cli_round_trip(tmp_path, capsys):

@@ -5,11 +5,10 @@ instrumented layers default to ``tracer=None``/``metrics=None`` and skip
 instrumentation, so results are bit-identical with observability on or
 off.  (2) Traces are schema-strict and
 deterministic: the same seed produces the same span/event sequence modulo
-timestamps.  (3) Metrics snapshots merge correctly: per-worker registries
-fold into the same view one shared registry would have produced.  (4) The
-resilience machinery surfaces as first-class trace events under the fault
-matrix, and ``repro-cpg trace-report`` aggregates it all into per-stage
-wall-time tables.
+timestamps.  (3) Metrics snapshots are frozen copies of one process's
+registry; a process pool's coordinator records its own chunk latency and
+payload traffic.  (4) ``repro-cpg trace-report`` aggregates it all into
+per-stage wall-time tables.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from repro.exploration import (
     ExplorationConfig,
     ExplorationProblem,
     Explorer,
-    FaultInjector,
-    RetryPolicy,
 )
 from repro.generator import generate_system
 from repro.observability import (
@@ -241,12 +238,12 @@ def test_registry_counters_gauges_histograms():
     registry = MetricsRegistry()
     registry.count("cache.hits")
     registry.count("cache.hits", 2)
-    registry.gauge("pool.queue_depth", 5.0)
+    registry.gauge("service.queue_depth", 5.0)
     registry.observe("stage.merge.seconds", 0.25)
     registry.observe("stage.merge.seconds", 0.75)
     snapshot = registry.snapshot()
     assert snapshot.counters["cache.hits"] == 3.0
-    assert snapshot.gauges["pool.queue_depth"] == 5.0
+    assert snapshot.gauges["service.queue_depth"] == 5.0
     stats = snapshot.histograms["stage.merge.seconds"]
     assert stats.count == 2
     assert stats.total == 1.0
@@ -323,72 +320,11 @@ def test_process_pool_records_coordinator_metrics(problem):
         evaluations = pool.evaluate(batch)
     assert evaluations == reference
     snapshot = metrics.snapshot()
-    # The coordinator records unit latency, queue depth and payload traffic;
-    # the workers themselves are uninstrumented, so no evaluation is timed.
+    # The coordinator records chunk latency and payload traffic; the
+    # workers themselves are uninstrumented, so no evaluation is timed.
     assert snapshot.histograms["pool.unit.seconds"].count > 0
-    assert snapshot.gauges["pool.queue_depth"] >= 1.0
     assert snapshot.counters["pool.payload_bytes"] == pool.payload_bytes_shipped > 0
     assert "evaluate.seconds" not in snapshot.histograms
-
-
-# -- resilience events -------------------------------------------------------------
-
-
-def test_fault_matrix_emits_resilience_events(problem):
-    batch = [problem.initial_candidate()]
-    for process in problem.movable_processes[:4]:
-        targets = [
-            pe for pe in problem.processor_names
-            if pe != batch[0].pe_of(process)
-        ]
-        batch.append(batch[0].reassigned(process, targets[0]))
-    with EvaluationPool(problem) as clean_pool:
-        clean = clean_pool.evaluate(batch)
-
-    sink = RingBufferSink(capacity=100_000)
-    metrics = MetricsRegistry()
-    injector = FaultInjector(seed=3, crash_rate=0.5)
-    with EvaluationPool(
-        problem,
-        retry=RetryPolicy(backoff_base=0.0),
-        fault_injector=injector,
-        tracer=Tracer(sink),
-        metrics=metrics,
-    ) as pool:
-        faulted = pool.evaluate(batch)
-        stats = pool.resilience_stats
-    # Faults change nothing about the evaluations...
-    assert faulted == clean
-    assert stats.injected > 0
-    # ...but every injection and retry is a first-class trace event,
-    events = [r for r in sink.records if r["type"] == "event"]
-    names = [record["name"] for record in events]
-    assert names.count("resilience.fault_injected") == stats.injected
-    assert names.count("resilience.retry") == stats.retries
-    for record in events:
-        assert record["attrs"].get("fingerprint")
-    # ...mirrored into the pool.* counters,
-    counters = metrics.snapshot().counters
-    assert counters["pool.injected"] == stats.injected
-    assert counters["pool.retries"] == stats.retries
-    # ...and tallied by trace-report aggregation.
-    report = aggregate_trace(sink.records)
-    assert report.events["resilience.fault_injected"] == stats.injected
-
-
-def test_quarantine_event_when_retries_exhausted(problem):
-    candidate = problem.initial_candidate()
-    sink = RingBufferSink()
-    with EvaluationPool(
-        problem,
-        retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-        fault_injector=FaultInjector(seed=3, crash_rate=1.0),
-        tracer=Tracer(sink),
-    ) as pool:
-        (evaluation,) = pool.evaluate([candidate])
-    assert not evaluation.feasible
-    names = [r["name"] for r in sink.records if r["type"] == "event"]
-    assert "resilience.quarantine" in names
 
 
 # -- trace report ------------------------------------------------------------------

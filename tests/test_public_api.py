@@ -129,7 +129,7 @@ def test_each_setting_has_one_owner():
     ]
     removed = {
         "mode", "priority_choices", "bias_steps", "attempts_per_neighbor",
-        "name_format", "startup_timeout",
+        "name_format", "startup_timeout", "retry", "fault_injector",
     }
     for owner in (
         exploration.EvaluationPool,
@@ -137,7 +137,12 @@ def test_each_setting_has_one_owner():
         exploration.NeighborhoodSampler.sample,
         expand_communications,
         expansion_structure,
-        exploration.RetryPolicy,
     ):
         assert not removed & set(inspect.signature(owner).parameters), owner
     assert not hasattr(exploration, "default_worker_count")
+    # The pool's retry, quarantine and fault-injection layer is gone.
+    for name in (
+        "FaultInjector", "InjectedFault", "RetryPolicy", "ResilienceStats",
+        "quarantined_evaluation",
+    ):
+        assert not hasattr(exploration, name), name

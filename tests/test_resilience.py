@@ -1,25 +1,25 @@
-"""Tests of the resilient exploration runtime.
+"""Tests of the evaluation pool's failure rule and of checkpoint/resume.
 
-Fault-injection matrix (crash / hang / exit at seeded rates, across pool
-modes and engines): because fault decisions are hashed from
-``(seed, fingerprint, attempt)`` and evaluation is pure, every faulted run
-must report *bit-identical* results to the fault-free run with the same
-engine seed.  Plus: per-unit timeouts of hung workers, quarantine of
-poison candidates, graceful degrade to in-process evaluation, fail-fast
-worker initialisation and checkpoint/resume bit-identity (property-based).
+The failure rule: a merger bug fails the run with any worker count, and a
+worker that dies or cannot start makes the pool score that batch, and every
+later one, in-process, with the same evaluations.  The payload is proven
+rebuildable before any worker spawns.  Checkpoint/resume is bit-identical
+to the uninterrupted run (property-based).
 """
 
 from __future__ import annotations
 
 import json
-import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exploration import cost as cost_module
+from repro.cli import main
+from repro.exploration import pool as pool_module
 from repro.exploration import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -28,15 +28,13 @@ from repro.exploration import (
     ExplorationConfig,
     ExplorationProblem,
     Explorer,
-    FaultInjector,
-    InjectedFault,
-    RetryPolicy,
     WorkerInitializationError,
     load_checkpoint,
-    quarantined_evaluation,
     validate_checkpoint,
 )
 from repro.generator import generate_system
+from repro.observability import MetricsRegistry, RingBufferSink, Tracer
+from repro.scheduling import MergeInvariantError, ScheduleMerger
 
 
 @pytest.fixture(scope="module")
@@ -71,288 +69,96 @@ def batch(problem):
 
 @pytest.fixture(scope="module")
 def reference(problem, batch):
-    """Fault-free evaluations of the batch (the bit-identity yardstick)."""
+    """One-worker evaluations of the batch (the bit-identity yardstick)."""
     return EvaluationPool(problem).evaluate(batch)
 
 
-# -- fault injector ----------------------------------------------------------------
+# -- the failure rule --------------------------------------------------------------
 
 
-class TestFaultInjector:
-    def test_unarmed_by_default(self):
-        injector = FaultInjector()
-        assert not injector.armed
-        assert all(injector.fault_for(f"fp{i}", 0) is None for i in range(50))
-
-    def test_decisions_are_deterministic(self):
-        first = FaultInjector(seed=7, crash_rate=0.3, hang_rate=0.2, exit_rate=0.1)
-        second = FaultInjector(seed=7, crash_rate=0.3, hang_rate=0.2, exit_rate=0.1)
-        decisions = [(f"fp{i}", attempt) for i in range(40) for attempt in range(3)]
-        assert [first.fault_for(*d) for d in decisions] == [
-            second.fault_for(*d) for d in decisions
-        ]
-
-    def test_seed_changes_decisions(self):
-        a = FaultInjector(seed=1, crash_rate=0.5)
-        b = FaultInjector(seed=2, crash_rate=0.5)
-        decisions = [a.fault_for(f"fp{i}", 0) for i in range(64)]
-        assert decisions != [b.fault_for(f"fp{i}", 0) for i in range(64)]
-
-    def test_certain_rates(self):
-        assert FaultInjector(crash_rate=1.0).fault_for("fp", 0) == "crash"
-        assert FaultInjector(hang_rate=1.0).fault_for("fp", 0) == "hang"
-        assert FaultInjector(exit_rate=1.0).fault_for("fp", 0) == "exit"
-
-    def test_retry_reaches_a_clean_attempt(self):
-        injector = FaultInjector(seed=0, crash_rate=0.5)
-        # P(20 consecutive faulted attempts) = 0.5**20; seeded, so stable.
-        for i in range(20):
-            fingerprint = f"fp{i}"
-            assert any(
-                injector.fault_for(fingerprint, attempt) is None
-                for attempt in range(20)
-            )
-
-    def test_inject_raises_in_process(self):
-        crash = FaultInjector(crash_rate=1.0)
-        with pytest.raises(InjectedFault, match="crash"):
-            crash.inject("fp", 0, in_worker=False)
-        # In-process, hang and exit degrade to raised faults: sleeping or
-        # killing the coordinator would take the whole run down.
-        with pytest.raises(InjectedFault, match="hang"):
-            FaultInjector(hang_rate=1.0, hang_seconds=0.0).inject(
-                "fp", 0, in_worker=False
-            )
-        with pytest.raises(InjectedFault, match="exit"):
-            FaultInjector(exit_rate=1.0).inject("fp", 0, in_worker=False)
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            FaultInjector(crash_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultInjector(hang_seconds=-1.0)
+_FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patch must reach the workers through fork",
+)
 
 
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_factor=2.0, backoff_max=0.4)
-        delays = [policy.delay_for(attempt, "key") for attempt in range(1, 10)]
-        assert delays == [policy.delay_for(attempt, "key") for attempt in range(1, 10)]
-        assert all(0 < delay <= 0.4 for delay in delays)
-        # Jitter only ever shortens the nominal exponential delay.
-        nominal = [min(0.4, 0.05 * 2.0 ** (attempt - 1)) for attempt in range(1, 10)]
-        assert all(d <= n for d, n in zip(delays, nominal))
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=_FORK_ONLY)])
+def test_a_merger_bug_fails_the_run(problem, batch, monkeypatch, workers):
+    # A merger bug is never an infeasible design point, in-process or in a
+    # worker: the pool neither retries it nor scores it.
+    def broken_merge(self, *args, **kwargs):
+        raise MergeInvariantError("simulated merger bug")
 
-    def test_zero_base_disables_backoff(self):
-        policy = RetryPolicy(backoff_base=0.0)
-        assert policy.delay_for(3, "key") == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+    monkeypatch.setattr(ScheduleMerger, "merge", broken_merge)
+    with EvaluationPool(problem, workers=workers) as pool:
+        with pytest.raises(MergeInvariantError, match="simulated merger bug"):
+            pool.evaluate(batch)
 
 
-# -- fault matrix: pool modes ------------------------------------------------------
+def _exiting_chunk(blob):
+    os._exit(1)
 
 
-FAULT_RATES = [
-    pytest.param(0.2, 0.0, 0.0, id="crash"),
-    pytest.param(0.0, 0.2, 0.0, id="hang"),
-    pytest.param(0.0, 0.0, 0.2, id="exit"),
-    pytest.param(0.15, 0.1, 0.1, id="mixed"),
-]
+# Named like the function it replaces, so a chunk task pickles by name and
+# the forked worker resolves it to the replacement.
+_exiting_chunk.__module__ = pool_module.__name__
+_exiting_chunk.__qualname__ = "_evaluate_chunk"
 
 
-def _retry():
-    return RetryPolicy(max_attempts=10, timeout=30.0, backoff_base=0.0)
+def _raising_initialiser(blob, weights):
+    raise RuntimeError("worker cannot start")
 
 
-class TestPoolFaultMatrix:
-    @pytest.mark.parametrize("crash,hang,exit_", FAULT_RATES)
-    def test_serial_faults_do_not_change_results(
-        self, problem, batch, reference, crash, hang, exit_
-    ):
-        injector = FaultInjector(
-            seed=11, crash_rate=crash, hang_rate=hang, exit_rate=exit_,
-            hang_seconds=0.01,
-        )
-        pool = EvaluationPool(
-            problem, retry=_retry(), fault_injector=injector
-        )
+@_FORK_ONLY
+@pytest.mark.parametrize(
+    "name,replacement",
+    [
+        pytest.param("_evaluate_chunk", _exiting_chunk, id="worker-exits"),
+        pytest.param(
+            "_initialise_worker", _raising_initialiser, id="initialiser-raises"
+        ),
+    ],
+)
+def test_a_dead_worker_leaves_the_evaluations_unchanged(
+    problem, batch, reference, monkeypatch, name, replacement
+):
+    monkeypatch.setattr(pool_module, name, replacement)
+    sink = RingBufferSink()
+    metrics = MetricsRegistry()
+    children = set(multiprocessing.active_children())
+    with EvaluationPool(
+        problem, workers=2, tracer=Tracer(sink), metrics=metrics
+    ) as pool:
         assert pool.evaluate(batch) == reference
-        stats = pool.resilience_stats
-        assert stats.retries == stats.injected  # every injected fault retried
-        assert stats.quarantined == 0
-
-    @pytest.mark.parametrize("crash,hang,exit_", FAULT_RATES)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_pooled_faults_do_not_change_results(
-        self, problem, batch, reference, crash, hang, exit_, workers
-    ):
-        injector = FaultInjector(
-            seed=11, crash_rate=crash, hang_rate=hang, exit_rate=exit_,
-            hang_seconds=0.01,
+        assert pool.degraded
+        # The degrade shut the executor down and reaped its workers.
+        assert set(multiprocessing.active_children()) <= children
+        assert pool.stage_stats is not None
+        # Later batches are scored in-process, on the pool's stage cache.
+        before = pool.stage_stats
+        assert pool.evaluate(batch[:2]) == reference[:2]
+        after = pool.stage_stats
+        assert (
+            after.expansion_hits + after.expansion_misses
+            == before.expansion_hits + before.expansion_misses + 2
         )
-        with EvaluationPool(
-            problem,
-            workers=workers,
-            retry=_retry(),
-            fault_injector=injector,
-        ) as pool:
-            assert pool.evaluate(batch) == reference
-            assert pool.resilience_stats.quarantined == 0
-
-    def test_process_faults_do_not_change_results(self, problem, batch, reference):
-        # Seed 0 deterministically draws both a 'crash' and an 'exit' on the
-        # batch's first attempts, so a worker genuinely dies mid-round.
-        injector = FaultInjector(seed=0, crash_rate=0.2, exit_rate=0.15)
-        with EvaluationPool(
-            problem,
-            workers=2,
-            retry=_retry(),
-            fault_injector=injector,
-        ) as pool:
-            assert pool.evaluate(batch) == reference
-            stats = pool.resilience_stats
-            assert not stats.degraded
-            # injected 'exit' kills a worker: the pool must have respawned.
-            assert stats.worker_restarts >= 1
-
-    def test_hung_workers_time_out_and_restart(self, problem, batch, reference):
-        # Seed 1 draws a hang on the batch's first attempts; the hung unit
-        # outlives its timeout, so the pool tears the workers down, respawns
-        # them and resubmits.
-        injector = FaultInjector(seed=1, hang_rate=0.3, hang_seconds=2.0)
-        with EvaluationPool(
-            problem,
-            workers=2,
-            retry=RetryPolicy(timeout=0.5, max_attempts=10, backoff_base=0.0),
-            fault_injector=injector,
-        ) as pool:
-            assert pool.evaluate(batch) == reference
-            stats = pool.resilience_stats
-            assert stats.timeouts >= 1
-            assert stats.worker_restarts >= stats.timeouts
-            assert not stats.degraded
-
-    def test_unarmed_pool_has_quiet_stats(self, problem, batch, reference):
-        # An unarmed serial pool has no resilience layer at all; an unarmed
-        # process pool has one, and it stays quiet.
-        pool = EvaluationPool(problem)
-        assert pool.evaluate(batch) == reference
-        assert pool.resilience_stats is None
-        with EvaluationPool(problem, workers=2) as pool:
-            assert pool.evaluate(batch) == reference
-            assert not pool.resilience_stats.eventful
+    events = [r["name"] for r in sink.records if r["type"] == "event"]
+    assert events == ["pool.degraded"]
+    assert metrics.snapshot().counters["pool.degraded"] == 1
 
 
-# -- quarantine, degrade, worker init ----------------------------------------------
-
-
-class TestQuarantine:
-    def test_always_crashing_candidates_are_quarantined(self, problem, batch):
-        pool = EvaluationPool(
-            problem,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            fault_injector=FaultInjector(crash_rate=1.0),
-        )
-        evaluations = pool.evaluate(batch)
-        assert len(evaluations) == len(batch)
-        for candidate, evaluation in zip(batch, evaluations):
-            assert evaluation.fingerprint == candidate.fingerprint
-            assert not evaluation.feasible
-            assert math.isinf(evaluation.cost)
-            assert "quarantined" in evaluation.error
-        assert pool.resilience_stats.quarantined == len(batch)
-
-    def test_serial_pool_quarantines_a_genuinely_failing_candidate(
-        self, problem, batch, reference, monkeypatch
-    ):
-        # Not an injected fault: the pipeline itself raises for one candidate,
-        # which the armed serial pool retries and then quarantines alone.
-        poison = batch[1].fingerprint
-        evaluate = cost_module.evaluate_candidate
-
-        def poisoned(problem, candidate, *args, **kwargs):
-            if candidate.fingerprint == poison:
-                raise RuntimeError("poisoned candidate")
-            return evaluate(problem, candidate, *args, **kwargs)
-
-        monkeypatch.setattr(cost_module, "evaluate_candidate", poisoned)
-        pool = EvaluationPool(
-            problem, retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
-        )
-        evaluations = pool.evaluate(batch)
-        assert evaluations[1] == quarantined_evaluation(poison, 3, "poisoned candidate")
-        assert evaluations[:1] + evaluations[2:] == reference[:1] + reference[2:]
-        stats = pool.resilience_stats
-        assert (stats.retries, stats.quarantined, stats.injected) == (2, 1, 0)
-
-    def test_process_mode_quarantines_poison_without_killing_chunk_mates(
-        self, problem, batch
-    ):
-        with EvaluationPool(
-            problem,
-            workers=2,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            fault_injector=FaultInjector(crash_rate=1.0),
-        ) as pool:
-            evaluations = pool.evaluate(batch)
-            assert len(evaluations) == len(batch)
-            assert all(not e.feasible for e in evaluations)
-            assert pool.resilience_stats.quarantined == len(batch)
-
-    def test_quarantined_evaluation_sentinel(self):
-        sentinel = quarantined_evaluation("fp", 3, "boom")
-        assert not sentinel.feasible
-        assert math.isinf(sentinel.cost)
-        assert "fp" not in sentinel.error or sentinel.fingerprint == "fp"
-        assert "3" in sentinel.error and "boom" in sentinel.error
-
-
-class TestDegrade:
-    def test_pool_degrades_to_in_process_and_still_answers(
-        self, problem, batch, reference
-    ):
-        # Every pooled attempt kills its worker; after the restart budget the
-        # pool must fall back to trusted in-process evaluation and still
-        # return the exact fault-free evaluations.
-        with EvaluationPool(
-            problem,
-            workers=2,
-            retry=RetryPolicy(
-                max_attempts=10, timeout=30.0, backoff_base=0.0, max_pool_restarts=1
-            ),
-            fault_injector=FaultInjector(exit_rate=1.0),
-        ) as pool:
-            assert pool.evaluate(batch) == reference
-            stats = pool.resilience_stats
-            assert stats.degraded and pool.degraded
-            assert stats.worker_restarts >= 2
-            # Degraded pools evaluate in-process from then on.
-            assert pool.evaluate(batch[:2]) == reference[:2]
-            assert pool.stage_stats is not None
+@_FORK_ONLY
+def test_the_text_output_says_the_run_fell_back(monkeypatch, capsys):
+    monkeypatch.setattr(pool_module, "_evaluate_chunk", _exiting_chunk)
+    assert main([
+        "explore", "--nodes", "16", "--paths", "2", "--seed", "3",
+        "--cycles", "2", "--workers", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "workers 2 (a worker died; fell back to in-process evaluation)" in out
 
 
 class TestWorkerInitialisation:
-    def test_injected_init_failure_fails_fast(self, problem, batch):
-        with EvaluationPool(
-            problem,
-            workers=2,
-            fault_injector=FaultInjector(fail_worker_init=True),
-        ) as pool:
-            with pytest.raises(WorkerInitializationError) as excinfo:
-                pool.evaluate(batch)
-        message = str(excinfo.value)
-        assert problem.name in message
-        assert "worker" in message
-
     def test_unrebuildable_payload_is_named_before_spawning(
         self, problem, batch, monkeypatch
     ):
@@ -368,9 +174,6 @@ class TestWorkerInitialisation:
         assert problem.name in str(excinfo.value)
 
 
-# -- engines under faults ----------------------------------------------------------
-
-
 def _config(seed=0, cycles=4):
     return ExplorationConfig(
         seed=seed,
@@ -379,37 +182,6 @@ def _config(seed=0, cycles=4):
         population_size=6,
         stall_cycles=0,
     )
-
-
-class TestEngineFaultMatrix:
-    @pytest.mark.parametrize("engine", ["tabu", "anneal", "genetic"])
-    def test_faulted_search_is_bit_identical(self, problem, engine):
-        config = _config()
-        clean = Explorer(problem, config=config).explore(engine)
-        pool = EvaluationPool(
-            problem,
-            retry=_retry(),
-            fault_injector=FaultInjector(
-                seed=5, crash_rate=0.1, hang_rate=0.05, exit_rate=0.05,
-                hang_seconds=0.01,
-            ),
-        )
-        faulted = Explorer(problem, config=config, pool=pool).explore(engine)
-        assert faulted.best.cost == clean.best.cost
-        assert faulted.best_candidate == clean.best_candidate
-        assert faulted.trajectory == clean.trajectory
-        assert faulted.resilience is not None
-        assert clean.resilience is None  # no pool, no resilience layer
-
-    def test_resilience_stats_surface_in_result(self, problem):
-        pool = EvaluationPool(
-            problem,
-            retry=_retry(),
-            fault_injector=FaultInjector(seed=5, crash_rate=0.3),
-        )
-        result = Explorer(problem, config=_config(), pool=pool).explore("tabu")
-        assert result.resilience.injected > 0
-        assert result.resilience.eventful
 
 
 # -- checkpoint / resume -----------------------------------------------------------
