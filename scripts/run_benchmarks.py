@@ -66,7 +66,7 @@ from repro.exploration.engines import SearchState, TrajectoryPoint
 from repro.exploration.resilience import snapshot_document
 from repro.generator import LARGE_SCALE_PRESETS, generate_system, large_scale_system
 from repro.io import system_to_dict
-from repro.observability import MetricsRegistry
+from repro.observability import Tracer
 from repro.scheduling import PathListScheduler, ScheduleMerger
 from repro.service import ServiceClient, start_in_thread
 
@@ -380,8 +380,8 @@ def _measure_comm_mapping(spec: dict) -> dict:
     is timed, may pin messages to buses and must strictly beat it.  One
     more, untimed mapped run on a fresh explorer counts the work: the
     schedules its stage cache missed (``path_schedules``: optimal path and
-    re-adjustment schedules alike), its merges and its pruned merges are
-    host-free, so a search that does more work fails an exact anchor.  On
+    re-adjustment schedules alike), its merges (the ``stage.merge`` span
+    count of a tracer without a sink) and its pruned merges are host-free, so a search that does more work fails an exact anchor.  On
     this system δ_max > δ_M for some neighbours, so the tabu bound is
     inexact there.
     """
@@ -411,8 +411,8 @@ def _measure_comm_mapping(spec: dict) -> dict:
             f"{derived.best.cost!r}; retune COMM_MAPPING_WORKLOAD"
         )
 
-    metrics = MetricsRegistry()
-    explorer = Explorer(problem, config=config, metrics=metrics)
+    tracer = Tracer()  # no sink: only its span totals are read
+    explorer = Explorer(problem, config=config, tracer=tracer)
     counted = explorer.explore(spec["engine"])
     if counted.trajectory != result.trajectory or counted.best != result.best:
         raise SystemExit("the counted mapped run diverged from the timed one")
@@ -422,7 +422,7 @@ def _measure_comm_mapping(spec: dict) -> dict:
         "engine_seconds": round(seconds["engine"], 4),
         "evaluations": result.evaluations,
         "path_schedules": explorer.evaluator.stage_stats.schedule_misses,
-        "merges": metrics.snapshot().histograms["stage.merge.seconds"].count,
+        "merges": tracer.totals()["stage.merge"][0],
         "merges_pruned": counted.cache.merges_pruned,
         "derived_best_cost": derived.best.cost,
         "mapped_best_cost": result.best.cost,

@@ -30,7 +30,8 @@ Eight subcommands cover the main uses of the library without writing Python:
     (delta_max, mean path delay, load imbalance, architecture cost, bus
     imbalance) instead of only the best scalar design point.
     ``--trace FILE`` writes a structured span/event trace of the run and
-    ``--metrics`` collects wall-clock stage timings (see
+    ``--metrics`` reports its wall-clock stage timings; both attach one
+    tracer, whose span totals are the timings (see
     :mod:`repro.observability` and ``docs/observability.md``).
 
 ``repro-cpg trace-report <trace.jsonl>``
@@ -90,7 +91,6 @@ from .io import (
 from .io.serialization import EXPLORE_ENGINE_CHOICES
 from .observability import (
     JsonlSink,
-    MetricsRegistry,
     TraceError,
     Tracer,
     aggregate_trace,
@@ -292,13 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="write a structured span/event trace (JSON lines) of the run; "
-        "aggregate it afterwards with 'repro-cpg trace-report FILE'",
+        help="write a structured span/event trace (JSON lines) of the run "
+        "and report its timings as --metrics does; aggregate it afterwards "
+        "with 'repro-cpg trace-report FILE'",
     )
     explore.add_argument(
         "--metrics", action="store_true",
-        help="collect wall-clock stage timings and report the per-stage "
-        "breakdown (adds stage_seconds/wall_seconds to --json output)",
+        help="report per-stage wall-clock timings, the span totals of the "
+        "run's tracer, without writing a trace (--trace reports them too); "
+        "fills stage_seconds/wall_seconds/batch in --json output",
     )
     explore.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -506,20 +508,14 @@ def _command_explore(arguments) -> int:
     )
 
     tracer = None
-    if arguments.trace is not None:
-        tracer = Tracer(JsonlSink(arguments.trace), run_id=f"explore-seed{seed}")
-    metrics = MetricsRegistry() if arguments.metrics else None
+    if arguments.trace is not None or arguments.metrics:
+        sink = JsonlSink(arguments.trace) if arguments.trace is not None else None
+        tracer = Tracer(sink, run_id=f"explore-seed{seed}")
     try:
         with _checked("--workers", lambda: EvaluationPool(
-            problem,
-            config.weights,
-            workers=arguments.workers,
-            tracer=tracer,
-            metrics=metrics,
+            problem, config.weights, workers=arguments.workers, tracer=tracer
         )) as pool:
-            explorer = Explorer(
-                problem, config=config, pool=pool, tracer=tracer, metrics=metrics
-            )
+            explorer = Explorer(problem, config=config, pool=pool, tracer=tracer)
             results = [
                 explorer.explore(
                     engine,
@@ -595,12 +591,10 @@ def _command_explore(arguments) -> int:
                     result.stage_seconds.items(), key=lambda kv: (-kv[1], kv[0])
                 )
             ) or "no stages timed (process-mode workers are not instrumented)"
-            wall = (
-                f"{result.wall_seconds:.3f}s"
-                if result.wall_seconds is not None
-                else "-"
+            line = (
+                f"         timing: wall {result.wall_seconds:.3f}s; "
+                f"stages (cumulative): {breakdown}"
             )
-            line = f"         timing: wall {wall}; stages (cumulative): {breakdown}"
             # The stage totals are cumulative over the engines run so far,
             # so this engine's share is the growth since the previous one.
             # Process-mode workers time no stages, so only an in-process
@@ -610,11 +604,7 @@ def _command_explore(arguments) -> int:
                 for stage, seconds in result.stage_seconds.items()
                 if stage not in SUBSTAGES
             )
-            if (
-                pool.workers == 1
-                and result.stage_seconds
-                and result.wall_seconds is not None
-            ):
+            if pool.workers == 1 and result.stage_seconds:
                 unattributed = result.wall_seconds - (staged - staged_before)
                 line += f"; unattributed {unattributed:.3f}s"
             staged_before = staged

@@ -30,7 +30,6 @@ unchanged through the parallel evaluation pool and the content-hash cache.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -117,24 +116,21 @@ def expansion_entry_cost(expanded, paths) -> int:
 
 
 @contextmanager
-def _timed_stage(tracer, metrics, name: str, **attrs):
-    """Time one region into a ``name`` span and a ``name.seconds`` histogram.
+def _timed_stage(tracer, name: str, **attrs):
+    """Time one region into a ``name`` span; read no clock without a tracer.
 
-    Either sink may be None (both None costs ~2 µs: two clock reads).  The
-    yielded dict collects outcome attributes known only at the end
+    The yielded dict collects outcome attributes known only at the end
     (``hit``, ``feasible``); they are added to the span when it closes.
     """
-    span = tracer.span(name, **attrs) if tracer is not None else None
     outcome: Dict = {}
-    started = time.perf_counter()
+    if tracer is None:
+        yield outcome
+        return
+    span = tracer.span(name, **attrs)
     try:
         yield outcome
     finally:
-        elapsed = time.perf_counter() - started
-        if span is not None:
-            span.close(**outcome)
-        if metrics is not None:
-            metrics.observe(f"{name}.seconds", elapsed)
+        span.close(**outcome)
 
 
 @dataclass(frozen=True)
@@ -544,7 +540,7 @@ class _StagedScheduler:
     optimal schedule only when the memo holds it.
     """
 
-    __slots__ = ("_cache", "_inner", "_path_keys", "_tracer", "_metrics")
+    __slots__ = ("_cache", "_inner", "_path_keys", "_tracer")
 
     def __init__(
         self,
@@ -552,13 +548,11 @@ class _StagedScheduler:
         inner: PathListScheduler,
         path_keys: Dict,
         tracer=None,
-        metrics=None,
     ) -> None:
         self._cache = cache
         self._inner = inner
         self._path_keys = path_keys
         self._tracer = tracer
-        self._metrics = metrics
 
     def schedule(
         self,
@@ -571,7 +565,6 @@ class _StagedScheduler:
         locked = bool(locked_starts or locked_broadcasts) or order_hint is not None
         with _timed_stage(
             self._tracer,
-            self._metrics,
             "stage.merge_readjust" if locked else "stage.path_schedule",
             **({"path": str(path.label)} if self._tracer is not None else {}),
         ) as outcome:
@@ -785,14 +778,14 @@ class _PathStage:
         )
         self.add(path, self.scheduler.schedule(path), seen)
 
-    def merge(self, tracer=None, metrics=None) -> MergeResult:
+    def merge(self, tracer=None) -> MergeResult:
         merger = ScheduleMerger(
             self.expanded.graph, self.expanded.mapping, self.architecture,
             self.scheduler,
         )
         # Enumeration order, whatever order the schedules were taken in.
         schedules = {path.label: self.path_schedules[path.label] for path in self.paths}
-        with _timed_stage(tracer, metrics, "stage.merge"):
+        with _timed_stage(tracer, "stage.merge"):
             return merger.merge(paths=list(self.paths), path_schedules=schedules)
 
 
@@ -801,7 +794,6 @@ def _schedule_paths(
     candidate: Candidate,
     stage_cache: Optional[StageCache],
     tracer,
-    metrics,
     seen: Optional[Dict] = None,
 ) -> _PathStage:
     """Expand, key and schedule every path of one candidate (no merge).
@@ -815,7 +807,7 @@ def _schedule_paths(
         stage_cache = StageCache()
     architecture = problem.architecture_for(candidate)
     pins = problem.bus_assignment_for(candidate) or {}
-    with _timed_stage(tracer, metrics, "stage.expansion"):
+    with _timed_stage(tracer, "stage.expansion"):
         expanded, paths = stage_cache.expansion(problem, candidate, pins=pins)
     inner = PathListScheduler(
         expanded.graph,
@@ -831,16 +823,14 @@ def _schedule_paths(
     if candidate.priority_function not in PATH_LOCAL_PRIORITY_FUNCTIONS:
         expansion_key = problem.expansion_key(candidate, pins=pins)
 
-    with _timed_stage(tracer, metrics, "stage.path_keys", paths=len(paths)):
+    with _timed_stage(tracer, "stage.path_keys", paths=len(paths)):
         path_keys = {
             path.label: problem.path_schedule_key(
                 candidate, path, expanded, expansion_key=expansion_key
             )
             for path in paths
         }
-    scheduler = _StagedScheduler(
-        stage_cache, inner, path_keys, tracer=tracer, metrics=metrics
-    )
+    scheduler = _StagedScheduler(stage_cache, inner, path_keys, tracer=tracer)
     stage = _PathStage(expanded, architecture, paths, scheduler)
     for path in paths:
         schedule = scheduler.schedule(path) if seen is None else scheduler.cached(path)
@@ -854,7 +844,6 @@ def merge_candidate(
     candidate: Candidate,
     stage_cache: Optional[StageCache] = None,
     tracer=None,
-    metrics=None,
 ) -> Tuple[ExpandedGraph, MergeResult]:
     """Run the merge pipeline for one candidate through a stage cache.
 
@@ -872,14 +861,14 @@ def merge_candidate(
     observes).  Raises the pipeline's errors (``MappingError`` etc.);
     callers wanting infinite-cost semantics use :func:`evaluate_candidate`.
 
-    ``tracer``/``metrics`` (see :mod:`repro.observability`) time the stages:
+    ``tracer`` (see :mod:`repro.observability`) times the stages:
     ``expansion``, ``path_keys`` (the path sub-fingerprints),
     ``path_schedule`` per alternative path, ``merge`` (wall time including
     re-adjustments) and ``merge_readjust`` (the locked re-scheduling share
     within the merge).  Timing never changes the result.
     """
-    stage = _schedule_paths(problem, candidate, stage_cache, tracer, metrics)
-    return stage.expanded, stage.merge(tracer, metrics)
+    stage = _schedule_paths(problem, candidate, stage_cache, tracer)
+    return stage.expanded, stage.merge(tracer)
 
 
 def _weighted_cost(
@@ -919,7 +908,6 @@ def _bound_phase(
     weights: CostWeights,
     stage_cache: Optional[StageCache],
     tracer,
-    metrics,
     seen: Optional[Dict] = None,
 ) -> Union[_PathStage, CandidateEvaluation]:
     """Phase one: path schedules, merge-free terms and the bound.
@@ -929,9 +917,7 @@ def _bound_phase(
     instead when the candidate already fails here.
     """
     try:
-        stage = _schedule_paths(
-            problem, candidate, stage_cache, tracer, metrics, seen
-        )
+        stage = _schedule_paths(problem, candidate, stage_cache, tracer, seen)
     except _PIPELINE_ERRORS as error:
         return _infeasible(candidate, error)
     stage.terms = (
@@ -948,11 +934,10 @@ def _merge_phase(
     stage: _PathStage,
     weights: CostWeights,
     tracer,
-    metrics,
 ) -> CandidateEvaluation:
     """Phase two: merge the path schedules and score the table."""
     try:
-        result = stage.merge(tracer, metrics)
+        result = stage.merge(tracer)
     except _PIPELINE_ERRORS as error:
         return _infeasible(candidate, error)
     path_delays = [result.table_path_delays[path.label] for path in result.paths]
@@ -978,7 +963,6 @@ def evaluate_candidate(
     weights: CostWeights = CostWeights(),
     stage_cache: Optional[StageCache] = None,
     tracer=None,
-    metrics=None,
 ) -> CandidateEvaluation:
     """Score one candidate by running the merge pipeline end to end.
 
@@ -990,16 +974,13 @@ def evaluate_candidate(
     the pipeline incremental (see :func:`merge_candidate`); the evaluation
     is bit-identical either way.
 
-    ``tracer``/``metrics`` wrap the whole evaluation in an ``evaluate`` span
-    / latency histogram and time the pipeline stages inside (see
-    :func:`merge_candidate`).
+    ``tracer`` wraps the whole evaluation in an ``evaluate`` span and times
+    the pipeline stages inside (see :func:`merge_candidate`).
     """
-    with _timed_stage(tracer, metrics, "evaluate") as outcome:
-        stage = _bound_phase(
-            problem, candidate, weights, stage_cache, tracer, metrics
-        )
+    with _timed_stage(tracer, "evaluate") as outcome:
+        stage = _bound_phase(problem, candidate, weights, stage_cache, tracer)
         if isinstance(stage, _PathStage):
-            stage = _merge_phase(candidate, stage, weights, tracer, metrics)
+            stage = _merge_phase(candidate, stage, weights, tracer)
         outcome["feasible"] = stage.feasible
     return stage
 
@@ -1083,7 +1064,6 @@ def evaluate_neighbourhood(
     weights: CostWeights = CostWeights(),
     stage_cache: Optional[StageCache] = None,
     tracer=None,
-    metrics=None,
     select: Optional[TabuSelection] = None,
 ) -> NeighbourhoodScores:
     """Score a whole move batch against one shared expansion state.
@@ -1121,9 +1101,7 @@ def evaluate_neighbourhood(
     """
     if select is None or not (weights.mean_path_delay == 0 and weights.delta_max >= 0):
         return NeighbourhoodScores(
-            evaluate_candidate(
-                problem, candidate, weights, stage_cache, tracer, metrics
-            )
+            evaluate_candidate(problem, candidate, weights, stage_cache, tracer)
             for candidate in candidates
         )
     if stage_cache is None:
@@ -1133,9 +1111,9 @@ def evaluate_neighbourhood(
     stages: Dict[int, _PathStage] = {}
     seen: Dict = {}  # path label -> the largest delay of the batch so far
     for index, candidate in enumerate(candidates):
-        with _timed_stage(tracer, metrics, "evaluate") as outcome:
+        with _timed_stage(tracer, "evaluate") as outcome:
             stage = _bound_phase(
-                problem, candidate, weights, stage_cache, tracer, metrics, seen
+                problem, candidate, weights, stage_cache, tracer, seen
             )
             if isinstance(stage, _PathStage):
                 outcome["bound"] = stage.bound
@@ -1170,7 +1148,7 @@ def evaluate_neighbourhood(
             heapreplace(heap, (stage.bound, fingerprint, index))
             continue
         heappop(heap)
-        evaluation = _merge_phase(candidate, stage, weights, tracer, metrics)
+        evaluation = _merge_phase(candidate, stage, weights, tracer)
         if evaluation.cost < stage.bound:
             raise RuntimeError(
                 f"candidate {candidate.fingerprint} costs {evaluation.cost!r}, "

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from collections import deque
 
+from ..observability.report import STAGE_PREFIX
 from .candidate import Candidate
 from .cost import CandidateEvaluation, CostWeights, StageStats, TabuSelection
 from .evaluator import CachedEvaluator, CacheStats
@@ -174,21 +174,21 @@ class ExplorationResult:
     #: The cycle this run was restored at when it resumed from a checkpoint
     #: (None for a run started from scratch).
     resumed_from: Optional[int] = None
-    #: Wall-clock seconds per pipeline stage (``expansion``,
-    #: ``path_schedule``, ``merge``, ``merge_readjust``), from the metrics
-    #: registry — cumulative like ``cache`` when several engines share one
-    #: explorer.  None unless the evaluator carries a
-    #: :class:`~repro.observability.MetricsRegistry` (``--metrics``); empty
-    #: when a process-mode pool scored every evaluation (workers are not
-    #: instrumented).
+    #: Wall-clock seconds per pipeline stage (``expansion``, ``path_keys``,
+    #: ``path_schedule``, ``merge``, ``merge_readjust``): the totals of the
+    #: tracer's ``stage.*`` spans, cumulative like ``cache`` when several
+    #: engines share one explorer.  None unless the evaluator carries a
+    #: :class:`~repro.observability.Tracer` (``--trace`` or ``--metrics``);
+    #: empty when a process-mode pool scored every evaluation (workers are
+    #: not instrumented).
     stage_seconds: Optional[Dict[str, float]] = None
-    #: Wall-clock duration of this ``run()`` call in seconds; None unless
-    #: metrics are enabled (keeps the default result byte-deterministic).
+    #: The ``dt`` of this run's ``engine`` span; None unless traced (keeps
+    #: the default result byte-deterministic).
     wall_seconds: Optional[float] = None
     #: Batched-evaluation counters (batches, candidates, mean batch size,
     #: payload bytes shipped to pool workers), from
-    #: :class:`~repro.exploration.BatchStats`.  None unless metrics are
-    #: enabled — same null-stability contract as ``stage_seconds``.
+    #: :class:`~repro.exploration.BatchStats`.  None unless traced — same
+    #: null-stability contract as ``stage_seconds``.
     batch: Optional[Dict[str, Any]] = None
 
     @property
@@ -235,55 +235,32 @@ class _EngineBase:
         self._evaluator = evaluator
         self._sampler = sampler
         self._stopping = list(stopping)
-        # Observability hooks ride along on the shared evaluator; both are
-        # None by default, keeping every engine loop on the plain code path.
+        # The tracer rides along on the shared evaluator; None by default,
+        # keeping every engine loop on the plain code path.
         self._tracer = evaluator.tracer
-        self._metrics = evaluator.metrics
 
     # -- common plumbing -----------------------------------------------------
 
-    def _begin_run(self):
-        """Open the per-run ``engine`` span and wall clock (no-ops when off)."""
-        span = (
-            self._tracer.span("engine", engine=self.name)
-            if self._tracer is not None
-            else None
-        )
-        started = time.perf_counter() if self._metrics is not None else 0.0
-        return span, started
-
-    def _finish_run(self, span, started: float, cycles: int) -> Dict[str, Any]:
+    def _finish_run(self, span, cycles: int) -> Dict[str, Any]:
         """Close the engine span; return ExplorationResult timing fields.
 
         Closing the engine span also closes any cycle span an early stop
         left open (span close pops open descendants), so a cycle may end the
-        search mid-cycle without leaking records.
+        search mid-cycle without leaking records.  The timings are the
+        tracer's: its ``stage.*`` totals and the engine span's ``dt``.
         """
-        if span is not None:
-            span.close(cycles=cycles)
-        if self._metrics is None:
+        if span is None:
             return {"stage_seconds": None, "wall_seconds": None, "batch": None}
+        wall_seconds = span.close(cycles=cycles)
         return {
-            "stage_seconds": self._metrics.snapshot().stage_seconds(),
-            "wall_seconds": time.perf_counter() - started,
+            "stage_seconds": {
+                name[len(STAGE_PREFIX):]: seconds
+                for name, (_, seconds) in self._tracer.totals().items()
+                if name.startswith(STAGE_PREFIX)
+            },
+            "wall_seconds": wall_seconds,
             "batch": self._evaluator.batch_stats.snapshot(),
         }
-
-    def _begin_cycle(self):
-        """Open one ``cycle`` span + its clock (no-ops when off)."""
-        span = self._tracer.span("cycle") if self._tracer is not None else None
-        started = time.perf_counter() if self._metrics is not None else 0.0
-        return span, started
-
-    def _end_cycle(self, span, started: float, cycle: int) -> None:
-        """Close a completed cycle's span and record its wall time."""
-        if span is not None:
-            span.close(cycle=cycle)
-        if self._metrics is not None:
-            self._metrics.observe(
-                f"engine.{self.name}.cycle.seconds",
-                time.perf_counter() - started,
-            )
 
     def _stop_reason(self, state: SearchState) -> Optional[str]:
         for criterion in self._stopping:
@@ -329,7 +306,11 @@ class _EngineBase:
     ) -> ExplorationResult:
         """Search from ``initial``, or continue the run ``resume`` recorded."""
         config = self._config
-        engine_span, run_started = self._begin_run()
+        engine_span = (
+            self._tracer.span("engine", engine=self.name)
+            if self._tracer is not None
+            else None
+        )
         resumed_from: Optional[int] = None
         if resume is not None:
             rng = random.Random()
@@ -367,13 +348,16 @@ class _EngineBase:
 
         reason = self._stop_reason(state)
         while reason is None:
-            cycle_span, cycle_started = self._begin_cycle()
+            cycle_span = (
+                self._tracer.span("cycle") if self._tracer is not None else None
+            )
             point = self._cycle(rng, state)
             if isinstance(point, str):
                 reason = point  # the engine span closes this cycle's span
                 break
             trajectory.append(point)
-            self._end_cycle(cycle_span, cycle_started, state.cycle)
+            if cycle_span is not None:
+                cycle_span.close(cycle=state.cycle)
             if checkpointer is not None and checkpointer.due(state.cycle):
                 checkpointer.save(snapshot())
             reason = self._stop_reason(state)
@@ -398,7 +382,7 @@ class _EngineBase:
             stages=self._evaluator.stage_stats,
             resumed_from=resumed_from,
             front=front.snapshot() if front is not None else None,
-            **self._finish_run(engine_span, run_started, state.cycle),
+            **self._finish_run(engine_span, state.cycle),
         )
 
 
@@ -583,11 +567,10 @@ class Explorer:
         pool: Optional[EvaluationPool] = None,
         stopping: Optional[Sequence[StoppingCriterion]] = None,
         tracer=None,
-        metrics=None,
     ) -> None:
         self._problem = problem
         self._config = config or ExplorationConfig()
-        # tracer/metrics (repro.observability) apply to the evaluator the
+        # The tracer (repro.observability) applies to the evaluator the
         # explorer constructs; an explicitly-passed evaluator keeps its own.
         self._evaluator = evaluator or CachedEvaluator(
             problem,
@@ -595,7 +578,6 @@ class Explorer:
             pool=pool,
             front=ParetoFront() if self._config.track_front else None,
             tracer=tracer,
-            metrics=metrics,
         )
         self._sampler = NeighborhoodSampler(problem)
         self._extra_stopping = list(stopping or ())

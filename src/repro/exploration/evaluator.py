@@ -73,7 +73,7 @@ class CachedEvaluator:
         weights must equal ``weights`` (checked at construction — worker
         processes score with the pool's weights, so a mismatch would silently
         optimise the wrong objective).  Without one, the evaluator builds a
-        one-worker pool over ``stage_cache``, ``tracer`` and ``metrics``.
+        one-worker pool over ``stage_cache`` and ``tracer``.
     front:
         Optional :class:`~repro.exploration.ParetoFront`.  When given, every
         *fresh* feasible evaluation is offered to the front, so the front ends
@@ -88,15 +88,9 @@ class CachedEvaluator:
     tracer:
         Optional :class:`~repro.observability.Tracer`.  In-process fresh
         evaluations run inside ``evaluate``/``stage.*`` spans; a given pool
-        traces with its own tracer (pass it the same one).  None (the
-        default) keeps the uninstrumented code path.
-    metrics:
-        Optional :class:`~repro.observability.MetricsRegistry` receiving
-        ``cache.hits``/``cache.misses``/``cache.merges_pruned``/
-        ``cache.paths_pruned`` counters and
-        one ``batch.size`` observation per fresh batch; the pool adds the
-        stage/evaluate latency histograms of in-process evaluations.  None
-        disables, with ~zero overhead.
+        traces with its own tracer (pass it the same one).  The engines
+        read their run's timings from its span totals.  None (the default)
+        keeps the uninstrumented code path.
     """
 
     def __init__(
@@ -107,15 +101,10 @@ class CachedEvaluator:
         front: Optional[ParetoFront] = None,
         stage_cache: Optional[StageCache] = None,
         tracer=None,
-        metrics=None,
     ) -> None:
         if pool is None:
             pool = EvaluationPool(
-                problem,
-                weights,
-                stage_cache=stage_cache,
-                tracer=tracer,
-                metrics=metrics,
+                problem, weights, stage_cache=stage_cache, tracer=tracer
             )
         elif stage_cache is not None:
             raise ValueError(
@@ -132,7 +121,6 @@ class CachedEvaluator:
         self._pool = pool
         self._front = front
         self._tracer = tracer
-        self._metrics = metrics
         self._cache: Dict[str, CandidateEvaluation] = {}
         self._hits = 0
         self._misses = 0
@@ -157,11 +145,6 @@ class CachedEvaluator:
     def tracer(self):
         """The attached :class:`~repro.observability.Tracer`, or None."""
         return self._tracer
-
-    @property
-    def metrics(self):
-        """The attached :class:`~repro.observability.MetricsRegistry`, or None."""
-        return self._metrics
 
     @property
     def stats(self) -> CacheStats:
@@ -215,44 +198,29 @@ class CachedEvaluator:
         fresh: List[Candidate] = []
         fresh_keys: Dict[str, int] = {}
         known: List[CandidateEvaluation] = []
-        batch_hits = 0
         for candidate in candidates:
             key = candidate.fingerprint
             if key in self._cache:
                 self._hits += 1
-                batch_hits += 1
                 known.append(self._cache[key])
             elif key in fresh_keys:
                 self._hits += 1
-                batch_hits += 1
             else:
                 fresh_keys[key] = len(fresh)
                 fresh.append(candidate)
                 self._misses += 1
-        if self._metrics is not None:
-            if batch_hits:
-                self._metrics.count("cache.hits", batch_hits)
-            if fresh:
-                self._metrics.count("cache.misses", len(fresh))
         if fresh:
             if select is not None and self._front is None:
                 select = replace(select, known=tuple(known))
             else:
                 select = None
             evaluations = self._evaluate_fresh(fresh, select)
-            pruned = 0
             for candidate, evaluation in zip(fresh, evaluations):
                 if evaluation is None:
-                    pruned += 1
+                    self._merges_pruned += 1
                 else:
                     self._cache[candidate.fingerprint] = evaluation
-            if pruned:
-                paths_pruned = getattr(evaluations, "paths_pruned", 0)
-                self._merges_pruned += pruned
-                self._paths_pruned += paths_pruned
-                if self._metrics is not None:
-                    self._metrics.count("cache.merges_pruned", pruned)
-                    self._metrics.count("cache.paths_pruned", paths_pruned)
+            self._paths_pruned += getattr(evaluations, "paths_pruned", 0)
             if self._front is not None:
                 self._front.offer_many(fresh, evaluations)
         return [self._cache.get(candidate.fingerprint) for candidate in candidates]
@@ -263,8 +231,6 @@ class CachedEvaluator:
         select: Optional[TabuSelection] = None,
     ) -> List[Optional[CandidateEvaluation]]:
         """Score one fresh batch on the pool and record it (see BatchStats)."""
-        if self._metrics is not None:
-            self._metrics.observe("batch.size", len(candidates))
         shipped_before = self._pool.payload_bytes_shipped
         evaluations = self._pool.evaluate(candidates, select)
         self._batch_stats.record_batch(

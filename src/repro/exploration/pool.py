@@ -20,7 +20,7 @@ state, graph object or condition-universe bitmask ever crosses the boundary,
 so worker-side bit interning stays internally consistent.  Because the
 coordinator pickles everything it ships, it knows exactly how many bytes
 cross: :attr:`EvaluationPool.payload_bytes_shipped` feeds the ``batch``
-block of ``repro-cpg explore --json``.
+block of a traced ``repro-cpg explore --json``.
 
 Failures
 --------
@@ -37,7 +37,6 @@ pure, so the evaluations are the same.
 from __future__ import annotations
 
 import pickle
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
@@ -105,7 +104,6 @@ class EvaluationPool:
         weights: CostWeights = CostWeights(),
         workers: int = 1,
         tracer=None,
-        metrics=None,
         stage_cache: Optional[StageCache] = None,
     ) -> None:
         if workers < 1:
@@ -131,9 +129,8 @@ class EvaluationPool:
         self._stage_cache: Optional[StageCache] = stage_cache
         # Observability (repro.observability).  Process workers stay
         # uninstrumented — their spans would live in another process; the
-        # coordinator records chunk latency, payload bytes and a degrade.
+        # coordinator records a degrade.
         self._tracer = tracer
-        self._metrics = metrics
         self._executor: Optional[ProcessPoolExecutor] = None
         self._degraded = False
         self._payload_bytes_shipped = 0
@@ -198,11 +195,6 @@ class EvaluationPool:
             ) from error
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _ship(self, size: int) -> None:
-        self._payload_bytes_shipped += size
-        if self._metrics is not None:
-            self._metrics.count("pool.payload_bytes", size)
-
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             blob = self._payload_blob()
@@ -212,7 +204,7 @@ class EvaluationPool:
                 initargs=(blob, self._weights),
             )
             # Each worker receives its own copy of the initargs blob.
-            self._ship(len(blob) * self._workers)
+            self._payload_bytes_shipped += len(blob) * self._workers
         return self._executor
 
     def _degrade(self) -> None:
@@ -223,8 +215,6 @@ class EvaluationPool:
         self._stage_cache = StageCache()
         if self._tracer is not None:
             self._tracer.event("pool.degraded", workers=self._workers)
-        if self._metrics is not None:
-            self._metrics.count("pool.degraded")
 
     def close(self) -> None:
         if self._executor is not None:
@@ -272,7 +262,6 @@ class EvaluationPool:
             self._weights,
             stage_cache=self._stage_cache,
             tracer=self._tracer,
-            metrics=self._metrics,
             select=select,
         )
 
@@ -287,15 +276,10 @@ class EvaluationPool:
             blob = pickle.dumps(
                 candidates[start:start + size], protocol=pickle.HIGHEST_PROTOCOL
             )
-            self._ship(len(blob))
+            self._payload_bytes_shipped += len(blob)
             blobs.append(blob)
-        started = time.perf_counter()
-        results: List[CandidateEvaluation] = []
-        for chunk in executor.map(_evaluate_chunk, blobs):
-            results.extend(chunk)
-            if self._metrics is not None:
-                # Coordinator-side submit-to-harvest latency per chunk.
-                self._metrics.observe(
-                    "pool.unit.seconds", time.perf_counter() - started
-                )
-        return results
+        return [
+            evaluation
+            for chunk in executor.map(_evaluate_chunk, blobs)
+            for evaluation in chunk
+        ]

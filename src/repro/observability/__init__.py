@@ -1,33 +1,27 @@
-"""Observability: structured tracing, metrics and profiling hooks.
+"""Observability: where a run's wall-clock time goes.
 
 The exploration runtime reports *what* happened (cache hit rates, stage
-counters, trajectories) but — before this package — not *where wall-clock
-time goes*.  This package is the missing timing spine, mirroring how the
-source paper itself argues (measured schedule-table generation time):
+counters, trajectories); this package times it, as the source paper
+measures its schedule-table generation time:
 
-* :class:`Tracer` — structured span/event records with run ids, monotonic
-  timestamps and parent-span nesting, emitted to a :class:`JsonlSink` (the
-  ``repro-cpg explore --trace FILE`` format) or an in-memory
-  :class:`RingBufferSink`; tracing is off by default — instrumented layers
-  take ``tracer=None`` and skip their spans, allocating nothing;
-* :class:`MetricsRegistry` — named counters, gauges and histograms of one
-  process, read through frozen :class:`MetricsSnapshot` views;
+* :class:`Tracer` — the one instrument of a run: structured span/event
+  records with run ids, monotonic timestamps and parent-span nesting,
+  emitted to a :class:`JsonlSink` (the ``repro-cpg explore --trace FILE``
+  format), an in-memory :class:`RingBufferSink` or no sink at all, and
+  per-name span totals (the ``--metrics`` stage timings); tracing is off by
+  default — instrumented layers take ``tracer=None`` and skip their spans,
+  allocating nothing;
 * :func:`aggregate_trace` / :func:`format_trace_report` — the
-  ``repro-cpg trace-report`` aggregation from a raw trace to the per-stage /
-  per-engine wall-time tables that seed the evaluator-flattening work.
+  ``repro-cpg trace-report`` aggregation from a raw trace to per-stage /
+  per-engine wall-time tables.
 
 Everything here is dependency-free and imports nothing from the rest of
 ``repro`` (except the table formatter, lazily), so any layer — graph,
 scheduling, exploration, CLI — can instrument itself without import cycles.
-See ``docs/observability.md`` for the record schema and the metric-name
+See ``docs/observability.md`` for the record schema and the span-name
 catalogue.
 """
 
-from .metrics import (
-    HistogramStats,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
 from .report import (
     StageProfile,
     TraceReport,
@@ -47,10 +41,7 @@ from .trace import (
 )
 
 __all__ = [
-    "HistogramStats",
     "JsonlSink",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "RECORD_KEYS",
     "RingBufferSink",
     "Span",

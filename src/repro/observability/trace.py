@@ -6,8 +6,7 @@ caches) but, before this module, not where wall-clock time goes.  A
 record per closed *span* (a named, timed region: an engine run, a search
 cycle, a pipeline stage) or per *event* (a point occurrence, such as a
 process pool falling back to in-process evaluation) — that
-``repro-cpg trace-report`` aggregates into the per-stage/per-engine time
-profile seeding the evaluator-flattening work (ROADMAP item 5).
+``repro-cpg trace-report`` aggregates into a per-stage/per-engine profile.
 
 Schema (version :data:`TRACE_SCHEMA_VERSION`)
 ---------------------------------------------
@@ -38,12 +37,21 @@ Every record is a flat dict with exactly these keys:
     A flat dict of JSON-scalar attributes (engine name, cycle number, cache
     hit flags, error text…).
 
+Span totals
+-----------
+A tracer totals its spans by name as they close: a count and the sum of
+the rounded ``dt`` their records carry (:meth:`Tracer.totals`), in emission
+order, so a total equals the left-to-right sum of its spans' ``dt`` in the
+trace.  The ``stage_seconds`` and ``wall_seconds`` of an exploration result
+are read from these totals, and a tracer without a sink (``--metrics``
+alone) keeps only them.
+
 Disabled-path cost
 ------------------
 Tracing is off by default: every instrumented layer (the pipeline stages,
 the engines, the evaluation pool, the service) takes ``tracer=None`` and
 checks for None before it opens a span or records an event, so a run
-without a tracer allocates nothing for tracing.
+without a tracer allocates nothing for tracing and reads no clock.
 
 Nesting uses a per-thread span stack (``threading.local``), so spans opened
 on different threads (the service's job threads) nest within their own
@@ -58,7 +66,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Tuple, Union
 
 #: Version tag of the trace record schema documented in the module docstring.
 TRACE_SCHEMA_VERSION = 1
@@ -204,7 +212,7 @@ class Span:
         self._closed = False
 
     def close(self, **attrs: Any) -> float:
-        """Close the span (and any open descendants); return its duration.
+        """Close the span (and any open descendants); return its ``dt``.
 
         Keyword arguments are added to the span's attributes — use them for
         outcomes known only at the end (``feasible=...``, ``hit=...``).
@@ -230,7 +238,7 @@ class Tracer:
     ----------
     sink:
         A :class:`JsonlSink`, :class:`RingBufferSink`, or anything with an
-        ``emit(record)`` method.
+        ``emit(record)`` method.  None keeps only the span totals.
     run_id:
         Identifier stamped on every record.  Defaults to ``"run"``; callers
         that merge traces from several runs should pass something unique
@@ -238,17 +246,18 @@ class Tracer:
 
     Span nesting follows a per-thread stack: ``span()`` pushes, closing pops
     (including any spans left open above — see :meth:`Span.close`).  ``seq``
-    numbers are allocated under a lock, so records from several threads
-    interleave without ever colliding.
+    numbers and span totals are updated under one lock, so records from
+    several threads interleave without ever colliding.
     """
 
-    def __init__(self, sink, run_id: str = "run") -> None:
+    def __init__(self, sink=None, run_id: str = "run") -> None:
         self._sink = sink
         self._run_id = run_id
         self._origin = time.perf_counter()
         self._lock = threading.Lock()
         self._next_id = 0
         self._next_seq = 0
+        self._totals: Dict[str, Tuple[int, float]] = {}
         self._local = threading.local()
 
     @property
@@ -268,11 +277,20 @@ class Tracer:
             self._next_id += 1
         return span_id
 
+    def totals(self) -> Dict[str, Tuple[int, float]]:
+        """Per span name, the spans closed so far: ``(count, summed dt)``."""
+        with self._lock:
+            return dict(self._totals)
+
     def _emit(self, record: Dict[str, Any]) -> None:
         with self._lock:
+            if record["type"] == "span":
+                count, seconds = self._totals.get(record["name"], (0, 0.0))
+                self._totals[record["name"]] = (count + 1, seconds + record["dt"])
             record["seq"] = self._next_seq
             self._next_seq += 1
-            self._sink.emit(record)
+            if self._sink is not None:
+                self._sink.emit(record)
 
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span nested under the current thread's innermost span."""
@@ -312,7 +330,7 @@ class Tracer:
             stack.pop()
         parent = stack[-1].span_id if stack else None
         t0 = span._t0 - self._origin
-        duration = max(0.0, ended - span._t0)
+        dt = round(max(0.0, ended - span._t0), 9)
         self._emit({
             "type": "span",
             "run": self._run_id,
@@ -321,17 +339,18 @@ class Tracer:
             "parent": parent,
             "name": span.name,
             "t0": round(max(0.0, t0), 9),
-            "dt": round(duration, 9),
+            "dt": dt,
             "attrs": span.attrs,
         })
-        return duration
+        return dt
 
     def close(self) -> None:
         """Close any spans this thread left open, then the sink."""
         stack = self._stack()
         while stack:
             stack[-1].close()
-        self._sink.close()
+        if self._sink is not None:
+            self._sink.close()
 
 
 def read_trace(path: Union[str, Path]) -> List[Dict[str, Any]]:

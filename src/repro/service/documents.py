@@ -97,8 +97,8 @@ def explore_result_dict(result, include_front: bool = False, problem=None) -> di
             else None
         ),
         "resumed_from": result.resumed_from,
-        # Timing and batch stats (all None unless metrics are on: identical
-        # invocations must keep producing byte-identical JSON).
+        # Timing and batch stats (all None unless the run is traced:
+        # identical invocations must keep producing byte-identical JSON).
         "stage_seconds": result.stage_seconds,
         "wall_seconds": result.wall_seconds,
         "batch": result.batch,

@@ -206,7 +206,6 @@ class JobManager:
         self,
         caches: Optional[ScopedStageCaches] = None,
         workers: int = 2,
-        metrics=None,
         tracer=None,
     ) -> None:
         self._caches = caches if caches is not None else ScopedStageCaches()
@@ -218,7 +217,6 @@ class JobManager:
         self._order: List[str] = []
         self._lock = threading.Lock()
         self._next_id = 0
-        self._metrics = metrics
         self._tracer = tracer
 
     @property
@@ -236,8 +234,6 @@ class JobManager:
             job = Job(f"job-{self._next_id}", request)
             self._jobs[job.id] = job
             self._order.append(job.id)
-        if self._metrics is not None:
-            self._metrics.count("service.jobs.submitted")
         if self._tracer is not None:
             self._tracer.event("service.job_submitted", job=job.id)
         self._executor.submit(self._run, job)
@@ -278,13 +274,9 @@ class JobManager:
         except Exception as error:
             job.error = str(error)
             job.state = "failed"
-            if self._metrics is not None:
-                self._metrics.count("service.jobs.failed")
         finally:
             if span is not None:
                 span.close(state=job.state)
-            if self._metrics is not None:
-                self._metrics.count("service.jobs.finished")
 
     def _execute(self, job: Job) -> None:
         request = job.request
@@ -327,11 +319,3 @@ class JobManager:
             ),
             "lru_evictions": after.lru_evictions - before.lru_evictions,
         }
-        if self._metrics is not None:
-            self._metrics.count(
-                "service.stage_hits",
-                job.shared_cache["stage_hits"],
-            )
-            self._metrics.gauge(
-                "service.cache.occupancy_bytes", float(after.occupancy_bytes)
-            )

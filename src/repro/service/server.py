@@ -6,7 +6,9 @@ A deliberately small HTTP/1.1 front-end over :mod:`repro.service.jobs` —
 document; every error is ``{"error": ...}`` with the
 :class:`~repro.io.SerializationError` message naming the offending request
 entry.  One connection carries one request (``Connection: close``), which
-keeps the parser honest and the clients trivial.
+keeps the parser honest and the clients trivial.  The request must arrive
+whole within :data:`REQUEST_READ_SECONDS`; a line over 64 KiB or a malformed
+``Content-Length`` answers 400.
 
 Endpoints
 ---------
@@ -42,7 +44,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..architecture.architecture import ArchitectureError
 from ..architecture.mapping import MappingError
@@ -54,7 +56,6 @@ from ..io.serialization import (
     validate_schedule_request,
     validate_sweep_request,
 )
-from ..observability import MetricsRegistry
 from .documents import schedule_document, sweep_document
 from .jobs import (
     DEFAULT_CACHE_MAX_BYTES,
@@ -68,6 +69,12 @@ from .requests import schedule_system, sweep_series
 #: client bug, not a workload.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 _MAX_HEADER_LINES = 64
+#: Upper bound on the request line and on each header line.
+_MAX_LINE_BYTES = 64 * 1024
+#: Seconds a client has to send one whole request (request line, headers
+#: and body).  A connection still sending it then is closed unanswered, so
+#: a stalled client can hold neither a handler nor the server's shutdown.
+REQUEST_READ_SECONDS = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -91,7 +98,6 @@ class ExplorationService:
         job_workers: int = 2,
         cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES,
         cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES,
-        metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
         for flag, value in (
@@ -104,12 +110,10 @@ class ExplorationService:
         self._host = host
         self._requested_port = port
         self.port: Optional[int] = None
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
         self._jobs = JobManager(
             caches=ScopedStageCaches(cache_max_entries, cache_max_bytes),
             workers=job_workers,
-            metrics=self._metrics,
             tracer=tracer,
         )
         # Synchronous queries (schedule/sweep, request validation) run off
@@ -124,14 +128,13 @@ class ExplorationService:
         self._requests_total = 0
         self._requests_by_route: Dict[str, int] = {}
         self._counter_lock = threading.Lock()
+        # Connection handlers still reading their request; shutdown cancels
+        # them (the event loop's thread is the only one touching the set).
+        self._reading: Set[asyncio.Task] = set()
 
     @property
     def jobs(self) -> JobManager:
         return self._jobs
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._metrics
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -139,7 +142,10 @@ class ExplorationService:
         """Bind the listening socket (``port`` is known afterwards)."""
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
+            self._handle_connection,
+            self._host,
+            self._requested_port,
+            limit=_MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -149,6 +155,14 @@ class ExplorationService:
         async with self._server:
             await self._server.start_serving()
             await self._shutdown.wait()
+            # Accept nothing more, and drop the clients still sending their
+            # request: Python 3.12's wait_closed() waits for every open
+            # connection, so a stalled one would hold the shutdown.
+            self._server.close()
+            reading = list(self._reading)
+            for task in reading:
+                task.cancel()
+            await asyncio.gather(*reading, return_exceptions=True)
         self._jobs.close()
         self._query_executor.shutdown(wait=True)
 
@@ -161,8 +175,15 @@ class ExplorationService:
 
     async def _handle_connection(self, reader, writer) -> None:
         status, document = 500, {"error": "internal error"}
+        task = asyncio.current_task()
+        self._reading.add(task)
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_SECONDS
+                )
+            finally:
+                self._reading.discard(task)
             if isinstance(parsed, tuple):
                 method, path, body = parsed
                 status, document = await self._route(method, path, body)
@@ -172,7 +193,11 @@ class ExplorationService:
             status, document = 400, {"error": str(error)}
         except (GraphStructureError, ArchitectureError, MappingError) as error:
             status, document = 400, {"error": f"invalid system: {error}"}
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except asyncio.CancelledError:  # shutdown dropped a stalled client
+            writer.close()
+            raise
+        # The client went away, or sent its request too slowly.
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.TimeoutError):
             writer.close()
             return
         except Exception as error:  # never leak a traceback to the socket
@@ -197,18 +222,25 @@ class ExplorationService:
             self.request_shutdown()
 
     async def _read_request(self, reader):
-        """Parse one request; returns (method, path, body) or an error string."""
+        """Parse one request; returns (method, path, body) or an error string.
+
+        ``readline`` raises ``ValueError`` on a line longer than the
+        stream's limit (:data:`_MAX_LINE_BYTES`).
+        """
         try:
             request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            raise ConnectionError("client went away")
+        except ValueError:
+            return f"request line longer than {_MAX_LINE_BYTES} bytes"
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
             return f"malformed request line {request_line!r}"
         method, path, _version = parts
         content_length = 0
         for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return f"request header line longer than {_MAX_LINE_BYTES} bytes"
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -216,6 +248,8 @@ class ExplorationService:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return f"malformed Content-Length {value.strip()!r}"
         else:
             return "too many request headers"
@@ -231,11 +265,6 @@ class ExplorationService:
             self._requests_total += 1
             self._requests_by_route[route] = (
                 self._requests_by_route.get(route, 0) + 1
-            )
-        if self._metrics is not None:
-            self._metrics.count("service.requests")
-            self._metrics.gauge(
-                "service.queue_depth", float(self._jobs.queue_depth())
             )
 
     # -- routing -------------------------------------------------------------

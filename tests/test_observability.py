@@ -1,14 +1,13 @@
-"""Tests of the observability layer: tracing, metrics, trace reports.
+"""Tests of the observability layer: tracing, span totals, trace reports.
 
 The contract under test, in four parts.  (1) The disabled path is free:
-instrumented layers default to ``tracer=None``/``metrics=None`` and skip
-instrumentation, so results are bit-identical with observability on or
-off.  (2) Traces are schema-strict and
-deterministic: the same seed produces the same span/event sequence modulo
-timestamps.  (3) Metrics snapshots are frozen copies of one process's
-registry; a process pool's coordinator records its own chunk latency and
-payload traffic.  (4) ``repro-cpg trace-report`` aggregates it all into
-per-stage wall-time tables.
+instrumented layers default to ``tracer=None`` and skip instrumentation,
+so results are bit-identical with observability on or off.  (2) Traces
+are schema-strict and deterministic: the same seed produces the same
+span/event sequence modulo timestamps.  (3) The tracer is the one
+instrument: a result's ``stage_seconds`` and ``wall_seconds`` are its span
+totals, equal to what its trace file carries.  (4) ``repro-cpg
+trace-report`` aggregates it all into per-stage wall-time tables.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import pytest
 
 from repro.cli import main
 from repro.exploration import (
-    CachedEvaluator,
-    EvaluationPool,
     ExplorationConfig,
     ExplorationProblem,
     Explorer,
@@ -28,9 +25,7 @@ from repro.exploration import (
 from repro.generator import generate_system
 from repro.observability import (
     RECORD_KEYS,
-    HistogramStats,
     JsonlSink,
-    MetricsRegistry,
     RingBufferSink,
     TraceError,
     Tracer,
@@ -47,10 +42,21 @@ def problem():
     return ExplorationProblem.from_system(generate_system(16, 2, seed=3))
 
 
-def _explore(problem, tracer=None, metrics=None, engine="tabu", seed=3):
+def _explore(problem, tracer=None, engine="tabu", seed=3):
     config = ExplorationConfig(seed=seed, max_cycles=3, neighbors_per_cycle=4)
-    explorer = Explorer(problem, config=config, tracer=tracer, metrics=metrics)
+    explorer = Explorer(problem, config=config, tracer=tracer)
     return explorer.explore(engine)
+
+
+def _sum_dt(spans):
+    """Left-to-right sum of the spans' ``dt``, as the tracer totals them.
+
+    Python 3.12's ``sum`` of floats compensates rounding, so it is not used.
+    """
+    total = 0.0
+    for span in spans:
+        total += span["dt"]
+    return total
 
 
 # -- schema ------------------------------------------------------------------------
@@ -161,6 +167,26 @@ def test_close_attrs_and_duration():
     assert record["dt"] >= 0.0 and record["t0"] >= 0.0
 
 
+def test_tracer_totals_spans_by_name_with_or_without_a_sink():
+    sink = RingBufferSink()
+    traced, bare = Tracer(sink), Tracer()
+    for tracer in (traced, bare):
+        with tracer.span("engine"):
+            tracer.span("stage.merge").close()
+            tracer.event("pool.degraded")
+            tracer.span("stage.merge").close()
+        tracer.close()
+    spans = [record for record in sink.records if record["type"] == "span"]
+    merges = [span for span in spans if span["name"] == "stage.merge"]
+    assert traced.totals() == {
+        "stage.merge": (2, _sum_dt(merges)),
+        "engine": (1, spans[-1]["dt"]),
+    }
+    # Events are not totalled; a tracer without a sink keeps its totals.
+    assert set(bare.totals()) == {"stage.merge", "engine"}
+    assert bare.totals()["stage.merge"][0] == 2
+
+
 def test_ring_buffer_evicts_oldest():
     sink = RingBufferSink(capacity=2)
     tracer = Tracer(sink)
@@ -206,9 +232,7 @@ def test_default_result_carries_no_timing(problem):
 
 def test_instrumented_run_is_bit_identical_to_plain(problem):
     plain = _explore(problem)
-    traced = _explore(
-        problem, tracer=Tracer(RingBufferSink()), metrics=MetricsRegistry()
-    )
+    traced = _explore(problem, tracer=Tracer(RingBufferSink()))
     assert traced.best == plain.best
     assert traced.trajectory == plain.trajectory
     assert traced.evaluations == plain.evaluations
@@ -226,56 +250,31 @@ def test_trace_is_deterministic_modulo_timestamps(problem):
     sequences = []
     for _ in range(2):
         sink = RingBufferSink(capacity=100_000)
-        _explore(problem, tracer=Tracer(sink), metrics=MetricsRegistry())
+        _explore(problem, tracer=Tracer(sink))
         sequences.append(_normalised(sink.records))
     assert sequences[0] == sequences[1]
-
-
-# -- metrics -----------------------------------------------------------------------
-
-
-def test_registry_counters_gauges_histograms():
-    registry = MetricsRegistry()
-    registry.count("cache.hits")
-    registry.count("cache.hits", 2)
-    registry.gauge("service.queue_depth", 5.0)
-    registry.observe("stage.merge.seconds", 0.25)
-    registry.observe("stage.merge.seconds", 0.75)
-    snapshot = registry.snapshot()
-    assert snapshot.counters["cache.hits"] == 3.0
-    assert snapshot.gauges["service.queue_depth"] == 5.0
-    stats = snapshot.histograms["stage.merge.seconds"]
-    assert stats.count == 2
-    assert stats.total == 1.0
-    assert stats.minimum == 0.25 and stats.maximum == 0.75
-    assert stats.mean == 0.5
-    assert HistogramStats().mean == 0.0
-    assert snapshot.stage_seconds() == {"merge": 1.0}
-
-
-def test_snapshot_is_frozen_copy():
-    registry = MetricsRegistry()
-    registry.count("c")
-    snapshot = registry.snapshot()
-    registry.count("c")
-    assert snapshot.counters["c"] == 1.0
-    assert registry.snapshot().counters["c"] == 2.0
 
 
 # -- instrumented pipeline ---------------------------------------------------------
 
 
 def test_metrics_cover_every_stage(problem):
-    metrics = MetricsRegistry()
-    result = _explore(problem, metrics=metrics)
+    tracer = Tracer()
+    result = _explore(problem, tracer=tracer)
     assert result.wall_seconds is not None and result.wall_seconds > 0
     assert set(result.stage_seconds) >= {
         "expansion", "path_schedule", "merge",
     }
-    snapshot = metrics.snapshot()
-    assert snapshot.counters["cache.misses"] > 0
-    assert snapshot.histograms["evaluate.seconds"].count == result.evaluations
-    assert "engine.tabu.cycle.seconds" in snapshot.histograms
+    totals = tracer.totals()
+    assert result.stage_seconds == {
+        name[len("stage."):]: seconds
+        for name, (_, seconds) in totals.items()
+        if name.startswith("stage.")
+    }
+    assert totals["engine"] == (1, result.wall_seconds)
+    assert result.cache.misses > 0
+    assert totals["evaluate"][0] == result.evaluations
+    assert totals["cycle"][0] == result.cycles
 
 
 def test_trace_covers_stages_and_engines(problem):
@@ -291,40 +290,12 @@ def test_trace_covers_stages_and_engines(problem):
 
 def test_genetic_engine_traces_generations(problem):
     sink = RingBufferSink(capacity=100_000)
-    metrics = MetricsRegistry()
-    result = _explore(problem, tracer=Tracer(sink), metrics=metrics,
-                      engine="genetic")
+    tracer = Tracer(sink)
+    result = _explore(problem, tracer=tracer, engine="genetic")
     assert result.stage_seconds is not None
     names = {record["name"] for record in sink.records}
     assert {"engine", "cycle", "evaluate"} <= names
-    assert "engine.genetic.cycle.seconds" in metrics.snapshot().histograms
-
-
-def test_process_pool_records_coordinator_metrics(problem):
-    metrics = MetricsRegistry()
-    tracer = Tracer(RingBufferSink(capacity=100_000))
-    batch = []
-    initial = problem.initial_candidate()
-    batch.append(initial)
-    for process in problem.movable_processes[:3]:
-        targets = [
-            pe for pe in problem.processor_names
-            if pe != initial.pe_of(process)
-        ]
-        batch.append(initial.reassigned(process, targets[0]))
-    with EvaluationPool(problem) as reference_pool:
-        reference = reference_pool.evaluate(batch)
-    with EvaluationPool(
-        problem, workers=2, tracer=tracer, metrics=metrics
-    ) as pool:
-        evaluations = pool.evaluate(batch)
-    assert evaluations == reference
-    snapshot = metrics.snapshot()
-    # The coordinator records chunk latency and payload traffic; the
-    # workers themselves are uninstrumented, so no evaluation is timed.
-    assert snapshot.histograms["pool.unit.seconds"].count > 0
-    assert snapshot.counters["pool.payload_bytes"] == pool.payload_bytes_shipped > 0
-    assert "evaluate.seconds" not in snapshot.histograms
+    assert tracer.totals()["cycle"][0] == result.cycles
 
 
 # -- trace report ------------------------------------------------------------------
@@ -434,6 +405,41 @@ def test_cli_json_with_metrics(tmp_path, capsys):
         "expansion", "path_schedule", "merge",
     }
     assert result["stages"] is not None  # hit/miss block still present
+
+
+def test_cli_timings_are_the_trace_span_totals(tmp_path, capsys):
+    """The timing fields read exactly what the run's trace file carries."""
+    trace_path = tmp_path / "run.jsonl"
+    code = main([
+        "explore", "--fig1", "--seed", "1", "--cycles", "4", "--neighbors", "4",
+        "--trace", str(trace_path), "--metrics", "--json",
+    ])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    spans = [
+        record for record in read_trace(trace_path) if record["type"] == "span"
+    ]
+    stages = {
+        span["name"][len("stage."):] for span in spans
+        if span["name"].startswith("stage.")
+    }
+    assert set(result["stage_seconds"]) == stages
+    for stage in stages:
+        assert result["stage_seconds"][stage] == _sum_dt(
+            span for span in spans if span["name"] == f"stage.{stage}"
+        ), stage
+    (engine,) = [span for span in spans if span["name"] == "engine"]
+    assert result["wall_seconds"] == engine["dt"]
+
+
+def test_cli_trace_alone_fills_the_timing_fields(tmp_path, capsys):
+    trace_path = tmp_path / "run.jsonl"
+    code, output = _cli_explore(["--trace", str(trace_path), "--json"], capsys)
+    assert code == 0
+    result = json.loads(output)["results"][0]
+    assert result["wall_seconds"] > 0
+    assert result["stage_seconds"]["merge"] > 0
+    assert result["batch"]["batches"] > 0
 
 
 def test_cli_json_without_metrics_is_unstamped(capsys):

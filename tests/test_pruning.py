@@ -259,8 +259,8 @@ def test_a_cost_below_its_bound_is_reported(problem, monkeypatch):
     """The soundness check names the candidate whose merge broke the bound."""
     merge = cost_module._PathStage.merge
 
-    def undercut(self, tracer=None, metrics=None):
-        result = merge(self, tracer, metrics)
+    def undercut(self, tracer=None):
+        result = merge(self, tracer)
         result.delta_max = result.delta_m - 1.0
         return result
 

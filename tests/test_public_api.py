@@ -146,3 +146,22 @@ def test_each_setting_has_one_owner():
         "quarantined_evaluation",
     ):
         assert not hasattr(exploration, name), name
+    # The tracer is a run's one instrument: no metrics registry, no
+    # ``metrics`` parameter.
+    import repro.observability as observability
+    import repro.service as service
+
+    for owner in (
+        exploration.Explorer,
+        exploration.CachedEvaluator,
+        exploration.EvaluationPool,
+        exploration.evaluate_candidate,
+        exploration.evaluate_neighbourhood,
+        exploration.merge_candidate,
+        service.ExplorationService,
+        service.JobManager,
+    ):
+        assert "metrics" not in inspect.signature(owner).parameters, owner
+        assert "tracer" in inspect.signature(owner).parameters, owner
+    for name in ("MetricsRegistry", "MetricsSnapshot", "HistogramStats"):
+        assert not hasattr(observability, name), name

@@ -9,8 +9,10 @@ registry so a hung test tears its server down instead of leaking it.
 """
 
 import json
+import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.exploration import Explorer
 from repro.exploration import pool as pool_module
 from repro.generator import generate_system
 from repro.io import system_to_dict, validate_explore_request
+from repro.service import server as server_module
 from repro.service import (
     ExplorationService,
     ServiceClient,
@@ -447,6 +450,83 @@ def test_shutdown_endpoint_stops_the_server(timeout_cleanup):
     assert not running._thread.is_alive()
     with pytest.raises(OSError):
         client.health()
+
+
+def _raw_exchange(port, payload):
+    """Send raw bytes on a fresh connection; return (status, document)."""
+    response = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        try:
+            while chunk := sock.recv(65536):
+                response += chunk
+        except ConnectionResetError:
+            pass  # unread request bytes make the server's close a reset
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "payload,problem",
+    [
+        pytest.param(
+            b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            "request line longer than 65536 bytes",
+            id="long-request-line",
+        ),
+        pytest.param(
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 70_000 + b"\r\n\r\n",
+            "request header line longer than 65536 bytes",
+            id="long-header-line",
+        ),
+        pytest.param(
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            "malformed Content-Length '-5'",
+            id="negative-content-length",
+        ),
+    ],
+)
+def test_malformed_http_requests_answer_400(service, payload, problem):
+    status, document = _raw_exchange(service.port, payload)
+    assert status == 400, document
+    assert document == {"error": problem}
+    assert ServiceClient(service.url).health() == {"status": "ok"}
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [
+        pytest.param(b"GET /healthz HTTP/1.1\r\nHost: x\r\n", id="headers"),
+        pytest.param(
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{", id="body"
+        ),
+    ],
+)
+def test_a_stalled_request_is_closed_at_the_read_limit(
+    service, monkeypatch, partial
+):
+    monkeypatch.setattr(server_module, "REQUEST_READ_SECONDS", 0.5)
+    with socket.create_connection(("127.0.0.1", service.port), timeout=10) as sock:
+        sock.sendall(partial)
+        started = time.monotonic()
+        assert sock.recv(1024) == b""  # closed, unanswered
+        assert time.monotonic() - started < 5
+    assert ServiceClient(service.url).health() == {"status": "ok"}
+
+
+def test_close_returns_while_a_stalled_client_is_connected(timeout_cleanup):
+    running = start_in_thread(job_workers=1)
+    timeout_cleanup(running.close)
+    with socket.create_connection(("127.0.0.1", running.port), timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+        # Connections are accepted in order: once a later one is answered,
+        # the stalled one is being read.
+        assert ServiceClient(running.url).health() == {"status": "ok"}
+        started = time.monotonic()
+        running.close(timeout=10)
+        assert not running._thread.is_alive()
+        assert time.monotonic() - started < 5
+        assert sock.recv(1024) == b""
 
 
 @pytest.mark.parametrize("value", [0, -1])
