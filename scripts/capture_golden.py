@@ -1,12 +1,15 @@
-"""Capture golden schedule tables for the equivalence regression test.
+"""Capture golden schedule tables and explore digests for the equivalence tests.
 
 Runs ``merge_schedules`` on the Fig. 1 example, one ATM OAM mode and ten
 seeded random CPGs, and serialises every table entry (row, column, start,
-processing element) to ``tests/data/golden_tables.json``.  The recorded
-output pins down the exact tables the seed implementation produced; the
-golden test replays the same workloads and asserts byte-identical tables,
-so any scheduler or condition-algebra optimisation that changes results is
-caught immediately.
+processing element) to ``tests/data/golden_tables.json``.  It also runs a
+few fast ``repro-cpg explore --json`` configurations (each engine, the
+two-bus communication-mapped Fig. 1, architecture sizing) and records the
+sha256 of each output in ``tests/data/golden_explore.json``.  The recorded
+output pins down the exact tables and search results the implementation
+produced; the golden tests replay the same workloads and assert
+byte-identical results, so any scheduler, condition-algebra or explorer
+optimisation that changes results is caught immediately.
 
 Usage::
 
@@ -15,17 +18,23 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
 from repro.atm import build_mode1, build_oam_architecture, candidate_mappings
 from repro.atm.processors import table2_architecture_configs
+from repro.cli import main as cli_main
 from repro.data import load_fig1_example
 from repro.generator import generate_system
 from repro.graph import expand_communications
 from repro.scheduling import ScheduleMerger
 
-OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_tables.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUTPUT = DATA / "golden_tables.json"
+EXPLORE_OUTPUT = DATA / "golden_explore.json"
 
 #: The ten seeded random systems recorded in the golden file.
 RANDOM_CASES = [
@@ -70,6 +79,35 @@ def serialize_table(result) -> dict:
         "delta_max": round(result.delta_max, 6),
     }
 
+#: ``repro-cpg explore`` arguments (``--json`` is added) whose output
+#: digests are recorded: every engine on one random system, the two-bus
+#: Fig. 1 with communication mapping, and one architecture-sizing run.
+_RANDOM_40 = ["--nodes", "40", "--paths", "8", "--seed", "3"]
+EXPLORE_CASES = {
+    "tabu_n40_p8": _RANDOM_40 + ["--engine", "tabu", "--cycles", "4", "--neighbors", "6"],
+    "anneal_n40_p8": _RANDOM_40 + ["--engine", "anneal", "--cycles", "6", "--neighbors", "4"],
+    "genetic_n40_p8": _RANDOM_40
+    + ["--engine", "genetic", "--cycles", "3", "--population", "6"],
+    "fig1_two_bus_mapped": [
+        "--fig1", "--fig1-buses", "2", "--map-communications", "--seed", "5",
+        "--engine", "tabu", "--cycles", "6", "--neighbors", "6",
+    ],
+    "sized_n40_p8": [
+        "--nodes", "40", "--paths", "8", "--seed", "4", "--size-architecture",
+        "--engine", "tabu", "--cycles", "5", "--neighbors", "6",
+    ],
+}
+
+
+def explore_digest(arguments) -> str:
+    """The sha256 of ``repro-cpg explore --json`` for the given arguments."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        status = cli_main(["explore", *arguments, "--json"])
+    if status:
+        raise RuntimeError(f"explore {arguments} exited with status {status}")
+    return hashlib.sha256(output.getvalue().encode()).hexdigest()
+
 
 def merge_fig1():
     example = load_fig1_example()
@@ -113,6 +151,9 @@ def main() -> None:
         for entries in rows.values()
     )
     print(f"wrote {OUTPUT} ({len(golden)} workloads, {total} table entries)")
+    digests = {name: explore_digest(arguments) for name, arguments in EXPLORE_CASES.items()}
+    EXPLORE_OUTPUT.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {EXPLORE_OUTPUT} ({len(digests)} explore digests)")
 
 
 if __name__ == "__main__":

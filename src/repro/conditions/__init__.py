@@ -20,7 +20,7 @@ enters only through :meth:`Conjunction.from_assignment`.
 from .conjunction import Conjunction, ContradictionError
 from .expressions import BoolExpr
 from .literals import Condition, Literal, conditions_of
-from .universe import DEFAULT_UNIVERSE, ConditionUniverse, condition_bit
+from .universe import DEFAULT_UNIVERSE, ConditionUniverse
 
 __all__ = [
     "BoolExpr",
@@ -30,6 +30,5 @@ __all__ = [
     "ContradictionError",
     "DEFAULT_UNIVERSE",
     "Literal",
-    "condition_bit",
     "conditions_of",
 ]

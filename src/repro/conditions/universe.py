@@ -81,8 +81,3 @@ class ConditionUniverse:
 #: The process-wide universe used by :class:`~repro.conditions.Conjunction`.
 DEFAULT_UNIVERSE = ConditionUniverse()
 
-
-def condition_bit(condition: Condition) -> int:
-    """Shorthand for ``DEFAULT_UNIVERSE.bit_of(condition)``."""
-    return DEFAULT_UNIVERSE.bit_of(condition)
-

@@ -43,10 +43,9 @@ from ..graph.communication import (
     ExpandedGraph,
     ExpansionStructure,
     assign_buses,
-    crossing_edges,
     expansion_structure,
 )
-from ..graph.paths import AlternativePath, expanded_paths
+from ..graph.paths import AlternativePath
 from ..scheduling.list_scheduler import PathListScheduler, SchedulingError
 from ..scheduling.merging import MergeConflictError, MergeResult, ScheduleMerger
 from ..scheduling.priorities import (
@@ -268,9 +267,7 @@ class StageCache:
         # shuffle processes between processors without co-locating (or
         # splitting) any connected pair share one structure — and everything
         # cached on its graph object (guards, topological order).
-        self._structures: Dict[
-            Tuple, Tuple[ExpansionStructure, Tuple[AlternativePath, ...]]
-        ] = {}
+        self._structures: Dict[Tuple, ExpansionStructure] = {}
         # (path sub-fingerprint, lock-set key) -> schedule.
         self._schedules: Dict[Tuple, PathSchedule] = {}
         self._lock = threading.Lock()
@@ -391,12 +388,14 @@ class StageCache:
         (:meth:`ExplorationProblem.expansion_key`); on a miss, the
         mapping-independent *structure* (graph + alternative paths) is still
         reused across co-location patterns and only the bus-assignment layer
-        is rebuilt.  A structure miss derives no guard and enumerates no
-        path: the structure's graph inherits the base graph's guards and its
-        paths are built from :attr:`ExplorationProblem.base_paths` (both
-        derived once per problem, on the first miss).  ``pins`` takes the
-        candidate's already-filtered bus pins (empty dict = none) so callers
-        holding them skip refiltering.
+        is rebuilt.  The pattern is read from the candidate's assignment
+        (:meth:`ExplorationProblem.crossing_for`).  A structure miss splices
+        the base graph, derives no guard and enumerates no path: the
+        structure's graph inherits the base graph's guards and its paths are
+        built from :attr:`ExplorationProblem.base_paths` (both derived once
+        per problem, on the first miss).  ``pins`` takes the candidate's
+        already-filtered bus pins (empty dict = none) so callers holding
+        them skip refiltering.
         """
         if pins is None:
             pins = problem.bus_assignment_for(candidate) or {}
@@ -408,20 +407,16 @@ class StageCache:
             return cached
         self.expansion_misses += 1
         mapping = problem.mapping_for(candidate)
-        pattern = crossing_edges(problem.graph, mapping)
-        record = self._structures.get(pattern)
-        if record is None:
+        pattern = problem.crossing_for(candidate)
+        structure = self._structures.get(pattern)
+        if structure is None:
             self.structure_misses += 1
-            structure = expansion_structure(problem.graph, pattern)
-            paths = expanded_paths(
-                problem.base_paths,
-                structure.graph,
-                [comm_name for comm_name, *_ in structure.comm_edges],
+            structure = expansion_structure(
+                problem.graph, pattern, problem.base_paths
             )
-            record = (structure, paths)
         else:
             self.structure_hits += 1
-        structure, paths = record
+        paths = structure.paths
         expanded = assign_buses(
             structure,
             mapping,
@@ -439,7 +434,7 @@ class StageCache:
                 self._structure_users[pattern] = (
                     self._structure_users.get(pattern, 0) + 1
                 )
-                self._structures.setdefault(pattern, record)
+                self._structures.setdefault(pattern, structure)
             self._evict_to_budget_locked()
         return expanded, paths
 

@@ -27,12 +27,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import compress
+from operator import ne
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..architecture.architecture import Architecture
-from ..architecture.mapping import Mapping
+from ..architecture.mapping import Mapping, MappingError
 from ..architecture.processing_element import bus as make_bus
 from ..architecture.processing_element import programmable
+from ..conditions import Conjunction
 from ..graph.communication import (
     BUS_POLICIES,
     expand_communications,
@@ -195,6 +198,15 @@ class ExplorationProblem:
         self._content_key: Optional[str] = None
         self._stage_scope_key: Optional[str] = None
         self._base_paths: Optional[Tuple[AlternativePath, ...]] = None
+        # Tables of the stage keys, built on first use: (edges between
+        # non-dummy processes, their sources, their targets), and per path
+        # label (its ordinary processes in name order, its active set).
+        self._inner_edges: Optional[
+            Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...], Tuple[str, ...]]
+        ] = None
+        self._label_slices: Optional[
+            Dict[Conjunction, Tuple[Tuple[str, ...], FrozenSet[str]]]
+        ] = None
         if bounds is not None:
             self._bounds = bounds.resolved_for(self._architecture)
             taken = {pe.name for pe in self._architecture.processing_elements}
@@ -390,6 +402,34 @@ class ExplorationProblem:
         mapping.validate_for(self._movable)
         return mapping
 
+    def crossing_for(self, candidate: Candidate) -> Tuple[Tuple[str, str], ...]:
+        """The process-level edges that cross processors under a candidate.
+
+        Equals :func:`~repro.graph.communication.crossing_edges` over the
+        candidate's mapping, read from its assignment over the problem's
+        edges between non-dummy processes (tabled on first use).
+        """
+        if self._inner_edges is None:
+            graph = self._graph
+            edges = tuple(
+                (edge.src, edge.dst)
+                for edge in graph.edges
+                if not (graph[edge.src].is_dummy or graph[edge.dst].is_dummy)
+            )
+            self._inner_edges = (
+                edges,
+                tuple(src for src, _ in edges),
+                tuple(dst for _, dst in edges),
+            )
+        edges, sources, targets = self._inner_edges
+        pe_of = candidate.assignment_dict.__getitem__
+        try:
+            return tuple(
+                compress(edges, map(ne, map(pe_of, sources), map(pe_of, targets)))
+            )
+        except KeyError as error:
+            raise MappingError(f"process {error.args[0]!r} is not mapped") from None
+
     # -- communication mapping ------------------------------------------------
 
     def active_messages(
@@ -516,14 +556,19 @@ class ExplorationProblem:
         elsewhere:
 
         * the path identity (its label selects structure and guards);
-        * the placement of the path's ordinary processes
-          (:meth:`Candidate.assignment_slice` — durations and co-location,
-          hence which of the path's edges carry communication processes);
-        * the *realised* bus of each communication process on the path (from
-          the expanded mapping, so derivation-policy picks are covered, not
-          only explicit pins);
+        * the processors of the label's ordinary processes, in name order
+          (durations and co-location, hence which of the path's edges carry
+          communication processes; the names depend on the label alone);
+        * the names of the communication processes on the path (from the
+          expansion's structure) and the *realised* bus of each (from the
+          expansion, so derivation-policy picks are covered, not only
+          explicit pins);
         * the priority function and the path-restricted bias slice;
         * the platform (broadcast buses, processor count and element speeds).
+
+        ``expanded`` must come from :meth:`StageCache.expansion
+        <repro.exploration.cost.StageCache.expansion>`, whose structures
+        carry each path's communications.
 
         Priority functions outside
         :data:`~repro.scheduling.PATH_LOCAL_PRIORITY_FUNCTIONS` (e.g.
@@ -533,20 +578,31 @@ class ExplorationProblem:
         candidate's ``expansion_key`` once instead of having every path
         recompute it.
         """
-        active = frozenset(path.active_processes)
-        mapping = expanded.mapping
-        communications = expanded.communications
-        buses = tuple(sorted(
-            (name, mapping[name].name)
-            for name in path.active_processes
-            if name in communications
-        ))
+        if self._label_slices is None:
+            movable = frozenset(self._movable)
+            self._label_slices = {
+                path.label: (
+                    tuple(sorted(movable.intersection(path.active_processes))),
+                    frozenset(path.active_processes),
+                )
+                for path in self.base_paths
+            }
+        names, members = self._label_slices[path.label]
+        communications = expanded.path_communications[path.label]
+        bias = candidate.priority_bias
+        if bias:
+            bias = tuple(
+                pair
+                for pair in bias
+                if pair[0] in members or pair[0] in communications
+            )
         key: Tuple = (
             path.label,
-            candidate.assignment_slice(active),
-            buses,
+            tuple(map(candidate.assignment_dict.__getitem__, names)),
+            communications,
+            tuple(map(expanded.communication_buses.__getitem__, communications)),
             candidate.priority_function,
-            candidate.bias_slice(active),
+            bias,
             candidate.platform,
         )
         if candidate.priority_function not in PATH_LOCAL_PRIORITY_FUNCTIONS:

@@ -24,13 +24,14 @@ and schedules communication processes like any other process):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping as TMapping, Optional, Tuple, Union
+from typing import Dict, Mapping as TMapping, Optional, Sequence, Tuple, Union
 
 from ..architecture import Architecture, Mapping, MappingError
 from ..architecture.processing_element import ProcessingElement
-from .cpg import ConditionalProcessGraph, GraphStructureError
-from .edges import Edge
-from .process import communication_process
+from ..conditions import Conjunction
+from .cpg import ConditionalProcessGraph
+from .paths import AlternativePath, expanded_paths
+from .process import communication_name
 
 #: The bus-selection policies :func:`expand_communications` understands.
 BUS_POLICIES: Tuple[str, ...] = ("least_index", "least_loaded")
@@ -89,30 +90,32 @@ class ExpandedGraph:
     #: ``bus_imbalance`` objective) need not rescan every communication.
     #: Buses that carry nothing have no entry.
     bus_loads: Dict[str, float]
-    #: (src, dst) -> info index, built at construction so per-edge lookups are
-    #: one dict probe instead of a scan over every communication.
-    _by_endpoints: Dict[Tuple[str, str], CommunicationInfo] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    #: Per path label, the names of the communication processes active on
+    #: that path, sorted.  Filled when the structure was built with its
+    #: alternative paths (the explorer's stage cache), empty otherwise.
+    path_communications: TMapping[Conjunction, Tuple[str, ...]] = field(
+        default_factory=dict
     )
-
-    def __post_init__(self) -> None:
-        index = {
-            (info.src, info.dst): info for info in self.communications.values()
-        }
-        object.__setattr__(self, "_by_endpoints", index)
+    #: Communication process name -> the name of the bus carrying it.
+    communication_buses: Dict[str, str] = field(default_factory=dict)
 
     def communication_between(self, src: str, dst: str) -> Optional[CommunicationInfo]:
         """Return the communication process inserted between two processes, if any.
 
-        The returned :class:`CommunicationInfo` is a frozen dataclass — an
-        immutable value, safe to retain and share across cached evaluations.
+        A lookup of the process name expansion gives edge ``src -> dst``,
+        checked against the entry's endpoints.  The returned
+        :class:`CommunicationInfo` is a frozen dataclass — an immutable
+        value, safe to retain and share across cached evaluations.
         """
-        return self._by_endpoints.get((src, dst))
+        info = self.communications.get(communication_name(src, dst))
+        if info is None or info.src != src or info.dst != dst:
+            return None
+        return info
 
     def bus_of(self, message: str) -> Optional[ProcessingElement]:
         """The bus carrying the given message id, or None when intra-processor."""
         src, _, dst = message.partition("->")
-        info = self._by_endpoints.get((src, dst))
+        info = self.communication_between(src, dst)
         return info.bus if info is not None else None
 
     @property
@@ -138,10 +141,10 @@ class ExpansionStructure:
     (and everything cached on its graph: guards, topological order) across
     every candidate mapping with the same co-location pattern, rebuilding
     only the cheap bus-assignment layer (:func:`assign_buses`) per
-    candidate.  The graph's guards are inherited from the base graph; the
-    explorer's stage cache keeps the structure's alternative paths next to
-    it, built from the base graph's paths by
-    :func:`~repro.graph.paths.expanded_paths`.
+    candidate.  The graph is spliced from the base graph and inherits its
+    guards (:meth:`~repro.graph.cpg.ConditionalProcessGraph.with_communications`);
+    built with the base graph's alternative paths, the structure also
+    carries its own, from :func:`~repro.graph.paths.expanded_paths`.
     """
 
     #: The expanded conditional process graph (communication processes
@@ -150,6 +153,16 @@ class ExpansionStructure:
     #: One ``(communication process name, src, dst, communication time)`` per
     #: crossing edge, in graph edge order (the order expansion assigns buses).
     comm_edges: Tuple[Tuple[str, str, str, float], ...]
+    #: The expanded graph's alternative paths (empty without base paths).
+    paths: Tuple[AlternativePath, ...] = ()
+    #: Per path label, the sorted names of the communications active on it.
+    path_communications: TMapping[Conjunction, Tuple[str, ...]] = field(
+        default_factory=dict
+    )
+    #: The base graph's memo of bus records, shared by every structure built
+    #: from it: ``(communication name, bus) -> (CommunicationInfo,
+    #: bus-scaled duration)``.
+    records: Dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def crossing_edges(
@@ -174,44 +187,47 @@ def crossing_edges(
 def expansion_structure(
     graph: ConditionalProcessGraph,
     crossing: Tuple[Tuple[str, str], ...],
+    base_paths: Optional[Sequence[AlternativePath]] = None,
 ) -> ExpansionStructure:
     """Insert communication processes for the given crossing edges.
 
-    The mapping-independent half of :func:`expand_communications`: builds the
-    expanded graph and records the inserted communications (the one on edge
-    ``src -> dst`` is named ``"{src}_to_{dst}"``), leaving the bus
-    choice (and hence the extended mapping) to :func:`assign_buses`.  The
-    expanded graph inherits its guards from ``graph``
-    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`):
-    inserting communication processes changes no existing guard, so guards
-    are derived once per base graph, not once per expansion.
+    The mapping-independent half of :func:`expand_communications`: splices
+    the expanded graph from ``graph``
+    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.with_communications`;
+    the process on edge ``src -> dst`` is named ``"{src}_to_{dst}"``) and
+    records the inserted communications, leaving the bus choice (and hence
+    the extended mapping) to :func:`assign_buses`.  ``crossing`` is in graph
+    edge order.  The condition of a crossing edge guards the transfer
+    itself, so it is carried by the edge *into* the communication process.
+    Inserting communication processes changes no existing guard, so guards
+    are derived once per base graph, not once per expansion.  With
+    ``base_paths`` (``graph``'s enumeration) the structure also carries its
+    alternative paths (:func:`~repro.graph.paths.expanded_paths`) and each
+    path's communications.
     """
-    expanded = ConditionalProcessGraph(f"{graph.name}-expanded")
-    comm_edges = []
-    for process in graph.processes:
-        expanded.add_process(process)
-    crossing_set = set(crossing)
-    for edge in graph.edges:
-        if (edge.src, edge.dst) not in crossing_set:
-            expanded.add_edge(edge)
-            continue
-        comm_name = f"{edge.src}_to_{edge.dst}"
-        if comm_name in expanded:
-            raise GraphStructureError(
-                f"communication process name collision: {comm_name!r}"
-            )
-        comm = communication_process(comm_name, edge.communication_time)
-        expanded.add_process(comm)
-        # The condition of the original edge guards the transfer itself, so it
-        # is carried by the edge *into* the communication process; the edge
-        # from the communication process to the consumer is simple.
-        expanded.add_edge(Edge(edge.src, comm_name, edge.condition))
-        expanded.add_edge(Edge(comm_name, edge.dst))
-        comm_edges.append((comm_name, edge.src, edge.dst, edge.communication_time))
-    expanded.inherit_guards(
-        graph, {comm_name: (src, dst) for comm_name, src, dst, _ in comm_edges}
+    expanded = graph.with_communications(crossing, f"{graph.name}-expanded")
+    comm_edges = tuple(
+        (
+            communication_name(src, dst),
+            src,
+            dst,
+            graph.get_edge(src, dst).communication_time,
+        )
+        for src, dst in crossing
     )
-    return ExpansionStructure(expanded, tuple(comm_edges))
+    paths: Tuple[AlternativePath, ...] = ()
+    path_communications: Dict[Conjunction, Tuple[str, ...]] = {}
+    if base_paths is not None:
+        names = [comm_name for comm_name, *_ in comm_edges]
+        paths = expanded_paths(base_paths, expanded, names)
+        inserted = frozenset(names)
+        path_communications = {
+            path.label: tuple(sorted(inserted.intersection(path.active_processes)))
+            for path in paths
+        }
+    return ExpansionStructure(
+        expanded, comm_edges, paths, path_communications, graph.expansion_records()
+    )
 
 
 def assign_buses(
@@ -228,46 +244,68 @@ def assign_buses(
     mapping and accumulates the per-bus loads.  The structure's graph is
     *shared* by the returned :class:`ExpandedGraph` (it is read-only for
     every consumer), which is what makes reuse across mappings cheap.
+    Each ``(communication, bus)`` record and bus-scaled duration is built
+    once per base graph (:attr:`ExpansionStructure.records`), a
+    ``least_index`` pick once per processor pair and call, and the buses,
+    taken from ``architecture`` (the mapping's), extend the mapping without
+    being validated again.
     """
     if bus_policy not in BUS_POLICIES:
         raise ValueError(
             f"unknown bus policy {bus_policy!r}; choose from {BUS_POLICIES}"
         )
     architecture = architecture or mapping.architecture
-    new_mapping = mapping.copy()
     communications: Dict[str, CommunicationInfo] = {}
+    communication_buses: Dict[str, str] = {}
+    chosen: Dict[str, ProcessingElement] = {}
     bus_loads: Dict[str, float] = {}
+    picks: Dict[Tuple[str, str], ProcessingElement] = {}
+    records = structure.records
     graph = structure.graph
     for comm_name, src, dst, communication_time in structure.comm_edges:
         src_pe = mapping[src]
         dst_pe = mapping[dst]
-        message = message_id(src, dst)
         assigned: Optional[BusLike] = None
         if bus_assignment:
-            assigned = bus_assignment.get(message)
+            assigned = bus_assignment.get(message_id(src, dst))
             if assigned is None:
                 assigned = bus_assignment.get((src, dst))
         if assigned is not None:
-            chosen_bus = _resolve_assigned_bus(
+            bus = _resolve_assigned_bus(
                 architecture, src, dst, src_pe, dst_pe, assigned
             )
+        elif bus_policy == "least_index":
+            bus = picks.get((src_pe.name, dst_pe.name))
+            if bus is None:
+                bus = _select_bus(architecture, src_pe, dst_pe, bus_policy, bus_loads)
+                picks[(src_pe.name, dst_pe.name)] = bus
         else:
-            chosen_bus = _select_bus(
-                architecture, src_pe, dst_pe, bus_policy, bus_loads
+            bus = _select_bus(architecture, src_pe, dst_pe, bus_policy, bus_loads)
+        record = records.get((comm_name, bus))
+        if record is None:
+            info = CommunicationInfo(
+                name=comm_name,
+                src=src,
+                dst=dst,
+                bus=bus,
+                communication_time=communication_time,
+                message=message_id(src, dst),
             )
-        bus_loads[chosen_bus.name] = bus_loads.get(
-            chosen_bus.name, 0.0
-        ) + graph[comm_name].duration_on(chosen_bus)
-        new_mapping.assign(comm_name, chosen_bus)
-        communications[comm_name] = CommunicationInfo(
-            name=comm_name,
-            src=src,
-            dst=dst,
-            bus=chosen_bus,
-            communication_time=communication_time,
-            message=message,
-        )
-    return ExpandedGraph(graph, new_mapping, communications, bus_loads)
+            record = (info, graph[comm_name].duration_on(bus))
+            records[(comm_name, bus)] = record
+        info, duration = record
+        bus_loads[bus.name] = bus_loads.get(bus.name, 0.0) + duration
+        communications[comm_name] = info
+        communication_buses[comm_name] = bus.name
+        chosen[comm_name] = bus
+    return ExpandedGraph(
+        graph,
+        mapping.extended(chosen),
+        communications,
+        bus_loads,
+        structure.path_communications,
+        communication_buses,
+    )
 
 
 def _resolve_assigned_bus(

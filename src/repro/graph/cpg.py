@@ -11,11 +11,25 @@ queries and structural validation.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..conditions import BoolExpr, Condition, Conjunction, Literal
 from .edges import Edge
-from .process import Process, ProcessKind
+from .process import (
+    Process,
+    ProcessKind,
+    communication_name,
+    communication_process,
+)
 
 
 class GraphStructureError(ValueError):
@@ -62,6 +76,26 @@ def _node_guard(edge_guards: List[BoolExpr], explicit_conjunction: bool) -> Bool
     return combined.simplified()
 
 
+class _Insertion(NamedTuple):
+    """One edge's communication process, as ``with_communications`` splices it.
+
+    Immutable, and shared by every graph spliced from the same base graph.
+    """
+
+    process: Process
+    #: The ``_edges`` items of the edge into the process and out of it.
+    into_item: Tuple[Tuple[str, str], Edge]
+    out_item: Tuple[Tuple[str, str], Edge]
+    #: Where the split edge sits in its source's successor list and in its
+    #: target's in-edge list.
+    successor_at: int
+    in_edge_at: int
+
+
+#: A graph's ``_edges`` items, in edge order.
+_EdgeItems = Tuple[Tuple[Tuple[str, str], Edge], ...]
+
+
 class ConditionalProcessGraph:
     """A directed, acyclic, polar graph of processes with conditional edges."""
 
@@ -73,9 +107,10 @@ class ConditionalProcessGraph:
         self._successors: Dict[str, List[str]] = {}
         self._in_edges: Dict[str, List[Edge]] = {}
         self._guard_cache: Optional[Dict[str, BoolExpr]] = None
-        # (base graph, inserted process -> the edge it splits): where the
-        # guards come from when this graph was built by inserting processes.
-        self._guard_source: Optional[
+        # (base graph, inserted process -> the edge it splits) when this graph
+        # was built by :meth:`with_communications`: where its guards and its
+        # disjunction map come from, on first use.
+        self._spliced_from: Optional[
             Tuple["ConditionalProcessGraph", Mapping[str, Tuple[str, str]]]
         ] = None
         self._edge_guard_cache: Dict[Tuple[str, str], BoolExpr] = {}
@@ -86,6 +121,12 @@ class ConditionalProcessGraph:
         self._disjunction_cache: Optional[
             Tuple[Dict[str, Condition], Dict[Condition, str]]
         ] = None
+        # What :meth:`with_communications` reuses across calls, built on
+        # first use: (edge -> position, the edge items in order), and per
+        # split edge its insertion.
+        self._edge_index: Optional[Tuple[Dict[Tuple[str, str], int], _EdgeItems]] = None
+        self._insertions: Dict[Tuple[str, str], _Insertion] = {}
+        self._expansion_records: Dict = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -128,10 +169,13 @@ class ConditionalProcessGraph:
 
     def _invalidate_caches(self) -> None:
         self._guard_cache = None
-        self._guard_source = None
+        self._spliced_from = None
         self._edge_guard_cache.clear()
         self._topo_cache = None
         self._disjunction_cache = None
+        self._edge_index = None
+        self._insertions = {}
+        self._expansion_records = {}
 
     def _find_kind(self, kind: ProcessKind) -> Optional[Process]:
         for process in self._processes.values():
@@ -210,6 +254,14 @@ class ConditionalProcessGraph:
         """Incoming edges of every process (the graph's own lists: do not mutate)."""
         return self._in_edges
 
+    def guard_map(self) -> Dict[str, BoolExpr]:
+        """The guard of every process (the graph's own cached map: do not mutate)."""
+        return self._guards_internal()
+
+    def disjunction_map(self) -> Dict[str, Condition]:
+        """Disjunction process -> its condition (the graph's own map: do not mutate)."""
+        return self._disjunctions()[0]
+
     def out_edges(self, name: str) -> Tuple[Edge, ...]:
         return tuple(self._edges[(name, dst)] for dst in self._successors[name])
 
@@ -263,6 +315,10 @@ class ConditionalProcessGraph:
         """The disjunction map and its inverse, derived once per graph."""
         if self._disjunction_cache is not None:
             return self._disjunction_cache
+        if self._spliced_from is not None:
+            maps = self._spliced_from[0]._disjunctions()
+            self._disjunction_cache = maps
+            return maps
         computes: Dict[str, Condition] = {}
         for name in self._processes:
             conditions = {
@@ -332,8 +388,8 @@ class ConditionalProcessGraph:
         """The cached guard dict itself (callers must not mutate it)."""
         if self._guard_cache is not None:
             return self._guard_cache
-        if self._guard_source is not None:
-            base, inserted = self._guard_source
+        if self._spliced_from is not None:
+            base, inserted = self._spliced_from
             base_guards = base._guards_internal()
             self._guard_cache = {
                 name: base.edge_guard(*inserted[name])
@@ -372,26 +428,6 @@ class ConditionalProcessGraph:
             )
             self._edge_guard_cache[(src, dst)] = guard
         return guard
-
-    def inherit_guards(
-        self, base: "ConditionalProcessGraph", inserted: Mapping[str, Tuple[str, str]]
-    ) -> None:
-        """Take this graph's guards from ``base`` instead of deriving them.
-
-        This graph must be ``base`` with one process inserted on each edge
-        of ``inserted`` (process name -> the ``(src, dst)`` edge it splits),
-        as communication expansion builds it, and ``base`` must not change
-        afterwards.  Every base process keeps its base guard object and
-        each inserted process gets its edge's guard (:meth:`edge_guard`),
-        keyed in this graph's topological order.  The map is built on the
-        first guard query, so an expansion whose guards nobody reads costs
-        nothing.  It equals a fresh derivation: an inserted process passes
-        its edge's guard on unchanged, and in a graph whose every condition
-        is computed by one process that guard is already in minimal form
-        (``guard(src)`` never mentions the condition ``src`` computes).
-        """
-        self._guard_cache = None
-        self._guard_source = (base, inserted)
 
     def guard_of(self, name: str) -> BoolExpr:
         """Return the guard of a single process."""
@@ -471,6 +507,114 @@ class ConditionalProcessGraph:
                     f"edge {edge} violates the guard rule: guard({edge.dst}) = "
                     f"{dst_guard} does not imply guard({edge.src}) = {src_guard}"
                 )
+
+    # -- communication expansion -------------------------------------------------
+
+    def with_communications(
+        self, edges: Iterable[Tuple[str, str]], name: Optional[str] = None
+    ) -> "ConditionalProcessGraph":
+        """This graph with a communication process inserted on each given edge.
+
+        ``edges`` are ``(src, dst)`` pairs in this graph's edge order, as
+        :func:`~repro.graph.communication.crossing_edges` gives them.  The
+        process on ``src -> dst`` is named ``"{src}_to_{dst}"`` and takes the
+        edge's communication time; the edge into it keeps the edge's
+        condition, the edge out of it is simple.  The result equals building
+        the graph edge by edge (every process, then every edge in order, a
+        given edge replaced by its process and two edges), so processes,
+        edges, successor lists and in-edge lists keep the orders that set the
+        scheduler's tie-breaks.  It is built by copying this graph's maps and
+        replacing each given edge in place; the inserted processes and their
+        edges are built once per edge of this graph and shared by every call.
+
+        The result takes its guards and its disjunction map from this graph
+        on first use instead of deriving them, so this graph must not change
+        afterwards.  Every process keeps its guard object and an inserted
+        process gets its edge's guard (:meth:`edge_guard`), keyed in the
+        result's topological order.  That equals a fresh derivation: an
+        inserted process passes its edge's guard on unchanged, and in a
+        graph whose every condition is computed by one process that guard
+        is already in minimal form (``guard(src)`` never mentions the
+        condition ``src`` computes).  An inserted process computes no
+        condition and the edge into it carries the split edge's condition,
+        so the disjunction maps are this graph's own.
+        """
+        if self._edge_index is None:
+            items = tuple(self._edges.items())
+            self._edge_index = (
+                {key: position for position, (key, _) in enumerate(items)},
+                items,
+            )
+        positions, items = self._edge_index
+        processes = dict(self._processes)
+        # Every adjacency list copied (list.copy mapped in C): the result
+        # shares no mutable state with this graph.
+        successors = dict(
+            zip(self._successors, map(list.copy, self._successors.values()))
+        )
+        in_edges = dict(zip(self._in_edges, map(list.copy, self._in_edges.values())))
+        pieces: List[Tuple[Tuple[str, str], Edge]] = []
+        inserted: Dict[str, Tuple[str, str]] = {}
+        start = 0
+        for key in edges:
+            position = positions.get(key, -1)
+            if position < start:
+                raise GraphStructureError(
+                    f"cannot insert a process on {key}: not an edge following "
+                    "the previous one in graph edge order"
+                )
+            insertion = self._insertions.get(key)
+            if insertion is None:
+                insertion = self._insertion(items[position][1])
+            comm = insertion.process.name
+            if comm in processes:
+                raise GraphStructureError(
+                    f"communication process name collision: {comm!r}"
+                )
+            src, dst = key
+            into, out = insertion.into_item[1], insertion.out_item[1]
+            processes[comm] = insertion.process
+            successors[src][insertion.successor_at] = comm
+            in_edges[dst][insertion.in_edge_at] = out
+            successors[comm] = [dst]
+            in_edges[comm] = [into]
+            pieces += items[start:position]
+            pieces.append(insertion.into_item)
+            pieces.append(insertion.out_item)
+            inserted[comm] = key
+            start = position + 1
+        pieces += items[start:]
+        spliced = ConditionalProcessGraph(name or self.name)
+        spliced._processes = processes
+        spliced._edges = dict(pieces)
+        spliced._successors = successors
+        spliced._in_edges = in_edges
+        spliced._spliced_from = (self, inserted)
+        return spliced
+
+    def _insertion(self, edge: Edge) -> _Insertion:
+        """The process inserted on ``edge``, built once: it is immutable."""
+        src, dst = edge.src, edge.dst
+        comm = communication_name(src, dst)
+        into = Edge(src, comm, edge.condition)
+        insertion = _Insertion(
+            process=communication_process(comm, edge.communication_time),
+            into_item=((src, comm), into),
+            out_item=((comm, dst), Edge(comm, dst)),
+            successor_at=self._successors[src].index(dst),
+            in_edge_at=self._in_edges[dst].index(edge),
+        )
+        self._insertions[(src, dst)] = insertion
+        return insertion
+
+    def expansion_records(self) -> Dict:
+        """The memo communication expansion keeps its per-bus records in.
+
+        One dict per graph, replaced when the graph changes, so a record
+        never outlives the edge it was derived from.  Its keys and values
+        belong to :func:`~repro.graph.communication.assign_buses`.
+        """
+        return self._expansion_records
 
     def copy(self, name: Optional[str] = None) -> "ConditionalProcessGraph":
         """Return a deep-enough copy (processes and edges are immutable)."""

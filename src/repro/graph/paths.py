@@ -11,7 +11,8 @@ associated subgraph ``G_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..conditions import Condition, Conjunction
 from .cpg import ConditionalProcessGraph
@@ -153,35 +154,45 @@ def expanded_paths(
     """The alternative paths of an expanded graph, built from its base graph's.
 
     ``graph`` is a base graph with the ``inserted`` processes placed on
-    some of its edges and guards inherited from the base graph
-    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.inherit_guards`);
+    some of its edges
+    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.with_communications`);
     ``base_paths`` is the base graph's enumeration.  Inserting a process on
     an edge adds no disjunction process and changes no existing guard, so
-    the labels and indices carry over in the same order, and
-    each path's active set gains the inserted processes whose guard holds
-    under its label, in ``graph``'s topological order.  The result equals
-    ``PathEnumerator(graph).paths()`` without re-walking the decision tree.
+    the labels and indices carry over in the same order.  A process on edge
+    ``src -> dst`` has the guard ``guard(src) AND condition(edge)``
+    (:meth:`~repro.graph.cpg.ConditionalProcessGraph.edge_guard`), so it is
+    active on a path exactly when ``src`` is and the edge's condition, if
+    any, holds under the path's label.  Each path's active set is its base
+    set plus those processes, in ``graph``'s topological order.  The result
+    equals ``PathEnumerator(graph).paths()`` without re-walking the decision
+    tree or testing a guard.
     """
-    guards = graph.guards()
-    inserted_guards = {name: guards[name] for name in inserted}
-    order = graph.topological_order()
+    in_edges = graph.in_edge_map()
+    # The one edge into each inserted process: its source and condition,
+    # split into simple edges (the source decides) and conditional ones.
+    simple: List[str] = []
+    simple_sources: List[str] = []
+    conditional = []
+    for name in inserted:
+        (edge,) = in_edges[name]
+        if edge.condition is None:
+            simple.append(name)
+            simple_sources.append(edge.src)
+        else:
+            conditional.append((name, edge.src, edge.condition))
+    rank = {name: position for position, name in enumerate(graph.topological_order())}
     paths = []
     for path in base_paths:
-        base_active = set(path.active_processes)
-        pos, neg = path.label.pos_mask, path.label.neg_mask
-        active = tuple(
+        members = set(path.active_processes)
+        active = [*path.active_processes]
+        active += compress(simple, map(members.__contains__, simple_sources))
+        active += [
             name
-            for name in order
-            if name in base_active
-            or (
-                name in inserted_guards
-                and (
-                    inserted_guards[name].is_true()
-                    or inserted_guards[name].satisfied_by_masks(pos, neg)
-                )
-            )
-        )
-        paths.append(AlternativePath(path.label, active, path.index))
+            for name, src, condition in conditional
+            if src in members and condition in path.label
+        ]
+        active.sort(key=rank.__getitem__)
+        paths.append(AlternativePath(path.label, tuple(active), path.index))
     return tuple(paths)
 
 

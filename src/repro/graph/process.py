@@ -146,3 +146,8 @@ def ordinary_process(
 def communication_process(name: str, communication_time: float) -> Process:
     """Create a communication process (inserted on inter-processor edges)."""
     return Process(name, communication_time, ProcessKind.COMMUNICATION)
+
+
+def communication_name(src: str, dst: str) -> str:
+    """The name of the communication process inserted on edge ``src -> dst``."""
+    return f"{src}_to_{dst}"

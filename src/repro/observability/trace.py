@@ -65,8 +65,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Deque, Dict, List, Tuple, Union
 
 #: Version tag of the trace record schema documented in the module docstring.
 TRACE_SCHEMA_VERSION = 1
@@ -175,8 +176,8 @@ class RingBufferSink:
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._records: List[Dict[str, Any]] = []
+        # A full deque drops its oldest record on append, in O(1).
+        self._records: Deque[Dict[str, Any]] = deque(maxlen=capacity)
 
     @property
     def records(self) -> List[Dict[str, Any]]:
@@ -186,8 +187,6 @@ class RingBufferSink:
     def emit(self, record: Dict[str, Any]) -> None:
         """Retain one record, evicting the oldest past capacity."""
         self._records.append(record)
-        if len(self._records) > self._capacity:
-            del self._records[0 : len(self._records) - self._capacity]
 
     def close(self) -> None:
         """No-op (records stay readable after closing)."""

@@ -189,8 +189,8 @@ class PathListScheduler:
         self._architecture = architecture or mapping.architecture
         self._priority_function = priority_function or critical_path_priorities
         self._priority_bias = dict(priority_bias or {})
-        self._disjunctions = graph.disjunction_processes()
-        self._guards = graph.guards()
+        self._disjunctions = graph.disjunction_map()
+        self._guards = graph.guard_map()
         # One context per path label (a label's hash is precomputed, so the
         # merger's many re-adjustment calls probe cheaply).
         self._contexts: Dict[Conjunction, _PathContext] = {}

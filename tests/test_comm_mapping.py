@@ -12,6 +12,7 @@ engine/seed/cycle budget — deterministically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -233,8 +234,13 @@ class TestCommunicationLookup:
         assert expanded.communication_between("P1", "P2").message == "P1->P2"
         assert expanded.communication_between("P2", "P3").message == "P2->P3"
         assert expanded.communication_between("P1", "P3") is None
-        # The index is the lookup path: it covers exactly the inserted set.
-        assert set(expanded._by_endpoints) == {("P1", "P2"), ("P2", "P3")}
+        # The lookup path is the name expansion gives the edge, checked
+        # against the entry's endpoints: a same-named entry for another
+        # edge is not a communication between these processes.
+        info = expanded.communication_between("P1", "P2")
+        misnamed = dataclasses.replace(expanded, communications={"P1_to_P3": info})
+        assert misnamed.communication_between("P1", "P3") is None
+        assert misnamed.bus_of("P1->P3") is None
 
 
 class TestCandidatePins:

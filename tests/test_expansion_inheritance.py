@@ -1,11 +1,13 @@
-"""Expanded graphs inherit guards and alternative paths from their base graph.
+"""Expanded graphs are spliced from their base graph and inherit its guards and paths.
 
 Communication expansion inserts one process per crossing edge and changes
-no existing guard or path label, so :func:`expansion_structure` installs
-guards taken from the base graph and :func:`expanded_paths` builds the
-expanded graph's paths from the base enumeration.  These tests hold both to
-a cold derivation (:class:`PathEnumerator` over a fresh copy of the expanded
-graph) and check that the explorer's structure misses derive nothing.
+no existing guard or path label, so :func:`expansion_structure` splices the
+expanded graph from the base graph's maps, installs guards taken from the
+base graph, and :func:`expanded_paths` builds the expanded graph's paths
+from the base enumeration by the endpoint rule.  These tests hold all three
+to a reference expansion built process by process and edge by edge, with
+cold guards and a cold :class:`PathEnumerator`, and check that the
+explorer's structure misses derive nothing.
 """
 
 import random
@@ -20,7 +22,10 @@ from repro.exploration import ExplorationProblem, StageCache
 from repro.generator import generate_system
 from repro.graph import (
     CPGBuilder,
+    ConditionalProcessGraph,
+    Edge,
     PathEnumerator,
+    communication_process,
     crossing_edges,
     expanded_paths,
     expansion_structure,
@@ -134,25 +139,73 @@ def _path_facts(paths):
     ]
 
 
+def _reference_expansion(graph, crossing):
+    """The expanded graph built process by process and edge by edge.
+
+    Every base process in order, then every base edge in order, a crossing
+    edge replaced by its communication process and that process' two
+    edges: the build whose orders set the scheduler's tie-breaks.  Its
+    guards and disjunction map are derived cold.
+    """
+    expanded = ConditionalProcessGraph(f"{graph.name}-expanded")
+    for process in graph.processes:
+        expanded.add_process(process)
+    crossing = set(crossing)
+    for edge in graph.edges:
+        if (edge.src, edge.dst) not in crossing:
+            expanded.add_edge(edge)
+            continue
+        comm = communication_process(
+            f"{edge.src}_to_{edge.dst}", edge.communication_time
+        )
+        expanded.add_process(comm)
+        expanded.add_edge(Edge(edge.src, comm.name, edge.condition))
+        expanded.add_edge(Edge(comm.name, edge.dst))
+    return expanded
+
+
+def _assert_same_structure(spliced, reference, name):
+    """Every container the scheduler reads, in the same order."""
+    assert spliced.processes == reference.processes, name
+    assert spliced.edges == reference.edges, name
+    for actual, expected in (
+        (spliced.successor_map(), reference.successor_map()),
+        (spliced.in_edge_map(), reference.in_edge_map()),
+        (spliced.disjunction_processes(), reference.disjunction_processes()),
+    ):
+        assert list(actual.items()) == list(expected.items()), name
+    assert spliced.topological_order() == reference.topological_order(), name
+
+
 @pytest.mark.parametrize(
     "name,graph,subsets", INPUTS, ids=[entry[0] for entry in INPUTS]
 )
 def test_inherited_guards_and_paths_equal_a_cold_derivation(name, graph, subsets):
     base_paths = PathEnumerator(graph).paths()
     for crossing in subsets:
-        structure = expansion_structure(graph, crossing)
-        inserted = [comm_name for comm_name, *_ in structure.comm_edges]
+        structure = expansion_structure(graph, crossing, base_paths)
+        reference = _reference_expansion(graph, crossing)
+        _assert_same_structure(structure.graph, reference, name)
         inherited = structure.graph.guards()
-        cold_graph = structure.graph.copy()
-        cold = cold_graph.guards()
+        cold = reference.guards()
         assert list(inherited) == list(cold), name
         for process in cold:
             assert inherited[process].terms == cold[process].terms, (name, process)
             assert str(inherited[process]) == str(cold[process]), (name, process)
+        inserted = [comm_name for comm_name, *_ in structure.comm_edges]
         paths = expanded_paths(base_paths, structure.graph, inserted)
-        assert _path_facts(paths) == _path_facts(PathEnumerator(cold_graph).paths())
+        assert _path_facts(paths) == _path_facts(PathEnumerator(reference).paths())
+        assert _path_facts(structure.paths) == _path_facts(paths)
         for base_path, path in zip(base_paths, paths):
             assert path.label is base_path.label
+        communication = {
+            process.name for process in reference.processes if process.is_communication
+        }
+        assert list(structure.path_communications) == [path.label for path in paths]
+        for path in paths:
+            assert structure.path_communications[path.label] == tuple(
+                sorted(set(path.active_processes) & communication)
+            ), (name, path.label)
     if name == "nested":
         assert max(len(guard.conditions) for guard in inherited.values()) > 16
 
@@ -210,27 +263,30 @@ def test_structure_miss_derives_no_guard_and_enumerates_no_path(monkeypatch):
 
 
 def test_concurrent_first_misses_on_a_fresh_problem_agree():
-    """More threads than cores race the lazy per-problem derivation."""
+    """More threads than cores race the lazy per-problem derivation.
+
+    The base paths, the crossing table, the base graph's insertions and
+    bus records, and the key's label table are all built on first use.
+    """
 
     def fresh():
         return ExplorationProblem.from_system(generate_system(40, 8, seed=1))
 
+    def facts(problem, cache, candidate):
+        expanded, paths = cache.expansion(problem, candidate)
+        keys = [problem.path_schedule_key(candidate, path, expanded) for path in paths]
+        return _path_facts(paths), keys, expanded.bus_assignment
+
     reference = fresh()
     first, second = _subpattern_candidates(reference)
     candidates = [first, second]
-    expected = [
-        _path_facts(StageCache().expansion(reference, candidate)[1])
-        for candidate in candidates
-    ]
+    expected = [facts(reference, StageCache(), candidate) for candidate in candidates]
     problem = fresh()
     results = [None] * 6
 
     def run(index):
         cache = StageCache()
-        results[index] = [
-            _path_facts(cache.expansion(problem, candidate)[1])
-            for candidate in candidates
-        ]
+        results[index] = [facts(problem, cache, candidate) for candidate in candidates]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -26,7 +26,10 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_tables.json"
 sys.path.insert(0, str(SCRIPTS))
 
 from capture_golden import (  # noqa: E402
+    EXPLORE_CASES,
+    EXPLORE_OUTPUT,
     RANDOM_CASES,
+    explore_digest,
     merge_atm,
     merge_fig1,
     merge_random,
@@ -68,3 +71,14 @@ def test_atm_mode1_table_matches_golden(golden):
 def test_random_cpg_tables_match_golden(golden, case):
     key = f"random_n{case['nodes']}_p{case['alternative_paths']}_s{case['seed']}"
     assert_table_equal(serialize_table(merge_random(case)), golden[key], key)
+
+
+def test_golden_explore_covers_every_case():
+    assert set(json.loads(EXPLORE_OUTPUT.read_text())) == set(EXPLORE_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORE_CASES))
+def test_explore_output_matches_golden_digest(name):
+    """``repro-cpg explore --json`` is byte-identical to the recorded run."""
+    expected = json.loads(EXPLORE_OUTPUT.read_text())[name]
+    assert explore_digest(EXPLORE_CASES[name]) == expected

@@ -141,11 +141,7 @@ class TestEquivalenceProperty:
         ``platform`` is a load-bearing component of both sub-fingerprints;
         a bounded problem makes the sampler draw the four sizing kinds too.
         """
-        problem = ExplorationProblem.from_system(
-            generate_system(16, 2, seed=3),
-            bounds=ArchitectureBounds(),
-            map_communications=True,
-        )
+        problem = _sized_problem()
         cache = StageCache()
         platforms = set()
         for seed in (1, 2, 3):
@@ -166,7 +162,87 @@ class TestEquivalenceProperty:
         assert stats.schedule_hits > 0  # locality actually paid off
 
 
+def _reference_path_key(problem, candidate, path, expanded):
+    """The path sub-fingerprint as it was built before the name-tuple keys.
+
+    Placement and bias sliced by the path's whole active set, and the bus of
+    every communication on the path read from the extended mapping.
+    """
+    active = frozenset(path.active_processes)
+    mapping = expanded.mapping
+    buses = tuple(sorted(
+        (name, mapping[name].name)
+        for name in path.active_processes
+        if name in expanded.communications
+    ))
+    key = (
+        path.label,
+        candidate.assignment_slice(active),
+        buses,
+        candidate.priority_function,
+        candidate.bias_slice(active),
+        candidate.platform,
+    )
+    if candidate.priority_function not in PATH_LOCAL_PRIORITY_FUNCTIONS:
+        key += (problem.expansion_key(candidate),)
+    return key
+
+
+def _sized_problem():
+    return ExplorationProblem.from_system(
+        generate_system(16, 2, seed=3),
+        bounds=ArchitectureBounds(),
+        map_communications=True,
+    )
+
+
 class TestSubFingerprints:
+    @pytest.mark.parametrize("sized", [False, True], ids=["fig1-two-bus", "sized"])
+    def test_path_keys_partition_probes_like_the_reference_formula(
+        self, problem, sized
+    ):
+        """Two probes' keys are equal exactly when their reference keys are.
+
+        Seeded walks draw every move kind of a communication-mapped problem
+        (and, sized, the platform moves) and switch priority functions, the
+        non-path-local ``static_order`` included; every path of every
+        neighbour is keyed both ways through one stage cache.
+        """
+        if sized:
+            problem = _sized_problem()
+        sampler = NeighborhoodSampler(problem)
+        cache = StageCache()
+        pairs = set()
+        probes = 0
+        kinds = set()
+        functions = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            current = problem.initial_candidate()
+            for _ in range(12):
+                batch = sampler.sample(current, rng, 4)
+                for move, candidate in batch:
+                    kinds.add(move.kind)
+                    functions.add(candidate.priority_function)
+                    try:
+                        expanded, paths = cache.expansion(problem, candidate)
+                    except (ArchitectureError, MappingError):
+                        continue
+                    for path in paths:
+                        probes += 1
+                        pairs.add((
+                            problem.path_schedule_key(candidate, path, expanded),
+                            _reference_path_key(problem, candidate, path, expanded),
+                        ))
+                current = batch[0][1]
+        assert len({key for key, _ in pairs}) == len(pairs)
+        assert len({reference for _, reference in pairs}) == len(pairs)
+        assert probes > len(pairs) > 50  # keys both collide and differ
+        assert {"remap", "swap", "bias", "priority", "remap_comm", "swap_bus"} <= kinds
+        assert "static_order" in functions
+        if sized:
+            assert {"add_pe", "add_bus", "remove_pe", "remove_bus"} & kinds
+
     def test_assignment_and_bias_slices(self, problem):
         initial = problem.initial_candidate()
         names = [name for name, _ in initial.assignment]

@@ -197,6 +197,15 @@ def test_ring_buffer_evicts_oldest():
         RingBufferSink(capacity=0)
 
 
+def test_ring_buffer_keeps_the_last_records_oldest_first():
+    sink = RingBufferSink(capacity=3)
+    for index in range(5):
+        sink.emit({"name": f"r{index}"})
+    records = sink.records
+    assert isinstance(records, list)
+    assert [record["name"] for record in records] == ["r2", "r3", "r4"]
+
+
 def test_jsonl_sink_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     tracer = Tracer(JsonlSink(path), run_id="roundtrip")
