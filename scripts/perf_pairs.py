@@ -8,7 +8,8 @@ Usage (from the root of a checkout)::
 The base revision is extracted from local history with ``git archive`` into
 a temporary directory (nothing is downloaded); the change is the working
 tree itself.  Each pair runs ``perfbench/run.py --trace 0`` once in each
-tree with the same workload seed, alternating which tree runs first.  For
+tree with the same workload seed and ``BENCHMARK.json``'s run length,
+alternating which tree runs first.  For
 every end-to-end metric ``BENCHMARK.json`` declares, the report gives the
 per-pair values, each side's median and quartiles, how many pairs the
 change won, and two verdicts:
@@ -133,10 +134,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="workload seed of every run")
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     rows: List[Tuple[Dict, Dict]] = []
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         base_tree = Path(scratch)

@@ -129,22 +129,6 @@ class Mapping:
         clone._by_pe = {name: set(names) for name, names in self._by_pe.items()}
         return clone
 
-    def extended(self, assignments: TMapping[str, ProcessingElement]) -> "Mapping":
-        """A copy with ``assignments`` added, not validated again.
-
-        For elements taken from this mapping's architecture (communication
-        expansion's buses); :meth:`assign` validates everything else.
-        """
-        clone = self.copy()
-        by_pe = clone._by_pe
-        for process_name, pe in assignments.items():
-            previous = clone._assignments.get(process_name)
-            if previous is not None and previous != pe:
-                by_pe[previous.name].discard(process_name)
-            clone._assignments[process_name] = pe
-            by_pe.setdefault(pe.name, set()).add(process_name)
-        return clone
-
     def reassigned(self, changes: TMapping[str, PELike]) -> "Mapping":
         """Return a new mapping with the given processes moved, leaving self intact.
 

@@ -43,6 +43,7 @@ from ..graph.communication import (
     ExpandedGraph,
     ExpansionStructure,
     assign_buses,
+    crossing_edges,
     expansion_structure,
 )
 from ..graph.paths import AlternativePath
@@ -388,8 +389,7 @@ class StageCache:
         (:meth:`ExplorationProblem.expansion_key`); on a miss, the
         mapping-independent *structure* (graph + alternative paths) is still
         reused across co-location patterns and only the bus-assignment layer
-        is rebuilt.  The pattern is read from the candidate's assignment
-        (:meth:`ExplorationProblem.crossing_for`).  A structure miss splices
+        is rebuilt.  A structure miss splices
         the base graph, derives no guard and enumerates no path: the
         structure's graph inherits the base graph's guards and its paths are
         built from :attr:`ExplorationProblem.base_paths` (both derived once
@@ -407,7 +407,7 @@ class StageCache:
             return cached
         self.expansion_misses += 1
         mapping = problem.mapping_for(candidate)
-        pattern = problem.crossing_for(candidate)
+        pattern = crossing_edges(problem.graph, mapping)
         structure = self._structures.get(pattern)
         if structure is None:
             self.structure_misses += 1

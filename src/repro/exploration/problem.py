@@ -27,12 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
-from itertools import compress
-from operator import ne
+from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..architecture.architecture import Architecture
-from ..architecture.mapping import Mapping, MappingError
+from ..architecture.mapping import Mapping
 from ..architecture.processing_element import bus as make_bus
 from ..architecture.processing_element import programmable
 from ..conditions import Conjunction
@@ -47,6 +46,9 @@ from ..graph.paths import AlternativePath, PathEnumerator
 from ..io.serialization import system_from_dict, system_to_dict
 from ..scheduling.priorities import PATH_LOCAL_PRIORITY_FUNCTIONS
 from .candidate import DEFAULT_PRIORITY_FUNCTION, Candidate
+
+#: The name of a communication's bus (:class:`CommunicationInfo` -> str).
+_bus_name = attrgetter("bus.name")
 
 
 @dataclass(frozen=True)
@@ -198,12 +200,8 @@ class ExplorationProblem:
         self._content_key: Optional[str] = None
         self._stage_scope_key: Optional[str] = None
         self._base_paths: Optional[Tuple[AlternativePath, ...]] = None
-        # Tables of the stage keys, built on first use: (edges between
-        # non-dummy processes, their sources, their targets), and per path
-        # label (its ordinary processes in name order, its active set).
-        self._inner_edges: Optional[
-            Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...], Tuple[str, ...]]
-        ] = None
+        # Per path label, built on first use: its ordinary processes in name
+        # order and its active set (the path keys' slices).
         self._label_slices: Optional[
             Dict[Conjunction, Tuple[Tuple[str, ...], FrozenSet[str]]]
         ] = None
@@ -402,34 +400,6 @@ class ExplorationProblem:
         mapping.validate_for(self._movable)
         return mapping
 
-    def crossing_for(self, candidate: Candidate) -> Tuple[Tuple[str, str], ...]:
-        """The process-level edges that cross processors under a candidate.
-
-        Equals :func:`~repro.graph.communication.crossing_edges` over the
-        candidate's mapping, read from its assignment over the problem's
-        edges between non-dummy processes (tabled on first use).
-        """
-        if self._inner_edges is None:
-            graph = self._graph
-            edges = tuple(
-                (edge.src, edge.dst)
-                for edge in graph.edges
-                if not (graph[edge.src].is_dummy or graph[edge.dst].is_dummy)
-            )
-            self._inner_edges = (
-                edges,
-                tuple(src for src, _ in edges),
-                tuple(dst for _, dst in edges),
-            )
-        edges, sources, targets = self._inner_edges
-        pe_of = candidate.assignment_dict.__getitem__
-        try:
-            return tuple(
-                compress(edges, map(ne, map(pe_of, sources), map(pe_of, targets)))
-            )
-        except KeyError as error:
-            raise MappingError(f"process {error.args[0]!r} is not mapped") from None
-
     # -- communication mapping ------------------------------------------------
 
     def active_messages(
@@ -566,10 +536,6 @@ class ExplorationProblem:
         * the priority function and the path-restricted bias slice;
         * the platform (broadcast buses, processor count and element speeds).
 
-        ``expanded`` must come from :meth:`StageCache.expansion
-        <repro.exploration.cost.StageCache.expansion>`, whose structures
-        carry each path's communications.
-
         Priority functions outside
         :data:`~repro.scheduling.PATH_LOCAL_PRIORITY_FUNCTIONS` (e.g.
         ``static_order``, which ranks by whole-graph topological position)
@@ -588,7 +554,7 @@ class ExplorationProblem:
                 for path in self.base_paths
             }
         names, members = self._label_slices[path.label]
-        communications = expanded.path_communications[path.label]
+        communications = expanded.structure.communications_on(path)
         bias = candidate.priority_bias
         if bias:
             bias = tuple(
@@ -600,7 +566,9 @@ class ExplorationProblem:
             path.label,
             tuple(map(candidate.assignment_dict.__getitem__, names)),
             communications,
-            tuple(map(expanded.communication_buses.__getitem__, communications)),
+            tuple(
+                map(_bus_name, map(expanded.communications.__getitem__, communications))
+            ),
             candidate.priority_function,
             bias,
             candidate.platform,

@@ -24,6 +24,7 @@ and schedules communication processes like any other process):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Mapping as TMapping, Optional, Sequence, Tuple, Union
 
 from ..architecture import Architecture, Mapping, MappingError
@@ -90,14 +91,9 @@ class ExpandedGraph:
     #: ``bus_imbalance`` objective) need not rescan every communication.
     #: Buses that carry nothing have no entry.
     bus_loads: Dict[str, float]
-    #: Per path label, the names of the communication processes active on
-    #: that path, sorted.  Filled when the structure was built with its
-    #: alternative paths (the explorer's stage cache), empty otherwise.
-    path_communications: TMapping[Conjunction, Tuple[str, ...]] = field(
-        default_factory=dict
-    )
-    #: Communication process name -> the name of the bus carrying it.
-    communication_buses: Dict[str, str] = field(default_factory=dict)
+    #: The structure this expansion assigned buses on (its graph is
+    #: :attr:`graph`).
+    structure: ExpansionStructure = field(repr=False, compare=False)
 
     def communication_between(self, src: str, dst: str) -> Optional[CommunicationInfo]:
         """Return the communication process inserted between two processes, if any.
@@ -155,14 +151,29 @@ class ExpansionStructure:
     comm_edges: Tuple[Tuple[str, str, str, float], ...]
     #: The expanded graph's alternative paths (empty without base paths).
     paths: Tuple[AlternativePath, ...] = ()
-    #: Per path label, the sorted names of the communications active on it.
-    path_communications: TMapping[Conjunction, Tuple[str, ...]] = field(
-        default_factory=dict
+    #: Memos filled on first use, keyed by value, so concurrent fills only
+    #: repeat work: :func:`assign_buses`' ``(communication name, bus) ->
+    #: (CommunicationInfo, bus-scaled duration)`` and
+    #: :meth:`communications_on`'s path label -> names.
+    records: Dict[
+        Tuple[str, ProcessingElement], Tuple[CommunicationInfo, float]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    path_communications: Dict[Conjunction, Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
-    #: The base graph's memo of bus records, shared by every structure built
-    #: from it: ``(communication name, bus) -> (CommunicationInfo,
-    #: bus-scaled duration)``.
-    records: Dict = field(default_factory=dict, repr=False, compare=False)
+
+    def communications_on(self, path: AlternativePath) -> Tuple[str, ...]:
+        """The sorted names of the communication processes active on ``path``.
+
+        ``path`` is an alternative path of :attr:`graph`; the names are
+        remembered per path label.
+        """
+        names = self.path_communications.get(path.label)
+        if names is None:
+            inserted = set(map(itemgetter(0), self.comm_edges))
+            names = tuple(sorted(inserted.intersection(path.active_processes)))
+            self.path_communications[path.label] = names
+        return names
 
 
 def crossing_edges(
@@ -202,8 +213,7 @@ def expansion_structure(
     Inserting communication processes changes no existing guard, so guards
     are derived once per base graph, not once per expansion.  With
     ``base_paths`` (``graph``'s enumeration) the structure also carries its
-    alternative paths (:func:`~repro.graph.paths.expanded_paths`) and each
-    path's communications.
+    alternative paths (:func:`~repro.graph.paths.expanded_paths`).
     """
     expanded = graph.with_communications(crossing, f"{graph.name}-expanded")
     comm_edges = tuple(
@@ -216,18 +226,11 @@ def expansion_structure(
         for src, dst in crossing
     )
     paths: Tuple[AlternativePath, ...] = ()
-    path_communications: Dict[Conjunction, Tuple[str, ...]] = {}
     if base_paths is not None:
-        names = [comm_name for comm_name, *_ in comm_edges]
-        paths = expanded_paths(base_paths, expanded, names)
-        inserted = frozenset(names)
-        path_communications = {
-            path.label: tuple(sorted(inserted.intersection(path.active_processes)))
-            for path in paths
-        }
-    return ExpansionStructure(
-        expanded, comm_edges, paths, path_communications, graph.expansion_records()
-    )
+        paths = expanded_paths(
+            base_paths, expanded, [comm_name for comm_name, *_ in comm_edges]
+        )
+    return ExpansionStructure(expanded, comm_edges, paths)
 
 
 def assign_buses(
@@ -245,19 +248,16 @@ def assign_buses(
     *shared* by the returned :class:`ExpandedGraph` (it is read-only for
     every consumer), which is what makes reuse across mappings cheap.
     Each ``(communication, bus)`` record and bus-scaled duration is built
-    once per base graph (:attr:`ExpansionStructure.records`), a
-    ``least_index`` pick once per processor pair and call, and the buses,
-    taken from ``architecture`` (the mapping's), extend the mapping without
-    being validated again.
+    once per structure (:attr:`ExpansionStructure.records`) and a
+    ``least_index`` pick once per processor pair and call.
     """
     if bus_policy not in BUS_POLICIES:
         raise ValueError(
             f"unknown bus policy {bus_policy!r}; choose from {BUS_POLICIES}"
         )
     architecture = architecture or mapping.architecture
+    new_mapping = mapping.copy()
     communications: Dict[str, CommunicationInfo] = {}
-    communication_buses: Dict[str, str] = {}
-    chosen: Dict[str, ProcessingElement] = {}
     bus_loads: Dict[str, float] = {}
     picks: Dict[Tuple[str, str], ProcessingElement] = {}
     records = structure.records
@@ -295,17 +295,9 @@ def assign_buses(
             records[(comm_name, bus)] = record
         info, duration = record
         bus_loads[bus.name] = bus_loads.get(bus.name, 0.0) + duration
+        new_mapping.assign(comm_name, bus)
         communications[comm_name] = info
-        communication_buses[comm_name] = bus.name
-        chosen[comm_name] = bus
-    return ExpandedGraph(
-        graph,
-        mapping.extended(chosen),
-        communications,
-        bus_loads,
-        structure.path_communications,
-        communication_buses,
-    )
+    return ExpandedGraph(graph, new_mapping, communications, bus_loads, structure)
 
 
 def _resolve_assigned_bus(

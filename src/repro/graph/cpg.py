@@ -126,7 +126,6 @@ class ConditionalProcessGraph:
         # split edge its insertion.
         self._edge_index: Optional[Tuple[Dict[Tuple[str, str], int], _EdgeItems]] = None
         self._insertions: Dict[Tuple[str, str], _Insertion] = {}
-        self._expansion_records: Dict = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -175,7 +174,6 @@ class ConditionalProcessGraph:
         self._disjunction_cache = None
         self._edge_index = None
         self._insertions = {}
-        self._expansion_records = {}
 
     def _find_kind(self, kind: ProcessKind) -> Optional[Process]:
         for process in self._processes.values():
@@ -606,15 +604,6 @@ class ConditionalProcessGraph:
         )
         self._insertions[(src, dst)] = insertion
         return insertion
-
-    def expansion_records(self) -> Dict:
-        """The memo communication expansion keeps its per-bus records in.
-
-        One dict per graph, replaced when the graph changes, so a record
-        never outlives the edge it was derived from.  Its keys and values
-        belong to :func:`~repro.graph.communication.assign_buses`.
-        """
-        return self._expansion_records
 
     def copy(self, name: Optional[str] = None) -> "ConditionalProcessGraph":
         """Return a deep-enough copy (processes and edges are immutable)."""

@@ -201,9 +201,8 @@ def test_inherited_guards_and_paths_equal_a_cold_derivation(name, graph, subsets
         communication = {
             process.name for process in reference.processes if process.is_communication
         }
-        assert list(structure.path_communications) == [path.label for path in paths]
         for path in paths:
-            assert structure.path_communications[path.label] == tuple(
+            assert structure.communications_on(path) == tuple(
                 sorted(set(path.active_processes) & communication)
             ), (name, path.label)
     if name == "nested":

@@ -42,6 +42,7 @@ from repro.graph.communication import (
     expand_communications,
     expansion_structure,
 )
+from repro.graph.paths import PathEnumerator
 from repro.scheduling import (
     PATH_LOCAL_PRIORITY_FUNCTIONS,
     MergeConflictError,
@@ -306,6 +307,35 @@ class TestSubFingerprints:
         expanded, paths = cache.expansion(problem, initial)
         key = problem.path_schedule_key(initial, paths[0], expanded)
         assert problem.expansion_key(initial) in key
+
+    def test_path_keys_of_a_plain_expansion_equal_the_stage_cache_keys(
+        self, generated_problem
+    ):
+        """``path_schedule_key`` takes any expansion of the problem's graph.
+
+        A plain :func:`expand_communications` result, with its paths
+        enumerated from scratch, keys every path as the stage cache's
+        expansion does.
+        """
+        problem = generated_problem
+        candidate = problem.initial_candidate()
+        cached, cached_paths = StageCache().expansion(problem, candidate)
+        plain = expand_communications(
+            problem.graph,
+            problem.mapping_for(candidate),
+            problem.architecture_for(candidate),
+            bus_assignment=problem.bus_assignment_for(candidate),
+            bus_policy=problem.bus_policy,
+        )
+        assert plain.communications
+        plain_paths = PathEnumerator(plain.graph).paths()
+        assert [path.label for path in plain_paths] == [
+            path.label for path in cached_paths
+        ]
+        for plain_path, cached_path in zip(plain_paths, cached_paths):
+            assert problem.path_schedule_key(
+                candidate, plain_path, plain
+            ) == problem.path_schedule_key(candidate, cached_path, cached)
 
     def test_expansion_structure_split_matches_monolithic(self, problem):
         initial = problem.initial_candidate()
