@@ -49,6 +49,9 @@ Eight subcommands cover the main uses of the library without writing Python:
     ``--json`` output is byte-identical to the one-shot
     ``explore --json`` for the same request.
 
+``explore`` and ``serve`` run with a raised young-generation collection
+threshold (:func:`_collector_policy`).
+
 The console script ``repro-cpg`` is installed with the package; the module can
 also be run with ``python -m repro.cli``.  See ``docs/cli.md`` for the full
 flag reference.
@@ -57,11 +60,13 @@ flag reference.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .analysis import (
     format_pareto_front,
@@ -122,6 +127,32 @@ _REQUEST_KEYS = (
 )
 _RANDOM_KEYS = ("nodes", "paths")
 _SIZING_KEYS = ("min_processors", "max_processors", "min_buses", "max_buses")
+
+#: Young-generation collection threshold of the long-running commands
+#: (``serve`` and ``explore``).  Their stage caches keep hundreds of
+#: thousands of objects alive, and every collection that reaches the oldest
+#: generation walks all of them; the evaluation pipeline itself makes no
+#: reference cycles, so at the interpreter's default of 700 nearly all of
+#: that work frees nothing.  See PERFORMANCE.md for the sweep behind the
+#: value.
+_YOUNG_COLLECTION_THRESHOLD = 50_000
+
+
+@contextmanager
+def _collector_policy() -> Iterator[None]:
+    """Run the block at :data:`_YOUNG_COLLECTION_THRESHOLD`.
+
+    Only the young generation's threshold changes; the older generations'
+    thresholds and automatic collection itself stay as the caller set them,
+    and all three are restored on the way out, raised or not.  Commands
+    only: the library API never changes a process-wide collector setting.
+    """
+    previous = gc.get_threshold()
+    gc.set_threshold(_YOUNG_COLLECTION_THRESHOLD, *previous[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*previous)
 
 
 def _add_request_arguments(parser: argparse.ArgumentParser) -> None:
@@ -706,11 +737,13 @@ def _dispatch(arguments) -> int:
             arguments.nodes, arguments.paths, arguments.graphs, arguments.json
         )
     if arguments.command == "explore":
-        return _command_explore(arguments)
+        with _collector_policy():
+            return _command_explore(arguments)
     if arguments.command == "trace-report":
         return _command_trace_report(arguments.trace)
     if arguments.command == "serve":
-        return _command_serve(arguments)
+        with _collector_policy():
+            return _command_serve(arguments)
     if arguments.command == "submit":
         return _command_submit(arguments)
     raise AssertionError(f"unhandled command {arguments.command!r}")

@@ -219,6 +219,10 @@ class RandomSystemGenerator:
             return exits
 
         build(plan, [], None)
+        # ``build`` reaches itself through its closure cell, a cycle that
+        # would keep the builder, and through it the graph, alive until a
+        # collection; emptying the cell lets reference counting free them.
+        del build
         return builder.build()
 
     # -- architecture and mapping ----------------------------------------------------------

@@ -88,34 +88,34 @@ def plan_for_paths(
     """
     if target_paths < 1:
         raise ValueError("the number of alternative paths must be at least 1")
-    rng = rng or random.Random()
-
-    def build(n: int) -> StructurePlan:
-        if n == 1:
-            return segment()
-        choices = []
-        factorisations = _factor_pairs(n)
-        if factorisations:
-            choices.append("series")
-        choices.append("branch")
-        kind = rng.choice(choices)
-        if kind == "series":
-            a, b = rng.choice(factorisations)
-            return series(build(a), segment(), build(b))
-        # branch: split additively, each side at least one path
-        a = rng.randint(1, n - 1)
-        b = n - a
-        inner = branch(build(a), build(b))
-        # surround the conditional block with plain segments so that the
-        # disjunction and conjunction processes have some work around them
-        return series(segment(), inner, segment())
-
-    plan = build(target_paths)
+    plan = _random_plan(target_paths, rng or random.Random())
     if plan.path_count != target_paths:
         raise AssertionError(
             f"internal error: built {plan.path_count} paths instead of {target_paths}"
         )
     return plan
+
+
+def _random_plan(n: int, rng: random.Random) -> StructurePlan:
+    """One random decomposition of ``n`` paths (see :func:`plan_for_paths`)."""
+    if n == 1:
+        return segment()
+    choices = []
+    factorisations = _factor_pairs(n)
+    if factorisations:
+        choices.append("series")
+    choices.append("branch")
+    kind = rng.choice(choices)
+    if kind == "series":
+        a, b = rng.choice(factorisations)
+        return series(_random_plan(a, rng), segment(), _random_plan(b, rng))
+    # branch: split additively, each side at least one path
+    a = rng.randint(1, n - 1)
+    b = n - a
+    inner = branch(_random_plan(a, rng), _random_plan(b, rng))
+    # surround the conditional block with plain segments so that the
+    # disjunction and conjunction processes have some work around them
+    return series(segment(), inner, segment())
 
 
 def _factor_pairs(n: int) -> List[Tuple[int, int]]:

@@ -15,7 +15,7 @@ Endpoints
 ==========================  ====================================================
 ``GET  /healthz``           liveness probe
 ``GET  /stats``             requests/sec, per-route counters, job states,
-                            evaluation-lock batches
+                            evaluation-lock batches, collector counters
 ``GET  /cache``             the shared stage caches: per-scope occupancy,
                             budgets, hit/miss and eviction counters
 ``POST /jobs``              submit an exploration job (body: the
@@ -39,6 +39,7 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import sys
 import threading
@@ -417,6 +418,16 @@ class ExplorationService:
                 "by_state": dict(sorted(states.items())),
             },
             "batching": {"batches": lock.batches, "coalesced": lock.coalesced},
+            "collector": {
+                "thresholds": list(gc.get_threshold()),
+                "generations": [
+                    {
+                        key: generation[key]
+                        for key in ("collections", "collected", "uncollectable")
+                    }
+                    for generation in gc.get_stats()
+                ],
+            },
         }
 
 

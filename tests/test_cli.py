@@ -1,10 +1,12 @@
 """Tests for the repro-cpg command-line interface."""
 
+import gc
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _YOUNG_COLLECTION_THRESHOLD, main
+from repro.exploration import pool as pool_module
 from repro.io import save_system
 
 
@@ -333,3 +335,33 @@ def test_explore_checkpoint_rejects_multiple_engines(capsys, tmp_path):
         "--checkpoint", str(tmp_path / "c.json"),
     ]) == 2
     assert "one engine" in capsys.readouterr().err
+
+
+def test_explore_searches_under_the_collector_policy_and_restores_it(monkeypatch):
+    """The young threshold is the policy's during the search, the caller's after."""
+    seen = []
+    evaluate = pool_module.evaluate_neighbourhood
+
+    def recording(*args, **kwargs):
+        seen.append(gc.get_threshold())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "evaluate_neighbourhood", recording)
+    previous = gc.get_threshold()
+    caller = (1234, 7, 5)
+    gc.set_threshold(*caller)
+    try:
+        assert main([
+            "explore", "--nodes", "16", "--paths", "2", "--cycles", "2",
+            "--neighbors", "2", "--json",
+        ]) == 0
+        after_success = gc.get_threshold()
+        # Error exits: one raised inside the policy, one returned by serve.
+        assert main(["explore", "--nodes", "2"]) == 2
+        after_raise = gc.get_threshold()
+        assert main(["serve", "--port", "0", "--job-workers=0"]) == 2
+        after_serve = gc.get_threshold()
+    finally:
+        gc.set_threshold(*previous)
+    assert seen and set(seen) == {(_YOUNG_COLLECTION_THRESHOLD, 7, 5)}
+    assert after_success == after_raise == after_serve == caller

@@ -8,6 +8,7 @@ wire-level promises.  Servers register with the conftest timeout-cleanup
 registry so a hung test tears its server down instead of leaking it.
 """
 
+import gc
 import json
 import socket
 import sys
@@ -345,6 +346,18 @@ def test_stats_track_requests_and_batching(client):
     assert batching["batches"] > 0
     # One job ran alone, so no batch ever waited for another job's batch.
     assert batching["coalesced"] == 0
+
+
+def test_stats_report_the_collector_on_each_request(client):
+    before = client.stats()["collector"]
+    gc.collect()
+    after = client.stats()["collector"]
+    assert after["thresholds"] == list(gc.get_threshold())
+    assert [set(generation) for generation in after["generations"]] == [
+        {"collections", "collected", "uncollectable"}
+    ] * 3
+    oldest = [stats["generations"][2]["collections"] for stats in (before, after)]
+    assert oldest[1] > oldest[0]
 
 
 def _one_shot_document(request):
